@@ -16,6 +16,7 @@ from .analytics import (
     ComparisonRow,
     CrossoverReport,
     FlickerStats,
+    GridError,
     SweepRow,
     classify_basin,
     flicker_stats,

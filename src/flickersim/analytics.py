@@ -4,14 +4,16 @@ Basin membership is judged against the separatrix (the unstable interior
 equilibrium).  Sweeps over extraction rate reuse one set of environment
 paths per grid point across all adaptive capacities and both wellbeing
 profiles: adaptation never feeds back on the environment, so comparisons
-are made on literally shared noise.
+are made on literally shared noise.  A whole grid is streamed as one block
+of (c, replicate) rows (see :func:`flickersim.simulate.stream_environment`),
+accumulating per-row sums span by span.
 """
 
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -19,16 +21,19 @@ import numpy as np
 from .dynamics import AdaptationParams, EcoParams
 from .equilibria import Regime, classify_regime, equilibria
 from .simulate import (
+    AdaptationFilter,
     SimConfig,
-    _draw_innovations,
-    _simulate_paths,
-    adaptation_paths,
-    resolve_config,
+    grid_configs,
     stderr_of_mean,
+    stream_environment,
 )
 from .wellbeing import CaseProfile, payoff, utility
 
 DEFAULT_MIN_DWELL = 5
+
+
+class GridError(ValueError):
+    """An extraction-rate grid that cannot be evaluated."""
 
 
 class Basin(Enum):
@@ -70,7 +75,8 @@ class ComparisonRow:
     """Both wellbeing profiles evaluated on shared trajectories at one c.
 
     The x_digest fields hash the exact environment series each profile was
-    scored on; equal digests certify the shared-noise comparison.
+    scored on (replicate rows of each span in turn, span after span); equal
+    digests certify the shared-noise comparison.
     """
 
     c: float
@@ -168,42 +174,102 @@ def flicker_stats(xs, separatrix: float, min_dwell: int = DEFAULT_MIN_DWELL) -> 
     )
 
 
-def _digest(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+def _check_grid(c_grid, increasing: bool) -> list[float]:
+    """c_grid as floats; rejects empty, non-finite and repeated values, and
+    with increasing=True any value not above its predecessor."""
+    c_grid = [float(c) for c in c_grid]
+    if not c_grid:
+        raise GridError("c_grid must be nonempty")
+    bad = [c for c in c_grid if not np.isfinite(c)]
+    if bad:
+        raise GridError(f"c_grid values must be finite, got {bad}")
+    if increasing:
+        if any(b <= a for a, b in zip(c_grid, c_grid[1:])):
+            raise GridError(f"c_grid must be strictly increasing, got {c_grid}")
+    elif len(set(c_grid)) != len(c_grid):
+        raise GridError(f"c_grid has repeated values: {c_grid}")
+    return c_grid
 
 
-def _environment_block(base: SimConfig, c: float, n_seeds: int) -> tuple[SimConfig, np.ndarray]:
-    """Resolved config and post-burn-in environment paths at extraction c."""
-    cfg = resolve_config(replace(base, eco=replace(base.eco, c=c)))
-    etas = _draw_innovations(cfg, range(n_seeds))
-    X, _, _ = _simulate_paths(cfg.eco, cfg.noise, cfg.adapt, cfg.x0, cfg.y0, cfg.i0, etas)
-    return cfg, X
+def _flag_nonfinite(row, error: str | None = None):
+    """row with error set when any of its averages is not finite."""
+    bad = [f.name for f in fields(row)
+           if isinstance(getattr(row, f.name), float) and not np.isfinite(getattr(row, f.name))]
+    if bad:
+        error = "; ".join(filter(None, [error, f"non-finite {', '.join(bad)}"]))
+    return replace(row, error=error)
 
 
-def _sweep_cell(args) -> list[SweepRow]:
-    base, c, l_values, n_seeds = args
-    try:
-        regime = classify_regime(replace(base.eco, c=c))
-    except Exception as exc:  # recorded per cell, not fatal
-        regime, regime_err = None, str(exc)
-    else:
-        regime_err = None
-    try:
-        cfg, X = _environment_block(base, c, n_seeds)
-    except Exception as exc:
-        return [
-            SweepRow(c, l, regime, float("nan"), float("nan"), float("nan"), float("nan"), str(exc))
-            for l in l_values
-        ]
-    keep = slice(cfg.burn_in, cfg.t_max)
-    w = cfg.wellbeing.params
-    pays = payoff(X[:, keep], w).mean(axis=1)
-    rows = []
-    for l in l_values:
-        Y = adaptation_paths(X, cfg.y0, l)
-        utils = utility(X[:, keep], Y[:, keep], w).mean(axis=1)
-        rows.append(
-            SweepRow(
+class _CellSums:
+    """Per-row sums after burn-in over streamed spans.
+
+    Rows are (c, replicate) and y0 their initial adapted states.  Sums x,
+    payoff per profile and utility per (l, profile); the adaptation filters
+    run over every step, burn-in included.  With digest, each c's
+    post-burn-in x series is also hashed span by span.
+    """
+
+    def __init__(self, y0: np.ndarray, l_values, profiles, digest: bool) -> None:
+        self.filters = [AdaptationFilter(y0, l) for l in l_values]
+        self.profiles = [p.params for p in profiles]
+        self.x = np.zeros(y0.shape)
+        self.payoff = [np.zeros(y0.shape) for _ in profiles]
+        self.utility = [[np.zeros(y0.shape) for _ in profiles] for _ in l_values]
+        self.digests = [hashlib.sha256() for _ in range(y0.shape[0])] if digest else []
+
+    def add(self, X: np.ndarray, skip: int) -> None:
+        Xk = X[..., skip:]
+        for adapt, sums in zip(self.filters, self.utility):
+            Y = adapt(X)
+            if Xk.size:
+                for total, w in zip(sums, self.profiles):
+                    total += utility(Xk, Y[..., skip:], w).sum(axis=-1)
+        if not Xk.size:
+            return
+        self.x += Xk.sum(axis=-1)
+        for total, w in zip(self.payoff, self.profiles):
+            total += payoff(Xk, w).sum(axis=-1)
+        for digest, rows in zip(self.digests, Xk):
+            digest.update(np.ascontiguousarray(rows).tobytes())
+
+
+def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
+                  digest: bool = False):
+    """Resolved config (or error) per c, and the _CellSums of the resolved ones."""
+    configs = grid_configs(base, c_values)
+    ok = [cfg for cfg in configs if isinstance(cfg, SimConfig)]
+    if not ok:
+        return configs, None
+    y0 = np.broadcast_to(np.array([cfg.y0 for cfg in ok])[:, None], (len(ok), n_seeds))
+    sums = _CellSums(y0, l_values, profiles, digest)
+    stream_environment(ok, n_seeds, [sums])
+    return configs, sums
+
+
+def _sweep_group(args) -> list[SweepRow]:
+    """Rows of utility_sweep for one contiguous group of extraction rates."""
+    base, c_values, l_values, n_seeds = args
+    configs, sums = _stream_cells(base, c_values, n_seeds, l_values, [base.wellbeing])
+    rows, j = [], 0
+    for c, cfg in zip(c_values, configs):
+        try:
+            regime = classify_regime(replace(base.eco, c=c))
+        except Exception as exc:  # recorded per cell, not fatal
+            regime, regime_err = None, str(exc)
+        else:
+            regime_err = None
+        if isinstance(cfg, Exception):
+            rows.extend(
+                SweepRow(c, l, regime, float("nan"), float("nan"), float("nan"),
+                         float("nan"), str(cfg))
+                for l in l_values
+            )
+            continue
+        n_kept = cfg.t_max - cfg.burn_in
+        pays = sums.payoff[0][j] / n_kept
+        for l, util_sums in zip(l_values, sums.utility):
+            utils = util_sums[0][j] / n_kept
+            row = SweepRow(
                 c=c,
                 l=l,
                 regime=regime,
@@ -211,9 +277,9 @@ def _sweep_cell(args) -> list[SweepRow]:
                 avg_utility=float(utils.mean()),
                 stderr_payoff=stderr_of_mean(pays),
                 stderr_utility=stderr_of_mean(utils),
-                error=regime_err,
             )
-        )
+            rows.append(_flag_nonfinite(row, regime_err))
+        j += 1
     return rows
 
 
@@ -228,54 +294,43 @@ def utility_sweep(
 
     All l values at a given c are scored on the same environment paths
     (shared noise), and every c reuses the same replicate substreams, so
-    cells are directly comparable.  Grid points may be computed in parallel;
-    the row order and values do not depend on workers.
+    cells are directly comparable.  The grid is one streamed block; with
+    workers > 1 it is split into contiguous groups of c computed in
+    parallel.  The row order and values do not depend on workers.  c values
+    need not be sorted, but must be finite and distinct (GridError); a cell
+    whose averages are not finite carries an error.
     """
-    c_grid = [float(c) for c in c_grid]
+    c_grid = _check_grid(c_grid, increasing=False)
     l_values = [float(l) for l in l_values]
-    if not c_grid or not l_values:
-        raise ValueError("c_grid and l_values must be nonempty")
+    if not l_values:
+        raise ValueError("l_values must be nonempty")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    jobs = [(base, c, l_values, n_seeds) for c in c_grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_c = list(pool.map(_sweep_cell, jobs))
+    n_groups = max(1, min(workers, len(c_grid)))
+    bounds = [k * len(c_grid) // n_groups for k in range(n_groups + 1)]
+    jobs = [(base, c_grid[lo:hi], l_values, n_seeds) for lo, hi in zip(bounds, bounds[1:])]
+    if n_groups > 1:
+        with ProcessPoolExecutor(max_workers=n_groups) as pool:
+            groups = list(pool.map(_sweep_group, jobs))
     else:
-        per_c = [_sweep_cell(job) for job in jobs]
-    rows = [row for cell in per_c for row in cell]
+        groups = [_sweep_group(job) for job in jobs]
+    rows = [row for group in groups for row in group]
     rows.sort(key=lambda row: (row.l, row.c))
     return rows
 
 
-def _case_scores(X: np.ndarray, Y: np.ndarray, case: CaseProfile):
-    """Per-replicate payoff and utility averages plus the x-series digest."""
-    pays = payoff(X, case.params).mean(axis=1)
-    utils = utility(X, Y, case.params).mean(axis=1)
-    return pays, utils, _digest(X)
+def _first_upcrossing(cs: list[float], diffs: list[float]):
+    """First grid interval where diffs turns positive, and the root there.
 
-
-def _first_upcrossing(cs: list[float], diffs: list[float], refine_to: float):
-    """First grid index where diffs turns positive, refined on the interpolant.
-
-    Returns (c_cross, index) or None when the difference never becomes
+    Returns (c_cross, k): c_cross is the exact root of the linear
+    interpolant on [cs[k-1], cs[k]].  None when the difference never becomes
     positive after a non-positive value.
     """
     for k in range(1, len(cs)):
-        if diffs[k - 1] <= 0.0 < diffs[k]:
+        d_lo, d_hi = diffs[k - 1], diffs[k]
+        if d_lo <= 0.0 < d_hi:
             lo, hi = cs[k - 1], cs[k]
-            d_lo, d_hi = diffs[k - 1], diffs[k]
-
-            def interp(c):
-                return d_lo + (d_hi - d_lo) * (c - lo) / (hi - lo)
-
-            while hi - lo > refine_to:
-                mid = 0.5 * (lo + hi)
-                if interp(mid) <= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi), k
+            return lo - d_lo * (hi - lo) / (d_hi - d_lo), k
     return None
 
 
@@ -314,57 +369,54 @@ def transform_comparison(
     Per grid point the two profiles are scored on identical trajectories:
     perfect-adaptation average payoff and simulated average utility under
     adaptive capacity l.  The first grid crossings (transform rising above
-    baseline) are refined on the interpolated ensemble means to one tenth
-    of the grid step.
+    baseline) are the roots of the linearly interpolated ensemble mean
+    differences.  c_grid must be finite and strictly increasing (GridError);
+    a grid point whose averages are not finite carries an error and is left
+    out of the crossing search.
     """
-    c_grid = [float(c) for c in c_grid]
-    if not c_grid:
-        raise ValueError("c_grid must be nonempty")
+    c_grid = _check_grid(c_grid, increasing=True)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     base = replace(base, adapt=AdaptationParams(l=float(l)))
-    rows = []
-    for c in c_grid:
+    configs, sums = _stream_cells(base, c_grid, n_seeds, [l],
+                                  [baseline_case, transform_case], digest=True)
+    rows, j = [], 0
+    for c, cfg in zip(c_grid, configs):
         regime = _regime_at(base.eco, c)
-        try:
-            cfg, X = _environment_block(base, c, n_seeds)
-        except Exception as exc:
+        if isinstance(cfg, Exception):
             nan = float("nan")
             rows.append(
                 ComparisonRow(c, regime, nan, nan, nan, nan, nan, nan, nan, nan, nan,
-                              error=str(exc))
+                              error=str(cfg))
             )
             continue
-        keep = slice(cfg.burn_in, cfg.t_max)
-        Y = adaptation_paths(X, cfg.y0, l)
-        Xk, Yk = X[:, keep], Y[:, keep]
-        pays_b, utils_b, digest_b = _case_scores(Xk, Yk, baseline_case)
-        pays_t, utils_t, digest_t = _case_scores(Xk, Yk, transform_case)
-        rows.append(
-            ComparisonRow(
-                c=c,
-                regime=regime,
-                mean_x=float(Xk.mean()),
-                avg_payoff_baseline=float(pays_b.mean()),
-                stderr_payoff_baseline=stderr_of_mean(pays_b),
-                avg_payoff_transform=float(pays_t.mean()),
-                stderr_payoff_transform=stderr_of_mean(pays_t),
-                avg_utility_baseline=float(utils_b.mean()),
-                stderr_utility_baseline=stderr_of_mean(utils_b),
-                avg_utility_transform=float(utils_t.mean()),
-                stderr_utility_transform=stderr_of_mean(utils_t),
-                x_digest_baseline=digest_b,
-                x_digest_transform=digest_t,
-            )
+        n_kept = cfg.t_max - cfg.burn_in
+        pays_b, pays_t = (total[j] / n_kept for total in sums.payoff)
+        utils_b, utils_t = (total[j] / n_kept for total in sums.utility[0])
+        digest = sums.digests[j].hexdigest()[:16]
+        row = ComparisonRow(
+            c=c,
+            regime=regime,
+            mean_x=float(sums.x[j].sum() / (n_seeds * n_kept)),
+            avg_payoff_baseline=float(pays_b.mean()),
+            stderr_payoff_baseline=stderr_of_mean(pays_b),
+            avg_payoff_transform=float(pays_t.mean()),
+            stderr_payoff_transform=stderr_of_mean(pays_t),
+            avg_utility_baseline=float(utils_b.mean()),
+            stderr_utility_baseline=stderr_of_mean(utils_b),
+            avg_utility_transform=float(utils_t.mean()),
+            stderr_utility_transform=stderr_of_mean(utils_t),
+            x_digest_baseline=digest,
+            x_digest_transform=digest,
         )
+        rows.append(_flag_nonfinite(row))
+        j += 1
 
     ok = [row for row in rows if row.error is None]
     cs = [row.c for row in ok]
-    step = min(b - a for a, b in zip(cs, cs[1:])) if len(cs) > 1 else 1.0
-    refine_to = step / 10.0
 
     def locate(diffs, spreads):
-        hit = _first_upcrossing(cs, diffs, refine_to)
+        hit = _first_upcrossing(cs, diffs)
         if hit is None:
             return None, None, None
         c_cross, k = hit

@@ -30,7 +30,7 @@ from .dynamics import AdaptationParams, EcoParams
 from .analytics import separatrix_for
 from .equilibria import bifurcation_scan, fold_points
 from .presets import ScanConfig, SweepConfig, TransformConfig
-from .simulate import SimConfig, run_trajectory
+from .simulate import SimConfig, environment_series, resolve_config, run_trajectory
 from .wellbeing import PROFILES
 
 ENV_OUT_DIR = "FLICKERSIM_OUT_DIR"
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--t-max", type=int)
     sweep.add_argument("--burn-in", type=int)
     sweep.add_argument("--workers", type=int, default=1,
-                       help="parallel workers over grid points")
+                       help="parallel workers, each over a contiguous group of c values")
 
     trans = subs.add_parser("transform", help="specialist-vs-generalist comparison")
     _add_common(trans, ["fig6"])
@@ -233,11 +233,9 @@ def _cmd_transform(args) -> list[Path]:
 def _cmd_flicker(args) -> list[Path]:
     cfg = _sim_config(args)
     separatrix = args.separatrix if args.separatrix is not None else separatrix_for(cfg.eco)
-    stats = [
-        analytics.flicker_stats(run_trajectory(cfg, replicate=k).xs, separatrix,
-                                min_dwell=args.min_dwell)
-        for k in range(args.seeds)
-    ]
+    # replicate k is the (seed, k) substream, as in run_trajectory(cfg, k)
+    xs = environment_series([resolve_config(cfg)], args.seeds)[0]
+    stats = [analytics.flicker_stats(row, separatrix, min_dwell=args.min_dwell) for row in xs]
     out = Path(args.out_dir)
     json_path = io.write_flicker_json(out / "flicker.json", stats, separatrix,
                                       args.min_dwell)
