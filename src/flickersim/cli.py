@@ -28,7 +28,7 @@ import numpy as np
 from . import analytics, io
 from .dynamics import AdaptationParams, EcoParams
 from .analytics import separatrix_for
-from .equilibria import bifurcation_scan, fold_points
+from .equilibria import NoBistabilityError, bifurcation_scan, fold_points
 from .presets import ScanConfig, SweepConfig, TransformConfig
 from .simulate import SimConfig, environment_series, resolve_config, run_trajectory
 from .wellbeing import PROFILES
@@ -107,19 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sim_config(args, default: SimConfig | None = None) -> SimConfig:
+def _run_overrides(args) -> dict:
+    """The --seed/--t-max/--burn-in values given, as SimConfig field updates."""
+    return {name: getattr(args, name) for name in ("seed", "t_max", "burn_in")
+            if getattr(args, name) is not None}
+
+
+def _sim_config(args) -> SimConfig:
     cfg = io.load_run_config(args.preset, args.config)
     if cfg is None:
-        cfg = default if default is not None else SimConfig()
+        cfg = SimConfig()
     if not isinstance(cfg, SimConfig):
         raise io.ConfigError(f"preset {args.preset!r} is not a trajectory configuration")
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "t_max", None) is not None:
-        updates["t_max"] = args.t_max
-    if getattr(args, "burn_in", None) is not None:
-        updates["burn_in"] = args.burn_in
+    updates = _run_overrides(args)
     if getattr(args, "c", None) is not None:
         updates["eco"] = dataclasses.replace(cfg.eco, c=args.c)
     if getattr(args, "l", None) is not None:
@@ -156,7 +156,7 @@ def _cmd_bifurcation(args) -> list[Path]:
     try:
         folds = fold_points(cfg.eco, cfg.c_min, cfg.c_max)
         extra["fold_points"] = {"c_low": folds.c_low, "c_high": folds.c_high}
-    except Exception as exc:
+    except NoBistabilityError as exc:
         extra["fold_points"] = {"error": str(exc)}
     manifest = io.build_manifest("bifurcation", cfg, None, [csv_path], extra=extra)
     return [csv_path, io.write_manifest(out / "manifest.json", manifest)]
@@ -172,16 +172,7 @@ def _sweep_config(args) -> SweepConfig:
         raise io.ConfigError(f"preset {args.preset!r} is not a sweep configuration")
     c_grid = cfg.c_grid or tuple(float(c) for c in np.linspace(args.c_min, args.c_max, args.steps))
     l_values = tuple(args.l_values) if args.l_values else (cfg.l_values or (0.001, 0.01, 0.1))
-    base = cfg.base
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.t_max is not None:
-        updates["t_max"] = args.t_max
-    if args.burn_in is not None:
-        updates["burn_in"] = args.burn_in
-    if updates:
-        base = dataclasses.replace(base, **updates)
+    base = dataclasses.replace(cfg.base, **_run_overrides(args))
     return SweepConfig(base=base, c_grid=c_grid, l_values=l_values,
                        n_seeds=args.seeds if args.seeds else cfg.n_seeds)
 
@@ -206,16 +197,7 @@ def _cmd_transform(args) -> list[Path]:
     if not isinstance(cfg, TransformConfig):
         raise io.ConfigError(f"preset {args.preset!r} is not a transform configuration")
     c_grid = cfg.c_grid or tuple(float(c) for c in np.linspace(args.c_min, args.c_max, args.steps))
-    base = cfg.base
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.t_max is not None:
-        updates["t_max"] = args.t_max
-    if args.burn_in is not None:
-        updates["burn_in"] = args.burn_in
-    if updates:
-        base = dataclasses.replace(base, **updates)
+    base = dataclasses.replace(cfg.base, **_run_overrides(args))
     cfg = TransformConfig(base=base, baseline_case=cfg.baseline_case,
                           transform_case=cfg.transform_case, c_grid=c_grid,
                           l=args.l if args.l is not None else cfg.l,

@@ -9,9 +9,16 @@ the positive roots of the cubic
 so there are one, two (exactly at a fold), or three of them.  For low
 extraction only a high-biomass state is stable, for high extraction only a
 collapsed state, and in between the map is bistable with an unstable
-separatrix between the two attractors.  Roots are located by bracketing on
-a grid over [0, 2K] and refined by bisection; stability uses the discrete
-map derivative.
+separatrix between the two attractors.  Stability uses the discrete map
+derivative.
+
+Both the fixed points and the folds are closed-form roots of real cubics
+(May 1977, Nature 269:471).  The fixed points solve the monic cubic
+x^3 - K x^2 + (h^2 + cK/r) x - K h^2 = 0.  Along the nonzero equilibria
+c(x) = r (1 - x/K) (x^2 + h^2) / x, and the folds are its values at the two
+positive roots of 2x^3/K - x^2 + h^2 = 0, where c(x) is stationary.  One
+solver (trigonometric form for three real roots, Cardano's for one, then a
+Newton step kept only if it lowers the residual) serves both.
 """
 
 from __future__ import annotations
@@ -24,12 +31,7 @@ import numpy as np
 
 from .dynamics import EcoParams, growth_increment
 
-# Bisection stops when the bracket is narrower than this (in x or in c).
-ROOT_TOL = 1e-12
-# Grid points used to bracket sign changes on [0, 2K].  Fine enough to
-# separate root pairs until c is within ~1e-8 of a fold.
-BRACKET_GRID = 4096
-# Residual |f(x*) - x*| above which a refined root is rejected.
+# Residual |f(x*) - x*| above which a root is rejected.
 RESIDUAL_TOL = 1e-9
 
 
@@ -90,33 +92,38 @@ def map_multiplier(x: float, p: EcoParams) -> float:
     return 1.0 + p.r - 2.0 * p.r * x / p.K - p.c * 2.0 * x * h2 / ((x2 + h2) * (x2 + h2))
 
 
-def _balance(x: np.ndarray | float, p: EcoParams):
-    """Growth/harvest balance whose positive zeros are the nonzero fixed points."""
-    return p.r * (1.0 - x / p.K) * (x * x + p.h * p.h) - p.c * x
+def _cubic_roots(b: float, c: float, d: float) -> list[float]:
+    """Real roots of x^3 + b x^2 + c x + d, ascending.
 
+    Substituting x = t - b/3 gives t^3 + p t + q.  Three real roots come from
+    the trigonometric form, a single one from Cardano's; each root then takes
+    one Newton step, kept only if it lowers |residual|.
+    """
+    shift = b / 3.0
+    p = c - b * shift
+    q = (2.0 * shift * shift - c) * shift + d
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc < 0.0:  # implies p < 0
+        m = 2.0 * math.sqrt(-p / 3.0)
+        theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
+        ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    else:
+        # v takes the sign that avoids cancellation; the other cube root is -p/(3v)
+        u = abs(q) / 2.0 + math.sqrt(disc)
+        v = -math.copysign(u ** (1.0 / 3.0), q)
+        ts = [v - p / (3.0 * v) if v != 0.0 else 0.0]
 
-def _bisect_root(p: EcoParams, lo: float, hi: float) -> float:
-    f_lo = _balance(lo, p)
-    while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = _balance(mid, p)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo > 0) == (f_mid > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    def residual(x):
+        return ((x + b) * x + c) * x + d
 
-
-def _positive_roots(p: EcoParams) -> list[float]:
-    """All positive fixed points, bracketed on [0, 2K] and bisected to ROOT_TOL."""
-    xs = np.linspace(0.0, 2.0 * p.K, BRACKET_GRID)
-    vals = _balance(xs, p)
-    sign = np.sign(vals)
-    flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    roots = [_bisect_root(p, xs[k], xs[k + 1]) for k in flips]
-    roots.extend(float(x) for x in xs[1:][vals[1:] == 0.0])
+    roots = []
+    for x in (t - shift for t in ts):
+        slope = (3.0 * x + 2.0 * b) * x + c
+        if slope != 0.0:
+            polished = x - residual(x) / slope
+            if abs(residual(polished)) < abs(residual(x)):
+                x = polished
+        roots.append(x)
     return sorted(roots)
 
 
@@ -124,10 +131,11 @@ def equilibria(p: EcoParams) -> list[Equilibrium]:
     """All nonnegative fixed points of the environment map, sorted ascending.
 
     x = 0 is always included (the trivial extinction equilibrium).  Raises
-    EquilibriumError if the bracketing scan produces an impossible root
-    count or a refined root fails the fixed-point residual check.
+    EquilibriumError if the cubic yields an impossible root count (non-finite
+    parameters) or a root fails the fixed-point residual check.
     """
-    roots = _positive_roots(p)
+    h2 = p.h * p.h
+    roots = [x for x in _cubic_roots(-p.K, h2 + p.c * p.K / p.r, -p.K * h2) if x > 0]
     if not 1 <= len(roots) <= 3:
         raise EquilibriumError(
             f"found {len(roots)} positive fixed points for {p}; expected 1-3"
@@ -211,13 +219,6 @@ def bifurcation_scan(
     return rows
 
 
-def _positive_root_count(p: EcoParams) -> int:
-    xs = np.linspace(0.0, 2.0 * p.K, BRACKET_GRID)
-    vals = _balance(xs, p)
-    sign = np.sign(vals)
-    return int(np.count_nonzero(sign[:-1] * sign[1:] < 0) + np.count_nonzero(vals[1:] == 0.0))
-
-
 def fold_points(
     p_base: EcoParams,
     c_min: float,
@@ -227,40 +228,29 @@ def fold_points(
 ) -> FoldPoints:
     """Locate the extraction rates where the bistable band begins and ends.
 
-    A coarse scan finds the band (grid cells with three positive roots);
-    each boundary is then refined by bisection on the positive-root count
-    until the c-bracket is narrower than tol.  Raises NoBistabilityError if
-    no bistable cell is found, or if the band is not contained strictly
-    inside [c_min, c_max].
+    The folds are exact: c(x) = r (1 - x/K) (x^2 + h^2) / x evaluated at the
+    two positive roots of 2x^3/K - x^2 + h^2 = 0.  tol (> 0) and n_scan
+    (>= 1) are validated but no longer change the result; they are kept so
+    existing calls keep working.  Raises NoBistabilityError if
+    the band is absent from [c_min, c_max], or not contained strictly
+    inside it.
     """
     if not (0 <= c_min < c_max):
         raise ValueError(f"need 0 <= c_min < c_max, got [{c_min}, {c_max}]")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    grid = np.linspace(c_min, c_max, n_scan)
-    bistable = np.array([_positive_root_count(replace(p_base, c=float(c))) >= 3 for c in grid])
-    hits = np.flatnonzero(bistable)
-    if hits.size == 0:
+    if n_scan < 1:
+        raise ValueError(f"n_scan must be >= 1, got {n_scan}")
+    r, K, h2 = p_base.r, p_base.K, p_base.h * p_base.h
+    xs = [x for x in _cubic_roots(-K / 2.0, 0.0, K * h2 / 2.0) if x > 0]
+    folds = sorted(r * (1.0 - x / K) * (x * x + h2) / x for x in xs)
+    if len(folds) != 2 or not (folds[0] < folds[1] and folds[1] > c_min and folds[0] < c_max):
         raise NoBistabilityError(
-            f"no bistable extraction interval found in [{c_min}, {c_max}] "
-            f"(scanned {n_scan} points)"
+            f"no bistable extraction interval in [{c_min}, {c_max}] for {p_base}"
         )
-    if hits[0] == 0 or hits[-1] == n_scan - 1:
+    if not (c_min < folds[0] and folds[1] < c_max):
         raise NoBistabilityError(
-            f"bistable band touches the scan boundary of [{c_min}, {c_max}]; widen the range"
+            f"bistable band [{folds[0]}, {folds[1]}] is not strictly inside "
+            f"[{c_min}, {c_max}]; widen the range"
         )
-
-    def refine(lo: float, hi: float) -> float:
-        # invariant: bistability differs between lo and hi
-        lo_bi = _positive_root_count(replace(p_base, c=lo)) >= 3
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if (_positive_root_count(replace(p_base, c=mid)) >= 3) == lo_bi:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    c_low = refine(float(grid[hits[0] - 1]), float(grid[hits[0]]))
-    c_high = refine(float(grid[hits[-1]]), float(grid[hits[-1] + 1]))
-    return FoldPoints(c_low=c_low, c_high=c_high)
+    return FoldPoints(c_low=folds[0], c_high=folds[1])

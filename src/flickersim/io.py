@@ -17,11 +17,13 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 import tempfile
 from pathlib import Path
 from typing import Any
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -321,10 +323,16 @@ def _jsonable(obj):
 
 def build_manifest(command: str, config_obj, seed, outputs: list[Path],
                    extra: dict | None = None) -> dict:
-    """Run manifest: resolved configuration, tool version, seed, outputs."""
+    """Run manifest: resolved configuration, tool and library versions, seed, outputs."""
     doc = {
         "tool": "flickersim",
         "version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "platform": platform.platform(),
+        },
         "command": command,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": seed,

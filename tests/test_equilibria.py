@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from flickersim import (
     EcoParams,
@@ -12,9 +13,11 @@ from flickersim import (
     classify_regime,
     equilibria,
     fold_points,
+    growth_increment,
     map_multiplier,
     step_environment,
 )
+from flickersim.equilibria import RESIDUAL_TOL
 from oracles import brute_force_fixed_points
 
 P = EcoParams(r=1.0, K=10.0, c=1.0, h=1.0)
@@ -82,6 +85,16 @@ class TestEquilibria:
             lo = max(x - eps, 0.0)
             fd = (step_environment(x + eps, 0.0, p) - step_environment(lo, 0.0, p)) / (x + eps - lo)
             assert map_multiplier(x, p) == pytest.approx(fd, abs=1e-5)
+
+    @pytest.mark.parametrize("side, offset, n_roots", [
+        ("c_low", -1e-9, 1), ("c_low", 1e-9, 3), ("c_high", -1e-9, 3), ("c_high", 1e-9, 1),
+    ])
+    def test_root_count_next_to_a_fold(self, side, offset, n_roots):
+        p = replace(P, c=getattr(fold_points(P, 0.0, 4.0), side) + offset)
+        positive = [e.x_star for e in equilibria(p) if e.x_star > 0]
+        assert len(positive) == n_roots
+        for x in positive:
+            assert abs(growth_increment(x, p)) < RESIDUAL_TOL
 
 
 class TestClassifyRegime:
@@ -177,6 +190,30 @@ class TestFoldPoints:
                 assert (len(stable), len(unstable)) == (2, 1)
             elif c < fp.c_low - 1e-3 or c > fp.c_high + 1e-3:
                 assert (len(stable), len(unstable)) == (1, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_extrema_of_harvest_curve(self, seed):
+        # independent route: the folds are the local min and max of the
+        # extraction rate c(x) that makes x a fixed point
+        rng = np.random.default_rng(seed)
+        eco = EcoParams(r=float(rng.uniform(0.8, 1.2)), K=float(rng.uniform(8.0, 12.0)),
+                        c=1.0, h=float(rng.uniform(0.8, 1.2)))
+
+        def c_of(x):
+            return eco.r * (1.0 - x / eco.K) * (x * x + eco.h * eco.h) / x
+
+        xs = np.linspace(eco.K / 1000.0, eco.K, 2001)
+        v = c_of(xs)
+        extrema = []
+        for sign in (1.0, -1.0):
+            mid = sign * v[1:-1]
+            (k,) = np.flatnonzero((mid < sign * v[:-2]) & (mid < sign * v[2:])) + 1
+            res = minimize_scalar(lambda x: sign * c_of(x), bounds=(xs[k - 1], xs[k + 1]),
+                                  method="bounded", options={"xatol": 1e-12})
+            extrema.append(float(c_of(res.x)))
+        fp = fold_points(eco, 0.0, 8.0)
+        assert fp.c_low == pytest.approx(extrema[0], abs=1e-9)
+        assert fp.c_high == pytest.approx(extrema[1], abs=1e-9)
 
 
 def test_regime_error_outside_supported_structure():

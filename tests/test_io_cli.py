@@ -147,6 +147,7 @@ class TestManifest:
         assert doc["config"]["eco"]["c"] == 1.0
         assert doc["config_fingerprint"] == analysis_fingerprint(cfg)
         assert "created_utc" in doc
+        assert set(doc["environment"]) == {"python", "numpy", "scipy", "platform"}
 
 
 def run_cli(*argv) -> int:
@@ -181,7 +182,7 @@ class TestCli:
                 "--out-dir", tmp_path)
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         x0 = float(lines[1].split(",")[1])
-        assert x0 == 8.889084119894697
+        assert x0 == 8.889084119894875
 
     def test_bifurcation_band(self, tmp_path):
         code = run_cli("bifurcation", "--c-min", "0", "--c-max", "4", "--steps", "81",
