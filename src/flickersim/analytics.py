@@ -5,7 +5,7 @@ equilibrium).  Sweeps over extraction rate reuse one set of environment
 paths per grid point across all adaptive capacities and both wellbeing
 profiles: adaptation never feeds back on the environment, so comparisons
 are made on literally shared noise.  A whole grid is streamed as one block
-of (c, replicate) rows (see :func:`flickersim.simulate.stream_environment`),
+of (c, replicate) rows (see :func:`flickersim.simulate.stream_spans`),
 accumulating per-row sums span by span.
 """
 
@@ -25,7 +25,7 @@ from .simulate import (
     SimConfig,
     grid_configs,
     stderr_of_mean,
-    stream_environment,
+    stream_spans,
 )
 from .wellbeing import CaseProfile, payoff, utility
 
@@ -242,7 +242,8 @@ def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
         return configs, None
     y0 = np.broadcast_to(np.array([cfg.y0 for cfg in ok])[:, None], (len(ok), n_seeds))
     sums = _CellSums(y0, l_values, profiles, digest)
-    stream_environment(ok, n_seeds, [sums])
+    for skip, X, _ in stream_spans(ok, range(n_seeds)):
+        sums.add(X, skip)
     return configs, sums
 
 

@@ -35,6 +35,10 @@ from .wellbeing import PROFILES
 
 ENV_OUT_DIR = "FLICKERSIM_OUT_DIR"
 
+# (c_min, c_max, steps) when neither a preset nor a config sets the range
+BIFURCATION_RANGE = (0.0, 4.0, 400)
+GRID_RANGE = (0.25, 3.5, 40)
+
 
 def _default_out_dir() -> str:
     return os.environ.get(ENV_OUT_DIR, "flickersim-out")
@@ -46,6 +50,18 @@ def _add_common(sub: argparse.ArgumentParser, presets: list[str]) -> None:
     sub.add_argument("--out-dir", default=_default_out_dir(),
                      help=f"output directory (default ${ENV_OUT_DIR} or ./flickersim-out)")
     sub.add_argument("--seed", type=int, help="master seed override")
+
+
+def _add_c_range(sub: argparse.ArgumentParser, defaults: tuple[float, float, int]) -> None:
+    """--c-min/--c-max/--steps; rejected when the preset or config sets the range."""
+    c_min, c_max, steps = defaults
+    note = "; not with a preset or config that sets the range"
+    sub.add_argument("--c-min", type=float,
+                     help=f"lowest extraction rate (default {c_min}{note})")
+    sub.add_argument("--c-max", type=float,
+                     help=f"highest extraction rate (default {c_max}{note})")
+    sub.add_argument("--steps", type=int,
+                     help=f"number of extraction rates (default {steps}{note})")
 
 
 def _add_sim_overrides(sub: argparse.ArgumentParser) -> None:
@@ -68,15 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bif = subs.add_parser("bifurcation", help="equilibria across extraction rates")
     _add_common(bif, ["fig2"])
-    bif.add_argument("--c-min", type=float, default=0.0)
-    bif.add_argument("--c-max", type=float, default=4.0)
-    bif.add_argument("--steps", type=int, default=400)
+    _add_c_range(bif, BIFURCATION_RANGE)
 
     sweep = subs.add_parser("sweep", help="utility over a (c, l) grid")
     _add_common(sweep, ["fig5"])
-    sweep.add_argument("--c-min", type=float, default=0.25)
-    sweep.add_argument("--c-max", type=float, default=3.5)
-    sweep.add_argument("--steps", type=int, default=40)
+    _add_c_range(sweep, GRID_RANGE)
     sweep.add_argument("--l", type=float, action="append", dest="l_values",
                        help="adaptation rate (repeatable)")
     sweep.add_argument("--seeds", type=int, help="replicates per cell")
@@ -87,9 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trans = subs.add_parser("transform", help="specialist-vs-generalist comparison")
     _add_common(trans, ["fig6"])
-    trans.add_argument("--c-min", type=float, default=0.25)
-    trans.add_argument("--c-max", type=float, default=3.5)
-    trans.add_argument("--steps", type=int, default=40)
+    _add_c_range(trans, GRID_RANGE)
     trans.add_argument("--l", type=float, help="adaptation rate")
     trans.add_argument("--seeds", type=int, help="replicates per cell")
     trans.add_argument("--t-max", type=int)
@@ -111,6 +121,26 @@ def _run_overrides(args) -> dict:
     """The --seed/--t-max/--burn-in values given, as SimConfig field updates."""
     return {name: getattr(args, name) for name in ("seed", "t_max", "burn_in")
             if getattr(args, name) is not None}
+
+
+def _c_range(args, supplied: bool, defaults: tuple[float, float, int]):
+    """(c_min, c_max, steps) from the flags given, else defaults.
+
+    When the preset or config already supplies the range (supplied), any of
+    --c-min/--c-max/--steps is a ConfigError instead of being ignored.
+    """
+    values = (args.c_min, args.c_max, args.steps)
+    given = [flag for flag, v in zip(("--c-min", "--c-max", "--steps"), values) if v is not None]
+    if supplied and given:
+        source = f"preset {args.preset!r}" if args.preset else f"config {args.config!r}"
+        raise io.ConfigError(f"{', '.join(given)} cannot override the c range of {source}")
+    return tuple(d if v is None else v for v, d in zip(values, defaults))
+
+
+def _c_grid(args, c_grid: tuple[float, ...]) -> tuple[float, ...]:
+    """The preset's or config's c grid, or the one the flags describe."""
+    c_min, c_max, steps = _c_range(args, bool(c_grid), GRID_RANGE)
+    return c_grid or tuple(float(c) for c in np.linspace(c_min, c_max, steps))
 
 
 def _sim_config(args) -> SimConfig:
@@ -141,14 +171,12 @@ def _cmd_simulate(args) -> list[Path]:
 
 def _cmd_bifurcation(args) -> list[Path]:
     cfg = io.load_run_config(args.preset, args.config)
-    if cfg is None:
-        cfg = ScanConfig(eco=EcoParams(), c_min=args.c_min, c_max=args.c_max,
-                         n_steps=args.steps)
-    elif isinstance(cfg, SimConfig):
-        cfg = ScanConfig(eco=cfg.eco, c_min=args.c_min, c_max=args.c_max,
-                         n_steps=args.steps)
-    if not isinstance(cfg, ScanConfig):
+    if cfg is not None and not isinstance(cfg, (ScanConfig, SimConfig)):
         raise io.ConfigError(f"preset {args.preset!r} is not a bifurcation configuration")
+    c_min, c_max, steps = _c_range(args, isinstance(cfg, ScanConfig), BIFURCATION_RANGE)
+    if not isinstance(cfg, ScanConfig):
+        cfg = ScanConfig(eco=cfg.eco if cfg else EcoParams(), c_min=c_min, c_max=c_max,
+                         n_steps=steps)
     scan = bifurcation_scan(cfg.eco, cfg.c_min, cfg.c_max, cfg.n_steps)
     out = Path(args.out_dir)
     csv_path = io.write_bifurcation_csv(out / "bifurcation.csv", scan)
@@ -170,11 +198,11 @@ def _sweep_config(args) -> SweepConfig:
         cfg = SweepConfig(base=SimConfig(), c_grid=(), l_values=())
     if not isinstance(cfg, SweepConfig):
         raise io.ConfigError(f"preset {args.preset!r} is not a sweep configuration")
-    c_grid = cfg.c_grid or tuple(float(c) for c in np.linspace(args.c_min, args.c_max, args.steps))
+    c_grid = _c_grid(args, cfg.c_grid)
     l_values = tuple(args.l_values) if args.l_values else (cfg.l_values or (0.001, 0.01, 0.1))
     base = dataclasses.replace(cfg.base, **_run_overrides(args))
     return SweepConfig(base=base, c_grid=c_grid, l_values=l_values,
-                       n_seeds=args.seeds if args.seeds else cfg.n_seeds)
+                       n_seeds=cfg.n_seeds if args.seeds is None else args.seeds)
 
 
 def _cmd_sweep(args) -> list[Path]:
@@ -196,12 +224,11 @@ def _cmd_transform(args) -> list[Path]:
                               c_grid=(), l=0.001)
     if not isinstance(cfg, TransformConfig):
         raise io.ConfigError(f"preset {args.preset!r} is not a transform configuration")
-    c_grid = cfg.c_grid or tuple(float(c) for c in np.linspace(args.c_min, args.c_max, args.steps))
     base = dataclasses.replace(cfg.base, **_run_overrides(args))
     cfg = TransformConfig(base=base, baseline_case=cfg.baseline_case,
-                          transform_case=cfg.transform_case, c_grid=c_grid,
+                          transform_case=cfg.transform_case, c_grid=_c_grid(args, cfg.c_grid),
                           l=args.l if args.l is not None else cfg.l,
-                          n_seeds=args.seeds if args.seeds else cfg.n_seeds)
+                          n_seeds=cfg.n_seeds if args.seeds is None else args.seeds)
     report = analytics.transform_comparison(cfg.base, cfg.baseline_case,
                                             cfg.transform_case, cfg.c_grid,
                                             cfg.l, cfg.n_seeds)

@@ -12,10 +12,14 @@ Given one environment path, adaptation paths for many adaptive capacities
 can be recovered cheaply because the adapted state is a one-way exponential
 filter of x; see :func:`adaptation_paths` and :class:`AdaptationFilter`.
 
-Grids over the extraction rate stream: every c reuses the same replicate
-substreams, so :func:`stream_environment` advances all (c, replicate) rows
-as one block and hands fixed spans of STREAM_SPAN steps to accumulators.
-Its memory is O(rows x STREAM_SPAN), whatever the horizon.
+Every route runs on one span driver, :func:`stream_spans`: it advances all
+(c, replicate) rows of a run as one block and yields fixed spans of
+STREAM_SPAN steps.  Every c reuses the same replicate substreams, and
+Philox draws are counter-based, so a span-by-span draw equals a whole-series
+draw.  :func:`run_trajectory` and :func:`run_ensemble` join the spans into
+full series; :func:`environment_series` (flicker) keeps the post-burn-in x;
+the sweep and transform accumulators consume the spans as they come, in
+O(rows x STREAM_SPAN) memory whatever the horizon.
 """
 
 from __future__ import annotations
@@ -130,65 +134,94 @@ def innovation_stream(seed: int, replicate: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _streams(seed: int, n_seeds: int) -> list[np.random.Generator]:
-    return [innovation_stream(seed, k) for k in range(n_seeds)]
-
-
 def _draw_innovations(noise: NoiseParams, streams, size: int) -> np.ndarray:
     """The next size innovations of every stream, one row per stream."""
     return np.stack([s.normal(noise.mu, noise.beta, size=size) for s in streams])
 
 
 def _simulate_paths(
-    eco: EcoParams,
-    noise: NoiseParams,
-    adapt: AdaptationParams | None,
-    x0,
-    y0,
-    i0,
+    eco: EcoParams, noise: NoiseParams, c: np.ndarray, x: np.ndarray, i: np.ndarray,
     etas: np.ndarray,
-    c=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Synchronous recurrence over one span; row k of etas drives noise level k.
 
-    The extraction rate c (default eco.c), x0 and y0 broadcast against the
-    (..., n_seeds) state, so an (n_c, n_seeds) array of rates advances
-    n_c x n_seeds rows at once; the noise level does not depend on c and
-    stays (n_seeds,).  X, I and Y hold the states at steps 0..n of the span:
-    n + 1 columns, the last of which starts the next span.  Y is None (and y0
-    unused) when adapt is None.
+    c and x are (n_c, n_seeds) arrays of per-row extraction rates and
+    states; the noise levels i do not depend on c and stay (n_seeds,).  X
+    and I hold the states at steps 0..n of the span: n + 1 columns, the last
+    of which starts the next span.
 
-    Expressions mirror growth_increment / step_environment / step_noise /
-    step_adaptation exactly so that scalar replay is bit-identical.
+    Expressions mirror growth_increment / step_environment / step_noise
+    exactly so that scalar replay is bit-identical.
     """
-    n_seeds, n = etas.shape
+    n = etas.shape[1]
     r, K, h = eco.r, eco.K, eco.h
-    c = eco.c if c is None else c
-    shape = np.broadcast_shapes(np.shape(c), np.shape(x0), (n_seeds,))
-    x = np.full(shape, x0, dtype=float)
-    i = np.full(n_seeds, i0, dtype=float)
-    X = np.empty(shape + (n + 1,))
-    I = np.empty((n_seeds, n + 1))
-    Y = None
-    if adapt is not None:
-        y = np.full(shape, y0, dtype=float)
-        Y = np.empty(shape + (n + 1,))
-        l = adapt.l
+    X = np.empty(x.shape + (n + 1,))
+    I = np.empty(i.shape + (n + 1,))
     phi = 1.0 - 1.0 / noise.T
     for t in range(n):
         X[..., t] = x
         I[:, t] = i
-        x_new = np.maximum(0.0, (r * x * (1.0 - x / K) - c * x * x / (x * x + h * h)) + (1.0 + i) * x)
+        x = np.maximum(0.0, (r * x * (1.0 - x / K) - c * x * x / (x * x + h * h)) + (1.0 + i) * x)
         i = phi * i + etas[:, t]
-        if Y is not None:
-            Y[..., t] = y
-            y = l * (x - y) + y
-        x = x_new
     X[..., n] = x
     I[:, n] = i
-    if Y is not None:
-        Y[..., n] = y
-    return X, I, Y
+    return X, I
+
+
+def stream_spans(configs: list[SimConfig], replicates):
+    """Run the given replicates of every config as one block, span by span.
+
+    The configs are resolved and differ only in eco.c, x0 and y0, as
+    :func:`grid_configs` returns them.  They share the replicate substreams,
+    so one set of innovation rows drives every c.  Yields (skip, X, I) for
+    each span of n <= STREAM_SPAN steps: the environment states X, shape
+    (len(configs), len(replicates), n), and the noise levels I, shape
+    (len(replicates), n), at the span's steps.  The first skip columns are
+    burn-in (skip may exceed n).
+    """
+    first = configs[0]
+    n_rows = len(replicates)
+    # c at the full state shape: an (n_c, 1) column broadcasts ~40% slower
+    c = np.repeat([[cfg.eco.c] for cfg in configs], n_rows, axis=1)
+    x = np.repeat([[cfg.x0] for cfg in configs], n_rows, axis=1)
+    i = np.full(n_rows, first.i0, dtype=float)
+    streams = [innovation_stream(first.seed, k) for k in replicates]
+    for t in range(0, first.t_max, STREAM_SPAN):
+        etas = _draw_innovations(first.noise, streams, min(STREAM_SPAN, first.t_max - t))
+        X, I = _simulate_paths(first.eco, first.noise, c, x, i, etas)
+        x, i = X[..., -1], I[:, -1]
+        yield max(first.burn_in - t, 0), X[..., :-1], I[:, :-1]
+
+
+def _adapted_states(X: np.ndarray, y0: float, l: float) -> np.ndarray:
+    """Adapted state at every step of each row of X, starting from y0.
+
+    Iterates step_adaptation's l*(x - y) + y in Python floats, which round
+    exactly as the float64 expression does, so scalar replay is bit-identical.
+    Rows are converted STREAM_SPAN steps at a time to keep the float lists short.
+    """
+    Y = np.empty_like(X)
+    for row, xs in zip(Y, X):
+        y = y0
+        for t in range(0, xs.size, STREAM_SPAN):
+            ys = []
+            for x in xs[t:t + STREAM_SPAN].tolist():
+                ys.append(y)
+                y = l * (x - y) + y
+            row[t:t + STREAM_SPAN] = ys
+    return Y
+
+
+def _full_series(rcfg: SimConfig, replicates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, noise level and adapted state of each replicate at every step, burn-in
+    included: three (len(replicates), t_max) arrays."""
+    X, I = np.empty((2, len(replicates), rcfg.t_max))
+    filled = 0
+    for _, Xs, Is in stream_spans([rcfg], replicates):
+        n = Is.shape[-1]
+        X[:, filled:filled + n], I[:, filled:filled + n] = Xs[0], Is
+        filled += n
+    return X, I, _adapted_states(X, rcfg.y0, rcfg.adapt.l)
 
 
 def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
@@ -198,8 +231,7 @@ def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     retained sample is time step burn_in.
     """
     rcfg = resolve_config(cfg)
-    etas = _draw_innovations(rcfg.noise, [innovation_stream(rcfg.seed, replicate)], rcfg.t_max)
-    X, I, Y = _simulate_paths(rcfg.eco, rcfg.noise, rcfg.adapt, rcfg.x0, rcfg.y0, rcfg.i0, etas)
+    X, I, Y = _full_series(rcfg, [replicate])
     keep = slice(rcfg.burn_in, rcfg.t_max)
     return Trajectory(
         xs=X[0, keep].copy(),
@@ -228,8 +260,7 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     rcfg = resolve_config(cfg)
-    etas = _draw_innovations(rcfg.noise, _streams(rcfg.seed, n_seeds), rcfg.t_max)
-    X, _, Y = _simulate_paths(rcfg.eco, rcfg.noise, rcfg.adapt, rcfg.x0, rcfg.y0, rcfg.i0, etas)
+    X, _, Y = _full_series(rcfg, range(n_seeds))
     keep = slice(rcfg.burn_in, rcfg.t_max)
     w = rcfg.wellbeing.params
     pays = np.array([average_payoff(X[j, keep], w) for j in range(n_seeds)])
@@ -294,52 +325,19 @@ def grid_configs(base: SimConfig, c_values) -> list[SimConfig | Exception]:
     return configs
 
 
-def stream_environment(configs: list[SimConfig], n_seeds: int, accumulators) -> None:
-    """Run replicates 0..n_seeds-1 of every config as one block, span by span.
+def environment_series(configs: list[SimConfig], n_seeds: int) -> np.ndarray:
+    """Post-burn-in environment states, shape (len(configs), n_seeds, t_max - burn_in).
 
-    The configs are resolved and differ only in eco.c, x0 and y0, as
-    :func:`grid_configs` returns them.  They share the replicate substreams,
-    so one set of innovation rows drives every c, and row (j, k) equals
-    ``run_trajectory(configs[j], k).xs`` bit for bit.  The environment states
-    of each span, shape (len(configs), n_seeds, n) with n <= STREAM_SPAN, go
-    to ``add(X, skip)`` of every accumulator; the first skip columns are
-    burn-in (skip may be n).
+    Row (j, k) equals ``run_trajectory(configs[j], k).xs`` bit for bit.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     first = configs[0]
-    # c at the full state shape: an (n_c, 1) column broadcasts ~40% slower
-    c = np.repeat([[cfg.eco.c] for cfg in configs], n_seeds, axis=1)
-    x = np.repeat([[cfg.x0] for cfg in configs], n_seeds, axis=1)
-    i = first.i0
-    streams = _streams(first.seed, n_seeds)
-    for t in range(0, first.t_max, STREAM_SPAN):
-        etas = _draw_innovations(first.noise, streams, min(STREAM_SPAN, first.t_max - t))
-        X, I, _ = _simulate_paths(first.eco, first.noise, None, x, None, i, etas, c=c)
-        x, i = X[..., -1].copy(), I[:, -1].copy()
-        for acc in accumulators:
-            acc.add(X[..., :-1], max(first.burn_in - t, 0))
-
-
-class _KeptStates:
-    """Accumulator that keeps the post-burn-in states."""
-
-    def __init__(self, shape: tuple[int, ...]) -> None:
-        self.xs = np.empty(shape)
-        self.filled = 0
-
-    def add(self, X: np.ndarray, skip: int) -> None:
+    # filled in place: joining the spans at the end would hold the series twice
+    xs = np.empty((len(configs), n_seeds, first.t_max - first.burn_in))
+    filled = 0
+    for skip, X, _ in stream_spans(configs, range(n_seeds)):
         kept = X[..., skip:]
-        self.xs[..., self.filled:self.filled + kept.shape[-1]] = kept
-        self.filled += kept.shape[-1]
-
-
-def environment_series(configs: list[SimConfig], n_seeds: int) -> np.ndarray:
-    """Post-burn-in environment states, shape (len(configs), n_seeds, t_max - burn_in).
-
-    Streams the block like :func:`stream_environment` and keeps only x.
-    """
-    first = configs[0]
-    kept = _KeptStates((len(configs), n_seeds, first.t_max - first.burn_in))
-    stream_environment(configs, n_seeds, [kept])
-    return kept.xs
+        xs[..., filled:filled + kept.shape[-1]] = kept
+        filled += kept.shape[-1]
+    return xs

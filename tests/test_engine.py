@@ -31,6 +31,7 @@ from flickersim.simulate import (
     resolve_config,
 )
 from flickersim.wellbeing import GENERALIST, SPECIALIST, payoff, utility
+from oracles import replay_trajectory
 
 BASE = SimConfig(t_max=3 * STREAM_SPAN + 7, burn_in=STREAM_SPAN + 3, seed=23)
 C_VALUES = [1.0, 1.95, 3.1]  # high, bistable and collapsed: three default x0
@@ -98,9 +99,9 @@ class TestAdaptationFilter:
 
 
 def reference(cfg: SimConfig, n_seeds: int, l: float):
-    """Per-replicate x and y series, unchunked, from run_trajectory + adaptation_paths."""
+    """Per-replicate x and y series, unchunked, from the scalar replay + adaptation_paths."""
     full = resolve_config(replace(cfg, burn_in=0))
-    X = np.stack([run_trajectory(full, k).xs for k in range(n_seeds)])
+    X = np.stack([replay_trajectory(full, k)[0] for k in range(n_seeds)])
     Y = adaptation_paths(X, full.y0, l)
     return X[:, cfg.burn_in:], Y[:, cfg.burn_in:]
 

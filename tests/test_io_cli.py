@@ -224,6 +224,30 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 3
 
+    @pytest.mark.parametrize("command,preset", [("sweep", "fig5"), ("transform", "fig6")])
+    def test_zero_seeds_fail_fast(self, tmp_path, capsys, command, preset):
+        code = run_cli(command, "--preset", preset, "--seeds", "0", "--t-max", "300",
+                       "--burn-in", "50", "--out-dir", tmp_path)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "n_seeds must be >= 1" in err["message"]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,preset,flags", [
+        ("bifurcation", "fig2", ["--c-max", "3", "--steps", "5"]),
+        ("sweep", "fig5", ["--steps", "3"]),
+        ("transform", "fig6", ["--c-min", "1.0"]),
+    ])
+    def test_range_flags_rejected_with_preset_range(self, tmp_path, capsys, command,
+                                                    preset, flags):
+        code = run_cli(command, "--preset", preset, *flags, "--out-dir", tmp_path)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert all(flag in err["message"] for flag in flags if flag.startswith("--"))
+        assert not any(tmp_path.iterdir())
+
     def test_transform_outputs(self, tmp_path):
         code = run_cli("transform", "--c-min", "1.0", "--c-max", "3.0", "--steps", "4",
                        "--seeds", "2", "--t-max", "400", "--burn-in", "100",

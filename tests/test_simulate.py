@@ -21,6 +21,7 @@ from flickersim import (
     step_adaptation,
 )
 from oracles import replay_trajectory
+from test_engine import HORIZONS
 
 SMALL = SimConfig(t_max=400, burn_in=50, seed=99)
 
@@ -117,10 +118,14 @@ class TestRunTrajectory:
         assert tr.xs[0] == full.xs[SMALL.burn_in]
         assert np.array_equal(tr.xs, full.xs[SMALL.burn_in:])
 
-    def test_engine_matches_scalar_replay_bitwise(self):
-        cfg = replace(SMALL, t_max=300, burn_in=0)
-        xs, is_, ys = replay_trajectory(cfg)
-        tr = run_trajectory(cfg)
+    # the engine's spans against the unchunked scalar replay, over the
+    # span-boundary horizons of the grid engine and a replicate other than 0
+    @pytest.mark.parametrize("replicate", [0, 3])
+    @pytest.mark.parametrize("t_max,burn_in", [(300, 0), *HORIZONS])
+    def test_engine_matches_scalar_replay_bitwise(self, t_max, burn_in, replicate):
+        cfg = replace(SMALL, t_max=t_max, burn_in=burn_in)
+        xs, is_, ys = (series[burn_in:] for series in replay_trajectory(cfg, replicate))
+        tr = run_trajectory(cfg, replicate)
         assert np.array_equal(tr.xs, xs)
         assert np.array_equal(tr.noise, is_)
         assert np.array_equal(tr.ys, ys)
@@ -185,6 +190,16 @@ class TestRunEnsemble:
         for k in range(3):
             tr = run_trajectory(SMALL, replicate=k)
             assert summary.avg_payoffs[k] == average_payoff(tr.xs, w)
+
+    def test_adapted_state_starts_at_explicit_y0(self):
+        # y0 != x0, so a y series started anywhere but y0 shows in every average
+        cfg = replace(SMALL, x0=2.0, y0=7.0, t_max=69, burn_in=3)
+        summary = run_ensemble(cfg, n_seeds=2)
+        w = cfg.wellbeing.params
+        for k in range(2):
+            xs, _, ys = (series[cfg.burn_in:] for series in replay_trajectory(cfg, k))
+            assert summary.avg_payoffs[k] == average_payoff(xs, w)
+            assert summary.avg_utilities[k] == average_utility(xs, ys, w)
 
 
 def test_tracking_loss_ratio_grows_with_capacity():
