@@ -204,13 +204,13 @@ class _CellSums:
     """Per-row sums after burn-in over streamed spans.
 
     Rows are (c, replicate) and y0 their initial adapted states.  Sums x,
-    payoff per profile and utility per (l, profile); the adaptation filters
-    run over every step, burn-in included.  With digest, each c's
-    post-burn-in x series is also hashed span by span.
+    payoff per profile and utility per (l, profile); one adaptation filter
+    carries every l and runs over every step, burn-in included.  With
+    digest, each c's post-burn-in x series is also hashed span by span.
     """
 
     def __init__(self, y0: np.ndarray, l_values, profiles, digest: bool) -> None:
-        self.filters = [AdaptationFilter(y0, l) for l in l_values]
+        self.adapt = AdaptationFilter(y0, np.reshape(l_values, (-1, 1, 1)))
         self.profiles = [p.params for p in profiles]
         self.x = np.zeros(y0.shape)
         self.payoff = [np.zeros(y0.shape) for _ in profiles]
@@ -218,14 +218,14 @@ class _CellSums:
         self.digests = [hashlib.sha256() for _ in range(y0.shape[0])] if digest else []
 
     def add(self, X: np.ndarray, skip: int) -> None:
+        Y = self.adapt(X)
         Xk = X[..., skip:]
-        for adapt, sums in zip(self.filters, self.utility):
-            Y = adapt(X)
-            if Xk.size:
-                for total, w in zip(sums, self.profiles):
-                    total += utility(Xk, Y[..., skip:], w).sum(axis=-1)
         if not Xk.size:
             return
+        # one l at a time: utility broadcast over the stacked Y is ~2.5x slower
+        for Yl, sums in zip(Y, self.utility):
+            for total, w in zip(sums, self.profiles):
+                total += utility(Xk, Yl[..., skip:], w).sum(axis=-1)
         self.x += Xk.sum(axis=-1)
         for total, w in zip(self.payoff, self.profiles):
             total += payoff(Xk, w).sum(axis=-1)

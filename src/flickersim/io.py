@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -31,7 +30,13 @@ from .analytics import ComparisonRow, CrossoverReport, FlickerStats, SweepRow
 from .dynamics import AdaptationParams, EcoParams, NoiseParams
 from .equilibria import ScanRow
 from .presets import get_preset
-from .simulate import SimConfig, Trajectory, config_fingerprint, resolve_config
+from .simulate import (
+    SimConfig,
+    Trajectory,
+    config_fingerprint,
+    config_to_dict,
+    resolve_config,
+)
 from .wellbeing import PROFILES, CaseProfile, WellbeingParams, payoff, utility
 
 
@@ -57,29 +62,6 @@ _SECTION_FIELDS = {
     "wellbeing": ("case", "label", "m", "n", "a"),
     "sim": ("t_max", "burn_in", "x0", "y0", "i0", "seed"),
 }
-
-
-def config_to_dict(cfg: SimConfig) -> dict[str, Any]:
-    """Nested plain-dict form of a SimConfig (the config file schema)."""
-    return {
-        "eco": dataclasses.asdict(cfg.eco),
-        "noise": dataclasses.asdict(cfg.noise),
-        "adapt": dataclasses.asdict(cfg.adapt),
-        "wellbeing": {
-            "label": cfg.wellbeing.label,
-            "m": cfg.wellbeing.params.m,
-            "n": cfg.wellbeing.params.n,
-            "a": cfg.wellbeing.params.a,
-        },
-        "sim": {
-            "t_max": cfg.t_max,
-            "burn_in": cfg.burn_in,
-            "x0": cfg.x0,
-            "y0": cfg.y0,
-            "i0": cfg.i0,
-            "seed": cfg.seed,
-        },
-    }
 
 
 def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
@@ -330,7 +312,6 @@ def build_manifest(command: str, config_obj, seed, outputs: list[Path],
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "platform": platform.platform(),
         },
         "command": command,

@@ -9,8 +9,10 @@ point expressions as the scalar step functions in
 ``step_coupled`` reproduces any trajectory bit for bit.
 
 Given one environment path, adaptation paths for many adaptive capacities
-can be recovered cheaply because the adapted state is a one-way exponential
-filter of x; see :func:`adaptation_paths` and :class:`AdaptationFilter`.
+can be recovered cheaply because adaptation never feeds back on x: one
+:class:`AdaptationFilter` advances the adapted states of every capacity
+together, with step_adaptation's expression, so these too replay bit for
+bit; see :func:`adaptation_paths`.
 
 Every route runs on one span driver, :func:`stream_spans`: it advances all
 (c, replicate) rows of a run as one block and yields fixed spans of
@@ -26,10 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dynamics import AdaptationParams, EcoParams, NoiseParams
 from .equilibria import equilibria
@@ -72,10 +74,12 @@ class SimConfig:
             raise ValueError(
                 f"sim.t_max must exceed burn_in, got t_max={self.t_max} burn_in={self.burn_in}"
             )
-        if self.x0 is not None and not self.x0 >= 0:
-            raise ValueError(f"sim.x0 must be >= 0, got {self.x0}")
-        if self.y0 is not None and not self.y0 >= 0:
-            raise ValueError(f"sim.y0 must be >= 0, got {self.y0}")
+        for name in ("x0", "y0"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"sim.{name} must be finite and >= 0, got {value}")
+        if not math.isfinite(self.i0):
+            raise ValueError(f"sim.i0 must be finite, got {self.i0}")
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,37 @@ def resolve_config(cfg: SimConfig) -> SimConfig:
     return replace(cfg, x0=x0, y0=y0)
 
 
+def config_to_dict(cfg: SimConfig) -> dict:
+    """Nested plain-dict form of a SimConfig (the config file schema)."""
+    return {
+        "eco": asdict(cfg.eco),
+        "noise": asdict(cfg.noise),
+        "adapt": asdict(cfg.adapt),
+        "wellbeing": {
+            "label": cfg.wellbeing.label,
+            "m": cfg.wellbeing.params.m,
+            "n": cfg.wellbeing.params.n,
+            "a": cfg.wellbeing.params.a,
+        },
+        "sim": {
+            "t_max": cfg.t_max,
+            "burn_in": cfg.burn_in,
+            "x0": cfg.x0,
+            "y0": cfg.y0,
+            "i0": cfg.i0,
+            "seed": cfg.seed,
+        },
+    }
+
+
 def config_fingerprint(cfg: SimConfig) -> str:
     """Hash of the fully resolved configuration (sha256 hex, 16 chars).
 
-    Changes iff any configuration value changes.
+    Hashes the config file schema, :func:`config_to_dict`, which is also
+    what manifests record, alone or nested in a grid spec.  Changes iff any
+    configuration value changes.
     """
-    payload = json.dumps(asdict(resolve_config(cfg)), sort_keys=True)
+    payload = json.dumps(config_to_dict(resolve_config(cfg)), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -278,8 +307,8 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
 def adaptation_paths(X: np.ndarray, y0: float, l: float) -> np.ndarray:
     """Adapted-state series for each row of X under adaptive capacity l.
 
-    Evaluates y_{t+1} = l*x_t + (1-l)*y_t as an exponential filter (C speed),
-    which matches iterating step_adaptation to rounding error.  Used to
+    Iterates step_adaptation's y_{t+1} = l*(x_t - y_t) + y_t, vectorised
+    across rows, so every row equals a scalar replay bit for bit.  Used to
     compare many l values against one shared environment path.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -289,24 +318,31 @@ def adaptation_paths(X: np.ndarray, y0: float, l: float) -> np.ndarray:
 class AdaptationFilter:
     """:func:`adaptation_paths` continued span by span.
 
-    Each call takes the environment states of the next span of steps, shape
-    y0.shape + (n,), and returns the adapted states at the same steps.  The
-    ``lfilter`` state is carried from call to call, so the spans joined equal
-    adaptation_paths of the joined series bit for bit.
+    l is one adaptive capacity or an array of them that broadcasts against
+    y0: with y0 of shape (n_c, n_seeds) and l of shape (n_l, 1, 1), one
+    filter advances every capacity together.  Each call takes the
+    environment states of the next span of steps, shape y0.shape + (n,), and
+    returns the adapted states at the same steps, shape
+    broadcast(l, y0).shape + (n,).  The adapted state is carried from call
+    to call, so the spans joined equal adaptation_paths of the joined series
+    bit for bit, and a stacked filter equals one filter per l.
     """
 
-    def __init__(self, y0, l: float) -> None:
-        if not 0.0 <= l <= 1.0:
+    def __init__(self, y0, l) -> None:
+        self.l = np.asarray(l, dtype=float)
+        if not np.all((0.0 <= self.l) & (self.l <= 1.0)):
             raise ValueError(f"l must be within [0, 1], got {l}")
-        self.b, self.a = [l], [1.0, -(1.0 - l)]
         # adapted state at the first step of the next span
-        self.y = np.asarray(y0, dtype=float)[..., None]
-        self.zi = (1.0 - l) * self.y
+        y0 = np.asarray(y0, dtype=float)
+        self.y = np.broadcast_to(y0, np.broadcast_shapes(self.l.shape, y0.shape))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        out, self.zi = lfilter(self.b, self.a, X, axis=-1, zi=self.zi)
-        Y = np.concatenate((self.y, out[..., :-1]), axis=-1)
-        self.y = out[..., -1:].copy()
+        l, y = self.l, self.y
+        Y = np.empty(y.shape + X.shape[-1:])
+        for t in range(X.shape[-1]):
+            Y[..., t] = y
+            y = l * (X[..., t] - y) + y
+        self.y = y
         return Y
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from flickersim import (
+    AdaptationParams,
     EcoParams,
     NoiseParams,
     SimConfig,
@@ -97,6 +98,19 @@ class TestAdaptationFilter:
         got = np.concatenate([adapt(X[:, a:b]) for a, b in zip(cuts, cuts[1:])], axis=1)
         assert np.array_equal(got, expected)
 
+    def test_stacked_capacities_equal_one_filter_each(self):
+        l_values = [0.001, 0.3, 1.0]
+        X = np.random.default_rng(6).uniform(0, 10, (2, 3, 4 * STREAM_SPAN + 5))
+        y0 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        cuts = [0, 3, STREAM_SPAN + 1, STREAM_SPAN + 1, 3 * STREAM_SPAN - 2, X.shape[-1]]
+        stacked = AdaptationFilter(y0, np.reshape(l_values, (-1, 1, 1)))
+        singles = [AdaptationFilter(y0, l) for l in l_values]
+        for a, b in zip(cuts, cuts[1:]):
+            Y = stacked(X[..., a:b])
+            assert Y.shape == (len(l_values),) + X[..., a:b].shape
+            for Yl, single in zip(Y, singles):
+                assert np.array_equal(Yl, single(X[..., a:b]))
+
 
 def reference(cfg: SimConfig, n_seeds: int, l: float):
     """Per-replicate x and y series, unchunked, from the scalar replay + adaptation_paths."""
@@ -152,6 +166,44 @@ def test_transform_matches_unchunked_reference(t_max, burn_in):
                                    getattr(row, f"stderr_utility_{tag}"),
                                    utility(X, Y, w).mean(axis=1))
         assert row.x_digest_baseline == row.x_digest_transform
+
+
+def replayed_mean_utility(cfg: SimConfig, n_seeds: int, w) -> float:
+    """Mean post-burn-in utility over replicates, from step_coupled replays.
+
+    The engine sums each row span by span; the replayed series are summed in
+    the same spans, so the two agree bit for bit when the series do.
+    """
+    means = []
+    for k in range(n_seeds):
+        xs, _, ys = replay_trajectory(cfg, k)
+        total = 0.0
+        for t in range(0, cfg.t_max, STREAM_SPAN):
+            kept = slice(max(t, cfg.burn_in), min(t + STREAM_SPAN, cfg.t_max))
+            if kept.start < kept.stop:
+                total += utility(xs[kept], ys[kept], w).sum()
+        means.append(total / (cfg.t_max - cfg.burn_in))
+    return float(np.mean(means))
+
+
+class TestGridReplaysExactly:
+    """Grid utilities equal a step_coupled replay scored by wellbeing.utility, with ==.
+
+    BASE's burn-in ends inside a span.
+    """
+
+    def test_sweep_cell(self):
+        for row in utility_sweep(BASE, [1.95], L_VALUES, n_seeds=2):
+            cfg = replace(at_c(BASE, row.c), adapt=AdaptationParams(l=row.l))
+            assert row.avg_utility == replayed_mean_utility(cfg, 2, BASE.wellbeing.params)
+
+    def test_transform_cell(self):
+        report = transform_comparison(BASE, SPECIALIST, GENERALIST, [1.95], l=0.01,
+                                      n_seeds=2)
+        cfg = replace(at_c(BASE, 1.95), adapt=AdaptationParams(l=0.01))
+        row = report.rows[0]
+        assert row.avg_utility_baseline == replayed_mean_utility(cfg, 2, SPECIALIST.params)
+        assert row.avg_utility_transform == replayed_mean_utility(cfg, 2, GENERALIST.params)
 
 
 def test_sweep_memory_does_not_grow_with_horizon():

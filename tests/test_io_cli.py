@@ -1,9 +1,13 @@
+import hashlib
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from flickersim import PRESETS, SimConfig, get_preset
+from flickersim import PRESETS, SimConfig, config_fingerprint, get_preset
 from flickersim.cli import main
 from flickersim.io import (
     ParseError,
@@ -82,6 +86,14 @@ class TestConfigFiles:
         with pytest.raises(ValidationError, match="eco.c"):
             config_from_dict({"eco": {"c": "high"}})
 
+    @pytest.mark.parametrize("key,value", [("x0", ".inf"), ("y0", ".inf"), ("i0", ".nan"),
+                                           ("i0", "-.inf")])
+    def test_non_finite_start_rejected(self, tmp_path, key, value):
+        path = tmp_path / "start.yaml"
+        path.write_text(f"sim:\n  {key}: {value}\n")
+        with pytest.raises(ValidationError, match=f"sim.{key} must be finite"):
+            load_config(path)
+
 
 class TestPresets:
     def test_fig4b_values(self):
@@ -147,7 +159,15 @@ class TestManifest:
         assert doc["config"]["eco"]["c"] == 1.0
         assert doc["config_fingerprint"] == analysis_fingerprint(cfg)
         assert "created_utc" in doc
-        assert set(doc["environment"]) == {"python", "numpy", "scipy", "platform"}
+        assert set(doc["environment"]) == {"python", "numpy", "platform"}
+
+    def test_sim_config_fingerprints_alike_alone_and_nested(self):
+        spec = get_preset("fig5")
+        nested = build_manifest("sweep", spec, 0, [])["config"]["base"]
+        alone = build_manifest("simulate", spec.base, 0, [])
+        assert alone["config"] == nested
+        digest = hashlib.sha256(json.dumps(nested, sort_keys=True).encode()).hexdigest()[:16]
+        assert digest == alone["config_fingerprint"] == config_fingerprint(spec.base)
 
 
 def run_cli(*argv) -> int:
@@ -303,6 +323,14 @@ class TestCli:
         args = build_parser().parse_args(["simulate", "--preset", "fig4a"])
         assert args.out_dir == str(tmp_path / "envout")
 
+    def test_non_finite_start_fails_before_writing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "start.yaml"
+        cfg_path.write_text("sim:\n  x0: .inf\n  t_max: 40\n  burn_in: 0\n")
+        code = run_cli("simulate", "--config", cfg_path, "--out-dir", tmp_path / "out")
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_config_file_drives_simulation(self, tmp_path):
         cfg = SimConfig(eco=get_preset("fig4b").eco, t_max=200, burn_in=10, seed=4)
         cfg_path = tmp_path / "my.yaml"
@@ -311,3 +339,13 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 191
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.signal alone took ~1.5 s of every CLI start-up; keep it out."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import flickersim.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
