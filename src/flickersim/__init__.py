@@ -55,6 +55,7 @@ from .simulate import (
     DEFAULT_SEED,
     DEFAULT_T_MAX,
     EnsembleSummary,
+    NonFiniteStateError,
     SimConfig,
     Trajectory,
     adaptation_paths,

@@ -122,10 +122,14 @@ def growth_increment(x: float, p: EcoParams) -> float:
 def step_environment(x: float, i: float, p: EcoParams) -> float:
     """Advance the environment one step under noise level i.
 
-    Returns max(0, growth_increment(x) + (1 + i) * x); the clamp keeps
-    biomass nonnegative under large negative shocks.
+    Returns v = growth_increment(x) + (1 + i) * x clamped at zero, which keeps
+    biomass nonnegative under large negative shocks.  The clamp is written
+    ``0.0 if v < 0.0 else v`` so that it agrees with ``np.maximum(0.0, v)``:
+    a nan (an overflowed state) stays nan, where Python's max(0.0, nan)
+    would return 0.0, and -0.0 stays -0.0.
     """
-    return max(0.0, growth_increment(x, p) + (1.0 + i) * x)
+    v = growth_increment(x, p) + (1.0 + i) * x
+    return 0.0 if v < 0.0 else v
 
 
 def step_noise(i: float, noise: NoiseParams, eta: float) -> float:

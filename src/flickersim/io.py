@@ -199,12 +199,17 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def write_trajectory_csv(path, tr: Trajectory, w: WellbeingParams) -> Path:
-    header = ["t", "x", "y", "i", "payoff", "utility"]
-    rows = [
-        [tr.t0 + k, x, y, i, float(payoff(x, w)), float(utility(x, y, w))]
-        for k, (x, y, i) in enumerate(zip(tr.xs, tr.ys, tr.noise))
-    ]
-    return _atomic_write(path, _csv_text(header, rows))
+    """One row per retained step; payoff and utility scored as whole arrays.
+
+    Floats are formatted as _fmt does (repr of the Python float), so the
+    bytes equal a per-cell _csv_text of the same values.
+    """
+    columns = (range(tr.t0, tr.t0 + len(tr)), tr.xs.tolist(), tr.ys.tolist(),
+               tr.noise.tolist(), payoff(tr.xs, w).tolist(),
+               utility(tr.xs, tr.ys, w).tolist())
+    lines = ["t,x,y,i,payoff,utility"]
+    lines.extend("%d,%r,%r,%r,%r,%r" % row for row in zip(*columns))
+    return _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_bifurcation_csv(path, scan: list[ScanRow]) -> Path:

@@ -15,13 +15,24 @@ together, with step_adaptation's expression, so these too replay bit for
 bit; see :func:`adaptation_paths`.
 
 Every route runs on one span driver, :func:`stream_spans`: it advances all
-(c, replicate) rows of a run as one block and yields fixed spans of
-STREAM_SPAN steps.  Every c reuses the same replicate substreams, and
-Philox draws are counter-based, so a span-by-span draw equals a whole-series
-draw.  :func:`run_trajectory` and :func:`run_ensemble` join the spans into
-full series; :func:`environment_series` (flicker) keeps the post-burn-in x;
-the sweep and transform accumulators consume the spans as they come, in
+(c, replicate) rows of a run together and yields fixed spans of STREAM_SPAN
+steps.  Every c reuses the same replicate substreams, and Philox draws are
+counter-based, so a span-by-span draw equals a whole-series draw.
+:func:`run_trajectory` and :func:`run_ensemble` join the spans into full
+series; :func:`environment_series` (flicker) keeps the post-burn-in x; the
+sweep and transform accumulators consume the spans as they come, in
 O(rows x STREAM_SPAN) memory whatever the horizon.
+
+stream_spans has two kernels with the same draws and the same output.  A numpy
+step costs about the same ~20 us whether it advances 1 row or 100, while a
+Python-float step through the dynamics step functions costs about 1 us per
+row, so runs of fewer than SCALAR_ROWS rows advance each row in Python
+floats (:func:`_scalar_spans`) and larger ones as one numpy block
+(:func:`_block_spans`).  The scalar kernel calls step_environment and
+step_noise, so it is the replay reference itself; the block kernel evaluates
+the same expressions, so both agree bit for bit, overflowed (nan) states
+included.  The per-row crossover that sets SCALAR_ROWS is tabulated in the
+README ("How simulations stream") and recorded in BENCH_7.json.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dynamics import AdaptationParams, EcoParams, NoiseParams
+from .dynamics import AdaptationParams, EcoParams, NoiseParams, step_environment, step_noise
 from .equilibria import equilibria
 from .wellbeing import SPECIALIST, CaseProfile, average_payoff, average_utility
 
@@ -44,6 +55,16 @@ DEFAULT_SEED = 42
 # Steps per span of the streamed engine.  Span arrays hold rows x STREAM_SPAN
 # values: 12 800 for the 40-value, 10-replicate fig5 grid.
 STREAM_SPAN = 32
+# Runs of fewer (c, replicate) rows than this advance each row in Python
+# floats; larger ones run as one numpy block.  24 is where the block kernel
+# catches up when every row steps its own noise level (one c, many
+# replicates); grid rows share their noise and cross later, near 40.  The
+# crossover table is in BENCH_7.json.
+SCALAR_ROWS = 24
+
+
+class NonFiniteStateError(ValueError):
+    """A simulated state overflowed to inf or nan (a huge but finite start)."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +201,8 @@ def _simulate_paths(
     of which starts the next span.
 
     Expressions mirror growth_increment / step_environment / step_noise
-    exactly so that scalar replay is bit-identical.
+    exactly (np.maximum(0.0, v) clamps as step_environment does, nan
+    included) so that scalar replay is bit-identical.
     """
     n = etas.shape[1]
     r, K, h = eco.r, eco.K, eco.h
@@ -198,7 +220,7 @@ def _simulate_paths(
 
 
 def stream_spans(configs: list[SimConfig], replicates):
-    """Run the given replicates of every config as one block, span by span.
+    """Run the given replicates of every config together, span by span.
 
     The configs are resolved and differ only in eco.c, x0 and y0, as
     :func:`grid_configs` returns them.  They share the replicate substreams,
@@ -207,7 +229,17 @@ def stream_spans(configs: list[SimConfig], replicates):
     (len(configs), len(replicates), n), and the noise levels I, shape
     (len(replicates), n), at the span's steps.  The first skip columns are
     burn-in (skip may exceed n).
+
+    Fewer than SCALAR_ROWS rows run on the Python-float kernel, the rest on
+    the numpy block kernel; both yield the same spans bit for bit.
     """
+    rows = len(configs) * len(replicates)
+    kernel = _scalar_spans if rows < SCALAR_ROWS else _block_spans
+    return kernel(configs, replicates)
+
+
+def _block_spans(configs: list[SimConfig], replicates):
+    """:func:`stream_spans` with every row advanced as one numpy block."""
     first = configs[0]
     n_rows = len(replicates)
     # c at the full state shape: an (n_c, 1) column broadcasts ~40% slower
@@ -220,6 +252,44 @@ def stream_spans(configs: list[SimConfig], replicates):
         X, I = _simulate_paths(first.eco, first.noise, c, x, i, etas)
         x, i = X[..., -1], I[:, -1]
         yield max(first.burn_in - t, 0), X[..., :-1], I[:, :-1]
+
+
+def _scalar_spans(configs: list[SimConfig], replicates):
+    """:func:`stream_spans` with each row advanced in Python floats.
+
+    Draws the same innovation rows as the block kernel and steps every row
+    through step_noise and step_environment, whose float64 arithmetic the
+    block kernel mirrors, so the spans agree bit for bit.
+    """
+    first = configs[0]
+    noise = first.noise
+    ecos = [cfg.eco for cfg in configs]
+    # states at the first step of the next span, per replicate and per (c, replicate)
+    i_next = [float(first.i0)] * len(replicates)
+    x_next = [[float(cfg.x0)] * len(replicates) for cfg in configs]
+    streams = [innovation_stream(first.seed, k) for k in replicates]
+    for t in range(0, first.t_max, STREAM_SPAN):
+        etas = _draw_innovations(noise, streams, min(STREAM_SPAN, first.t_max - t))
+        I = []
+        for k, row in enumerate(etas.tolist()):
+            i, Ik = i_next[k], []
+            for eta in row:
+                Ik.append(i)
+                i = step_noise(i, noise, eta)
+            i_next[k] = i
+            I.append(Ik)
+        X = []
+        for eco, xs in zip(ecos, x_next):
+            Xc = []
+            for k, Ik in enumerate(I):
+                x, Xk = xs[k], []
+                for i in Ik:
+                    Xk.append(x)
+                    x = step_environment(x, i, eco)
+                xs[k] = x
+                Xc.append(Xk)
+            X.append(Xc)
+        yield max(first.burn_in - t, 0), np.array(X), np.array(I)
 
 
 def _adapted_states(X: np.ndarray, y0: float, l: float) -> np.ndarray:
@@ -241,15 +311,32 @@ def _adapted_states(X: np.ndarray, y0: float, l: float) -> np.ndarray:
     return Y
 
 
+def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int = 0) -> None:
+    """NonFiniteStateError unless every state in X is finite.
+
+    X has shape (len(configs), rows, n) and holds steps t0 onward.
+    """
+    bad = ~np.isfinite(X)
+    if bad.any():
+        j, k, t = (int(index[0]) for index in np.nonzero(bad))
+        cfg = configs[j]
+        raise NonFiniteStateError(
+            f"the environment state overflowed to {X[j, k, t]} at step {t0 + t} "
+            f"(c={cfg.eco.c}, x0={cfg.x0}, i0={cfg.i0})"
+        )
+
+
 def _full_series(rcfg: SimConfig, replicates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x, noise level and adapted state of each replicate at every step, burn-in
-    included: three (len(replicates), t_max) arrays."""
+    included: three (len(replicates), t_max) arrays.  Raises
+    NonFiniteStateError if a state overflows."""
     X, I = np.empty((2, len(replicates), rcfg.t_max))
     filled = 0
     for _, Xs, Is in stream_spans([rcfg], replicates):
         n = Is.shape[-1]
         X[:, filled:filled + n], I[:, filled:filled + n] = Xs[0], Is
         filled += n
+    _check_finite([rcfg], X[None])
     return X, I, _adapted_states(X, rcfg.y0, rcfg.adapt.l)
 
 
@@ -257,7 +344,8 @@ def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     """Simulate one trajectory and discard the burn-in prefix.
 
     Identical (cfg, replicate) gives a bit-identical result.  The first
-    retained sample is time step burn_in.
+    retained sample is time step burn_in.  Raises NonFiniteStateError if the
+    state overflows (a huge finite x0 or i0), so no nan reaches a results file.
     """
     rcfg = resolve_config(cfg)
     X, I, Y = _full_series(rcfg, [replicate])
@@ -284,7 +372,8 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
 
     Replicate k draws its innovations from the (seed, k) substream, so the
     summary does not depend on evaluation order; replicate 0 reproduces
-    run_trajectory(cfg) exactly.
+    run_trajectory(cfg) exactly.  Raises NonFiniteStateError as
+    run_trajectory does.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -365,6 +454,7 @@ def environment_series(configs: list[SimConfig], n_seeds: int) -> np.ndarray:
     """Post-burn-in environment states, shape (len(configs), n_seeds, t_max - burn_in).
 
     Row (j, k) equals ``run_trajectory(configs[j], k).xs`` bit for bit.
+    Raises NonFiniteStateError if a kept state overflowed.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -376,4 +466,5 @@ def environment_series(configs: list[SimConfig], n_seeds: int) -> np.ndarray:
         kept = X[..., skip:]
         xs[..., filled:filled + kept.shape[-1]] = kept
         filled += kept.shape[-1]
+    _check_finite(configs, xs, first.burn_in)
     return xs

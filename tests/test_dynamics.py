@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +86,24 @@ class TestStepEnvironment:
     def test_clamps_at_zero(self):
         # raw value 0.9 - 1 = -0.1 under i = -2
         assert step_environment(1.0, -2.0, EcoParams(r=1.0, K=10.0, c=0.0, h=1.0)) == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.maximum on nan
+    @pytest.mark.parametrize("x,i", [
+        (1e200, 0.0),    # overflow: x*x/(x*x + h*h) is inf/inf
+        (8.9e300, 1e300),
+        (-0.0, 0.0),     # the raw value is -0.0
+        (1.0, -2.0),     # clamped
+        (5.0, 0.1),      # passed through
+    ])
+    def test_clamp_agrees_with_numpy_maximum(self, x, i):
+        """The block engine clamps with np.maximum(0.0, v): nan stays nan and
+        -0.0 stays -0.0, bit for bit (Python's max(0.0, nan) is 0.0)."""
+        v = growth_increment(x, P_DEFAULT) + (1.0 + i) * x
+        got = np.float64(step_environment(x, i, P_DEFAULT))
+        assert got.tobytes() == np.maximum(0.0, np.float64(v)).tobytes()
+
+    def test_overflow_stays_nan(self):
+        assert math.isnan(step_environment(1e200, 0.0, P_DEFAULT))
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -7,17 +7,27 @@ from pathlib import Path
 
 import pytest
 
-from flickersim import PRESETS, SimConfig, config_fingerprint, get_preset
+from flickersim import (
+    PRESETS,
+    SimConfig,
+    config_fingerprint,
+    get_preset,
+    payoff,
+    run_trajectory,
+    utility,
+)
 from flickersim.cli import main
 from flickersim.io import (
     ParseError,
     ValidationError,
+    _csv_text,
     analysis_fingerprint,
     build_manifest,
     config_from_dict,
     config_to_dict,
     load_config,
     write_config,
+    write_trajectory_csv,
 )
 from flickersim.presets import ScanConfig, SweepConfig, TransformConfig
 
@@ -172,6 +182,22 @@ class TestManifest:
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+@pytest.mark.parametrize("preset", ["fig4a", "fig4b", "fig4c", "fig4d"])
+def test_trajectory_csv_equals_per_point_scoring(tmp_path, preset):
+    """The writer scores payoff and utility as whole arrays (numpy's vector
+    exp); its bytes equal rows scored point by point with scalar calls and
+    formatted cell by cell, so every column is bit-equal to scalar scoring."""
+    cfg = replace(get_preset(preset), t_max=1500, burn_in=100, seed=13)
+    tr = run_trajectory(cfg)
+    w = cfg.wellbeing.params
+    rows = [
+        [tr.t0 + k, x, y, i, float(payoff(x, w)), float(utility(x, y, w))]
+        for k, (x, y, i) in enumerate(zip(tr.xs, tr.ys, tr.noise))
+    ]
+    path = write_trajectory_csv(tmp_path / "trajectory.csv", tr, w)
+    assert path.read_text() == _csv_text(["t", "x", "y", "i", "payoff", "utility"], rows)
 
 
 class TestCli:
