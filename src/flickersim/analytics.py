@@ -20,13 +20,7 @@ import numpy as np
 
 from .dynamics import AdaptationParams, EcoParams
 from .equilibria import Regime, classify_regime, equilibria
-from .simulate import (
-    AdaptationFilter,
-    SimConfig,
-    grid_configs,
-    stderr_of_mean,
-    stream_spans,
-)
+from .simulate import SimConfig, grid_configs, stderr_of_mean, stream_spans
 from .wellbeing import CaseProfile, payoff, utility
 
 DEFAULT_MIN_DWELL = 5
@@ -136,6 +130,14 @@ def separatrix_for(eco: EcoParams) -> float:
     return interior[0].x_star
 
 
+def check_flicker_args(separatrix: float, min_dwell: int) -> None:
+    """ValueError unless separatrix > 0 and min_dwell >= 1, as flicker_stats needs."""
+    if not separatrix > 0:
+        raise ValueError(f"separatrix must be > 0, got {separatrix}")
+    if min_dwell < 1:
+        raise ValueError(f"min_dwell must be >= 1, got {min_dwell}")
+
+
 def flicker_stats(xs, separatrix: float, min_dwell: int = DEFAULT_MIN_DWELL) -> FlickerStats:
     """Count debounced basin switches and dwell times along a series.
 
@@ -146,10 +148,7 @@ def flicker_stats(xs, separatrix: float, min_dwell: int = DEFAULT_MIN_DWELL) -> 
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         raise ValueError("empty trajectory")
-    if not separatrix > 0:
-        raise ValueError(f"separatrix must be > 0, got {separatrix}")
-    if min_dwell < 1:
-        raise ValueError(f"min_dwell must be >= 1, got {min_dwell}")
+    check_flicker_args(separatrix, min_dwell)
     high = xs >= separatrix
     # raw run-length encoding
     bounds = np.flatnonzero(high[1:] != high[:-1]) + 1
@@ -203,22 +202,20 @@ def _flag_nonfinite(row, error: str | None = None):
 class _CellSums:
     """Per-row sums after burn-in over streamed spans.
 
-    Rows are (c, replicate) and y0 their initial adapted states.  Sums x,
-    payoff per profile and utility per (l, profile); one adaptation filter
-    carries every l and runs over every step, burn-in included.  With
-    digest, each c's post-burn-in x series is also hashed span by span.
+    Rows are (c, replicate), shape (n_c, n_seeds).  Sums x, payoff per
+    profile and utility per (l, profile), reading each capacity's adapted
+    states from the span's Y.  With digest, each c's post-burn-in x series
+    is also hashed span by span.
     """
 
-    def __init__(self, y0: np.ndarray, l_values, profiles, digest: bool) -> None:
-        self.adapt = AdaptationFilter(y0, np.reshape(l_values, (-1, 1, 1)))
+    def __init__(self, shape: tuple[int, int], n_l: int, profiles, digest: bool) -> None:
         self.profiles = [p.params for p in profiles]
-        self.x = np.zeros(y0.shape)
-        self.payoff = [np.zeros(y0.shape) for _ in profiles]
-        self.utility = [[np.zeros(y0.shape) for _ in profiles] for _ in l_values]
-        self.digests = [hashlib.sha256() for _ in range(y0.shape[0])] if digest else []
+        self.x = np.zeros(shape)
+        self.payoff = [np.zeros(shape) for _ in profiles]
+        self.utility = [[np.zeros(shape) for _ in profiles] for _ in range(n_l)]
+        self.digests = [hashlib.sha256() for _ in range(shape[0])] if digest else []
 
-    def add(self, X: np.ndarray, skip: int) -> None:
-        Y = self.adapt(X)
+    def add(self, X: np.ndarray, Y: np.ndarray, skip: int) -> None:
         Xk = X[..., skip:]
         if not Xk.size:
             return
@@ -240,10 +237,9 @@ def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
     ok = [cfg for cfg in configs if isinstance(cfg, SimConfig)]
     if not ok:
         return configs, None
-    y0 = np.broadcast_to(np.array([cfg.y0 for cfg in ok])[:, None], (len(ok), n_seeds))
-    sums = _CellSums(y0, l_values, profiles, digest)
-    for skip, X, _ in stream_spans(ok, range(n_seeds)):
-        sums.add(X, skip)
+    sums = _CellSums((len(ok), n_seeds), len(l_values), profiles, digest)
+    for skip, X, _, Y in stream_spans(ok, range(n_seeds), l_values):
+        sums.add(X, Y, skip)
     return configs, sums
 
 
@@ -297,9 +293,10 @@ def utility_sweep(
     (shared noise), and every c reuses the same replicate substreams, so
     cells are directly comparable.  The grid is one streamed block; with
     workers > 1 it is split into contiguous groups of c computed in
-    parallel.  The row order and values do not depend on workers.  c values
-    need not be sorted, but must be finite and distinct (GridError); a cell
-    whose averages are not finite carries an error.
+    parallel.  The row order and values do not depend on workers, which must
+    be at least 1.  c values need not be sorted, but must be finite and
+    distinct (GridError); a cell whose averages are not finite carries an
+    error.
     """
     c_grid = _check_grid(c_grid, increasing=False)
     l_values = [float(l) for l in l_values]
@@ -307,7 +304,9 @@ def utility_sweep(
         raise ValueError("l_values must be nonempty")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    n_groups = max(1, min(workers, len(c_grid)))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    n_groups = min(workers, len(c_grid))
     bounds = [k * len(c_grid) // n_groups for k in range(n_groups + 1)]
     jobs = [(base, c_grid[lo:hi], l_values, n_seeds) for lo, hi in zip(bounds, bounds[1:])]
     if n_groups > 1:

@@ -242,6 +242,7 @@ def _cmd_transform(args) -> list[Path]:
 def _cmd_flicker(args) -> list[Path]:
     cfg = _sim_config(args)
     separatrix = args.separatrix if args.separatrix is not None else separatrix_for(cfg.eco)
+    analytics.check_flicker_args(separatrix, args.min_dwell)  # before any simulation
     # replicate k is the (seed, k) substream, as in run_trajectory(cfg, k)
     xs = environment_series([resolve_config(cfg)], args.seeds)[0]
     stats = [analytics.flicker_stats(row, separatrix, min_dwell=args.min_dwell) for row in xs]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
-import hashlib
 import json
 import os
 import platform
@@ -33,9 +32,9 @@ from .presets import get_preset
 from .simulate import (
     SimConfig,
     Trajectory,
+    _jsonable,
     config_fingerprint,
     config_to_dict,
-    resolve_config,
 )
 from .wellbeing import PROFILES, CaseProfile, WellbeingParams, payoff, utility
 
@@ -288,24 +287,8 @@ def write_flicker_json(path, stats: list[FlickerStats], separatrix: float,
 # ---------------------------------------------------------------------------
 # manifests
 
-def analysis_fingerprint(obj) -> str:
-    """Fingerprint for any of the run configurations (SimConfig or grid specs)."""
-    if isinstance(obj, SimConfig):
-        return config_fingerprint(obj)
-    payload = json.dumps(_jsonable(obj), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if isinstance(obj, SimConfig):
-            return config_to_dict(resolve_config(obj))
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+# one fingerprint for every run configuration, SimConfig or grid spec
+analysis_fingerprint = config_fingerprint
 
 
 def build_manifest(command: str, config_obj, seed, outputs: list[Path],

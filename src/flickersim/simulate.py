@@ -8,30 +8,27 @@ point expressions as the scalar step functions in
 :mod:`flickersim.dynamics`, batched across replicates; a replay through
 ``step_coupled`` reproduces any trajectory bit for bit.
 
-Given one environment path, adaptation paths for many adaptive capacities
-can be recovered cheaply because adaptation never feeds back on x: one
-:class:`AdaptationFilter` advances the adapted states of every capacity
-together, with step_adaptation's expression, so these too replay bit for
-bit; see :func:`adaptation_paths`.
-
 Every route runs on one span driver, :func:`stream_spans`: it advances all
-(c, replicate) rows of a run together and yields fixed spans of STREAM_SPAN
-steps.  Every c reuses the same replicate substreams, and Philox draws are
-counter-based, so a span-by-span draw equals a whole-series draw.
-:func:`run_trajectory` and :func:`run_ensemble` join the spans into full
-series; :func:`environment_series` (flicker) keeps the post-burn-in x; the
-sweep and transform accumulators consume the spans as they come, in
-O(rows x STREAM_SPAN) memory whatever the horizon.
+(c, replicate) rows of a run together, x, i and the adapted state y of every
+adaptive capacity in the same time loop, and yields fixed spans of
+STREAM_SPAN steps.  Every c reuses the same replicate substreams, and Philox
+draws are counter-based, so a span-by-span draw equals a whole-series draw.
+:func:`run_trajectory`, :func:`run_ensemble` and :func:`environment_series`
+(flicker) share one collector that keeps the post-burn-in states and checks
+every span as it arrives, so an overflowed run fails at its first
+non-finite step; the sweep and transform accumulators consume the spans as
+they come, in O(rows x STREAM_SPAN) memory whatever the horizon.
+:func:`adaptation_paths` is the unchunked reference for the adapted states.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
 step costs about the same ~20 us whether it advances 1 row or 100, while a
 Python-float step through the dynamics step functions costs about 1 us per
 row, so runs of fewer than SCALAR_ROWS rows advance each row in Python
 floats (:func:`_scalar_spans`) and larger ones as one numpy block
-(:func:`_block_spans`).  The scalar kernel calls step_environment and
-step_noise, so it is the replay reference itself; the block kernel evaluates
-the same expressions, so both agree bit for bit, overflowed (nan) states
-included.  The per-row crossover that sets SCALAR_ROWS is tabulated in the
+(:func:`_block_spans`).  The scalar kernel calls step_environment,
+step_noise and step_adaptation, so it is the replay reference itself; the
+block kernel evaluates the same expressions, so both agree bit for bit,
+overflowed (nan) states included.  The per-row crossover that sets SCALAR_ROWS is tabulated in the
 README ("How simulations stream") and recorded in BENCH_7.json.
 """
 
@@ -40,11 +37,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .dynamics import AdaptationParams, EcoParams, NoiseParams, step_environment, step_noise
+from .dynamics import (
+    AdaptationParams,
+    EcoParams,
+    NoiseParams,
+    step_adaptation,
+    step_environment,
+    step_noise,
+)
 from .equilibria import equilibria
 from .wellbeing import SPECIALIST, CaseProfile, average_payoff, average_utility
 
@@ -167,14 +171,32 @@ def config_to_dict(cfg: SimConfig) -> dict:
     }
 
 
-def config_fingerprint(cfg: SimConfig) -> str:
-    """Hash of the fully resolved configuration (sha256 hex, 16 chars).
+def _jsonable(obj):
+    """Plain JSON form of a run configuration, as manifests record it.
 
-    Hashes the config file schema, :func:`config_to_dict`, which is also
-    what manifests record, alone or nested in a grid spec.  Changes iff any
-    configuration value changes.
+    A SimConfig, alone or nested in a grid spec, becomes its resolved
+    :func:`config_to_dict`; other dataclasses become dicts of their fields.
     """
-    payload = json.dumps(config_to_dict(resolve_config(cfg)), sort_keys=True)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        if isinstance(obj, SimConfig):
+            return config_to_dict(resolve_config(obj))
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    return obj
+
+
+def config_fingerprint(obj) -> str:
+    """Hash of a fully resolved run configuration (sha256 hex, 16 chars).
+
+    obj is a SimConfig or a grid spec (presets.ScanConfig, SweepConfig,
+    TransformConfig).  Hashes :func:`_jsonable`, which is what manifests
+    record, so a SimConfig fingerprints alike alone and nested in a grid
+    spec.  Changes iff any configuration value changes.
+    """
+    payload = json.dumps(_jsonable(obj), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -190,55 +212,64 @@ def _draw_innovations(noise: NoiseParams, streams, size: int) -> np.ndarray:
 
 
 def _simulate_paths(
-    eco: EcoParams, noise: NoiseParams, c: np.ndarray, x: np.ndarray, i: np.ndarray,
-    etas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    eco: EcoParams, noise: NoiseParams, c: np.ndarray, l: np.ndarray, x: np.ndarray,
+    i: np.ndarray, y: np.ndarray, etas: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Synchronous recurrence over one span; row k of etas drives noise level k.
 
     c and x are (n_c, n_seeds) arrays of per-row extraction rates and
-    states; the noise levels i do not depend on c and stay (n_seeds,).  X
-    and I hold the states at steps 0..n of the span: n + 1 columns, the last
-    of which starts the next span.
+    states; the noise levels i do not depend on c and stay (n_seeds,); l is
+    (n_l, 1, 1) and y the (n_l, n_c, n_seeds) adapted states.  X, I and Y
+    hold the states at steps 0..n of the span: n + 1 columns, the last of
+    which starts the next span.
 
-    Expressions mirror growth_increment / step_environment / step_noise
-    exactly (np.maximum(0.0, v) clamps as step_environment does, nan
-    included) so that scalar replay is bit-identical.
+    Expressions mirror growth_increment / step_environment / step_noise /
+    step_adaptation exactly (np.maximum(0.0, v) clamps as step_environment
+    does, nan included) so that scalar replay is bit-identical.
     """
     n = etas.shape[1]
     r, K, h = eco.r, eco.K, eco.h
     X = np.empty(x.shape + (n + 1,))
     I = np.empty(i.shape + (n + 1,))
+    Y = np.empty(y.shape + (n + 1,))
     phi = 1.0 - 1.0 / noise.T
     for t in range(n):
         X[..., t] = x
         I[:, t] = i
+        if l.size:  # environment_series asks for no capacity: skip empty y steps
+            Y[..., t] = y
+            y = l * (x - y) + y
         x = np.maximum(0.0, (r * x * (1.0 - x / K) - c * x * x / (x * x + h * h)) + (1.0 + i) * x)
         i = phi * i + etas[:, t]
     X[..., n] = x
     I[:, n] = i
-    return X, I
+    Y[..., n] = y
+    return X, I, Y
 
 
-def stream_spans(configs: list[SimConfig], replicates):
+def stream_spans(configs: list[SimConfig], replicates, l_values):
     """Run the given replicates of every config together, span by span.
 
     The configs are resolved and differ only in eco.c, x0 and y0, as
     :func:`grid_configs` returns them.  They share the replicate substreams,
-    so one set of innovation rows drives every c.  Yields (skip, X, I) for
-    each span of n <= STREAM_SPAN steps: the environment states X, shape
-    (len(configs), len(replicates), n), and the noise levels I, shape
-    (len(replicates), n), at the span's steps.  The first skip columns are
-    burn-in (skip may exceed n).
+    so one set of innovation rows drives every c, and every adaptive
+    capacity in l_values follows every (c, replicate) row from its config's
+    y0.  Yields (skip, X, I, Y) for each span of n <= STREAM_SPAN steps: the
+    environment states X, shape (len(configs), len(replicates), n), the noise
+    levels I, shape (len(replicates), n), and the adapted states Y, shape
+    (len(l_values),) + X.shape, at the span's steps.  The first skip columns
+    are burn-in (skip may exceed n).
 
     Fewer than SCALAR_ROWS rows run on the Python-float kernel, the rest on
     the numpy block kernel; both yield the same spans bit for bit.
     """
+    adapts = [AdaptationParams(float(l)) for l in l_values]  # rejects l outside [0, 1]
     rows = len(configs) * len(replicates)
     kernel = _scalar_spans if rows < SCALAR_ROWS else _block_spans
-    return kernel(configs, replicates)
+    return kernel(configs, replicates, adapts)
 
 
-def _block_spans(configs: list[SimConfig], replicates):
+def _block_spans(configs: list[SimConfig], replicates, adapts: list[AdaptationParams]):
     """:func:`stream_spans` with every row advanced as one numpy block."""
     first = configs[0]
     n_rows = len(replicates)
@@ -246,30 +277,37 @@ def _block_spans(configs: list[SimConfig], replicates):
     c = np.repeat([[cfg.eco.c] for cfg in configs], n_rows, axis=1)
     x = np.repeat([[cfg.x0] for cfg in configs], n_rows, axis=1)
     i = np.full(n_rows, first.i0, dtype=float)
+    l = np.reshape([adapt.l for adapt in adapts], (-1, 1, 1))
+    y = np.broadcast_to(np.repeat([[cfg.y0] for cfg in configs], n_rows, axis=1),
+                        (len(adapts),) + x.shape)
     streams = [innovation_stream(first.seed, k) for k in replicates]
     for t in range(0, first.t_max, STREAM_SPAN):
         etas = _draw_innovations(first.noise, streams, min(STREAM_SPAN, first.t_max - t))
-        X, I = _simulate_paths(first.eco, first.noise, c, x, i, etas)
-        x, i = X[..., -1], I[:, -1]
-        yield max(first.burn_in - t, 0), X[..., :-1], I[:, :-1]
+        X, I, Y = _simulate_paths(first.eco, first.noise, c, l, x, i, y, etas)
+        x, i, y = X[..., -1], I[:, -1], Y[..., -1]
+        yield max(first.burn_in - t, 0), X[..., :-1], I[:, :-1], Y[..., :-1]
 
 
-def _scalar_spans(configs: list[SimConfig], replicates):
+def _scalar_spans(configs: list[SimConfig], replicates, adapts: list[AdaptationParams]):
     """:func:`stream_spans` with each row advanced in Python floats.
 
     Draws the same innovation rows as the block kernel and steps every row
-    through step_noise and step_environment, whose float64 arithmetic the
-    block kernel mirrors, so the spans agree bit for bit.
+    through step_noise, step_environment and step_adaptation, whose float64
+    arithmetic the block kernel mirrors, so the spans agree bit for bit.
     """
     first = configs[0]
     noise = first.noise
-    ecos = [cfg.eco for cfg in configs]
-    # states at the first step of the next span, per replicate and per (c, replicate)
+    shape = (len(configs), len(replicates))
+    # the (c, replicate) rows in C order, and the states at the first step
+    # of the next span: per replicate, per row and per (l, row)
+    rows = [(cfg.eco, k) for cfg in configs for k in range(len(replicates))]
     i_next = [float(first.i0)] * len(replicates)
-    x_next = [[float(cfg.x0)] * len(replicates) for cfg in configs]
+    x_next = [float(cfg.x0) for cfg in configs for _ in replicates]
+    y_next = [[float(cfg.y0) for cfg in configs for _ in replicates] for _ in adapts]
     streams = [innovation_stream(first.seed, k) for k in replicates]
     for t in range(0, first.t_max, STREAM_SPAN):
-        etas = _draw_innovations(noise, streams, min(STREAM_SPAN, first.t_max - t))
+        n = min(STREAM_SPAN, first.t_max - t)
+        etas = _draw_innovations(noise, streams, n)
         I = []
         for k, row in enumerate(etas.tolist()):
             i, Ik = i_next[k], []
@@ -278,47 +316,36 @@ def _scalar_spans(configs: list[SimConfig], replicates):
                 i = step_noise(i, noise, eta)
             i_next[k] = i
             I.append(Ik)
-        X = []
-        for eco, xs in zip(ecos, x_next):
-            Xc = []
-            for k, Ik in enumerate(I):
-                x, Xk = xs[k], []
-                for i in Ik:
-                    Xk.append(x)
-                    x = step_environment(x, i, eco)
-                xs[k] = x
-                Xc.append(Xk)
-            X.append(Xc)
-        yield max(first.burn_in - t, 0), np.array(X), np.array(I)
+        X, Y = [], [[] for _ in adapts]
+        for r, (eco, k) in enumerate(rows):
+            x, Xr = x_next[r], []
+            for i in I[k]:
+                Xr.append(x)
+                x = step_environment(x, i, eco)
+            x_next[r] = x
+            X.append(Xr)
+            # y_t reads x_t, so the span's x states drive every capacity
+            for adapt, ys, Yl in zip(adapts, y_next, Y):
+                y, Yr = ys[r], []
+                for xt in Xr:
+                    Yr.append(y)
+                    y = step_adaptation(xt, y, adapt)
+                ys[r] = y
+                Yl.append(Yr)
+        yield (max(first.burn_in - t, 0), np.array(X).reshape(shape + (n,)), np.array(I),
+               np.array(Y).reshape((len(adapts),) + shape + (n,)))
 
 
-def _adapted_states(X: np.ndarray, y0: float, l: float) -> np.ndarray:
-    """Adapted state at every step of each row of X, starting from y0.
+def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int) -> None:
+    """NonFiniteStateError naming the earliest non-finite state in X.
 
-    Iterates step_adaptation's l*(x - y) + y in Python floats, which round
-    exactly as the float64 expression does, so scalar replay is bit-identical.
-    Rows are converted STREAM_SPAN steps at a time to keep the float lists short.
+    X has shape (len(configs), rows, n) and holds steps t0 onward.  An
+    overflowed state stays nan, so a finite last column clears the span.
     """
-    Y = np.empty_like(X)
-    for row, xs in zip(Y, X):
-        y = y0
-        for t in range(0, xs.size, STREAM_SPAN):
-            ys = []
-            for x in xs[t:t + STREAM_SPAN].tolist():
-                ys.append(y)
-                y = l * (x - y) + y
-            row[t:t + STREAM_SPAN] = ys
-    return Y
-
-
-def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int = 0) -> None:
-    """NonFiniteStateError unless every state in X is finite.
-
-    X has shape (len(configs), rows, n) and holds steps t0 onward.
-    """
-    bad = ~np.isfinite(X)
-    if bad.any():
-        j, k, t = (int(index[0]) for index in np.nonzero(bad))
+    if not all(map(math.isfinite, X[..., -1].ravel().tolist())):
+        bad = ~np.isfinite(X)
+        t = int(bad.any(axis=(0, 1)).argmax())
+        j, k = (int(index[0]) for index in np.nonzero(bad[..., t]))
         cfg = configs[j]
         raise NonFiniteStateError(
             f"the environment state overflowed to {X[j, k, t]} at step {t0 + t} "
@@ -326,34 +353,46 @@ def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int = 0) -> None:
         )
 
 
-def _full_series(rcfg: SimConfig, replicates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x, noise level and adapted state of each replicate at every step, burn-in
-    included: three (len(replicates), t_max) arrays.  Raises
-    NonFiniteStateError if a state overflows."""
-    X, I = np.empty((2, len(replicates), rcfg.t_max))
-    filled = 0
-    for _, Xs, Is in stream_spans([rcfg], replicates):
-        n = Is.shape[-1]
-        X[:, filled:filled + n], I[:, filled:filled + n] = Xs[0], Is
-        filled += n
-    _check_finite([rcfg], X[None])
-    return X, I, _adapted_states(X, rcfg.y0, rcfg.adapt.l)
+def _kept_series(configs: list[SimConfig], replicates, l_values=(), noise: bool = False):
+    """The post-burn-in X, I and Y of :func:`stream_spans`, joined.
+
+    Shapes are those of the spans over the t_max - burn_in kept steps; I
+    is kept only with noise, and is otherwise empty.  The arrays are filled
+    in place, since joining the spans at the end would hold the series
+    twice.  Each span is checked as it arrives, burn-in included, so an
+    overflowed run raises NonFiniteStateError at its first non-finite step.
+    """
+    first = configs[0]
+    n_kept = first.t_max - first.burn_in
+    X = np.empty((len(configs), len(replicates), n_kept))
+    I = np.empty((len(replicates), n_kept if noise else 0))
+    Y = np.empty((len(l_values),) + X.shape)
+    t = filled = 0
+    for skip, Xs, Is, Ys in stream_spans(configs, replicates, l_values):
+        _check_finite(configs, Xs, t)
+        t += Xs.shape[-1]
+        kept = slice(filled, filled + max(Xs.shape[-1] - skip, 0))
+        X[..., kept], Y[..., kept] = Xs[..., skip:], Ys[..., skip:]
+        if noise:
+            I[:, kept] = Is[:, skip:]
+        filled = kept.stop
+    return X, I, Y
 
 
 def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     """Simulate one trajectory and discard the burn-in prefix.
 
     Identical (cfg, replicate) gives a bit-identical result.  The first
-    retained sample is time step burn_in.  Raises NonFiniteStateError if the
-    state overflows (a huge finite x0 or i0), so no nan reaches a results file.
+    retained sample is time step burn_in.  Raises NonFiniteStateError as
+    soon as the state overflows (a huge finite x0 or i0), so no nan reaches
+    a results file.
     """
     rcfg = resolve_config(cfg)
-    X, I, Y = _full_series(rcfg, [replicate])
-    keep = slice(rcfg.burn_in, rcfg.t_max)
+    X, I, Y = _kept_series([rcfg], [replicate], [rcfg.adapt.l], noise=True)
     return Trajectory(
-        xs=X[0, keep].copy(),
-        ys=Y[0, keep].copy(),
-        noise=I[0, keep].copy(),
+        xs=X[0, 0],
+        ys=Y[0, 0, 0],
+        noise=I[0],
         t0=rcfg.burn_in,
         fingerprint=config_fingerprint(rcfg),
     )
@@ -378,11 +417,10 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     rcfg = resolve_config(cfg)
-    X, _, Y = _full_series(rcfg, range(n_seeds))
-    keep = slice(rcfg.burn_in, rcfg.t_max)
+    X, _, Y = _kept_series([rcfg], range(n_seeds), [rcfg.adapt.l])
     w = rcfg.wellbeing.params
-    pays = np.array([average_payoff(X[j, keep], w) for j in range(n_seeds)])
-    utils = np.array([average_utility(X[j, keep], Y[j, keep], w) for j in range(n_seeds)])
+    pays = np.array([average_payoff(xs, w) for xs in X[0]])
+    utils = np.array([average_utility(xs, ys, w) for xs, ys in zip(X[0], Y[0, 0])])
     return EnsembleSummary(
         avg_payoffs=pays,
         avg_utilities=utils,
@@ -396,55 +434,33 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
 def adaptation_paths(X: np.ndarray, y0: float, l: float) -> np.ndarray:
     """Adapted-state series for each row of X under adaptive capacity l.
 
-    Iterates step_adaptation's y_{t+1} = l*(x_t - y_t) + y_t, vectorised
-    across rows, so every row equals a scalar replay bit for bit.  Used to
-    compare many l values against one shared environment path.
+    Iterates step_adaptation's y_{t+1} = l*(x_t - y_t) + y_t over the whole
+    series at once, vectorised across rows, so every row equals a scalar
+    replay bit for bit.  The unchunked reference for the adapted states
+    that stream_spans carries span by span.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return AdaptationFilter(np.full(X.shape[:-1], float(y0)), l)(X)
-
-
-class AdaptationFilter:
-    """:func:`adaptation_paths` continued span by span.
-
-    l is one adaptive capacity or an array of them that broadcasts against
-    y0: with y0 of shape (n_c, n_seeds) and l of shape (n_l, 1, 1), one
-    filter advances every capacity together.  Each call takes the
-    environment states of the next span of steps, shape y0.shape + (n,), and
-    returns the adapted states at the same steps, shape
-    broadcast(l, y0).shape + (n,).  The adapted state is carried from call
-    to call, so the spans joined equal adaptation_paths of the joined series
-    bit for bit, and a stacked filter equals one filter per l.
-    """
-
-    def __init__(self, y0, l) -> None:
-        self.l = np.asarray(l, dtype=float)
-        if not np.all((0.0 <= self.l) & (self.l <= 1.0)):
-            raise ValueError(f"l must be within [0, 1], got {l}")
-        # adapted state at the first step of the next span
-        y0 = np.asarray(y0, dtype=float)
-        self.y = np.broadcast_to(y0, np.broadcast_shapes(self.l.shape, y0.shape))
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        l, y = self.l, self.y
-        Y = np.empty(y.shape + X.shape[-1:])
-        for t in range(X.shape[-1]):
-            Y[..., t] = y
-            y = l * (X[..., t] - y) + y
-        self.y = y
-        return Y
+    l = AdaptationParams(float(l)).l  # rejects l outside [0, 1]
+    Y = np.empty_like(X)
+    y = np.full(X.shape[:-1], float(y0))
+    for t in range(X.shape[-1]):
+        Y[..., t] = y
+        y = l * (X[..., t] - y) + y
+    return Y
 
 
 def grid_configs(base: SimConfig, c_values) -> list[SimConfig | Exception]:
     """The resolved configuration of base at each extraction rate.
 
-    A rate that cannot be resolved (a negative c, or no stable state to
-    start from) yields its exception in place of a configuration.
+    c is stored as a Python float whatever its input type, so the scalar
+    kernel steps in float arithmetic.  A rate that cannot be resolved (a
+    negative c, or no stable state to start from) yields its exception in
+    place of a configuration.
     """
     configs: list[SimConfig | Exception] = []
     for c in c_values:
         try:
-            configs.append(resolve_config(replace(base, eco=replace(base.eco, c=c))))
+            configs.append(resolve_config(replace(base, eco=replace(base.eco, c=float(c)))))
         except Exception as exc:  # recorded per cell, not fatal
             configs.append(exc)
     return configs
@@ -454,17 +470,8 @@ def environment_series(configs: list[SimConfig], n_seeds: int) -> np.ndarray:
     """Post-burn-in environment states, shape (len(configs), n_seeds, t_max - burn_in).
 
     Row (j, k) equals ``run_trajectory(configs[j], k).xs`` bit for bit.
-    Raises NonFiniteStateError if a kept state overflowed.
+    Raises NonFiniteStateError as soon as a state overflows.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    first = configs[0]
-    # filled in place: joining the spans at the end would hold the series twice
-    xs = np.empty((len(configs), n_seeds, first.t_max - first.burn_in))
-    filled = 0
-    for skip, X, _ in stream_spans(configs, range(n_seeds)):
-        kept = X[..., skip:]
-        xs[..., filled:filled + kept.shape[-1]] = kept
-        filled += kept.shape[-1]
-    _check_finite(configs, xs, first.burn_in)
-    return xs
+    return _kept_series(configs, range(n_seeds))[0]

@@ -127,6 +127,11 @@ class TestUtilitySweep:
         with pytest.raises(ValueError):
             utility_sweep(FAST, c_grid=[1.0], l_values=[0.1], n_seeds=0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            utility_sweep(FAST, c_grid=[1.0], l_values=[0.1], n_seeds=1, workers=workers)
+
     def test_shared_noise_payoff_identical_across_l(self):
         rows = utility_sweep(FAST, c_grid=[1.9], l_values=[0.001, 0.1], n_seeds=3)
         assert rows[0].avg_payoff == rows[1].avg_payoff

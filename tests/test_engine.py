@@ -26,7 +26,6 @@ from flickersim.cli import main as cli_main
 from flickersim.io import write_sweep_csv
 from flickersim.simulate import (
     STREAM_SPAN,
-    AdaptationFilter,
     environment_series,
     grid_configs,
     resolve_config,
@@ -85,31 +84,6 @@ class TestBlockRows:
         grid = [0.25, 0.5, 1.0, 1.5, 1.95]
         rows = utility_sweep(BASE, grid, L_VALUES, n_seeds=2)
         assert utility_sweep(BASE, grid, L_VALUES, n_seeds=2, workers=3) == rows
-
-
-class TestAdaptationFilter:
-    @pytest.mark.parametrize("l", [0.0, 0.001, 0.3, 1.0])
-    def test_spans_join_to_adaptation_paths(self, l):
-        X = np.random.default_rng(4).uniform(0, 10, (3, 5 * STREAM_SPAN + 11))
-        y0 = np.array([1.0, 2.0, 3.0])
-        expected = np.concatenate([adaptation_paths(row, y0[k], l) for k, row in enumerate(X)])
-        adapt = AdaptationFilter(y0, l)
-        cuts = [0, 1, STREAM_SPAN, 2 * STREAM_SPAN + 5, X.shape[1]]
-        got = np.concatenate([adapt(X[:, a:b]) for a, b in zip(cuts, cuts[1:])], axis=1)
-        assert np.array_equal(got, expected)
-
-    def test_stacked_capacities_equal_one_filter_each(self):
-        l_values = [0.001, 0.3, 1.0]
-        X = np.random.default_rng(6).uniform(0, 10, (2, 3, 4 * STREAM_SPAN + 5))
-        y0 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        cuts = [0, 3, STREAM_SPAN + 1, STREAM_SPAN + 1, 3 * STREAM_SPAN - 2, X.shape[-1]]
-        stacked = AdaptationFilter(y0, np.reshape(l_values, (-1, 1, 1)))
-        singles = [AdaptationFilter(y0, l) for l in l_values]
-        for a, b in zip(cuts, cuts[1:]):
-            Y = stacked(X[..., a:b])
-            assert Y.shape == (len(l_values),) + X[..., a:b].shape
-            for Yl, single in zip(Y, singles):
-                assert np.array_equal(Yl, single(X[..., a:b]))
 
 
 def reference(cfg: SimConfig, n_seeds: int, l: float):

@@ -11,11 +11,14 @@ from flickersim import (
     PRESETS,
     SimConfig,
     config_fingerprint,
+    flicker_stats,
     get_preset,
     payoff,
     run_trajectory,
+    separatrix_for,
     utility,
 )
+from flickersim import cli
 from flickersim.cli import main
 from flickersim.io import (
     ParseError,
@@ -179,6 +182,13 @@ class TestManifest:
         digest = hashlib.sha256(json.dumps(nested, sort_keys=True).encode()).hexdigest()[:16]
         assert digest == alone["config_fingerprint"] == config_fingerprint(spec.base)
 
+    def test_one_fingerprint_function(self):
+        assert analysis_fingerprint is config_fingerprint
+        assert config_fingerprint(SimConfig()) == "5bee527db7ba3d0f"
+        pinned = {"fig2": "7324ff12c437dfa8", "fig4b": "61cd8e0a9ac34470",
+                  "fig5": "f9e057578e527e09", "fig6": "d2f07aea6333aadd"}
+        assert {name: config_fingerprint(get_preset(name)) for name in pinned} == pinned
+
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
@@ -279,6 +289,35 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert "n_seeds must be >= 1" in err["message"]
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_rejects_workers_below_one(self, tmp_path, capsys, workers):
+        code = run_cli("sweep", "--steps", "3", "--seeds", "1", "--t-max", "300",
+                       "--burn-in", "50", "--workers", workers, "--out-dir", tmp_path)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"workers must be >= 1, got {workers}"}
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,value,separatrix,min_dwell", [
+        ("--min-dwell", "0", None, 0),
+        ("--separatrix", "-1", -1.0, 5),
+    ])
+    def test_bad_flicker_args_fail_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                      flag, value, separatrix, min_dwell):
+        def no_simulation(*args):
+            raise AssertionError("environment_series ran")
+
+        monkeypatch.setattr(cli, "environment_series", no_simulation)
+        code = run_cli("flicker", "--preset", "fig4b", "--seeds", "20", flag, value,
+                       "--out-dir", tmp_path)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        with pytest.raises(ValueError) as expected:
+            flicker_stats([1.0], separatrix or separatrix_for(get_preset("fig4b").eco),
+                          min_dwell)
+        assert err == {"error": "ValueError", "message": str(expected.value)}
+        assert not (tmp_path / "flicker.json").exists()
 
     @pytest.mark.parametrize("command,preset,flags", [
         ("bifurcation", "fig2", ["--c-max", "3", "--steps", "5"]),
