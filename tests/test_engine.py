@@ -26,6 +26,8 @@ from flickersim.cli import main as cli_main
 from flickersim.io import write_sweep_csv
 from flickersim.simulate import (
     STREAM_SPAN,
+    _block_spans,
+    _scalar_spans,
     environment_series,
     grid_configs,
     resolve_config,
@@ -84,6 +86,42 @@ class TestBlockRows:
         grid = [0.25, 0.5, 1.0, 1.5, 1.95]
         rows = utility_sweep(BASE, grid, L_VALUES, n_seeds=2)
         assert utility_sweep(BASE, grid, L_VALUES, n_seeds=2, workers=3) == rows
+
+
+KERNELS = [_scalar_spans, _block_spans]
+
+
+def kernel_spans(kernel, configs, replicates, l_values):
+    return kernel(configs, replicates, [AdaptationParams(l) for l in l_values])
+
+
+class TestAdaptationFilter:
+    """The adapted states y that both span kernels advance beside x and i."""
+
+    @pytest.mark.parametrize("l", [0.0, 0.001, 0.3, 1.0])
+    def test_spans_join_to_adaptation_paths(self, l):
+        # the last span is 11 steps; rows start from y0 = 1, 2, 3 and the defaults
+        base = replace(BASE, t_max=5 * STREAM_SPAN + 11)
+        configs = [*(grid_configs(replace(base, x0=2.0, y0=y0), [1.95])[0] for y0 in (1.0, 2.0, 3.0)),
+                   *grid_configs(base, C_VALUES)]
+        for kernel in KERNELS:
+            parts = zip(*(span[1:] for span in kernel_spans(kernel, configs, [0, 2], [l])))
+            X, _, Y = (np.concatenate(part, axis=-1) for part in parts)
+            assert Y.shape == (1,) + X.shape
+            for j, cfg in enumerate(configs):
+                assert np.array_equal(Y[0, j], adaptation_paths(X[j], cfg.y0, l))
+
+    def test_stacked_capacities_equal_one_filter_each(self):
+        l_values = [0.001, 0.3, 1.0]
+        configs = [*grid_configs(replace(BASE, x0=2.0, y0=4.0), [1.0, 3.1]),
+                   *grid_configs(BASE, C_VALUES)]
+        for kernel in KERNELS:
+            stacked = kernel_spans(kernel, configs, [0, 1, 4], l_values)
+            singles = [kernel_spans(kernel, configs, [0, 1, 4], [l]) for l in l_values]
+            for (_, X, _, Y), *ones in zip(stacked, *singles):
+                assert Y.shape == (len(l_values),) + X.shape
+                for Yl, (_, _, _, single) in zip(Y, ones):
+                    assert np.array_equal(Yl, single[0])
 
 
 def reference(cfg: SimConfig, n_seeds: int, l: float):
