@@ -29,7 +29,7 @@ from . import analytics, io
 from .dynamics import AdaptationParams, EcoParams
 from .analytics import separatrix_for
 from .equilibria import NoBistabilityError, bifurcation_scan, fold_points
-from .presets import ScanConfig, SweepConfig, TransformConfig
+from .presets import PRESETS, ScanConfig, SweepConfig, TransformConfig
 from .simulate import SimConfig, environment_series, resolve_config, run_trajectory
 from .wellbeing import PROFILES
 
@@ -44,12 +44,14 @@ def _default_out_dir() -> str:
     return os.environ.get(ENV_OUT_DIR, "flickersim-out")
 
 
-def _add_common(sub: argparse.ArgumentParser, presets: list[str]) -> None:
-    sub.add_argument("--preset", choices=presets, help="named parameter bundle")
+def _add_common(sub: argparse.ArgumentParser, kind: type) -> None:
+    """--preset (every preset of type kind), --config and --out-dir."""
+    sub.add_argument("--preset", choices=[name for name, p in PRESETS.items()
+                                          if isinstance(p, kind)],
+                     help="named parameter bundle")
     sub.add_argument("--config", help="YAML or JSON config file")
     sub.add_argument("--out-dir", default=_default_out_dir(),
                      help=f"output directory (default ${ENV_OUT_DIR} or ./flickersim-out)")
-    sub.add_argument("--seed", type=int, help="master seed override")
 
 
 def _add_c_range(sub: argparse.ArgumentParser, defaults: tuple[float, float, int]) -> None:
@@ -65,8 +67,7 @@ def _add_c_range(sub: argparse.ArgumentParser, defaults: tuple[float, float, int
 
 
 def _add_sim_overrides(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--t-max", type=int, help="simulation horizon override")
-    sub.add_argument("--burn-in", type=int, help="discarded prefix override")
+    _add_run_flags(sub)
     sub.add_argument("--c", type=float, help="extraction rate override")
     sub.add_argument("--l", type=float, help="adaptation rate override")
 
@@ -77,36 +78,34 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="run one trajectory")
-    _add_common(sim, ["fig4a", "fig4b", "fig4c", "fig4d"])
+    _add_common(sim, SimConfig)
     _add_sim_overrides(sim)
     sim.add_argument("--case", choices=sorted(PROFILES),
                      help="wellbeing profile override")
 
     bif = subs.add_parser("bifurcation", help="equilibria across extraction rates")
-    _add_common(bif, ["fig2"])
+    _add_common(bif, ScanConfig)
     _add_c_range(bif, BIFURCATION_RANGE)
 
     sweep = subs.add_parser("sweep", help="utility over a (c, l) grid")
-    _add_common(sweep, ["fig5"])
+    _add_common(sweep, SweepConfig)
+    _add_run_flags(sweep)
     _add_c_range(sweep, GRID_RANGE)
     sweep.add_argument("--l", type=float, action="append", dest="l_values",
                        help="adaptation rate (repeatable)")
     sweep.add_argument("--seeds", type=int, help="replicates per cell")
-    sweep.add_argument("--t-max", type=int)
-    sweep.add_argument("--burn-in", type=int)
     sweep.add_argument("--workers", type=int, default=1,
                        help="parallel workers, each over a contiguous group of c values")
 
     trans = subs.add_parser("transform", help="specialist-vs-generalist comparison")
-    _add_common(trans, ["fig6"])
+    _add_common(trans, TransformConfig)
+    _add_run_flags(trans)
     _add_c_range(trans, GRID_RANGE)
     trans.add_argument("--l", type=float, help="adaptation rate")
     trans.add_argument("--seeds", type=int, help="replicates per cell")
-    trans.add_argument("--t-max", type=int)
-    trans.add_argument("--burn-in", type=int)
 
     flick = subs.add_parser("flicker", help="basin-transition statistics")
-    _add_common(flick, ["fig4a", "fig4b", "fig4c", "fig4d"])
+    _add_common(flick, SimConfig)
     _add_sim_overrides(flick)
     flick.add_argument("--seeds", type=int, default=1, help="replicates")
     flick.add_argument("--min-dwell", type=int, default=analytics.DEFAULT_MIN_DWELL,
@@ -115,6 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="basin threshold override (required outside the bistable regime)")
 
     return parser
+
+
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """--seed/--t-max/--burn-in, which _run_overrides reads."""
+    sub.add_argument("--seed", type=int, help="master seed override")
+    sub.add_argument("--t-max", type=int, help="simulation horizon override")
+    sub.add_argument("--burn-in", type=int, help="discarded prefix override")
 
 
 def _run_overrides(args) -> dict:
@@ -144,11 +150,7 @@ def _c_grid(args, c_grid: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def _sim_config(args) -> SimConfig:
-    cfg = io.load_run_config(args.preset, args.config)
-    if cfg is None:
-        cfg = SimConfig()
-    if not isinstance(cfg, SimConfig):
-        raise io.ConfigError(f"preset {args.preset!r} is not a trajectory configuration")
+    cfg = io.load_run_config(args.preset, args.config) or SimConfig()
     updates = _run_overrides(args)
     if getattr(args, "c", None) is not None:
         updates["eco"] = dataclasses.replace(cfg.eco, c=args.c)
@@ -171,8 +173,6 @@ def _cmd_simulate(args) -> list[Path]:
 
 def _cmd_bifurcation(args) -> list[Path]:
     cfg = io.load_run_config(args.preset, args.config)
-    if cfg is not None and not isinstance(cfg, (ScanConfig, SimConfig)):
-        raise io.ConfigError(f"preset {args.preset!r} is not a bifurcation configuration")
     c_min, c_max, steps = _c_range(args, isinstance(cfg, ScanConfig), BIFURCATION_RANGE)
     if not isinstance(cfg, ScanConfig):
         cfg = ScanConfig(eco=cfg.eco if cfg else EcoParams(), c_min=c_min, c_max=c_max,
@@ -192,12 +192,8 @@ def _cmd_bifurcation(args) -> list[Path]:
 
 def _sweep_config(args) -> SweepConfig:
     cfg = io.load_run_config(args.preset, args.config)
-    if isinstance(cfg, SimConfig):
-        cfg = SweepConfig(base=cfg, c_grid=(), l_values=())
-    if cfg is None:
-        cfg = SweepConfig(base=SimConfig(), c_grid=(), l_values=())
     if not isinstance(cfg, SweepConfig):
-        raise io.ConfigError(f"preset {args.preset!r} is not a sweep configuration")
+        cfg = SweepConfig(base=cfg or SimConfig(), c_grid=(), l_values=())
     c_grid = _c_grid(args, cfg.c_grid)
     l_values = tuple(args.l_values) if args.l_values else (cfg.l_values or (0.001, 0.01, 0.1))
     base = dataclasses.replace(cfg.base, **_run_overrides(args))
@@ -217,13 +213,9 @@ def _cmd_sweep(args) -> list[Path]:
 
 def _cmd_transform(args) -> list[Path]:
     cfg = io.load_run_config(args.preset, args.config)
-    if cfg is None or isinstance(cfg, SimConfig):
-        base = cfg if isinstance(cfg, SimConfig) else SimConfig()
-        cfg = TransformConfig(base=base, baseline_case=PROFILES["specialist"],
-                              transform_case=PROFILES["generalist"],
-                              c_grid=(), l=0.001)
     if not isinstance(cfg, TransformConfig):
-        raise io.ConfigError(f"preset {args.preset!r} is not a transform configuration")
+        cfg = TransformConfig(base=cfg or SimConfig(), baseline_case=PROFILES["specialist"],
+                              transform_case=PROFILES["generalist"], c_grid=(), l=0.001)
     base = dataclasses.replace(cfg.base, **_run_overrides(args))
     cfg = TransformConfig(base=base, baseline_case=cfg.baseline_case,
                           transform_case=cfg.transform_case, c_grid=_c_grid(args, cfg.c_grid),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import json
+import operator
 import os
 import platform
 import tempfile
@@ -26,10 +27,11 @@ import yaml
 
 from . import __version__
 from .analytics import ComparisonRow, CrossoverReport, FlickerStats, SweepRow
-from .dynamics import AdaptationParams, EcoParams, NoiseParams
-from .equilibria import ScanRow
+from .equilibria import Equilibrium, Regime, ScanRow
 from .presets import get_preset
 from .simulate import (
+    CONFIG_SECTIONS,
+    SIM_FIELDS,
     SimConfig,
     Trajectory,
     _jsonable,
@@ -54,13 +56,10 @@ class ValidationError(ConfigError):
 # ---------------------------------------------------------------------------
 # config serialization
 
-_SECTION_FIELDS = {
-    "eco": ("r", "K", "c", "h"),
-    "noise": ("T", "beta", "mu"),
-    "adapt": ("l",),
-    "wellbeing": ("case", "label", "m", "n", "a"),
-    "sim": ("t_max", "burn_in", "x0", "y0", "i0", "seed"),
-}
+# the sections of a config file; eco/noise/adapt take the fields of their
+# CONFIG_SECTIONS dataclass, and sim the SIM_FIELDS of SimConfig
+_SECTIONS = (*CONFIG_SECTIONS, "wellbeing", "sim")
+_WELLBEING_KEYS = ("case", "label", *(f.name for f in dataclasses.fields(WellbeingParams)))
 
 
 def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
@@ -72,14 +71,24 @@ def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
 def _num(section: str, key: str, value, cls=float):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{section}.{key} must be a number, got {value!r}")
+    if cls is int and isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{section}.{key} must be a whole number, got {value!r}")
     return cls(value)
 
 
-def _build_section(section: str, data: dict, cls, defaults) -> Any:
-    _check_keys(section, data, _SECTION_FIELDS[section])
-    kwargs = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(cls)}
-    for key, value in data.items():
-        kwargs[key] = _num(section, key, value)
+def _values(section: str, data: dict, fields) -> dict:
+    """data's values converted to the annotated types of the same-named fields.
+
+    int fields take whole numbers only; None stays None where the default is.
+    """
+    by_name = {f.name: f for f in fields}
+    _check_keys(section, data, tuple(by_name))
+    return {key: None if value is None and by_name[key].default is None
+            else _num(section, key, value, int if by_name[key].type in (int, "int") else float)
+            for key, value in data.items()}
+
+
+def _build(cls, **kwargs):
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -87,7 +96,7 @@ def _build_section(section: str, data: dict, cls, defaults) -> Any:
 
 
 def _build_wellbeing(data: dict) -> CaseProfile:
-    _check_keys("wellbeing", data, _SECTION_FIELDS["wellbeing"])
+    _check_keys("wellbeing", data, _WELLBEING_KEYS)
     if "case" in data:
         if len(data) > 1:
             raise ValidationError("wellbeing.case cannot be combined with explicit m/n/a")
@@ -97,48 +106,30 @@ def _build_wellbeing(data: dict) -> CaseProfile:
                 f"wellbeing.case must be one of {sorted(PROFILES)}, got {name!r}"
             )
         return PROFILES[name]
-    label = data.get("label", "custom")
+    params = dict(data)
+    label = params.pop("label", "custom")
     if not isinstance(label, str):
         raise ValidationError(f"wellbeing.label must be a string, got {label!r}")
-    defaults = PROFILES["specialist"].params
-    kwargs = {
-        key: _num("wellbeing", key, data.get(key, getattr(defaults, key)))
-        for key in ("m", "n", "a")
-    }
-    try:
-        return CaseProfile(label, WellbeingParams(**kwargs))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    values = {**dataclasses.asdict(PROFILES["specialist"].params),
+              **_values("wellbeing", params, dataclasses.fields(WellbeingParams))}
+    return CaseProfile(label, _build(WellbeingParams, **values))
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
     """Validate a nested config dict and fill defaults; rejects unknown keys."""
     if not isinstance(data, dict):
         raise ValidationError(f"config root must be a mapping, got {type(data).__name__}")
-    _check_keys("config", data, tuple(_SECTION_FIELDS))
+    _check_keys("config", data, _SECTIONS)
     for section, content in data.items():
         if not isinstance(content, dict):
             raise ValidationError(f"section {section} must be a mapping, got {content!r}")
-    cfg = SimConfig()
-    eco = _build_section("eco", data.get("eco", {}), EcoParams, cfg.eco)
-    noise = _build_section("noise", data.get("noise", {}), NoiseParams, cfg.noise)
-    adapt = _build_section("adapt", data.get("adapt", {}), AdaptationParams, cfg.adapt)
+    sections = {
+        name: _build(cls, **_values(name, data.get(name, {}), dataclasses.fields(cls)))
+        for name, cls in CONFIG_SECTIONS.items()
+    }
     wellbeing = _build_wellbeing(data.get("wellbeing", {"case": "specialist"}))
-    sim = dict(data.get("sim", {}))
-    _check_keys("sim", sim, _SECTION_FIELDS["sim"])
-    kwargs: dict[str, Any] = {}
-    for key in ("t_max", "burn_in", "seed"):
-        if key in sim:
-            kwargs[key] = _num("sim", key, sim[key], int)
-    for key in ("x0", "y0"):
-        if key in sim and sim[key] is not None:
-            kwargs[key] = _num("sim", key, sim[key])
-    if "i0" in sim:
-        kwargs["i0"] = _num("sim", "i0", sim["i0"])
-    try:
-        return SimConfig(eco=eco, noise=noise, adapt=adapt, wellbeing=wellbeing, **kwargs)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    sim = _values("sim", data.get("sim", {}), SIM_FIELDS)
+    return _build(SimConfig, wellbeing=wellbeing, **sections, **sim)
 
 
 def load_config(path: str | os.PathLike) -> SimConfig:
@@ -171,7 +162,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
+    # a Regime too: before Python 3.11, str() of an IntEnum member is its name
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
 
@@ -191,7 +183,7 @@ def _atomic_write(path: str | os.PathLike, text: str) -> Path:
     return path
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -211,77 +203,54 @@ def write_trajectory_csv(path, tr: Trajectory, w: WellbeingParams) -> Path:
     return _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _record(obj) -> dict:
+    """A dataclass's fields by name, in declaration order; a Regime becomes its int."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {k: int(v) if isinstance(v, Regime) else v for k, v in values.items()}
+
+
+def _columns(cls) -> tuple[list[str], operator.attrgetter]:
+    """cls's field names in declaration order, and a getter of those fields' values."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return names, operator.attrgetter(*names)
+
+
+def _write_rows(path, rows, cls) -> Path:
+    """CSV with one column per field of cls, in declaration order."""
+    names, cells = _columns(cls)
+    return _atomic_write(path, _csv_text(names, [cells(row) for row in rows]))
+
+
+def _write_json(path, doc) -> Path:
+    return _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def write_bifurcation_csv(path, scan: list[ScanRow]) -> Path:
-    header = ["c", "x_star", "stable", "multiplier"]
-    rows = [
-        [row.c, eq.x_star, eq.stable, eq.multiplier]
-        for row in scan
-        for eq in row.equilibria
-    ]
-    return _atomic_write(path, _csv_text(header, rows))
+    """One row per equilibrium: c, then the Equilibrium fields."""
+    names, cells = _columns(Equilibrium)
+    rows = [(row.c, *cells(eq)) for row in scan for eq in row.equilibria]
+    return _atomic_write(path, _csv_text(["c", *names], rows))
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> Path:
-    header = ["c", "l", "regime", "avg_payoff", "avg_utility",
-              "stderr_payoff", "stderr_utility", "error"]
-    out = [
-        [row.c, row.l, None if row.regime is None else int(row.regime),
-         row.avg_payoff, row.avg_utility, row.stderr_payoff, row.stderr_utility,
-         row.error]
-        for row in rows
-    ]
-    return _atomic_write(path, _csv_text(header, out))
+    return _write_rows(path, rows, SweepRow)
 
 
 def write_comparison_csv(path, rows: tuple[ComparisonRow, ...]) -> Path:
-    header = [
-        "c", "regime", "mean_x",
-        "avg_payoff_baseline", "stderr_payoff_baseline",
-        "avg_payoff_transform", "stderr_payoff_transform",
-        "avg_utility_baseline", "stderr_utility_baseline",
-        "avg_utility_transform", "stderr_utility_transform",
-        "x_digest_baseline", "x_digest_transform", "error",
-    ]
-    out = [
-        [row.c, None if row.regime is None else int(row.regime), row.mean_x,
-         row.avg_payoff_baseline, row.stderr_payoff_baseline,
-         row.avg_payoff_transform, row.stderr_payoff_transform,
-         row.avg_utility_baseline, row.stderr_utility_baseline,
-         row.avg_utility_transform, row.stderr_utility_transform,
-         row.x_digest_baseline, row.x_digest_transform, row.error]
-        for row in rows
-    ]
-    return _atomic_write(path, _csv_text(header, out))
+    return _write_rows(path, rows, ComparisonRow)
 
 
 def write_crossover_json(path, report: CrossoverReport) -> Path:
-    doc = {
-        "c_cross_perfect": report.c_cross_perfect,
-        "regime_perfect": None if report.regime_perfect is None else int(report.regime_perfect),
-        "c_cross_adaptive": report.c_cross_adaptive,
-        "regime_adaptive": None if report.regime_adaptive is None else int(report.regime_adaptive),
-        "band_perfect": report.band_perfect,
-        "band_adaptive": report.band_adaptive,
-    }
-    return _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Every CrossoverReport field except its rows (those go to write_comparison_csv)."""
+    doc = _record(report)
+    del doc["rows"]
+    return _write_json(path, doc)
 
 
 def write_flicker_json(path, stats: list[FlickerStats], separatrix: float,
                        min_dwell: int) -> Path:
-    doc = {
-        "separatrix": separatrix,
-        "min_dwell": min_dwell,
-        "replicates": [
-            {
-                "n_transitions": s.n_transitions,
-                "fraction_high": s.fraction_high,
-                "residence_high": list(s.residence_high),
-                "residence_low": list(s.residence_low),
-            }
-            for s in stats
-        ],
-    }
-    return _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return _write_json(path, {"separatrix": separatrix, "min_dwell": min_dwell,
+                              "replicates": [_record(s) for s in stats]})
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +284,7 @@ def build_manifest(command: str, config_obj, seed, outputs: list[Path],
 
 
 def write_manifest(path, manifest: dict) -> Path:
-    return _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return _write_json(path, manifest)
 
 
 def load_run_config(preset: str | None, config_path: str | None):

@@ -105,6 +105,8 @@ class SimConfig:
                 raise ValueError(f"sim.{name} must be finite and >= 0, got {value}")
         if not math.isfinite(self.i0):
             raise ValueError(f"sim.i0 must be finite, got {self.i0}")
+        if not self.seed >= 0:
+            raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -148,27 +150,20 @@ def resolve_config(cfg: SimConfig) -> SimConfig:
     return replace(cfg, x0=x0, y0=y0)
 
 
+# Config-file sections holding one parameter dataclass each, named after the
+# SimConfig field they fill.  The wellbeing section holds the profile's label
+# and WellbeingParams fields, and the sim section SIM_FIELDS.
+CONFIG_SECTIONS = {"eco": EcoParams, "noise": NoiseParams, "adapt": AdaptationParams}
+SIM_FIELDS = tuple(f for f in fields(SimConfig)
+                   if f.name not in CONFIG_SECTIONS and f.name != "wellbeing")
+
+
 def config_to_dict(cfg: SimConfig) -> dict:
     """Nested plain-dict form of a SimConfig (the config file schema)."""
-    return {
-        "eco": asdict(cfg.eco),
-        "noise": asdict(cfg.noise),
-        "adapt": asdict(cfg.adapt),
-        "wellbeing": {
-            "label": cfg.wellbeing.label,
-            "m": cfg.wellbeing.params.m,
-            "n": cfg.wellbeing.params.n,
-            "a": cfg.wellbeing.params.a,
-        },
-        "sim": {
-            "t_max": cfg.t_max,
-            "burn_in": cfg.burn_in,
-            "x0": cfg.x0,
-            "y0": cfg.y0,
-            "i0": cfg.i0,
-            "seed": cfg.seed,
-        },
-    }
+    doc = {name: asdict(getattr(cfg, name)) for name in CONFIG_SECTIONS}
+    doc["wellbeing"] = {"label": cfg.wellbeing.label, **asdict(cfg.wellbeing.params)}
+    doc["sim"] = {f.name: getattr(cfg, f.name) for f in SIM_FIELDS}
+    return doc
 
 
 def _jsonable(obj):

@@ -1,14 +1,20 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flickersim import (
     PRESETS,
+    AdaptationParams,
+    EcoParams,
+    NoiseParams,
     SimConfig,
     config_fingerprint,
     flicker_stats,
@@ -19,7 +25,9 @@ from flickersim import (
     utility,
 )
 from flickersim import cli
+from flickersim.analytics import ComparisonRow, CrossoverReport, FlickerStats, SweepRow
 from flickersim.cli import main
+from flickersim.equilibria import Regime
 from flickersim.io import (
     ParseError,
     ValidationError,
@@ -29,10 +37,39 @@ from flickersim.io import (
     config_from_dict,
     config_to_dict,
     load_config,
+    write_comparison_csv,
     write_config,
+    write_crossover_json,
+    write_flicker_json,
+    write_sweep_csv,
     write_trajectory_csv,
 )
 from flickersim.presets import ScanConfig, SweepConfig, TransformConfig
+from flickersim.wellbeing import PROFILES, CaseProfile, WellbeingParams
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, allow_infinity=False, exclude_min=True)
+
+
+@st.composite
+def sim_configs(draw) -> SimConfig:
+    """Valid SimConfigs: x0/y0 None or a start, built-in or custom wellbeing."""
+    eco = EcoParams(r=draw(POSITIVE), K=draw(POSITIVE), c=draw(NON_NEGATIVE), h=draw(POSITIVE))
+    noise = NoiseParams(T=draw(st.floats(min_value=1.0, allow_infinity=False)),
+                        beta=draw(NON_NEGATIVE), mu=draw(FINITE))
+    custom = st.builds(CaseProfile, st.text(),
+                       st.builds(WellbeingParams, m=POSITIVE, n=FINITE, a=POSITIVE))
+    burn_in = draw(st.integers(min_value=0, max_value=10**9))
+    start = st.none() | NON_NEGATIVE
+    return SimConfig(
+        eco=eco, noise=noise,
+        adapt=AdaptationParams(l=draw(st.floats(min_value=0.0, max_value=1.0))),
+        wellbeing=draw(st.sampled_from(list(PROFILES.values())) | custom),
+        t_max=draw(st.integers(min_value=burn_in + 1, max_value=burn_in + 10**9)),
+        burn_in=burn_in, x0=draw(start), y0=draw(start), i0=draw(FINITE),
+        seed=draw(st.integers(min_value=0, max_value=2**64)),
+    )
 
 
 class TestConfigFiles:
@@ -76,6 +113,8 @@ class TestConfigFiles:
             config_from_dict({"adapt": {"l": 2.0}})
         with pytest.raises(ValidationError, match="noise.T"):
             config_from_dict({"noise": {"T": 0.0}})
+        with pytest.raises(ValidationError, match="sim.seed must be >= 0, got -1"):
+            config_from_dict({"sim": {"seed": -1}})
 
     def test_wellbeing_forms(self):
         assert config_from_dict({"wellbeing": {"case": "generalist"}}).wellbeing.label == "generalist"
@@ -98,6 +137,25 @@ class TestConfigFiles:
     def test_non_numeric_rejected(self):
         with pytest.raises(ValidationError, match="eco.c"):
             config_from_dict({"eco": {"c": "high"}})
+
+    @pytest.mark.parametrize("key", ["t_max", "burn_in", "seed"])
+    @pytest.mark.parametrize("value", [1000.7, 10.9, 3.5, float("inf"), float("nan")])
+    def test_non_integral_integer_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=f"sim.{key} must be a whole number"):
+            config_from_dict({"sim": {key: value}})
+
+    def test_whole_float_accepted_as_integer(self):
+        cfg = config_from_dict({"sim": {"t_max": 1000.0, "burn_in": 10.0, "seed": 3.0}})
+        assert (cfg.t_max, cfg.burn_in, cfg.seed) == (1000, 10, 3)
+        assert all(type(v) is int for v in (cfg.t_max, cfg.burn_in, cfg.seed))
+
+    @given(cfg=sim_configs())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_config_round_trips(self, tmp_path, cfg):
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        write_config(cfg, tmp_path / "run.yaml")
+        assert load_config(tmp_path / "run.yaml") == cfg
 
     @pytest.mark.parametrize("key,value", [("x0", ".inf"), ("y0", ".inf"), ("i0", ".nan"),
                                            ("i0", "-.inf")])
@@ -188,6 +246,97 @@ class TestManifest:
         pinned = {"fig2": "7324ff12c437dfa8", "fig4b": "61cd8e0a9ac34470",
                   "fig5": "f9e057578e527e09", "fig6": "d2f07aea6333aadd"}
         assert {name: config_fingerprint(get_preset(name)) for name in pinned} == pinned
+
+
+
+class TestWriterBytes:
+    """Exact bytes of the results writers on hand-built rows."""
+
+    SWEEP_ROWS = [
+        SweepRow(1.0, 0.01, Regime.SINGLE_HIGH, 9.5, 6.25, 0.015625, 0.1),
+        SweepRow(1.95, 0.1, Regime.BISTABLE, 1 / 3, math.nan, 0.0, 0.5,
+                 "non-finite avg_utility"),
+        SweepRow(4.0, 0.001, None, 5.0, 2.5, 1e-17, 2.0, "no equilibrium"),
+    ]
+    COMPARISON_ROWS = (
+        ComparisonRow(0.25, Regime.SINGLE_HIGH, 9.667011997159728, 9.833505998579863, 0.015,
+                      6.7167, 0.003, 6.63, 0.029, 5.6, 0.013,
+                      "714f18c268f52711", "714f18c268f52711"),
+        ComparisonRow(3.5, None, 0.0, 5.0, 0.0, 5.75, 0.0, math.nan, 0.25, 2.5, 0.125,
+                      "", "", "non-finite avg_utility_baseline"),
+    )
+
+    def test_sweep_csv(self, tmp_path):
+        path = write_sweep_csv(tmp_path / "sweep.csv", self.SWEEP_ROWS)
+        assert path.read_text() == (
+            "c,l,regime,avg_payoff,avg_utility,stderr_payoff,stderr_utility,error\n"
+            "1.0,0.01,1,9.5,6.25,0.015625,0.1,\n"
+            "1.95,0.1,2,0.3333333333333333,nan,0.0,0.5,non-finite avg_utility\n"
+            "4.0,0.001,,5.0,2.5,1e-17,2.0,no equilibrium\n"
+        )
+
+    def test_comparison_csv(self, tmp_path):
+        path = write_comparison_csv(tmp_path / "transform.csv", self.COMPARISON_ROWS)
+        assert path.read_text() == (
+            "c,regime,mean_x,avg_payoff_baseline,stderr_payoff_baseline,"
+            "avg_payoff_transform,stderr_payoff_transform,avg_utility_baseline,"
+            "stderr_utility_baseline,avg_utility_transform,stderr_utility_transform,"
+            "x_digest_baseline,x_digest_transform,error\n"
+            "0.25,1,9.667011997159728,9.833505998579863,0.015,6.7167,0.003,6.63,0.029,"
+            "5.6,0.013,714f18c268f52711,714f18c268f52711,\n"
+            "3.5,,0.0,5.0,0.0,5.75,0.0,nan,0.25,2.5,0.125,,,non-finite avg_utility_baseline\n"
+        )
+
+    def test_crossover_json(self, tmp_path):
+        report = CrossoverReport(2.582298125048138, Regime.BISTABLE, None, None,
+                                 (2.5, 2.75), None, self.COMPARISON_ROWS)
+        path = write_crossover_json(tmp_path / "crossover.json", report)
+        assert path.read_text() == (
+            '{\n'
+            '  "band_adaptive": null,\n'
+            '  "band_perfect": [\n'
+            '    2.5,\n'
+            '    2.75\n'
+            '  ],\n'
+            '  "c_cross_adaptive": null,\n'
+            '  "c_cross_perfect": 2.582298125048138,\n'
+            '  "regime_adaptive": null,\n'
+            '  "regime_perfect": 2\n'
+            '}\n'
+        )
+
+    def test_flicker_json(self, tmp_path):
+        stats = [FlickerStats(3, (26, 85), (7, 12), 0.8076923076923077),
+                 FlickerStats(0, (130,), (), 1.0)]
+        path = write_flicker_json(tmp_path / "flicker.json", stats, 1.855055977, 5)
+        assert path.read_text() == (
+            '{\n'
+            '  "min_dwell": 5,\n'
+            '  "replicates": [\n'
+            '    {\n'
+            '      "fraction_high": 0.8076923076923077,\n'
+            '      "n_transitions": 3,\n'
+            '      "residence_high": [\n'
+            '        26,\n'
+            '        85\n'
+            '      ],\n'
+            '      "residence_low": [\n'
+            '        7,\n'
+            '        12\n'
+            '      ]\n'
+            '    },\n'
+            '    {\n'
+            '      "fraction_high": 1.0,\n'
+            '      "n_transitions": 0,\n'
+            '      "residence_high": [\n'
+            '        130\n'
+            '      ],\n'
+            '      "residence_low": []\n'
+            '    }\n'
+            '  ],\n'
+            '  "separatrix": 1.855055977\n'
+            '}\n'
+        )
 
 
 def run_cli(*argv) -> int:
@@ -380,6 +529,32 @@ class TestCli:
                        "--out-dir", tmp_path)
         assert code == 1
         assert "not both" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_negative_seed_fails_before_writing(self, tmp_path, capsys, command):
+        code = run_cli(command, "--seed", "-1", "--t-max", "300", "--burn-in", "50",
+                       "--out-dir", tmp_path)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "sim.seed must be >= 0, got -1"}
+        assert not any(tmp_path.iterdir())
+
+    def test_bifurcation_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.build_parser().parse_args(["bifurcation", "--preset", "fig2", "--seed", "5"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+    def test_preset_choices_follow_preset_kinds(self):
+        kinds = {"simulate": SimConfig, "flicker": SimConfig, "bifurcation": ScanConfig,
+                 "sweep": SweepConfig, "transform": TransformConfig}
+        subs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        assert set(subs) == set(kinds)
+        choices = {name: next(a.choices for a in sub._actions if a.dest == "preset")
+                   for name, sub in subs.items()}
+        for name, kind in kinds.items():
+            assert choices[name] == [p for p, cfg in PRESETS.items() if isinstance(cfg, kind)]
+        assert set().union(*choices.values()) == set(PRESETS)
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FLICKERSIM_OUT_DIR", str(tmp_path / "envout"))

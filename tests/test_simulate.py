@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"sim.{field} must be finite"):
             SimConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="sim.seed must be >= 0, got -1"):
+            SimConfig(seed=-1)
+        assert SimConfig(seed=0).seed == 0
+
     def test_default_start_is_high_equilibrium(self):
         rcfg = resolve_config(SimConfig(eco=EcoParams(c=1.0)))
         assert rcfg.x0 == pytest.approx(8.889084120, abs=1e-8)
