@@ -16,6 +16,7 @@ the noise level i is left unbounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -35,14 +36,15 @@ class EcoParams:
     h: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError(f"eco.r must be > 0, got {self.r}")
-        if not self.K > 0:
-            raise ValueError(f"eco.K must be > 0, got {self.K}")
-        if not self.h > 0:
-            raise ValueError(f"eco.h must be > 0, got {self.h}")
-        if not self.c >= 0:
-            raise ValueError(f"eco.c must be >= 0, got {self.c}")
+        # chained with < inf, so nan and +-inf fail too
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"eco.r must be finite and > 0, got {self.r}")
+        if not 0 < self.K < math.inf:
+            raise ValueError(f"eco.K must be finite and > 0, got {self.K}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"eco.h must be finite and > 0, got {self.h}")
+        if not 0 <= self.c < math.inf:
+            raise ValueError(f"eco.c must be finite and >= 0, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,12 @@ class NoiseParams:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.T >= 1:
-            raise ValueError(f"noise.T must be >= 1, got {self.T}")
-        if not self.beta >= 0:
-            raise ValueError(f"noise.beta must be >= 0, got {self.beta}")
+        if not 1 <= self.T < math.inf:
+            raise ValueError(f"noise.T must be finite and >= 1, got {self.T}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"noise.beta must be finite and >= 0, got {self.beta}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"noise.mu must be finite, got {self.mu}")
 
     @property
     def memory(self) -> float:

@@ -154,8 +154,17 @@ def write_config(cfg: SimConfig, path: str | os.PathLike) -> None:
 # ---------------------------------------------------------------------------
 # output files
 
+# characters that make csv.QUOTE_MINIMAL quote a cell
+_QUOTED = frozenset(',"\r\n')
+
+
 def _fmt(value) -> str:
-    """Locale-independent cell formatting; floats round-trip exactly."""
+    """Locale-independent cell formatting; floats round-trip exactly.
+
+    Text holding a comma, quote or line break is quoted, with inner quotes
+    doubled, as csv.QUOTE_MINIMAL writes it, so every row parses to the
+    header's width.
+    """
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -165,7 +174,10 @@ def _fmt(value) -> str:
     # a Regime too: before Python 3.11, str() of an IntEnum member is its name
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return str(value)
+    text = str(value)
+    if _QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _atomic_write(path: str | os.PathLike, text: str) -> Path:

@@ -21,15 +21,17 @@ they come, in O(rows x STREAM_SPAN) memory whatever the horizon.
 :func:`adaptation_paths` is the unchunked reference for the adapted states.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
-step costs about the same ~20 us whether it advances 1 row or 100, while a
-Python-float step through the dynamics step functions costs about 1 us per
-row, so runs of fewer than SCALAR_ROWS rows advance each row in Python
-floats (:func:`_scalar_spans`) and larger ones as one numpy block
-(:func:`_block_spans`).  The scalar kernel calls step_environment,
-step_noise and step_adaptation, so it is the replay reference itself; the
-block kernel evaluates the same expressions, so both agree bit for bit,
-overflowed (nan) states included.  The per-row crossover that sets SCALAR_ROWS is tabulated in the
-README ("How simulations stream") and recorded in BENCH_7.json.
+step costs about the same ~20-35 us whether it advances 1 row or 64, while a
+Python-float step costs about 1 us per row, so runs of fewer than
+SCALAR_ROWS rows advance each row in Python floats (:func:`_scalar_spans`)
+and larger ones as one numpy block (:func:`_block_spans`).  The scalar
+kernel binds each row's parameters to locals and evaluates the expressions
+of step_noise, step_environment and step_adaptation inline, with the same
+operands in the same association; the block kernel evaluates them too, so
+both agree bit for bit with each other and with a step_coupled replay,
+overflowed (nan) states and -0.0 included.  The per-row crossover that sets
+SCALAR_ROWS is tabulated in the README ("How simulations stream") and
+recorded in BENCH_10.json.
 """
 
 from __future__ import annotations
@@ -41,14 +43,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .dynamics import (
-    AdaptationParams,
-    EcoParams,
-    NoiseParams,
-    step_adaptation,
-    step_environment,
-    step_noise,
-)
+from .dynamics import AdaptationParams, EcoParams, NoiseParams
 from .equilibria import equilibria
 from .wellbeing import SPECIALIST, CaseProfile, average_payoff, average_utility
 
@@ -60,11 +55,11 @@ DEFAULT_SEED = 42
 # values: 12 800 for the 40-value, 10-replicate fig5 grid.
 STREAM_SPAN = 32
 # Runs of fewer (c, replicate) rows than this advance each row in Python
-# floats; larger ones run as one numpy block.  24 is where the block kernel
+# floats; larger ones run as one numpy block.  36 is where the block kernel
 # catches up when every row steps its own noise level (one c, many
-# replicates); grid rows share their noise and cross later, near 40.  The
-# crossover table is in BENCH_7.json.
-SCALAR_ROWS = 24
+# replicates); grid rows share their noise and cross later, near 48-64.  The
+# crossover table is in BENCH_10.json.
+SCALAR_ROWS = 36
 
 
 class NonFiniteStateError(ValueError):
@@ -286,46 +281,52 @@ def _block_spans(configs: list[SimConfig], replicates, adapts: list[AdaptationPa
 def _scalar_spans(configs: list[SimConfig], replicates, adapts: list[AdaptationParams]):
     """:func:`stream_spans` with each row advanced in Python floats.
 
-    Draws the same innovation rows as the block kernel and steps every row
-    through step_noise, step_environment and step_adaptation, whose float64
-    arithmetic the block kernel mirrors, so the spans agree bit for bit.
+    Draws the same innovation rows as the block kernel.  Each row's
+    parameters are bound to locals once per run, and every step evaluates
+    step_noise's, step_environment's and step_adaptation's expressions
+    inline, with the same operands in the same association, so the spans
+    agree bit for bit with the block kernel and with a step_coupled replay.
     """
     first = configs[0]
-    noise = first.noise
+    phi = 1.0 - 1.0 / first.noise.T
     shape = (len(configs), len(replicates))
-    # the (c, replicate) rows in C order, and the states at the first step
-    # of the next span: per replicate, per row and per (l, row)
-    rows = [(cfg.eco, k) for cfg in configs for k in range(len(replicates))]
+    # the (c, replicate) rows in C order with their growth and harvest
+    # constants, and the states at the first step of the next span: per
+    # replicate, per row and per (l, row)
+    rows = [(cfg.eco.r, cfg.eco.K, cfg.eco.c, cfg.eco.h * cfg.eco.h, k)
+            for cfg in configs for k in range(len(replicates))]
+    ls = [adapt.l for adapt in adapts]
     i_next = [float(first.i0)] * len(replicates)
     x_next = [float(cfg.x0) for cfg in configs for _ in replicates]
     y_next = [[float(cfg.y0) for cfg in configs for _ in replicates] for _ in adapts]
     streams = [innovation_stream(first.seed, k) for k in replicates]
     for t in range(0, first.t_max, STREAM_SPAN):
         n = min(STREAM_SPAN, first.t_max - t)
-        etas = _draw_innovations(noise, streams, n)
+        etas = _draw_innovations(first.noise, streams, n)
         I = []
         for k, row in enumerate(etas.tolist()):
             i, Ik = i_next[k], []
             for eta in row:
                 Ik.append(i)
-                i = step_noise(i, noise, eta)
+                i = phi * i + eta
             i_next[k] = i
             I.append(Ik)
         X, Y = [], [[] for _ in adapts]
-        for r, (eco, k) in enumerate(rows):
-            x, Xr = x_next[r], []
+        for j, (r, K, c, hh, k) in enumerate(rows):
+            x, Xr = x_next[j], []
             for i in I[k]:
                 Xr.append(x)
-                x = step_environment(x, i, eco)
-            x_next[r] = x
+                v = r * x * (1.0 - x / K) - c * x * x / (x * x + hh) + (1.0 + i) * x
+                x = 0.0 if v < 0.0 else v
+            x_next[j] = x
             X.append(Xr)
             # y_t reads x_t, so the span's x states drive every capacity
-            for adapt, ys, Yl in zip(adapts, y_next, Y):
-                y, Yr = ys[r], []
+            for l, ys, Yl in zip(ls, y_next, Y):
+                y, Yr = ys[j], []
                 for xt in Xr:
                     Yr.append(y)
-                    y = step_adaptation(xt, y, adapt)
-                ys[r] = y
+                    y = l * (xt - y) + y
+                ys[j] = y
                 Yl.append(Yr)
         yield (max(first.burn_in - t, 0), np.array(X).reshape(shape + (n,)), np.array(I),
                np.array(Y).reshape((len(adapts),) + shape + (n,)))

@@ -26,10 +26,12 @@ class WellbeingParams:
     a: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError(f"wellbeing.a must be > 0, got {self.a}")
-        if not self.m > 0:
-            raise ValueError(f"wellbeing.m must be > 0 (payoff at x=0), got {self.m}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"wellbeing.a must be finite and > 0, got {self.a}")
+        if not 0 < self.m < math.inf:
+            raise ValueError(f"wellbeing.m must be finite and > 0 (payoff at x=0), got {self.m}")
+        if not math.isfinite(self.n):
+            raise ValueError(f"wellbeing.n must be finite, got {self.n}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
+import csv
 import hashlib
 import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flickersim import (
+    GENERALIST,
     PRESETS,
+    SPECIALIST,
     AdaptationParams,
     EcoParams,
     NoiseParams,
@@ -22,7 +25,9 @@ from flickersim import (
     payoff,
     run_trajectory,
     separatrix_for,
+    transform_comparison,
     utility,
+    utility_sweep,
 )
 from flickersim import cli
 from flickersim.analytics import ComparisonRow, CrossoverReport, FlickerStats, SweepRow
@@ -50,6 +55,14 @@ from flickersim.wellbeing import PROFILES, CaseProfile, WellbeingParams
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, allow_infinity=False, exclude_min=True)
+
+# every float parameter of a config section, and the YAML spellings of the
+# values each must reject
+FLOAT_PARAMETERS = [(section, cls, f.name) for section, cls in
+                    (("eco", EcoParams), ("noise", NoiseParams), ("wellbeing", WellbeingParams))
+                    for f in fields(cls)]
+FLOAT_PARAMETER_IDS = [f"{section}.{name}" for section, _, name in FLOAT_PARAMETERS]
+NON_FINITE = {".nan": math.nan, ".inf": math.inf, "-.inf": -math.inf}
 
 
 @st.composite
@@ -115,6 +128,17 @@ class TestConfigFiles:
             config_from_dict({"noise": {"T": 0.0}})
         with pytest.raises(ValidationError, match="sim.seed must be >= 0, got -1"):
             config_from_dict({"sim": {"seed": -1}})
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    @pytest.mark.parametrize("section,cls,name", FLOAT_PARAMETERS, ids=FLOAT_PARAMETER_IDS)
+    def test_non_finite_parameter_rejected(self, section, cls, name, text):
+        value = NON_FINITE[text]
+        message = f"{section}.{name} must be finite"
+        defaults = asdict(SPECIALIST.params) if cls is WellbeingParams else {}
+        with pytest.raises(ValueError, match=message):
+            cls(**{**defaults, name: value})
+        with pytest.raises(ValidationError, match=message):
+            config_from_dict({section: {name: value}})
 
     def test_wellbeing_forms(self):
         assert config_from_dict({"wellbeing": {"case": "generalist"}}).wellbeing.label == "generalist"
@@ -286,6 +310,31 @@ class TestWriterBytes:
             "5.6,0.013,714f18c268f52711,714f18c268f52711,\n"
             "3.5,,0.0,5.0,0.0,5.75,0.0,nan,0.25,2.5,0.125,,,non-finite avg_utility_baseline\n"
         )
+
+    def test_quoted_cell_round_trips(self, tmp_path):
+        error = 'non-finite a, b; "x"\r\nnext'
+        row = SweepRow(1.0, 0.01, None, 9.5, math.nan, 0.0, 0.5, error)
+        path = write_sweep_csv(tmp_path / "sweep.csv", [row])
+        assert path.read_bytes().endswith(
+            b'\n1.0,0.01,,9.5,nan,0.0,0.5,"non-finite a, b; ""x""\r\nnext"\n')
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh))[1][-1] == error
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_multi_field_errors_parse_to_header_width(self, tmp_path):
+        # an overflowing start flags every average of its cells, in one error
+        cfg = SimConfig(x0=1e200, t_max=200, burn_in=10)
+        sweep = utility_sweep(cfg, [1.0], [0.01], 2)
+        report = transform_comparison(cfg, SPECIALIST, GENERALIST, [1.0, 2.0], 0.01, 2)
+        for path, rows in [(write_sweep_csv(tmp_path / "sweep.csv", sweep), sweep),
+                           (write_comparison_csv(tmp_path / "transform.csv", report.rows),
+                            report.rows)]:
+            assert all(", " in row.error for row in rows)
+            with open(path, newline="") as fh:
+                header, *parsed = csv.reader(fh)
+            assert [len(cells) for cells in parsed] == [len(header)] * len(rows)
+            assert [cells[header.index("error")] for cells in parsed] == [
+                row.error for row in rows]
 
     def test_crossover_json(self, tmp_path):
         report = CrossoverReport(2.582298125048138, Regime.BISTABLE, None, None,
@@ -538,6 +587,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "sim.seed must be >= 0, got -1"}
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    @pytest.mark.parametrize("section,cls,name", FLOAT_PARAMETERS, ids=FLOAT_PARAMETER_IDS)
+    def test_non_finite_parameter_fails_before_writing(self, tmp_path, capsys, section, cls,
+                                                       name, text):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(f"{section}:\n  {name}: {text}\nsim:\n  t_max: 40\n  burn_in: 0\n")
+        assert run_cli("simulate", "--config", cfg_path, "--out-dir", tmp_path / "out") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"{section}.{name} must be finite")
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_bifurcation_takes_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -9,16 +9,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flickersim import (
     AdaptationParams,
+    EcoParams,
     NoiseParams,
     NonFiniteStateError,
     SimConfig,
+    SystemState,
     adaptation_paths,
     get_preset,
+    innovation_stream,
     run_ensemble,
     run_trajectory,
+    step_adaptation,
+    step_coupled,
+    step_environment,
+    step_noise,
     utility_sweep,
 )
 from flickersim import simulate
@@ -118,6 +127,67 @@ class TestKernelsAgree:
         assert spans(_scalar_spans, configs, [0, 1]) == spans(_scalar_spans, floats, [0, 1])
 
 
+def coupled_replay(cfg: SimConfig, replicate: int) -> np.ndarray:
+    """x, i and y at every step of a step_coupled replay, shape (3, t_max).
+
+    SystemState rejects an overflowed (nan) state, so from there on the
+    replay applies the three step functions that step_coupled is made of.
+    """
+    etas = innovation_stream(cfg.seed, replicate).normal(cfg.noise.mu, cfg.noise.beta,
+                                                         size=cfg.t_max)
+    x, i, y = cfg.x0, cfg.i0, cfg.y0
+    states = []
+    for eta in etas.tolist():
+        states.append((x, i, y))
+        try:
+            s = step_coupled(SystemState(x, i, y), cfg.eco, cfg.noise, cfg.adapt, eta)
+            x, i, y = s.x, s.i, s.y
+        except ValueError:  # a nan state
+            x, i, y = (step_environment(x, i, cfg.eco), step_noise(i, cfg.noise, eta),
+                       step_adaptation(x, y, cfg.adapt))
+    return np.array(states).T
+
+
+@st.composite
+def scalar_runs(draw):
+    """1-3 configs of one random system that differ in c and start, 1-3
+    replicates and 1-2 capacities, over up to ~3 spans."""
+    eco = EcoParams(r=draw(st.floats(0.01, 4.0)), K=draw(st.floats(0.1, 100.0)),
+                    h=draw(st.floats(0.01, 10.0)))
+    noise = NoiseParams(T=draw(st.floats(1.0, 100.0)), beta=draw(st.floats(0.0, 2.0)),
+                        mu=draw(st.floats(-1.0, 1.0)))
+    t_max = draw(st.integers(1, 3 * STREAM_SPAN + 5))
+    # i0 = -2 clamps every positive start to 0 at the first step; the huge
+    # starts overflow to nan
+    base = SimConfig(eco=eco, noise=noise, t_max=t_max, burn_in=draw(st.integers(0, t_max - 1)),
+                     i0=draw(st.sampled_from([-2.0, 1e300]) | st.floats(-3.0, 3.0)),
+                     seed=draw(st.integers(0, 2**32)))
+    start = st.sampled_from([0.0, -0.0, 1e200]) | st.floats(0.0, 200.0)
+    configs = [replace(base, eco=replace(eco, c=draw(st.floats(0.0, 5.0))), x0=draw(start),
+                       y0=draw(st.floats(0.0, 200.0)))
+               for _ in range(draw(st.integers(1, 3)))]
+    replicates = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
+    l_values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2))
+    return configs, replicates, l_values
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_runs())
+def test_scalar_kernel_replays_step_coupled_bitwise(run):
+    configs, replicates, l_values = run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "SCALAR_ROWS", sys.maxsize)
+        X, I, Y = joined(configs, replicates, l_values)
+    # as bytes, so nan and -0.0 compare by bits
+    for j, cfg in enumerate(configs):
+        for k, replicate in enumerate(replicates):
+            for a, l in enumerate(l_values):
+                xs, is_, ys = coupled_replay(replace(cfg, adapt=AdaptationParams(l)), replicate)
+                assert X[j, k].tobytes() == xs.tobytes()
+                assert I[k].tobytes() == is_.tobytes()
+                assert Y[a, j, k].tobytes() == ys.tobytes()
+
+
 # the engine against the unchunked scalar replay on both sides of the threshold
 @pytest.mark.parametrize("rows", KERNEL_ROWS)
 @pytest.mark.parametrize("t_max,burn_in", [(300, 0), *HORIZONS])
@@ -167,10 +237,10 @@ def test_data_files_same_on_both_kernels(command, name, tmp_path, monkeypatch):
 
 
 def test_sweep_csv_same_across_workers_and_kernels(tmp_path):
-    # 12 c x 2 seeds: one block under --workers 1; groups of 6 and 4 c
-    # (12 and 8 rows) run on the scalar kernel under --workers 2 and 3
-    assert 12 * 2 >= SCALAR_ROWS > 6 * 2
-    args = ["sweep", "--c-min", "0.25", "--c-max", "3.5", "--steps", "12", "--seeds", "2",
+    # 12 c x 3 seeds: one block under --workers 1; groups of 6 and 4 c
+    # (18 and 12 rows) run on the scalar kernel under --workers 2 and 3
+    assert 12 * 3 >= SCALAR_ROWS > 6 * 3
+    args = ["sweep", "--c-min", "0.25", "--c-max", "3.5", "--steps", "12", "--seeds", "3",
             "--t-max", str(3 * STREAM_SPAN + 7), "--burn-in", str(STREAM_SPAN + 3),
             "--seed", "5"]
     files = []
