@@ -47,7 +47,9 @@ from oracles import replay_trajectory
 from test_engine import BASE, C_VALUES, HORIZONS, L_VALUES, at_c, replayed_mean_utility
 from test_simulate import SMALL
 
-KERNEL_ROWS = [SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1]
+# both sides of the threshold, plus fixed counts that keep the same cases
+# whatever SCALAR_ROWS is tuned to
+KERNEL_ROWS = sorted({23, 24, 25, SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1})
 # a huge finite start overflows x to nan within two steps
 OVERFLOWS = [SimConfig(x0=1e200, t_max=40, burn_in=0), SimConfig(i0=1e300, t_max=40, burn_in=0)]
 OVERFLOW_IDS = ["x0=1e200", "i0=1e300"]
@@ -188,7 +190,7 @@ def test_scalar_kernel_replays_step_coupled_bitwise(run):
                 assert Y[a, j, k].tobytes() == ys.tobytes()
 
 
-# the engine against the unchunked scalar replay on both sides of the threshold
+# the engine against the unchunked scalar replay, at and around the threshold
 @pytest.mark.parametrize("rows", KERNEL_ROWS)
 @pytest.mark.parametrize("t_max,burn_in", [(300, 0), *HORIZONS])
 def test_rows_match_scalar_replay_bitwise(rows, t_max, burn_in):
