@@ -58,7 +58,6 @@ from .simulate import (
     NonFiniteStateError,
     SimConfig,
     Trajectory,
-    adaptation_paths,
     config_fingerprint,
     default_initial_state,
     innovation_stream,

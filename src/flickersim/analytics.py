@@ -5,13 +5,14 @@ equilibrium).  Sweeps over extraction rate reuse one set of environment
 paths per grid point across all adaptive capacities and both wellbeing
 profiles: adaptation never feeds back on the environment, so comparisons
 are made on literally shared noise.  A whole grid is streamed as one block
-of (c, replicate) rows (see :func:`flickersim.simulate.stream_spans`),
-accumulating per-row sums span by span.
+of (c, replicate) rows and summed span by span by the same cell engine that
+:func:`flickersim.simulate.run_ensemble` runs for one cell
+(:func:`flickersim.simulate._stream_cells`); the cell sums become each
+row's means and standard errors through one helper, ``_CellSums.averages``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -20,8 +21,8 @@ import numpy as np
 
 from .dynamics import AdaptationParams, EcoParams
 from .equilibria import Regime, classify_regime, equilibria
-from .simulate import SimConfig, grid_configs, stderr_of_mean, stream_spans
-from .wellbeing import CaseProfile, payoff, utility
+from .simulate import SimConfig, _stream_cells
+from .wellbeing import CaseProfile
 
 DEFAULT_MIN_DWELL = 5
 
@@ -199,82 +200,20 @@ def _flag_nonfinite(row, error: str | None = None):
     return replace(row, error=error)
 
 
-class _CellSums:
-    """Per-row sums after burn-in over streamed spans.
-
-    Rows are (c, replicate), shape (n_c, n_seeds).  Sums x, payoff per
-    profile and utility per (l, profile), reading each capacity's adapted
-    states from the span's Y.  With digest, each c's post-burn-in x series
-    is also hashed span by span.
-    """
-
-    def __init__(self, shape: tuple[int, int], n_l: int, profiles, digest: bool) -> None:
-        self.profiles = [p.params for p in profiles]
-        self.x = np.zeros(shape)
-        self.payoff = [np.zeros(shape) for _ in profiles]
-        self.utility = [[np.zeros(shape) for _ in profiles] for _ in range(n_l)]
-        self.digests = [hashlib.sha256() for _ in range(shape[0])] if digest else []
-
-    def add(self, X: np.ndarray, Y: np.ndarray, skip: int) -> None:
-        Xk = X[..., skip:]
-        if not Xk.size:
-            return
-        # one l at a time: utility broadcast over the stacked Y is ~2.5x slower
-        for Yl, sums in zip(Y, self.utility):
-            for total, w in zip(sums, self.profiles):
-                total += utility(Xk, Yl[..., skip:], w).sum(axis=-1)
-        self.x += Xk.sum(axis=-1)
-        for total, w in zip(self.payoff, self.profiles):
-            total += payoff(Xk, w).sum(axis=-1)
-        for digest, rows in zip(self.digests, Xk):
-            digest.update(np.ascontiguousarray(rows).tobytes())
-
-
-def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
-                  digest: bool = False):
-    """Resolved config (or error) per c, and the _CellSums of the resolved ones."""
-    configs = grid_configs(base, c_values)
-    ok = [cfg for cfg in configs if isinstance(cfg, SimConfig)]
-    if not ok:
-        return configs, None
-    sums = _CellSums((len(ok), n_seeds), len(l_values), profiles, digest)
-    for skip, X, _, Y in stream_spans(ok, range(n_seeds), l_values):
-        sums.add(X, Y, skip)
-    return configs, sums
-
-
 def _sweep_group(args) -> list[SweepRow]:
     """Rows of utility_sweep for one contiguous group of extraction rates."""
     base, c_values, l_values, n_seeds = args
     configs, sums = _stream_cells(base, c_values, n_seeds, l_values, [base.wellbeing])
     rows, j = [], 0
     for c, cfg in zip(c_values, configs):
-        try:
-            regime = classify_regime(replace(base.eco, c=c))
-        except Exception as exc:  # recorded per cell, not fatal
-            regime, regime_err = None, str(exc)
-        else:
-            regime_err = None
+        regime, regime_err = _regime_at(base.eco, c)
         if isinstance(cfg, Exception):
-            rows.extend(
-                SweepRow(c, l, regime, float("nan"), float("nan"), float("nan"),
-                         float("nan"), str(cfg))
-                for l in l_values
-            )
+            rows.extend(SweepRow(c, l, regime, *[float("nan")] * 4, str(cfg)) for l in l_values)
             continue
-        n_kept = cfg.t_max - cfg.burn_in
-        pays = sums.payoff[0][j] / n_kept
+        _, avg_payoff, stderr_payoff = sums.averages(sums.payoff[0][j])
         for l, util_sums in zip(l_values, sums.utility):
-            utils = util_sums[0][j] / n_kept
-            row = SweepRow(
-                c=c,
-                l=l,
-                regime=regime,
-                avg_payoff=float(pays.mean()),
-                avg_utility=float(utils.mean()),
-                stderr_payoff=stderr_of_mean(pays),
-                stderr_utility=stderr_of_mean(utils),
-            )
+            _, avg_utility, stderr_utility = sums.averages(util_sums[0][j])
+            row = SweepRow(c, l, regime, avg_payoff, avg_utility, stderr_payoff, stderr_utility)
             rows.append(_flag_nonfinite(row, regime_err))
         j += 1
     return rows
@@ -349,11 +288,12 @@ def _overlap_band(cs, diffs, spreads, k_cross) -> tuple[float, float] | None:
     return (cs[lo], cs[hi])
 
 
-def _regime_at(eco: EcoParams, c: float) -> Regime | None:
+def _regime_at(eco: EcoParams, c: float) -> tuple[Regime | None, str | None]:
+    """The regime at extraction rate c and None, or None and why it has none."""
     try:
-        return classify_regime(replace(eco, c=c))
-    except Exception:
-        return None
+        return classify_regime(replace(eco, c=c)), None
+    except Exception as exc:  # recorded per cell, not fatal
+        return None, str(exc)
 
 
 def transform_comparison(
@@ -382,33 +322,16 @@ def transform_comparison(
                                   [baseline_case, transform_case], digest=True)
     rows, j = [], 0
     for c, cfg in zip(c_grid, configs):
-        regime = _regime_at(base.eco, c)
+        regime, _ = _regime_at(base.eco, c)
         if isinstance(cfg, Exception):
-            nan = float("nan")
-            rows.append(
-                ComparisonRow(c, regime, nan, nan, nan, nan, nan, nan, nan, nan, nan,
-                              error=str(cfg))
-            )
+            rows.append(ComparisonRow(c, regime, *[float("nan")] * 9, error=str(cfg)))
             continue
-        n_kept = cfg.t_max - cfg.burn_in
-        pays_b, pays_t = (total[j] / n_kept for total in sums.payoff)
-        utils_b, utils_t = (total[j] / n_kept for total in sums.utility[0])
+        # mean and stderr of payoff, then utility, each baseline then transform
+        stats = [v for total in (*sums.payoff, *sums.utility[0])
+                 for v in sums.averages(total[j])[1:]]
+        mean_x = float(sums.x[j].sum() / (n_seeds * sums.n_kept))
         digest = sums.digests[j].hexdigest()[:16]
-        row = ComparisonRow(
-            c=c,
-            regime=regime,
-            mean_x=float(sums.x[j].sum() / (n_seeds * n_kept)),
-            avg_payoff_baseline=float(pays_b.mean()),
-            stderr_payoff_baseline=stderr_of_mean(pays_b),
-            avg_payoff_transform=float(pays_t.mean()),
-            stderr_payoff_transform=stderr_of_mean(pays_t),
-            avg_utility_baseline=float(utils_b.mean()),
-            stderr_utility_baseline=stderr_of_mean(utils_b),
-            avg_utility_transform=float(utils_t.mean()),
-            stderr_utility_transform=stderr_of_mean(utils_t),
-            x_digest_baseline=digest,
-            x_digest_transform=digest,
-        )
+        row = ComparisonRow(c, regime, mean_x, *stats, digest, digest)
         rows.append(_flag_nonfinite(row))
         j += 1
 
@@ -420,7 +343,7 @@ def transform_comparison(
         if hit is None:
             return None, None, None
         c_cross, k = hit
-        return c_cross, _regime_at(base.eco, c_cross), _overlap_band(cs, diffs, spreads, k)
+        return c_cross, _regime_at(base.eco, c_cross)[0], _overlap_band(cs, diffs, spreads, k)
 
     d_pay = [row.avg_payoff_transform - row.avg_payoff_baseline for row in ok]
     s_pay = [

@@ -43,6 +43,8 @@ class EcoParams:
             raise ValueError(f"eco.K must be finite and > 0, got {self.K}")
         if not 0 < self.h < math.inf:
             raise ValueError(f"eco.h must be finite and > 0, got {self.h}")
+        if self.h * self.h == 0.0:  # the harvest term would divide 0 by 0 at x = 0
+            raise ValueError(f"eco.h must be large enough that h * h > 0, got {self.h}")
         if not 0 <= self.c < math.inf:
             raise ValueError(f"eco.c must be finite and >= 0, got {self.c}")
 

@@ -187,6 +187,10 @@ def _atomic_write(path: str | os.PathLike, text: str) -> Path:
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -268,10 +272,6 @@ def write_flicker_json(path, stats: list[FlickerStats], separatrix: float,
 # ---------------------------------------------------------------------------
 # manifests
 
-# one fingerprint for every run configuration, SimConfig or grid spec
-analysis_fingerprint = config_fingerprint
-
-
 def build_manifest(command: str, config_obj, seed, outputs: list[Path],
                    extra: dict | None = None) -> dict:
     """Run manifest: resolved configuration, tool and library versions, seed, outputs."""
@@ -287,7 +287,7 @@ def build_manifest(command: str, config_obj, seed, outputs: list[Path],
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": seed,
         "config": _jsonable(config_obj),
-        "config_fingerprint": analysis_fingerprint(config_obj),
+        "config_fingerprint": config_fingerprint(config_obj),
         "outputs": [str(p) for p in outputs],
     }
     if extra:

@@ -13,12 +13,12 @@ Every route runs on one span driver, :func:`stream_spans`: it advances all
 adaptive capacity in the same time loop, and yields fixed spans of
 STREAM_SPAN steps.  Every c reuses the same replicate substreams, and Philox
 draws are counter-based, so a span-by-span draw equals a whole-series draw.
-:func:`run_trajectory`, :func:`run_ensemble` and :func:`environment_series`
-(flicker) share one collector that keeps the post-burn-in states and checks
-every span as it arrives, so an overflowed run fails at its first
-non-finite step; the sweep and transform accumulators consume the spans as
-they come, in O(rows x STREAM_SPAN) memory whatever the horizon.
-:func:`adaptation_paths` is the unchunked reference for the adapted states.
+One loop, :func:`_consume`, feeds each span to a consumer's add(skip, X, I,
+Y): :class:`_KeptSeries` keeps the post-burn-in states for run_trajectory
+and environment_series (flicker), and :class:`_CellSums` sums each row in
+O(rows x STREAM_SPAN) memory for run_ensemble, which is one cell, and the
+sweep and transform grids.  The loop checks each span for the routes that
+fail at the first non-finite step, and lets the grids flag such cells.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
 step costs about the same ~20-35 us whether it advances 1 row or 64, while a
@@ -45,7 +45,7 @@ import numpy as np
 
 from .dynamics import AdaptationParams, EcoParams, NoiseParams
 from .equilibria import equilibria
-from .wellbeing import SPECIALIST, CaseProfile, average_payoff, average_utility
+from .wellbeing import SPECIALIST, CaseProfile, payoff, utility
 
 DEFAULT_T_MAX = 50_000
 DEFAULT_BURN_IN = 5_000
@@ -349,30 +349,96 @@ def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int) -> None:
         )
 
 
-def _kept_series(configs: list[SimConfig], replicates, l_values=(), noise: bool = False):
-    """The post-burn-in X, I and Y of :func:`stream_spans`, joined.
+class _KeptSeries:
+    """Span consumer that joins the post-burn-in X, I and Y of the spans.
 
     Shapes are those of the spans over the t_max - burn_in kept steps; I
     is kept only with noise, and is otherwise empty.  The arrays are filled
-    in place, since joining the spans at the end would hold the series
-    twice.  Each span is checked as it arrives, burn-in included, so an
-    overflowed run raises NonFiniteStateError at its first non-finite step.
+    in place: joining the spans at the end would hold the series twice.
     """
-    first = configs[0]
-    n_kept = first.t_max - first.burn_in
-    X = np.empty((len(configs), len(replicates), n_kept))
-    I = np.empty((len(replicates), n_kept if noise else 0))
-    Y = np.empty((len(l_values),) + X.shape)
-    t = filled = 0
-    for skip, Xs, Is, Ys in stream_spans(configs, replicates, l_values):
-        _check_finite(configs, Xs, t)
-        t += Xs.shape[-1]
-        kept = slice(filled, filled + max(Xs.shape[-1] - skip, 0))
-        X[..., kept], Y[..., kept] = Xs[..., skip:], Ys[..., skip:]
-        if noise:
-            I[:, kept] = Is[:, skip:]
-        filled = kept.stop
-    return X, I, Y
+
+    def __init__(self, configs: list[SimConfig], n_rows: int, n_l: int, noise: bool) -> None:
+        n_kept = configs[0].t_max - configs[0].burn_in
+        self.X = np.empty((len(configs), n_rows, n_kept))
+        self.I = np.empty((n_rows, n_kept if noise else 0))
+        self.Y = np.empty((n_l,) + self.X.shape)
+        self.filled = 0
+
+    def add(self, skip: int, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
+        kept = slice(self.filled, self.filled + max(X.shape[-1] - skip, 0))
+        self.X[..., kept], self.Y[..., kept] = X[..., skip:], Y[..., skip:]
+        if self.I.size:
+            self.I[:, kept] = I[:, skip:]
+        self.filled = kept.stop
+
+
+class _CellSums:
+    """Span consumer summing each row after burn-in.
+
+    Rows are (c, replicate), shape (n_c, n_seeds).  Sums x, payoff per
+    profile and utility per (l, profile), reading each capacity's adapted
+    states from the span's Y.  With digest, each c's post-burn-in x series
+    is also hashed span by span.
+    """
+
+    def __init__(self, configs: list[SimConfig], n_seeds: int, n_l: int, profiles,
+                 digest: bool) -> None:
+        shape = (len(configs), n_seeds)
+        self.n_kept = configs[0].t_max - configs[0].burn_in
+        self.profiles = [p.params for p in profiles]
+        self.x = np.zeros(shape)
+        self.payoff = [np.zeros(shape) for _ in profiles]
+        self.utility = [[np.zeros(shape) for _ in profiles] for _ in range(n_l)]
+        self.digests = [hashlib.sha256() for _ in configs] if digest else []
+
+    def add(self, skip: int, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
+        Xk = X[..., skip:]
+        if not Xk.size:
+            return
+        # one l at a time: utility broadcast over the stacked Y is ~2.5x slower
+        for Yl, sums in zip(Y, self.utility):
+            for total, w in zip(sums, self.profiles):
+                total += utility(Xk, Yl[..., skip:], w).sum(axis=-1)
+        self.x += Xk.sum(axis=-1)
+        for total, w in zip(self.payoff, self.profiles):
+            total += payoff(Xk, w).sum(axis=-1)
+        for digest, rows in zip(self.digests, Xk):
+            digest.update(np.ascontiguousarray(rows).tobytes())
+
+    def averages(self, totals: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """One cell's per-replicate time averages from their sums, their mean and its stderr."""
+        avgs = totals / self.n_kept
+        return avgs, float(avgs.mean()), stderr_of_mean(avgs)
+
+
+def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
+    """Feed every span of :func:`stream_spans` to sink.add(skip, X, I, Y); returns sink.
+
+    With check, each span is checked as it arrives, burn-in included, so an
+    overflowed run raises NonFiniteStateError at its first non-finite step;
+    without, non-finite states reach the sink, as grid cells flag them.
+    """
+    t = 0
+    for skip, X, I, Y in stream_spans(configs, replicates, l_values):
+        if check:
+            _check_finite(configs, X, t)
+        t += X.shape[-1]
+        sink.add(skip, X, I, Y)
+    return sink
+
+
+def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
+                  digest: bool = False, check: bool = False):
+    """Resolved config (or error) per c, and the _CellSums of the resolved ones.
+
+    check is :func:`_consume`'s: on for run_ensemble, off for the grids.
+    """
+    configs = grid_configs(base, c_values)
+    ok = [cfg for cfg in configs if isinstance(cfg, SimConfig)]
+    if not ok:
+        return configs, None
+    sums = _CellSums(ok, n_seeds, len(l_values), profiles, digest)
+    return configs, _consume(ok, range(n_seeds), l_values, sums, check)
 
 
 def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
@@ -384,11 +450,12 @@ def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     a results file.
     """
     rcfg = resolve_config(cfg)
-    X, I, Y = _kept_series([rcfg], [replicate], [rcfg.adapt.l], noise=True)
+    kept = _consume([rcfg], [replicate], [rcfg.adapt.l], _KeptSeries([rcfg], 1, 1, noise=True),
+                    check=True)
     return Trajectory(
-        xs=X[0, 0],
-        ys=Y[0, 0, 0],
-        noise=I[0],
+        xs=kept.X[0, 0],
+        ys=kept.Y[0, 0, 0],
+        noise=kept.I[0],
         t0=rcfg.burn_in,
         fingerprint=config_fingerprint(rcfg),
     )
@@ -405,44 +472,23 @@ def stderr_of_mean(values: np.ndarray) -> float:
 def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
     """Trajectory averages over n_seeds independent replicates.
 
-    Replicate k draws its innovations from the (seed, k) substream, so the
-    summary does not depend on evaluation order; replicate 0 reproduces
-    run_trajectory(cfg) exactly.  Raises NonFiniteStateError as
-    run_trajectory does.
+    One cell of the sweep engine: the result equals the
+    ``utility_sweep(cfg, [cfg.eco.c], [cfg.adapt.l], n_seeds)`` cell bit for
+    bit, each average a sum of per-span sums, in memory that does not grow
+    with t_max.  Replicate k draws its innovations from the (seed, k)
+    substream, so the summary does not depend on evaluation order, and
+    replicate 0 runs run_trajectory(cfg)'s states.  Raises
+    NonFiniteStateError as run_trajectory does.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    rcfg = resolve_config(cfg)
-    X, _, Y = _kept_series([rcfg], range(n_seeds), [rcfg.adapt.l])
-    w = rcfg.wellbeing.params
-    pays = np.array([average_payoff(xs, w) for xs in X[0]])
-    utils = np.array([average_utility(xs, ys, w) for xs, ys in zip(X[0], Y[0, 0])])
-    return EnsembleSummary(
-        avg_payoffs=pays,
-        avg_utilities=utils,
-        mean_payoff=float(pays.mean()),
-        mean_utility=float(utils.mean()),
-        stderr_payoff=stderr_of_mean(pays),
-        stderr_utility=stderr_of_mean(utils),
-    )
-
-
-def adaptation_paths(X: np.ndarray, y0: float, l: float) -> np.ndarray:
-    """Adapted-state series for each row of X under adaptive capacity l.
-
-    Iterates step_adaptation's y_{t+1} = l*(x_t - y_t) + y_t over the whole
-    series at once, vectorised across rows, so every row equals a scalar
-    replay bit for bit.  The unchunked reference for the adapted states
-    that stream_spans carries span by span.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    l = AdaptationParams(float(l)).l  # rejects l outside [0, 1]
-    Y = np.empty_like(X)
-    y = np.full(X.shape[:-1], float(y0))
-    for t in range(X.shape[-1]):
-        Y[..., t] = y
-        y = l * (X[..., t] - y) + y
-    return Y
+    configs, sums = _stream_cells(cfg, [cfg.eco.c], n_seeds, [cfg.adapt.l], [cfg.wellbeing],
+                                  check=True)
+    if sums is None:
+        raise configs[0]
+    pays, mean_payoff, stderr_payoff = sums.averages(sums.payoff[0][0])
+    utils, mean_utility, stderr_utility = sums.averages(sums.utility[0][0][0])
+    return EnsembleSummary(pays, utils, mean_payoff, mean_utility, stderr_payoff, stderr_utility)
 
 
 def grid_configs(base: SimConfig, c_values) -> list[SimConfig | Exception]:
@@ -470,4 +516,5 @@ def environment_series(configs: list[SimConfig], n_seeds: int) -> np.ndarray:
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    return _kept_series(configs, range(n_seeds))[0]
+    kept = _KeptSeries(configs, n_seeds, 0, noise=False)
+    return _consume(configs, range(n_seeds), [], kept, check=True).X

@@ -70,7 +70,10 @@ def utility(x, y, w: WellbeingParams):
 
 
 def average_payoff(xs, w: WellbeingParams) -> float:
-    """Time-average of payoff along a trajectory of environmental states."""
+    """Time-average of payoff along a trajectory: the mean of the full series.
+
+    run_ensemble and the grids sum span by span, which may differ in the last bits.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         raise ValueError("empty trajectory")
@@ -78,7 +81,7 @@ def average_payoff(xs, w: WellbeingParams) -> float:
 
 
 def average_utility(xs, ys, w: WellbeingParams) -> float:
-    """Time-average of utility along paired environment/adaptation series."""
+    """Time-average of utility along paired series: the mean of the full series."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0:

@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values through a different route than
 the library: fixed points by brute-force scanning of the map itself, fold
-points by fine-grid root counting in c, and trajectories by replaying the
-scalar single-step functions.
+points by fine-grid root counting in c, trajectories by replaying the
+scalar single-step functions, adapted states by one unchunked loop, and
+time averages by summing a whole series span by span.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from flickersim import (
+    AdaptationParams,
     EcoParams,
     SimConfig,
     SystemState,
@@ -18,6 +20,7 @@ from flickersim import (
     resolve_config,
     step_coupled,
 )
+from flickersim.simulate import STREAM_SPAN
 
 
 def brute_force_fixed_points(p: EcoParams, step: float = 1e-4) -> list[float]:
@@ -93,3 +96,34 @@ def replay_trajectory(cfg: SimConfig, replicate: int = 0):
         xs[t], is_[t], ys[t] = state.x, state.i, state.y
         state = step_coupled(state, rcfg.eco, rcfg.noise, rcfg.adapt, float(etas[t]))
     return xs, is_, ys
+
+
+def adaptation_paths(X: np.ndarray, y0: float, l: float) -> np.ndarray:
+    """Adapted-state series for each row of X under adaptive capacity l.
+
+    Iterates step_adaptation's y_{t+1} = l*(x_t - y_t) + y_t over the whole
+    series at once, vectorised across rows, so every row equals a scalar
+    replay bit for bit.  The unchunked reference for the adapted states
+    that stream_spans carries span by span.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    l = AdaptationParams(float(l)).l  # rejects l outside [0, 1]
+    Y = np.empty_like(X)
+    y = np.full(X.shape[:-1], float(y0))
+    for t in range(X.shape[-1]):
+        Y[..., t] = y
+        y = l * (X[..., t] - y) + y
+    return Y
+
+
+def span_summed_mean(values, t0: int) -> float:
+    """Mean of a post-burn-in series whose first value is at step t0, summed
+    as the engine sums it: per span of STREAM_SPAN steps counted from step
+    0, the span sums added in time order, then divided by the length."""
+    values = np.asarray(values, dtype=float)
+    total, t = 0.0, t0
+    while t < t0 + values.size:
+        end = (t // STREAM_SPAN + 1) * STREAM_SPAN
+        total += values[t - t0:end - t0].sum()
+        t = end
+    return total / values.size

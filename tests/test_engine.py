@@ -14,8 +14,8 @@ from flickersim import (
     EcoParams,
     NoiseParams,
     SimConfig,
-    adaptation_paths,
     flicker_stats,
+    run_ensemble,
     run_trajectory,
     separatrix_for,
     transform_comparison,
@@ -33,7 +33,7 @@ from flickersim.simulate import (
     resolve_config,
 )
 from flickersim.wellbeing import GENERALIST, SPECIALIST, payoff, utility
-from oracles import replay_trajectory
+from oracles import adaptation_paths, replay_trajectory, span_summed_mean
 
 BASE = SimConfig(t_max=3 * STREAM_SPAN + 7, burn_in=STREAM_SPAN + 3, seed=23)
 C_VALUES = [1.0, 1.95, 3.1]  # high, bistable and collapsed: three default x0
@@ -188,13 +188,8 @@ def replayed_mean_utility(cfg: SimConfig, n_seeds: int, w) -> float:
     """
     means = []
     for k in range(n_seeds):
-        xs, _, ys = replay_trajectory(cfg, k)
-        total = 0.0
-        for t in range(0, cfg.t_max, STREAM_SPAN):
-            kept = slice(max(t, cfg.burn_in), min(t + STREAM_SPAN, cfg.t_max))
-            if kept.start < kept.stop:
-                total += utility(xs[kept], ys[kept], w).sum()
-        means.append(total / (cfg.t_max - cfg.burn_in))
+        xs, _, ys = (series[cfg.burn_in:] for series in replay_trajectory(cfg, k))
+        means.append(span_summed_mean(utility(xs, ys, w), cfg.burn_in))
     return float(np.mean(means))
 
 
@@ -218,13 +213,17 @@ class TestGridReplaysExactly:
         assert row.avg_utility_transform == replayed_mean_utility(cfg, 2, GENERALIST.params)
 
 
-def test_sweep_memory_does_not_grow_with_horizon():
+@pytest.mark.parametrize("run", [
+    lambda cfg: utility_sweep(cfg, [0.5, 1.0, 1.5], L_VALUES, n_seeds=4),
+    lambda cfg: run_ensemble(cfg, 4),
+], ids=["utility_sweep", "run_ensemble"])
+def test_sweep_memory_does_not_grow_with_horizon(run):
     def peak(t_max):
         cfg = replace(BASE, t_max=t_max, burn_in=t_max // 10)
-        utility_sweep(cfg, [0.5, 1.0, 1.5], L_VALUES, n_seeds=4)  # warm caches
+        run(cfg)  # warm caches
         tracemalloc.start()
         try:
-            utility_sweep(cfg, [0.5, 1.0, 1.5], L_VALUES, n_seeds=4)
+            run(cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
@@ -37,7 +39,7 @@ from flickersim.io import (
     ParseError,
     ValidationError,
     _csv_text,
-    analysis_fingerprint,
+    _atomic_write,
     build_manifest,
     config_from_dict,
     config_to_dict,
@@ -68,7 +70,9 @@ NON_FINITE = {".nan": math.nan, ".inf": math.inf, "-.inf": -math.inf}
 @st.composite
 def sim_configs(draw) -> SimConfig:
     """Valid SimConfigs: x0/y0 None or a start, built-in or custom wellbeing."""
-    eco = EcoParams(r=draw(POSITIVE), K=draw(POSITIVE), c=draw(NON_NEGATIVE), h=draw(POSITIVE))
+    # h * h must not underflow to 0
+    eco = EcoParams(r=draw(POSITIVE), K=draw(POSITIVE), c=draw(NON_NEGATIVE),
+                    h=draw(POSITIVE.filter(lambda h: h * h > 0.0)))
     noise = NoiseParams(T=draw(st.floats(min_value=1.0, allow_infinity=False)),
                         beta=draw(NON_NEGATIVE), mu=draw(FINITE))
     custom = st.builds(CaseProfile, st.text(),
@@ -139,6 +143,17 @@ class TestConfigFiles:
             cls(**{**defaults, name: value})
         with pytest.raises(ValidationError, match=message):
             config_from_dict({section: {name: value}})
+
+    @pytest.mark.parametrize("h", [1e-170, 1e-162, 5e-324])
+    def test_underflowing_h_rejected(self, h, tmp_path):
+        # h * h == 0.0 would make the harvest term 0/0 at x = 0
+        with pytest.raises(ValueError, match="eco.h must be large enough that h [*] h > 0"):
+            EcoParams(h=h)
+        path = tmp_path / "tiny_h.yaml"
+        path.write_text(f"eco:\n  h: {h!r}\n")
+        with pytest.raises(ValidationError, match="eco.h"):
+            load_config(path)
+        assert EcoParams(h=1e-161).h == 1e-161  # its square is a subnormal 1e-322
 
     def test_wellbeing_forms(self):
         assert config_from_dict({"wellbeing": {"case": "generalist"}}).wellbeing.label == "generalist"
@@ -238,13 +253,13 @@ class TestPresets:
 class TestManifest:
     def test_fingerprint_tracks_config(self):
         cfg = SimConfig(seed=1)
-        assert analysis_fingerprint(cfg) == analysis_fingerprint(SimConfig(seed=1))
-        assert analysis_fingerprint(cfg) != analysis_fingerprint(SimConfig(seed=2))
+        assert config_fingerprint(cfg) == config_fingerprint(SimConfig(seed=1))
+        assert config_fingerprint(cfg) != config_fingerprint(SimConfig(seed=2))
 
     def test_fingerprint_for_grid_specs(self):
         a = get_preset("fig5")
         b = SweepConfig(base=a.base, c_grid=a.c_grid, l_values=(0.001,), n_seeds=a.n_seeds)
-        assert analysis_fingerprint(a) != analysis_fingerprint(b)
+        assert config_fingerprint(a) != config_fingerprint(b)
 
     def test_manifest_contents(self):
         cfg = SimConfig(seed=9)
@@ -252,7 +267,7 @@ class TestManifest:
         assert doc["tool"] == "flickersim"
         assert doc["master_seed"] == 9
         assert doc["config"]["eco"]["c"] == 1.0
-        assert doc["config_fingerprint"] == analysis_fingerprint(cfg)
+        assert doc["config_fingerprint"] == config_fingerprint(cfg)
         assert "created_utc" in doc
         assert set(doc["environment"]) == {"python", "numpy", "platform"}
 
@@ -265,7 +280,6 @@ class TestManifest:
         assert digest == alone["config_fingerprint"] == config_fingerprint(spec.base)
 
     def test_one_fingerprint_function(self):
-        assert analysis_fingerprint is config_fingerprint
         assert config_fingerprint(SimConfig()) == "5bee527db7ba3d0f"
         pinned = {"fig2": "7324ff12c437dfa8", "fig4b": "61cd8e0a9ac34470",
                   "fig5": "f9e057578e527e09", "fig6": "d2f07aea6333aadd"}
@@ -406,6 +420,16 @@ def test_trajectory_csv_equals_per_point_scoring(tmp_path, preset):
     ]
     path = write_trajectory_csv(tmp_path / "trajectory.csv", tr, w)
     assert path.read_text() == _csv_text(["t", "x", "y", "i", "payoff", "utility"], rows)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_honour_the_umask(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        path = _atomic_write(tmp_path / "out.csv", "x\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
 
 
 class TestCli:

@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flickersim import (
+    GENERALIST,
+    SPECIALIST,
     AdaptationParams,
     EcoParams,
     NoiseParams,
     NonFiniteStateError,
     SimConfig,
     SystemState,
-    adaptation_paths,
     get_preset,
     innovation_stream,
     run_ensemble,
@@ -36,14 +37,15 @@ from flickersim.simulate import (
     SCALAR_ROWS,
     STREAM_SPAN,
     _block_spans,
-    _kept_series,
+    _consume,
+    _KeptSeries,
     _scalar_spans,
     environment_series,
     grid_configs,
     resolve_config,
     stream_spans,
 )
-from oracles import replay_trajectory
+from oracles import adaptation_paths, replay_trajectory
 from test_engine import BASE, C_VALUES, HORIZONS, L_VALUES, at_c, replayed_mean_utility
 from test_simulate import SMALL
 
@@ -99,7 +101,8 @@ class TestKernelsAgree:
                    *grid_configs(BASE, C_VALUES)]
         replicates = [0, 2, 5]
         X, _, Y = joined(configs, replicates, Y_L_VALUES)
-        _, _, kept = _kept_series(configs, replicates, Y_L_VALUES)
+        kept = _consume(configs, replicates, Y_L_VALUES,
+                        _KeptSeries(configs, len(replicates), len(Y_L_VALUES), False), True).Y
         for a, l in enumerate(Y_L_VALUES):
             single = joined(configs, replicates, [l])[2][0]
             assert np.array_equal(Y[a], single)  # stacked capacities equal one each
@@ -221,6 +224,38 @@ def test_run_ensemble_same_on_both_kernels(n_seeds, monkeypatch):
         s = run_ensemble(cfg, n_seeds)
         results.append((repr(s), s.avg_payoffs.tobytes(), s.avg_utilities.tobytes()))
     assert results[0] == results[1]
+
+
+@st.composite
+def ensemble_cells(draw):
+    """A random system, capacity and horizon up to ~3 spans, and a replicate
+    count on either side of SCALAR_ROWS, so both kernels run."""
+    K = draw(st.floats(1.0, 20.0))
+    t_max = draw(st.integers(1, 3 * STREAM_SPAN + 5))
+    cfg = SimConfig(
+        eco=EcoParams(r=draw(st.floats(0.1, 2.0)), K=K, c=draw(st.floats(0.0, 3.0)),
+                      h=draw(st.floats(0.1, 3.0))),
+        noise=NoiseParams(T=draw(st.floats(1.0, 60.0)), beta=draw(st.floats(0.0, 0.3))),
+        adapt=AdaptationParams(draw(st.floats(0.0, 1.0))),
+        wellbeing=draw(st.sampled_from([SPECIALIST, GENERALIST])),
+        t_max=t_max, burn_in=draw(st.integers(0, t_max - 1)),
+        x0=draw(st.floats(0.0, K)), y0=draw(st.floats(0.0, K)),
+        seed=draw(st.integers(0, 2**32)))
+    n = draw(st.sampled_from([1, 2, SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 3])
+             | st.integers(1, SCALAR_ROWS + 4))
+    return cfg, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble_cells())
+def test_run_ensemble_is_one_sweep_cell(cell):
+    cfg, n = cell
+    summary = run_ensemble(cfg, n)
+    [row] = utility_sweep(cfg, [cfg.eco.c], [cfg.adapt.l], n)
+    assert row.error is None
+    assert (summary.mean_payoff, summary.stderr_payoff, summary.mean_utility,
+            summary.stderr_utility) == (row.avg_payoff, row.stderr_payoff, row.avg_utility,
+                                        row.stderr_utility)
 
 
 @pytest.mark.parametrize("command,name", [

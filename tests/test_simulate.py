@@ -8,19 +8,18 @@ from flickersim import (
     EcoParams,
     NoiseParams,
     SimConfig,
-    adaptation_paths,
-    average_payoff,
-    average_utility,
     config_fingerprint,
     default_initial_state,
     equilibria,
     innovation_stream,
+    payoff,
     resolve_config,
     run_ensemble,
     run_trajectory,
     step_adaptation,
+    utility,
 )
-from oracles import replay_trajectory
+from oracles import adaptation_paths, replay_trajectory, span_summed_mean
 from test_engine import HORIZONS
 
 SMALL = SimConfig(t_max=400, burn_in=50, seed=99)
@@ -171,12 +170,15 @@ class TestRunTrajectory:
 
 
 class TestRunEnsemble:
+    """run_ensemble's averages are sums of per-span sums: the exact checks
+    compare them with span_summed_mean of the per-step payoff and utility."""
+
     def test_single_seed_equals_trajectory(self):
         summary = run_ensemble(SMALL, n_seeds=1)
         tr = run_trajectory(SMALL)
         w = SMALL.wellbeing.params
-        assert summary.avg_payoffs[0] == average_payoff(tr.xs, w)
-        assert summary.avg_utilities[0] == average_utility(tr.xs, tr.ys, w)
+        assert summary.avg_payoffs[0] == span_summed_mean(payoff(tr.xs, w), tr.t0)
+        assert summary.avg_utilities[0] == span_summed_mean(utility(tr.xs, tr.ys, w), tr.t0)
         assert summary.stderr_payoff == 0.0
         assert summary.stderr_utility == 0.0
 
@@ -203,7 +205,7 @@ class TestRunEnsemble:
         w = SMALL.wellbeing.params
         for k in range(3):
             tr = run_trajectory(SMALL, replicate=k)
-            assert summary.avg_payoffs[k] == average_payoff(tr.xs, w)
+            assert summary.avg_payoffs[k] == span_summed_mean(payoff(tr.xs, w), tr.t0)
 
     def test_adapted_state_starts_at_explicit_y0(self):
         # y0 != x0, so a y series started anywhere but y0 shows in every average
@@ -212,8 +214,8 @@ class TestRunEnsemble:
         w = cfg.wellbeing.params
         for k in range(2):
             xs, _, ys = (series[cfg.burn_in:] for series in replay_trajectory(cfg, k))
-            assert summary.avg_payoffs[k] == average_payoff(xs, w)
-            assert summary.avg_utilities[k] == average_utility(xs, ys, w)
+            assert summary.avg_payoffs[k] == span_summed_mean(payoff(xs, w), cfg.burn_in)
+            assert summary.avg_utilities[k] == span_summed_mean(utility(xs, ys, w), cfg.burn_in)
 
 
 def test_tracking_loss_ratio_grows_with_capacity():
