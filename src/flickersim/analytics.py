@@ -1,18 +1,19 @@
 """Flickering statistics, utility sweeps, and transformation comparison.
 
 Basin membership is judged against the separatrix (the unstable interior
-equilibrium).  Sweeps over extraction rate reuse one set of environment
-paths per grid point across all adaptive capacities and both wellbeing
-profiles: adaptation never feeds back on the environment, so comparisons
-are made on literally shared noise.  A whole grid is streamed as one block
-of (c, replicate) rows and summed span by span by the same cell engine that
-:func:`flickersim.simulate.run_ensemble` runs for one cell
-(:func:`flickersim.simulate._stream_cells`); the cell sums become each
+equilibrium); :class:`_Dwells` counts debounced dwells span by span.  Sweeps
+over extraction rate reuse one set of environment paths per grid point
+across all adaptive capacities and both wellbeing profiles: adaptation never
+feeds back on the environment, so comparisons are made on literally shared
+noise.  A whole grid is streamed as one block of (c, replicate) rows and
+summed span by span by the same cell engine that run_ensemble runs for one
+cell (:func:`flickersim.simulate._stream_cells`); the cell sums become each
 row's means and standard errors through one helper, ``_CellSums.averages``.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dynamics import AdaptationParams, EcoParams
 from .equilibria import Regime, classify_regime, equilibria
-from .simulate import SimConfig, _stream_cells
+from .simulate import SimConfig, _consume, _stream_cells, resolve_config
 from .wellbeing import CaseProfile
 
 DEFAULT_MIN_DWELL = 5
@@ -131,12 +132,58 @@ def separatrix_for(eco: EcoParams) -> float:
     return interior[0].x_star
 
 
-def check_flicker_args(separatrix: float, min_dwell: int) -> None:
-    """ValueError unless separatrix > 0 and min_dwell >= 1, as flicker_stats needs."""
-    if not separatrix > 0:
-        raise ValueError(f"separatrix must be > 0, got {separatrix}")
-    if min_dwell < 1:
-        raise ValueError(f"min_dwell must be >= 1, got {min_dwell}")
+class _Dwells:
+    """Span consumer counting each row's debounced basin dwells after burn-in.
+
+    Per row: the first dwell's basin, the dwell lengths (basins alternate), the
+    basin at the last step and where the open raw run (a maximal stretch on one
+    side of the separatrix) started.  A raw run is judged once it ends, so spans
+    cut anywhere count as the joined series does; Python works per raw run.
+    """
+
+    def __init__(self, n_seeds: int, separatrix: float, min_dwell: int) -> None:
+        if n_seeds < 1:
+            raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+        if not separatrix > 0:
+            raise ValueError(f"separatrix must be > 0, got {separatrix}")
+        if min_dwell < 1:
+            raise ValueError(f"min_dwell must be >= 1, got {min_dwell}")
+        self.separatrix, self.min_dwell = separatrix, min_dwell
+        self.dwells = [[0] for _ in range(n_seeds)]
+        self.start = [0] * n_seeds
+        self.n = 0
+
+    def add(self, skip: int, X: np.ndarray, I, Y) -> None:
+        high = X.reshape(len(self.start), -1)[:, skip:] >= self.separatrix
+        if not high.size:
+            raise ValueError("empty trajectory")
+        if not self.n:  # the first kept step opens each row's first dwell
+            self.high, self.first = high[:, 0], high[:, 0].tolist()
+        rows, cols = np.nonzero(np.diff(high, axis=1, prepend=self.high[:, None]))
+        for r, t, basin in zip(rows.tolist(), cols.tolist(), high[rows, cols].tolist()):
+            self._judge(r, not basin, self.n + t)  # the other basin's raw run ends here
+        self.high = high[:, -1]
+        self.n += high.shape[1]
+
+    def _judge(self, r: int, basin: bool, end: int) -> None:
+        """Row r's raw run in basin ends at step end: a dwell of its own or absorbed."""
+        dwells, length = self.dwells[r], end - self.start[r]
+        if basin != (self.first[r] == len(dwells) % 2) and length >= self.min_dwell:
+            dwells.append(length)
+        else:
+            dwells[-1] += length
+        self.start[r] = end
+
+    def stats(self) -> list[FlickerStats]:
+        """Each row's FlickerStats, its open raw run ending at the last step; call once."""
+        out = []
+        for r, basin in enumerate(self.high.tolist()):
+            self._judge(r, basin, self.n)
+            dwells, self.dwells[r] = self.dwells[r], None  # freed as the result grows
+            high = tuple(dwells[1 - self.first[r]::2])  # basins alternate from the first
+            out.append(FlickerStats(len(dwells) - 1, high, tuple(dwells[self.first[r]::2]),
+                                    sum(high) / self.n))
+        return out
 
 
 def flicker_stats(xs, separatrix: float, min_dwell: int = DEFAULT_MIN_DWELL) -> FlickerStats:
@@ -146,32 +193,18 @@ def flicker_stats(xs, separatrix: float, min_dwell: int = DEFAULT_MIN_DWELL) -> 
     steps; shorter excursions are absorbed into the surrounding dwell.
     min_dwell=1 disables debouncing.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise ValueError("empty trajectory")
-    check_flicker_args(separatrix, min_dwell)
-    high = xs >= separatrix
-    # raw run-length encoding
-    bounds = np.flatnonzero(high[1:] != high[:-1]) + 1
-    starts = np.concatenate(([0], bounds))
-    lengths = np.diff(np.concatenate((starts, [high.size])))
-    # debounce: absorb runs shorter than min_dwell into the current dwell
-    basins = [bool(high[0])]
-    dwells = [int(lengths[0])]
-    for start, length in zip(starts[1:], lengths[1:]):
-        if bool(high[start]) != basins[-1] and length >= min_dwell:
-            basins.append(bool(high[start]))
-            dwells.append(int(length))
-        else:
-            dwells[-1] += int(length)
-    res_high = tuple(d for b, d in zip(basins, dwells) if b)
-    res_low = tuple(d for b, d in zip(basins, dwells) if not b)
-    return FlickerStats(
-        n_transitions=len(dwells) - 1,
-        residence_high=res_high,
-        residence_low=res_low,
-        fraction_high=sum(res_high) / xs.size,
-    )
+    dwells = _Dwells(1, separatrix, min_dwell)
+    dwells.add(0, np.asarray(xs, dtype=float).reshape(1, -1), None, None)
+    return dwells.stats()[0]
+
+
+def flicker_replicates(cfg: SimConfig, n_seeds: int, separatrix: float,
+                       min_dwell: int = DEFAULT_MIN_DWELL) -> list[FlickerStats]:
+    """flicker_stats of run_trajectory(cfg, k).xs for each replicate k < n_seeds,
+    counted span by span.  Arguments are checked before any span is drawn, and
+    an overflowed state raises NonFiniteStateError as run_trajectory does."""
+    dwells = _Dwells(n_seeds, separatrix, min_dwell)
+    return _consume([resolve_config(cfg)], range(n_seeds), [], dwells, check=True).stats()
 
 
 def _check_grid(c_grid, increasing: bool) -> list[float]:
@@ -232,10 +265,10 @@ def utility_sweep(
     (shared noise), and every c reuses the same replicate substreams, so
     cells are directly comparable.  The grid is one streamed block; with
     workers > 1 it is split into contiguous groups of c computed in
-    parallel.  The row order and values do not depend on workers, which must
-    be at least 1.  c values need not be sorted, but must be finite and
-    distinct (GridError); a cell whose averages are not finite carries an
-    error.
+    parallel, on at most one process per usable CPU.  The row order and
+    values do not depend on workers, which must be at least 1.  c values
+    need not be sorted, but must be finite and distinct (GridError); a cell
+    whose averages are not finite carries an error.
     """
     c_grid = _check_grid(c_grid, increasing=False)
     l_values = [float(l) for l in l_values]
@@ -248,8 +281,9 @@ def utility_sweep(
     n_groups = min(workers, len(c_grid))
     bounds = [k * len(c_grid) // n_groups for k in range(n_groups + 1)]
     jobs = [(base, c_grid[lo:hi], l_values, n_seeds) for lo, hi in zip(bounds, bounds[1:])]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if n_groups > 1:
-        with ProcessPoolExecutor(max_workers=n_groups) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_groups, cpus or 1)) as pool:
             groups = list(pool.map(_sweep_group, jobs))
     else:
         groups = [_sweep_group(job) for job in jobs]

@@ -30,7 +30,7 @@ from .dynamics import AdaptationParams, EcoParams
 from .analytics import separatrix_for
 from .equilibria import NoBistabilityError, bifurcation_scan, fold_points
 from .presets import PRESETS, ScanConfig, SweepConfig, TransformConfig
-from .simulate import SimConfig, environment_series, resolve_config, run_trajectory
+from .simulate import SimConfig, run_trajectory
 from .wellbeing import PROFILES
 
 ENV_OUT_DIR = "FLICKERSIM_OUT_DIR"
@@ -166,8 +166,7 @@ def _cmd_simulate(args) -> list[Path]:
     tr = run_trajectory(cfg)
     out = Path(args.out_dir)
     csv_path = io.write_trajectory_csv(out / "trajectory.csv", tr, cfg.wellbeing.params)
-    manifest = io.build_manifest("simulate", cfg, cfg.seed, [csv_path],
-                                 extra={"trajectory_fingerprint": tr.fingerprint})
+    manifest = io.build_manifest("simulate", cfg, cfg.seed, [csv_path])
     return [csv_path, io.write_manifest(out / "manifest.json", manifest)]
 
 
@@ -234,10 +233,8 @@ def _cmd_transform(args) -> list[Path]:
 def _cmd_flicker(args) -> list[Path]:
     cfg = _sim_config(args)
     separatrix = args.separatrix if args.separatrix is not None else separatrix_for(cfg.eco)
-    analytics.check_flicker_args(separatrix, args.min_dwell)  # before any simulation
     # replicate k is the (seed, k) substream, as in run_trajectory(cfg, k)
-    xs = environment_series([resolve_config(cfg)], args.seeds)[0]
-    stats = [analytics.flicker_stats(row, separatrix, min_dwell=args.min_dwell) for row in xs]
+    stats = analytics.flicker_replicates(cfg, args.seeds, separatrix, args.min_dwell)
     out = Path(args.out_dir)
     json_path = io.write_flicker_json(out / "flicker.json", stats, separatrix,
                                       args.min_dwell)

@@ -14,11 +14,11 @@ adaptive capacity in the same time loop, and yields fixed spans of
 STREAM_SPAN steps.  Every c reuses the same replicate substreams, and Philox
 draws are counter-based, so a span-by-span draw equals a whole-series draw.
 One loop, :func:`_consume`, feeds each span to a consumer's add(skip, X, I,
-Y): :class:`_KeptSeries` keeps the post-burn-in states for run_trajectory
-and environment_series (flicker), and :class:`_CellSums` sums each row in
-O(rows x STREAM_SPAN) memory for run_ensemble, which is one cell, and the
-sweep and transform grids.  The loop checks each span for the routes that
-fail at the first non-finite step, and lets the grids flag such cells.
+Y): :class:`_KeptSeries` keeps the post-burn-in states for run_trajectory;
+in O(rows x STREAM_SPAN) memory, ``analytics._Dwells`` counts basin dwells
+for flicker and :class:`_CellSums` sums each row for run_ensemble (one cell)
+and the sweep and transform grids.  The loop checks each span for the routes
+that fail at the first non-finite step, and lets the grids flag such cells.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
 step costs about the same ~20-35 us whether it advances 1 row or 64, while a
@@ -112,7 +112,6 @@ class Trajectory:
     ys: np.ndarray
     noise: np.ndarray
     t0: int
-    fingerprint: str
 
     def __len__(self) -> int:
         return self.xs.size
@@ -198,7 +197,7 @@ def innovation_stream(seed: int, replicate: int = 0) -> np.random.Generator:
 
 def _draw_innovations(noise: NoiseParams, streams, size: int) -> np.ndarray:
     """The next size innovations of every stream, one row per stream."""
-    return np.stack([s.normal(noise.mu, noise.beta, size=size) for s in streams])
+    return np.array([s.normal(noise.mu, noise.beta, size=size) for s in streams])
 
 
 def _simulate_paths(
@@ -226,7 +225,7 @@ def _simulate_paths(
     for t in range(n):
         X[..., t] = x
         I[:, t] = i
-        if l.size:  # environment_series asks for no capacity: skip empty y steps
+        if l.size:  # flicker asks for no capacity: skip empty y steps
             Y[..., t] = y
             y = l * (x - y) + y
         x = np.maximum(0.0, (r * x * (1.0 - x / K) - c * x * x / (x * x + h * h)) + (1.0 + i) * x)
@@ -352,23 +351,21 @@ def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int) -> None:
 class _KeptSeries:
     """Span consumer that joins the post-burn-in X, I and Y of the spans.
 
-    Shapes are those of the spans over the t_max - burn_in kept steps; I
-    is kept only with noise, and is otherwise empty.  The arrays are filled
+    Shapes are those of the spans over the t_max - burn_in kept steps, filled
     in place: joining the spans at the end would hold the series twice.
     """
 
-    def __init__(self, configs: list[SimConfig], n_rows: int, n_l: int, noise: bool) -> None:
+    def __init__(self, configs: list[SimConfig], n_rows: int, n_l: int) -> None:
         n_kept = configs[0].t_max - configs[0].burn_in
         self.X = np.empty((len(configs), n_rows, n_kept))
-        self.I = np.empty((n_rows, n_kept if noise else 0))
+        self.I = np.empty((n_rows, n_kept))
         self.Y = np.empty((n_l,) + self.X.shape)
         self.filled = 0
 
     def add(self, skip: int, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
-        kept = slice(self.filled, self.filled + max(X.shape[-1] - skip, 0))
+        kept = slice(self.filled, self.filled + X.shape[-1] - skip)
         self.X[..., kept], self.Y[..., kept] = X[..., skip:], Y[..., skip:]
-        if self.I.size:
-            self.I[:, kept] = I[:, skip:]
+        self.I[:, kept] = I[:, skip:]
         self.filled = kept.stop
 
 
@@ -393,8 +390,6 @@ class _CellSums:
 
     def add(self, skip: int, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
         Xk = X[..., skip:]
-        if not Xk.size:
-            return
         # one l at a time: utility broadcast over the stacked Y is ~2.5x slower
         for Yl, sums in zip(Y, self.utility):
             for total, w in zip(sums, self.profiles):
@@ -412,7 +407,7 @@ class _CellSums:
 
 
 def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
-    """Feed every span of :func:`stream_spans` to sink.add(skip, X, I, Y); returns sink.
+    """Feed each span with post-burn-in steps to sink.add(skip, X, I, Y); returns sink.
 
     With check, each span is checked as it arrives, burn-in included, so an
     overflowed run raises NonFiniteStateError at its first non-finite step;
@@ -423,7 +418,8 @@ def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
         if check:
             _check_finite(configs, X, t)
         t += X.shape[-1]
-        sink.add(skip, X, I, Y)
+        if skip < X.shape[-1]:
+            sink.add(skip, X, I, Y)
     return sink
 
 
@@ -450,14 +446,12 @@ def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     a results file.
     """
     rcfg = resolve_config(cfg)
-    kept = _consume([rcfg], [replicate], [rcfg.adapt.l], _KeptSeries([rcfg], 1, 1, noise=True),
-                    check=True)
+    kept = _consume([rcfg], [replicate], [rcfg.adapt.l], _KeptSeries([rcfg], 1, 1), check=True)
     return Trajectory(
         xs=kept.X[0, 0],
         ys=kept.Y[0, 0, 0],
         noise=kept.I[0],
         t0=rcfg.burn_in,
-        fingerprint=config_fingerprint(rcfg),
     )
 
 
@@ -507,14 +501,3 @@ def grid_configs(base: SimConfig, c_values) -> list[SimConfig | Exception]:
             configs.append(exc)
     return configs
 
-
-def environment_series(configs: list[SimConfig], n_seeds: int) -> np.ndarray:
-    """Post-burn-in environment states, shape (len(configs), n_seeds, t_max - burn_in).
-
-    Row (j, k) equals ``run_trajectory(configs[j], k).xs`` bit for bit.
-    Raises NonFiniteStateError as soon as a state overflows.
-    """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    kept = _KeptSeries(configs, n_seeds, 0, noise=False)
-    return _consume(configs, range(n_seeds), [], kept, check=True).X

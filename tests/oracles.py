@@ -3,8 +3,9 @@
 Everything here recomputes expected values through a different route than
 the library: fixed points by brute-force scanning of the map itself, fold
 points by fine-grid root counting in c, trajectories by replaying the
-scalar single-step functions, adapted states by one unchunked loop, and
-time averages by summing a whole series span by span.
+scalar single-step functions, adapted states by one unchunked loop, time
+averages by summing a whole series span by span, and basin dwells by
+run-length encoding a whole series.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from flickersim import (
     AdaptationParams,
     EcoParams,
+    FlickerStats,
     SimConfig,
     SystemState,
     innovation_stream,
@@ -127,3 +129,25 @@ def span_summed_mean(values, t0: int) -> float:
         total += values[t - t0:end - t0].sum()
         t = end
     return total / values.size
+
+
+def run_length_flicker_stats(xs, separatrix: float, min_dwell: int) -> FlickerStats:
+    """Debounced basin dwells of a whole series, by run-length encoding it.
+
+    Every raw run (a maximal stretch on one side of the separatrix) after
+    the first becomes a new dwell if it switches basin and lasts at least
+    min_dwell steps, and is otherwise added to the current dwell.
+    """
+    high = np.asarray(xs, dtype=float) >= separatrix
+    starts = np.concatenate(([0], np.flatnonzero(high[1:] != high[:-1]) + 1))
+    lengths = np.diff(np.concatenate((starts, [high.size])))
+    basins, dwells = [bool(high[0])], [int(lengths[0])]
+    for start, length in zip(starts[1:], lengths[1:]):
+        if bool(high[start]) != basins[-1] and length >= min_dwell:
+            basins.append(bool(high[start]))
+            dwells.append(int(length))
+        else:
+            dwells[-1] += int(length)
+    res_high = tuple(d for b, d in zip(basins, dwells) if b)
+    res_low = tuple(d for b, d in zip(basins, dwells) if not b)
+    return FlickerStats(len(dwells) - 1, res_high, res_low, sum(res_high) / high.size)

@@ -18,12 +18,10 @@ from flickersim import (
     Regime,
     WellbeingParams,
     equilibria,
-    flicker_stats,
     fold_points,
     get_preset,
     innovation_stream,
     payoff,
-    resolve_config,
     separatrix_for,
     step_environment,
     step_noise,
@@ -31,8 +29,8 @@ from flickersim import (
     utility,
     utility_sweep,
 )
+from flickersim.analytics import flicker_replicates
 from flickersim.cli import main as cli_main
-from flickersim.simulate import environment_series
 from oracles import brute_force_fixed_points, fine_grid_fold_points
 
 DEFAULT_ECO = EcoParams(r=1.0, K=10.0, c=1.0, h=1.0)
@@ -155,9 +153,8 @@ def test_criterion_5_flickering_presence():
         cfg = replace(get_preset("fig4b"), eco=replace(get_preset("fig4b").eco, c=c),
                       t_max=25_000, burn_in=0)
         sep = separatrix_for(cfg.eco)
-        # row k is run_trajectory(cfg, replicate=k).xs, all 20 run as one block
-        xs = environment_series([resolve_config(cfg)], 20)[0]
-        stats = [flicker_stats(row, sep) for row in xs]
+        # stats k are those of run_trajectory(cfg, replicate=k).xs, all 20 run as one block
+        stats = flicker_replicates(cfg, 20, sep)
         return (np.array([s.fraction_high for s in stats]),
                 np.array([s.n_transitions for s in stats]))
 

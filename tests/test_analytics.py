@@ -1,7 +1,10 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flickersim import (
     Basin,
@@ -15,7 +18,11 @@ from flickersim import (
     transform_comparison,
     utility_sweep,
 )
+from flickersim import analytics
+from flickersim.analytics import _Dwells
+from flickersim.simulate import STREAM_SPAN
 from flickersim.wellbeing import GENERALIST, SPECIALIST
+from oracles import run_length_flicker_stats
 
 FAST = SimConfig(t_max=600, burn_in=100, seed=17)
 
@@ -96,6 +103,35 @@ class TestFlickerStats:
             flicker_stats([1.0], 1.0, min_dwell=0)
 
 
+@st.composite
+def cut_series(draw):
+    """Rows of runs around the separatrix 5.0 (ties included), a burn-in that
+    may cover several spans, span cuts, and min_dwell up to beyond a span."""
+    burn_in = draw(st.integers(0, 2 * STREAM_SPAN + 3))
+    length = burn_in + draw(st.integers(1, 4 * STREAM_SPAN))
+    runs = st.lists(st.tuples(st.sampled_from([0.5, 4.0, 5.0, 9.0]),
+                              st.integers(1, 2 * STREAM_SPAN + 3)), min_size=1, max_size=12)
+    X = np.array([np.resize(np.repeat(*zip(*draw(runs))), length)
+                  for _ in range(draw(st.integers(1, 4)))])
+    cuts = sorted(c for c in draw(st.sets(st.integers(1, length), max_size=12)) if c < length)
+    return X, burn_in, cuts, draw(st.integers(1, 2 * STREAM_SPAN + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_series())
+def test_dwell_counter_equals_run_length_encoding(case):
+    # spans cut anywhere count as the joined post-burn-in series does
+    X, burn_in, cuts, min_dwell = case
+    dwells = _Dwells(len(X), 5.0, min_dwell)
+    bounds = [0, *cuts, X.shape[1]]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > burn_in:  # as simulate._consume feeds spans
+            dwells.add(max(burn_in - lo, 0), X[None, :, lo:hi], None, None)
+    want = [run_length_flicker_stats(row[burn_in:], 5.0, min_dwell) for row in X]
+    assert dwells.stats() == want
+    assert [flicker_stats(row[burn_in:], 5.0, min_dwell) for row in X] == want
+
+
 class TestUtilitySweep:
     def test_rows_ordered_by_l_then_c(self):
         rows = utility_sweep(FAST, c_grid=[1.0, 0.5], l_values=[0.1, 0.01], n_seeds=2)
@@ -126,6 +162,38 @@ class TestUtilitySweep:
             utility_sweep(FAST, c_grid=[], l_values=[0.1], n_seeds=1)
         with pytest.raises(ValueError):
             utility_sweep(FAST, c_grid=[1.0], l_values=[0.1], n_seeds=0)
+
+    @pytest.mark.parametrize("affinity,cpu_count,opened", [
+        ({0, 1, 2}, 8, 3), (None, 2, 2), (None, None, 1),
+    ], ids=["affinity", "cpu_count", "unknown"])
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, affinity, cpu_count, opened):
+        pools = []
+
+        class InProcessPool:
+            """Records max_workers and maps in this process: no process starts."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(analytics, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        grid = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
+        rows = utility_sweep(FAST, c_grid=grid, l_values=[0.1], n_seeds=1, workers=64)
+        assert pools == [opened]
+        assert rows == utility_sweep(FAST, c_grid=grid, l_values=[0.1], n_seeds=1)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):

@@ -15,20 +15,23 @@ from flickersim import (
     NoiseParams,
     SimConfig,
     flicker_stats,
+    get_preset,
     run_ensemble,
     run_trajectory,
     separatrix_for,
     transform_comparison,
     utility_sweep,
 )
-from flickersim.analytics import GridError, _first_upcrossing
+from flickersim import simulate
+from flickersim.analytics import GridError, _first_upcrossing, flicker_replicates
 from flickersim.cli import main as cli_main
 from flickersim.io import write_sweep_csv
 from flickersim.simulate import (
     STREAM_SPAN,
     _block_spans,
+    _consume,
+    _KeptSeries,
     _scalar_spans,
-    environment_series,
     grid_configs,
     resolve_config,
 )
@@ -65,7 +68,7 @@ class TestBlockRows:
         configs = grid_configs(base, C_VALUES)
         if base.x0 is None:
             assert len({cfg.x0 for cfg in configs}) == len(C_VALUES)
-        xs = environment_series(configs, 3)
+        xs = _consume(configs, range(3), [], _KeptSeries(configs, 3, 0), check=True).X
         for j, c in enumerate(C_VALUES):
             for k in range(3):
                 assert np.array_equal(xs[j, k], run_trajectory(at_c(base, c), k).xs)
@@ -230,6 +233,31 @@ def test_sweep_memory_does_not_grow_with_horizon(run):
 
     short = 16 * STREAM_SPAN
     assert peak(8 * short) < 1.5 * peak(short)
+
+
+def test_flicker_memory_does_not_grow_with_horizon(monkeypatch):
+    # 20 fig4b replicates on the block kernel, which flicker runs from
+    # SCALAR_ROWS replicates up: tracemalloc slows the Python-float kernel ~5x
+    # more, and both kernels yield the same spans (tests/test_kernels.py).  The
+    # stats list every dwell, so they grow with t_max (14 KB at 10 000 steps,
+    # 73 KB at 40 000); what the run holds beyond them must not.
+    monkeypatch.setattr(simulate, "SCALAR_ROWS", 0)
+    cfg = get_preset("fig4b")
+    sep = separatrix_for(cfg.eco)
+    flicker_replicates(replace(cfg, t_max=cfg.burn_in + STREAM_SPAN), 20, sep)  # warm caches
+
+    def held_beyond_stats(t_max):
+        tracemalloc.start()
+        try:
+            stats = flicker_replicates(replace(cfg, t_max=t_max), 20, sep)
+            current, peak = tracemalloc.get_traced_memory()  # current: the stats
+            assert len(stats) == 20
+            return peak - current
+        finally:
+            tracemalloc.stop()
+
+    short = held_beyond_stats(10_000)
+    assert held_beyond_stats(40_000) <= 1.25 * short
 
 
 class TestGridValidation:

@@ -31,7 +31,7 @@ from flickersim import (
     utility,
     utility_sweep,
 )
-from flickersim import cli
+from flickersim import cli, simulate
 from flickersim.analytics import ComparisonRow, CrossoverReport, FlickerStats, SweepRow
 from flickersim.cli import main
 from flickersim.equilibria import Regime
@@ -528,9 +528,9 @@ class TestCli:
     def test_bad_flicker_args_fail_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                       flag, value, separatrix, min_dwell):
         def no_simulation(*args):
-            raise AssertionError("environment_series ran")
+            raise AssertionError("a simulation ran")
 
-        monkeypatch.setattr(cli, "environment_series", no_simulation)
+        monkeypatch.setattr(simulate, "stream_spans", no_simulation)
         code = run_cli("flicker", "--preset", "fig4b", "--seeds", "20", flag, value,
                        "--out-dir", tmp_path)
         assert code == 1

@@ -32,6 +32,7 @@ from flickersim import (
     utility_sweep,
 )
 from flickersim import simulate
+from flickersim.analytics import flicker_replicates
 from flickersim.cli import main as cli_main
 from flickersim.simulate import (
     SCALAR_ROWS,
@@ -40,7 +41,6 @@ from flickersim.simulate import (
     _consume,
     _KeptSeries,
     _scalar_spans,
-    environment_series,
     grid_configs,
     resolve_config,
     stream_spans,
@@ -102,7 +102,7 @@ class TestKernelsAgree:
         replicates = [0, 2, 5]
         X, _, Y = joined(configs, replicates, Y_L_VALUES)
         kept = _consume(configs, replicates, Y_L_VALUES,
-                        _KeptSeries(configs, len(replicates), len(Y_L_VALUES), False), True).Y
+                        _KeptSeries(configs, len(replicates), len(Y_L_VALUES)), True).Y
         for a, l in enumerate(Y_L_VALUES):
             single = joined(configs, replicates, [l])[2][0]
             assert np.array_equal(Y[a], single)  # stacked capacities equal one each
@@ -308,14 +308,15 @@ class TestOverflowIsNamed:
             run_ensemble(cfg, 3)
 
     def test_environment_series_raises(self, cfg, kernel):
+        # flicker's route, named after the function it replaced
         with pytest.raises(NonFiniteStateError):
-            environment_series([resolve_config(cfg)], 2)
+            flicker_replicates(cfg, 2, separatrix=1.0)
 
     @pytest.mark.parametrize("run", [
         run_trajectory,
         lambda cfg: run_ensemble(cfg, 3),
-        lambda cfg: environment_series([resolve_config(cfg)], 3),
-    ], ids=["run_trajectory", "run_ensemble", "environment_series"])
+        lambda cfg: flicker_replicates(cfg, 3, separatrix=1.0),
+    ], ids=["run_trajectory", "run_ensemble", "environment_series"])  # the last is flicker's
     def test_fails_at_the_first_non_finite_step(self, cfg, kernel, run, monkeypatch):
         with pytest.raises(NonFiniteStateError) as short:
             run(cfg)
