@@ -353,7 +353,7 @@ def transform_comparison(
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     base = replace(base, adapt=AdaptationParams(l=float(l)))
     configs, sums = _stream_cells(base, c_grid, n_seeds, [l],
-                                  [baseline_case, transform_case], digest=True)
+                                  [baseline_case, transform_case], environment=True)
     rows, j = [], 0
     for c, cfg in zip(c_grid, configs):
         regime, _ = _regime_at(base.eco, c)

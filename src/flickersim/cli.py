@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, io
-from .dynamics import AdaptationParams, EcoParams
+from .dynamics import AdaptationParams
 from .analytics import separatrix_for
 from .equilibria import NoBistabilityError, bifurcation_scan, fold_points
 from .presets import PRESETS, ScanConfig, SweepConfig, TransformConfig
@@ -35,9 +35,8 @@ from .wellbeing import PROFILES
 
 ENV_OUT_DIR = "FLICKERSIM_OUT_DIR"
 
-# (c_min, c_max, steps) when neither a preset nor a config sets the range
-BIFURCATION_RANGE = (0.0, 4.0, 400)
-GRID_RANGE = (0.25, 3.5, 40)
+# the grid-spec field that each flag sets, by the flag's argparse dest
+_SPEC_FLAGS = {"seeds": "n_seeds", "l_values": "l_values", "l": "l"}
 
 
 def _default_out_dir() -> str:
@@ -54,10 +53,10 @@ def _add_common(sub: argparse.ArgumentParser, kind: type) -> None:
                      help=f"output directory (default ${ENV_OUT_DIR} or ./flickersim-out)")
 
 
-def _add_c_range(sub: argparse.ArgumentParser, defaults: tuple[float, float, int]) -> None:
-    """--c-min/--c-max/--steps; rejected when the preset or config sets the range."""
-    c_min, c_max, steps = defaults
-    note = "; not with a preset or config that sets the range"
+def _add_c_range(sub: argparse.ArgumentParser, kind: type) -> None:
+    """--c-min/--c-max/--steps, defaulting to kind's range; rejected with a preset."""
+    c_min, c_max, steps = _c_range(kind())
+    note = "; not with a preset"
     sub.add_argument("--c-min", type=float,
                      help=f"lowest extraction rate (default {c_min}{note})")
     sub.add_argument("--c-max", type=float,
@@ -85,22 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     bif = subs.add_parser("bifurcation", help="equilibria across extraction rates")
     _add_common(bif, ScanConfig)
-    _add_c_range(bif, BIFURCATION_RANGE)
+    _add_c_range(bif, ScanConfig)
 
     sweep = subs.add_parser("sweep", help="utility over a (c, l) grid")
     _add_common(sweep, SweepConfig)
     _add_run_flags(sweep)
-    _add_c_range(sweep, GRID_RANGE)
+    _add_c_range(sweep, SweepConfig)
     sweep.add_argument("--l", type=float, action="append", dest="l_values",
                        help="adaptation rate (repeatable)")
     sweep.add_argument("--seeds", type=int, help="replicates per cell")
     sweep.add_argument("--workers", type=int, default=1,
-                       help="parallel workers, each over a contiguous group of c values")
+                       help="parallel workers, each over a contiguous group of c values; "
+                            "at most one process per usable CPU")
 
     trans = subs.add_parser("transform", help="specialist-vs-generalist comparison")
     _add_common(trans, TransformConfig)
     _add_run_flags(trans)
-    _add_c_range(trans, GRID_RANGE)
+    _add_c_range(trans, TransformConfig)
     trans.add_argument("--l", type=float, help="adaptation rate")
     trans.add_argument("--seeds", type=int, help="replicates per cell")
 
@@ -129,24 +129,41 @@ def _run_overrides(args) -> dict:
             if getattr(args, name) is not None}
 
 
-def _c_range(args, supplied: bool, defaults: tuple[float, float, int]):
-    """(c_min, c_max, steps) from the flags given, else defaults.
+def _c_range(spec) -> tuple[float, float, int]:
+    """spec's (c_min, c_max, steps): a ScanConfig's fields, or its c grid's ends and length."""
+    if isinstance(spec, ScanConfig):
+        return spec.c_min, spec.c_max, spec.n_steps
+    return spec.c_grid[0], spec.c_grid[-1], len(spec.c_grid)
 
-    When the preset or config already supplies the range (supplied), any of
-    --c-min/--c-max/--steps is a ConfigError instead of being ignored.
+
+def _grid_spec(args, kind: type):
+    """The --preset spec, else kind's defaults around the --config (or default)
+    SimConfig; then the flags given, applied by field name.
+
+    --c-min/--c-max/--steps default to the spec's own range and rebuild it;
+    with a preset, any of them is a ConfigError instead of being ignored.
     """
-    values = (args.c_min, args.c_max, args.steps)
-    given = [flag for flag, v in zip(("--c-min", "--c-max", "--steps"), values) if v is not None]
-    if supplied and given:
-        source = f"preset {args.preset!r}" if args.preset else f"config {args.config!r}"
-        raise io.ConfigError(f"{', '.join(given)} cannot override the c range of {source}")
-    return tuple(d if v is None else v for v, d in zip(values, defaults))
-
-
-def _c_grid(args, c_grid: tuple[float, ...]) -> tuple[float, ...]:
-    """The preset's or config's c grid, or the one the flags describe."""
-    c_min, c_max, steps = _c_range(args, bool(c_grid), GRID_RANGE)
-    return c_grid or tuple(float(c) for c in np.linspace(c_min, c_max, steps))
+    spec = io.load_run_config(args.preset, args.config) or SimConfig()
+    if not isinstance(spec, kind):
+        spec = kind(eco=spec.eco) if kind is ScanConfig else kind(base=spec)
+    flags = dict(zip(("--c-min", "--c-max", "--steps"), (args.c_min, args.c_max, args.steps)))
+    given = [flag for flag, v in flags.items() if v is not None]
+    if args.preset and given:
+        raise io.ConfigError(f"{', '.join(given)} cannot override the c range of "
+                             f"preset {args.preset!r}")
+    updates = {field: tuple(v) if isinstance(v, list) else v
+               for dest, field in _SPEC_FLAGS.items()
+               if (v := getattr(args, dest, None)) is not None}
+    if given:
+        c_min, c_max, steps = (d if v is None else v
+                               for v, d in zip(flags.values(), _c_range(spec)))
+        if kind is ScanConfig:
+            updates.update(c_min=c_min, c_max=c_max, n_steps=steps)
+        else:
+            updates["c_grid"] = tuple(float(c) for c in np.linspace(c_min, c_max, steps))
+    if kind is not ScanConfig:
+        updates["base"] = dataclasses.replace(spec.base, **_run_overrides(args))
+    return dataclasses.replace(spec, **updates)
 
 
 def _sim_config(args) -> SimConfig:
@@ -161,87 +178,54 @@ def _sim_config(args) -> SimConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _cmd_simulate(args) -> list[Path]:
+def _cmd_simulate(args):
     cfg = _sim_config(args)
     tr = run_trajectory(cfg)
     out = Path(args.out_dir)
-    csv_path = io.write_trajectory_csv(out / "trajectory.csv", tr, cfg.wellbeing.params)
-    manifest = io.build_manifest("simulate", cfg, cfg.seed, [csv_path])
-    return [csv_path, io.write_manifest(out / "manifest.json", manifest)]
+    return cfg, [io.write_trajectory_csv(out / "trajectory.csv", tr, cfg.wellbeing.params)], None
 
 
-def _cmd_bifurcation(args) -> list[Path]:
-    cfg = io.load_run_config(args.preset, args.config)
-    c_min, c_max, steps = _c_range(args, isinstance(cfg, ScanConfig), BIFURCATION_RANGE)
-    if not isinstance(cfg, ScanConfig):
-        cfg = ScanConfig(eco=cfg.eco if cfg else EcoParams(), c_min=c_min, c_max=c_max,
-                         n_steps=steps)
+def _cmd_bifurcation(args):
+    cfg = _grid_spec(args, ScanConfig)
     scan = bifurcation_scan(cfg.eco, cfg.c_min, cfg.c_max, cfg.n_steps)
-    out = Path(args.out_dir)
-    csv_path = io.write_bifurcation_csv(out / "bifurcation.csv", scan)
+    csv_path = io.write_bifurcation_csv(Path(args.out_dir) / "bifurcation.csv", scan)
     extra: dict = {"scan_errors": [{"c": r.c, "error": r.error} for r in scan if r.error]}
     try:
         folds = fold_points(cfg.eco, cfg.c_min, cfg.c_max)
         extra["fold_points"] = {"c_low": folds.c_low, "c_high": folds.c_high}
     except NoBistabilityError as exc:
         extra["fold_points"] = {"error": str(exc)}
-    manifest = io.build_manifest("bifurcation", cfg, None, [csv_path], extra=extra)
-    return [csv_path, io.write_manifest(out / "manifest.json", manifest)]
+    return cfg, [csv_path], extra
 
 
-def _sweep_config(args) -> SweepConfig:
-    cfg = io.load_run_config(args.preset, args.config)
-    if not isinstance(cfg, SweepConfig):
-        cfg = SweepConfig(base=cfg or SimConfig(), c_grid=(), l_values=())
-    c_grid = _c_grid(args, cfg.c_grid)
-    l_values = tuple(args.l_values) if args.l_values else (cfg.l_values or (0.001, 0.01, 0.1))
-    base = dataclasses.replace(cfg.base, **_run_overrides(args))
-    return SweepConfig(base=base, c_grid=c_grid, l_values=l_values,
-                       n_seeds=cfg.n_seeds if args.seeds is None else args.seeds)
-
-
-def _cmd_sweep(args) -> list[Path]:
-    cfg = _sweep_config(args)
+def _cmd_sweep(args):
+    cfg = _grid_spec(args, SweepConfig)
     rows = analytics.utility_sweep(cfg.base, cfg.c_grid, cfg.l_values, cfg.n_seeds,
                                    workers=args.workers)
-    out = Path(args.out_dir)
-    csv_path = io.write_sweep_csv(out / "sweep.csv", rows)
-    manifest = io.build_manifest("sweep", cfg, cfg.base.seed, [csv_path])
-    return [csv_path, io.write_manifest(out / "manifest.json", manifest)]
+    return cfg, [io.write_sweep_csv(Path(args.out_dir) / "sweep.csv", rows)], None
 
 
-def _cmd_transform(args) -> list[Path]:
-    cfg = io.load_run_config(args.preset, args.config)
-    if not isinstance(cfg, TransformConfig):
-        cfg = TransformConfig(base=cfg or SimConfig(), baseline_case=PROFILES["specialist"],
-                              transform_case=PROFILES["generalist"], c_grid=(), l=0.001)
-    base = dataclasses.replace(cfg.base, **_run_overrides(args))
-    cfg = TransformConfig(base=base, baseline_case=cfg.baseline_case,
-                          transform_case=cfg.transform_case, c_grid=_c_grid(args, cfg.c_grid),
-                          l=args.l if args.l is not None else cfg.l,
-                          n_seeds=cfg.n_seeds if args.seeds is None else args.seeds)
+def _cmd_transform(args):
+    cfg = _grid_spec(args, TransformConfig)
     report = analytics.transform_comparison(cfg.base, cfg.baseline_case,
                                             cfg.transform_case, cfg.c_grid,
                                             cfg.l, cfg.n_seeds)
     out = Path(args.out_dir)
-    csv_path = io.write_comparison_csv(out / "transform.csv", report.rows)
-    json_path = io.write_crossover_json(out / "crossover.json", report)
-    manifest = io.build_manifest("transform", cfg, cfg.base.seed, [csv_path, json_path])
-    return [csv_path, json_path, io.write_manifest(out / "manifest.json", manifest)]
+    return cfg, [io.write_comparison_csv(out / "transform.csv", report.rows),
+                 io.write_crossover_json(out / "crossover.json", report)], None
 
 
-def _cmd_flicker(args) -> list[Path]:
+def _cmd_flicker(args):
     cfg = _sim_config(args)
     separatrix = args.separatrix if args.separatrix is not None else separatrix_for(cfg.eco)
     # replicate k is the (seed, k) substream, as in run_trajectory(cfg, k)
     stats = analytics.flicker_replicates(cfg, args.seeds, separatrix, args.min_dwell)
-    out = Path(args.out_dir)
-    json_path = io.write_flicker_json(out / "flicker.json", stats, separatrix,
+    json_path = io.write_flicker_json(Path(args.out_dir) / "flicker.json", stats, separatrix,
                                       args.min_dwell)
-    manifest = io.build_manifest("flicker", cfg, cfg.seed, [json_path])
-    return [json_path, io.write_manifest(out / "manifest.json", manifest)]
+    return cfg, [json_path], None
 
 
+# each returns (spec, data file paths, extra manifest keys or None)
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "bifurcation": _cmd_bifurcation,
@@ -254,7 +238,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        outputs = _COMMANDS[args.command](args)
+        spec, outputs, extra = _COMMANDS[args.command](args)
+        # a ScanConfig simulates nothing, so it has no seed
+        seed = None if isinstance(spec, ScanConfig) else getattr(spec, "base", spec).seed
+        manifest = io.build_manifest(args.command, spec, seed, outputs, extra=extra)
+        outputs = [*outputs, io.write_manifest(Path(args.out_dir) / "manifest.json", manifest)]
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -7,6 +7,9 @@ default seed, so rerunning a preset is reproducible out of the box:
     fig4a-fig4d   single trajectories at c = 1, 1.95, 2.45, 3.1
     fig5          utility sweep over c for three adaptive capacities
     fig6          specialist-vs-generalist transformation comparison
+
+The grid specs' field defaults are what the bifurcation, sweep and
+transform commands run when no preset is given.
 """
 
 from __future__ import annotations
@@ -20,13 +23,17 @@ from .simulate import DEFAULT_SEED, SimConfig
 from .wellbeing import GENERALIST, SPECIALIST, CaseProfile
 
 
+# the c grid of fig5 and fig6, and of sweep and transform without a preset
+_SWEEP_GRID = tuple(float(c) for c in np.linspace(0.25, 3.5, 40))
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Extraction-rate grid for a bifurcation scan."""
 
-    eco: EcoParams
-    c_min: float
-    c_max: float
+    eco: EcoParams = EcoParams()
+    c_min: float = 0.0
+    c_max: float = 4.0
     n_steps: int = 400
 
 
@@ -34,9 +41,9 @@ class ScanConfig:
 class SweepConfig:
     """Grid bundle for a utility sweep (c is taken from c_grid, not base.eco)."""
 
-    base: SimConfig
-    c_grid: tuple[float, ...]
-    l_values: tuple[float, ...]
+    base: SimConfig = SimConfig()
+    c_grid: tuple[float, ...] = _SWEEP_GRID
+    l_values: tuple[float, ...] = (0.001, 0.01, 0.1)
     n_seeds: int = 10
 
 
@@ -44,11 +51,11 @@ class SweepConfig:
 class TransformConfig:
     """Grid bundle for the transformation comparison at one adaptive capacity."""
 
-    base: SimConfig
-    baseline_case: CaseProfile
-    transform_case: CaseProfile
-    c_grid: tuple[float, ...]
-    l: float
+    base: SimConfig = SimConfig()
+    baseline_case: CaseProfile = SPECIALIST
+    transform_case: CaseProfile = GENERALIST
+    c_grid: tuple[float, ...] = _SWEEP_GRID
+    l: float = 0.001
     n_seeds: int = 10
 
 
@@ -62,26 +69,14 @@ def _trajectory_preset(c: float) -> SimConfig:
     )
 
 
-_SWEEP_GRID = tuple(float(c) for c in np.linspace(0.25, 3.5, 40))
-
 PRESETS: dict[str, ScanConfig | SimConfig | SweepConfig | TransformConfig] = {
     "fig2": ScanConfig(eco=EcoParams(r=1.0, K=10.0, c=1.0, h=1.0), c_min=1.0, c_max=3.5),
     "fig4a": _trajectory_preset(1.0),
     "fig4b": _trajectory_preset(1.95),
     "fig4c": _trajectory_preset(2.45),
     "fig4d": _trajectory_preset(3.1),
-    "fig5": SweepConfig(
-        base=_trajectory_preset(1.0),
-        c_grid=_SWEEP_GRID,
-        l_values=(0.001, 0.01, 0.1),
-    ),
-    "fig6": TransformConfig(
-        base=_trajectory_preset(1.0),
-        baseline_case=SPECIALIST,
-        transform_case=GENERALIST,
-        c_grid=_SWEEP_GRID,
-        l=0.001,
-    ),
+    "fig5": SweepConfig(base=_trajectory_preset(1.0)),
+    "fig6": TransformConfig(base=_trajectory_preset(1.0)),
 }
 
 

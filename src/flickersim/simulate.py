@@ -60,6 +60,10 @@ STREAM_SPAN = 32
 # replicates); grid rows share their noise and cross later, near 48-64.  The
 # crossover table is in BENCH_10.json.
 SCALAR_ROWS = 36
+# Most bytes that _KeptSeries may allocate for the full post-burn-in X, I and
+# Y series: 1 GiB holds ~44.7 million steps of one run_trajectory.  Above
+# it, a run fails with a named ValueError instead of an unnamed MemoryError.
+KEPT_SERIES_MAX_BYTES = 1 << 30
 
 
 class NonFiniteStateError(ValueError):
@@ -353,10 +357,18 @@ class _KeptSeries:
 
     Shapes are those of the spans over the t_max - burn_in kept steps, filled
     in place: joining the spans at the end would hold the series twice.
+    Raises ValueError when they would take more than KEPT_SERIES_MAX_BYTES.
     """
 
     def __init__(self, configs: list[SimConfig], n_rows: int, n_l: int) -> None:
         n_kept = configs[0].t_max - configs[0].burn_in
+        # float64 X and every Y over (c, row), and I over rows
+        n_bytes = 8 * n_rows * n_kept * (len(configs) * (1 + n_l) + 1)
+        if n_bytes > KEPT_SERIES_MAX_BYTES:
+            raise ValueError(
+                f"keeping sim.t_max - sim.burn_in = {n_kept} steps needs {n_bytes} bytes, "
+                f"above KEPT_SERIES_MAX_BYTES = {KEPT_SERIES_MAX_BYTES}; "
+                "lower sim.t_max or raise sim.burn_in")
         self.X = np.empty((len(configs), n_rows, n_kept))
         self.I = np.empty((n_rows, n_kept))
         self.Y = np.empty((n_l,) + self.X.shape)
@@ -372,21 +384,21 @@ class _KeptSeries:
 class _CellSums:
     """Span consumer summing each row after burn-in.
 
-    Rows are (c, replicate), shape (n_c, n_seeds).  Sums x, payoff per
-    profile and utility per (l, profile), reading each capacity's adapted
-    states from the span's Y.  With digest, each c's post-burn-in x series
-    is also hashed span by span.
+    Rows are (c, replicate), shape (n_c, n_seeds).  Sums payoff per profile
+    and utility per (l, profile), reading each capacity's adapted states
+    from the span's Y.  With environment, which transform_comparison reads,
+    x is summed too and each c's post-burn-in x series hashed span by span.
     """
 
     def __init__(self, configs: list[SimConfig], n_seeds: int, n_l: int, profiles,
-                 digest: bool) -> None:
+                 environment: bool) -> None:
         shape = (len(configs), n_seeds)
         self.n_kept = configs[0].t_max - configs[0].burn_in
         self.profiles = [p.params for p in profiles]
-        self.x = np.zeros(shape)
+        self.x = np.zeros(shape) if environment else None
         self.payoff = [np.zeros(shape) for _ in profiles]
         self.utility = [[np.zeros(shape) for _ in profiles] for _ in range(n_l)]
-        self.digests = [hashlib.sha256() for _ in configs] if digest else []
+        self.digests = [hashlib.sha256() for _ in configs] if environment else []
 
     def add(self, skip: int, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
         Xk = X[..., skip:]
@@ -394,7 +406,8 @@ class _CellSums:
         for Yl, sums in zip(Y, self.utility):
             for total, w in zip(sums, self.profiles):
                 total += utility(Xk, Yl[..., skip:], w).sum(axis=-1)
-        self.x += Xk.sum(axis=-1)
+        if self.x is not None:
+            self.x += Xk.sum(axis=-1)
         for total, w in zip(self.payoff, self.profiles):
             total += payoff(Xk, w).sum(axis=-1)
         for digest, rows in zip(self.digests, Xk):
@@ -424,7 +437,7 @@ def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
 
 
 def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
-                  digest: bool = False, check: bool = False):
+                  environment: bool = False, check: bool = False):
     """Resolved config (or error) per c, and the _CellSums of the resolved ones.
 
     check is :func:`_consume`'s: on for run_ensemble, off for the grids.
@@ -433,7 +446,7 @@ def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
     ok = [cfg for cfg in configs if isinstance(cfg, SimConfig)]
     if not ok:
         return configs, None
-    sums = _CellSums(ok, n_seeds, len(l_values), profiles, digest)
+    sums = _CellSums(ok, n_seeds, len(l_values), profiles, environment)
     return configs, _consume(ok, range(n_seeds), l_values, sums, check)
 
 

@@ -9,6 +9,7 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,18 @@ class TestPresets:
         cfg = get_preset("fig2")
         assert isinstance(cfg, ScanConfig)
         assert (cfg.c_min, cfg.c_max) == (1.0, 3.5)
+
+    @pytest.mark.parametrize("spec,values", [
+        (ScanConfig(), (EcoParams(), 0.0, 4.0, 400)),
+        (SweepConfig(), (SimConfig(), tuple(float(c) for c in np.linspace(0.25, 3.5, 40)),
+                         (0.001, 0.01, 0.1), 10)),
+        (TransformConfig(), (SimConfig(), PROFILES["specialist"], PROFILES["generalist"],
+                             tuple(float(c) for c in np.linspace(0.25, 3.5, 40)), 0.001, 10)),
+    ], ids=["scan", "sweep", "transform"])
+    def test_spec_defaults_are_the_cli_fallbacks(self, spec, values):
+        """The values the CLI built by hand without a preset, before the
+        specs declared them as field defaults."""
+        assert tuple(getattr(spec, f.name) for f in fields(spec)) == values
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError, match="known presets"):
@@ -554,6 +567,46 @@ class TestCli:
         assert err["error"] == "ConfigError"
         assert all(flag in err["message"] for flag in flags if flag.startswith("--"))
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,preset,data", [
+        ("sweep", "fig5", "sweep.csv"),
+        ("transform", "fig6", "transform.csv"),
+    ])
+    def test_no_preset_runs_the_preset_grid(self, tmp_path, command, preset, data):
+        small = ("--seeds", "1", "--t-max", "60", "--burn-in", "10")
+        for name, flags in (("default", ()), ("preset", ("--preset", preset))):
+            assert run_cli(command, *flags, *small, "--out-dir", tmp_path / name) == 0
+        outs = [tmp_path / "default", tmp_path / "preset"]
+        assert len({(out / data).read_bytes() for out in outs}) == 1
+        assert len({json.loads((out / "manifest.json").read_text())["config_fingerprint"]
+                    for out in outs}) == 1
+
+    @pytest.mark.parametrize("argv,seed", [
+        (["simulate", "--preset", "fig4b", "--seed", "7"], 7),
+        (["bifurcation", "--steps", "9"], None),
+        (["sweep", "--steps", "3", "--seeds", "1", "--seed", "8"], 8),
+        (["transform", "--steps", "3", "--seeds", "1"], simulate.DEFAULT_SEED),
+        (["flicker", "--preset", "fig4b", "--seed", "9"], 9),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_manifest_lists_the_printed_data_files(self, tmp_path, capsys, argv, seed):
+        if argv[0] != "bifurcation":
+            argv = [*argv, "--t-max", "60", "--burn-in", "10"]
+        assert run_cli(*argv, "--out-dir", tmp_path) == 0
+        printed = capsys.readouterr().out.splitlines()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert printed == [*manifest["outputs"], str(tmp_path / "manifest.json")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(Path(p).name for p in printed)
+        assert (manifest["command"], manifest["master_seed"]) == (argv[0], seed)
+
+    def test_range_flags_allowed_with_a_config_file(self, tmp_path):
+        """A config file holds a SimConfig and never a c range, so the flags set it."""
+        cfg_path = tmp_path / "c.yaml"
+        write_config(SimConfig(t_max=60, burn_in=10), cfg_path)
+        assert run_cli("sweep", "--config", cfg_path, "--c-min", "1", "--c-max", "2",
+                       "--steps", "3", "--seeds", "1", "--out-dir", tmp_path / "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["c_grid"] == [1.0, 1.5, 2.0]
+        assert manifest["config"]["base"]["sim"]["t_max"] == 60
 
     def test_transform_outputs(self, tmp_path):
         code = run_cli("transform", "--c-min", "1.0", "--c-max", "3.0", "--steps", "4",

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flickersim import (
@@ -21,6 +21,7 @@ from flickersim import (
     NonFiniteStateError,
     SimConfig,
     SystemState,
+    classify_regime,
     get_preset,
     innovation_stream,
     run_ensemble,
@@ -248,11 +249,21 @@ def ensemble_cells(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(ensemble_cells())
+# r = 2 leaves the one positive equilibrium unstable: the sweep row carries
+# classify_regime's message, and its averages are still the cell's
+@example((SimConfig(eco=EcoParams(r=2.0, K=1.0, c=0.0, h=1.0),
+                    noise=NoiseParams(T=1.0, beta=0.0), adapt=AdaptationParams(0.0),
+                    t_max=1, burn_in=0, x0=0.0, y0=0.0, seed=0), 1))
 def test_run_ensemble_is_one_sweep_cell(cell):
     cfg, n = cell
     summary = run_ensemble(cfg, n)
     [row] = utility_sweep(cfg, [cfg.eco.c], [cfg.adapt.l], n)
-    assert row.error is None
+    try:
+        classify_regime(cfg.eco)
+        regime_error = None
+    except Exception as exc:
+        regime_error = str(exc)
+    assert row.error == regime_error
     assert (summary.mean_payoff, summary.stderr_payoff, summary.mean_utility,
             summary.stderr_utility) == (row.avg_payoff, row.stderr_payoff, row.avg_utility,
                                         row.stderr_utility)

@@ -19,6 +19,7 @@ from flickersim import (
     step_adaptation,
     utility,
 )
+from flickersim import simulate
 from oracles import adaptation_paths, replay_trajectory, span_summed_mean
 from test_engine import HORIZONS
 
@@ -166,6 +167,22 @@ class TestRunTrajectory:
         tr = run_trajectory(cfg)
         assert np.all(tr.xs >= 0.0)
         assert np.all(tr.ys >= 0.0)
+
+    def test_kept_series_above_the_cap_fail_by_name(self, monkeypatch):
+        # SMALL keeps 350 steps of x, i and y: 3 * 8 * 350 bytes
+        monkeypatch.setattr(simulate, "KEPT_SERIES_MAX_BYTES", 8400)
+        assert len(run_trajectory(SMALL)) == 350
+        monkeypatch.setattr(simulate, "KEPT_SERIES_MAX_BYTES", 8399)
+
+        def no_simulation(*args):
+            raise AssertionError("a simulation ran")
+
+        monkeypatch.setattr(simulate, "stream_spans", no_simulation)
+        with pytest.raises(ValueError) as exc:
+            run_trajectory(SMALL)
+        assert str(exc.value) == (
+            "keeping sim.t_max - sim.burn_in = 350 steps needs 8400 bytes, "
+            "above KEPT_SERIES_MAX_BYTES = 8399; lower sim.t_max or raise sim.burn_in")
 
 
 class TestRunEnsemble:
