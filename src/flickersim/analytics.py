@@ -153,8 +153,8 @@ class _Dwells:
         self.start = [0] * n_seeds
         self.n = 0
 
-    def add(self, skip: int, X: np.ndarray, I, Y) -> None:
-        high = X.reshape(len(self.start), -1)[:, skip:] >= self.separatrix
+    def add(self, X: np.ndarray, I, Y) -> None:
+        high = X.reshape(len(self.start), -1) >= self.separatrix
         if not high.size:
             raise ValueError("empty trajectory")
         if not self.n:  # the first kept step opens each row's first dwell
@@ -194,7 +194,7 @@ def flicker_stats(xs, separatrix: float, min_dwell: int = DEFAULT_MIN_DWELL) -> 
     min_dwell=1 disables debouncing.
     """
     dwells = _Dwells(1, separatrix, min_dwell)
-    dwells.add(0, np.asarray(xs, dtype=float).reshape(1, -1), None, None)
+    dwells.add(np.asarray(xs, dtype=float).reshape(1, -1), None, None)
     return dwells.stats()[0]
 
 
@@ -268,7 +268,8 @@ def utility_sweep(
     parallel, on at most one process per usable CPU.  The row order and
     values do not depend on workers, which must be at least 1.  c values
     need not be sorted, but must be finite and distinct (GridError); a cell
-    whose averages are not finite carries an error.
+    whose averages are not finite, or whose regime is undefined, carries an
+    error.
     """
     c_grid = _check_grid(c_grid, increasing=False)
     l_values = [float(l) for l in l_values]
@@ -345,7 +346,8 @@ def transform_comparison(
     adaptive capacity l.  The first grid crossings (transform rising above
     baseline) are the roots of the linearly interpolated ensemble mean
     differences.  c_grid must be finite and strictly increasing (GridError);
-    a grid point whose averages are not finite carries an error and is left
+    a grid point whose averages are not finite, or whose regime is
+    undefined, carries an error, as a utility_sweep cell does, and is left
     out of the crossing search.
     """
     c_grid = _check_grid(c_grid, increasing=True)
@@ -356,7 +358,7 @@ def transform_comparison(
                                   [baseline_case, transform_case], environment=True)
     rows, j = [], 0
     for c, cfg in zip(c_grid, configs):
-        regime, _ = _regime_at(base.eco, c)
+        regime, regime_err = _regime_at(base.eco, c)
         if isinstance(cfg, Exception):
             rows.append(ComparisonRow(c, regime, *[float("nan")] * 9, error=str(cfg)))
             continue
@@ -366,7 +368,7 @@ def transform_comparison(
         mean_x = float(sums.x[j].sum() / (n_seeds * sums.n_kept))
         digest = sums.digests[j].hexdigest()[:16]
         row = ComparisonRow(c, regime, mean_x, *stats, digest, digest)
-        rows.append(_flag_nonfinite(row))
+        rows.append(_flag_nonfinite(row, regime_err))
         j += 1
 
     ok = [row for row in rows if row.error is None]

@@ -68,7 +68,6 @@ def _add_c_range(sub: argparse.ArgumentParser, kind: type) -> None:
 def _add_sim_overrides(sub: argparse.ArgumentParser) -> None:
     _add_run_flags(sub)
     sub.add_argument("--c", type=float, help="extraction rate override")
-    sub.add_argument("--l", type=float, help="adaptation rate override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="run one trajectory")
     _add_common(sim, SimConfig)
     _add_sim_overrides(sim)
+    sim.add_argument("--l", type=float, help="adaptation rate override")
     sim.add_argument("--case", choices=sorted(PROFILES),
                      help="wellbeing profile override")
 
@@ -141,7 +141,8 @@ def _grid_spec(args, kind: type):
     SimConfig; then the flags given, applied by field name.
 
     --c-min/--c-max/--steps default to the spec's own range and rebuild it;
-    with a preset, any of them is a ConfigError instead of being ignored.
+    with a preset, any of them is a ConfigError instead of being ignored,
+    and a grid of fewer than one c is a ConfigError naming --steps.
     """
     spec = io.load_run_config(args.preset, args.config) or SimConfig()
     if not isinstance(spec, kind):
@@ -159,6 +160,8 @@ def _grid_spec(args, kind: type):
                                for v, d in zip(flags.values(), _c_range(spec)))
         if kind is ScanConfig:
             updates.update(c_min=c_min, c_max=c_max, n_steps=steps)
+        elif steps < 1:
+            raise io.ConfigError(f"--steps must be >= 1, got {steps}")
         else:
             updates["c_grid"] = tuple(float(c) for c in np.linspace(c_min, c_max, steps))
     if kind is not ScanConfig:

@@ -143,7 +143,7 @@ def step_noise(i: float, noise: NoiseParams, eta: float) -> float:
 
     eta is one innovation, drawn by the caller from Normal(mu, beta^2).
     """
-    return (1.0 - 1.0 / noise.T) * i + eta
+    return noise.memory * i + eta
 
 
 def step_adaptation(x: float, y: float, adapt: AdaptationParams) -> float:

@@ -8,17 +8,17 @@ point expressions as the scalar step functions in
 :mod:`flickersim.dynamics`, batched across replicates; a replay through
 ``step_coupled`` reproduces any trajectory bit for bit.
 
-Every route runs on one span driver, :func:`stream_spans`: it advances all
-(c, replicate) rows of a run together, x, i and the adapted state y of every
-adaptive capacity in the same time loop, and yields fixed spans of
-STREAM_SPAN steps.  Every c reuses the same replicate substreams, and Philox
-draws are counter-based, so a span-by-span draw equals a whole-series draw.
-One loop, :func:`_consume`, feeds each span to a consumer's add(skip, X, I,
-Y): :class:`_KeptSeries` keeps the post-burn-in states for run_trajectory;
-in O(rows x STREAM_SPAN) memory, ``analytics._Dwells`` counts basin dwells
-for flicker and :class:`_CellSums` sums each row for run_ensemble (one cell)
-and the sweep and transform grids.  The loop checks each span for the routes
-that fail at the first non-finite step, and lets the grids flag such cells.
+Every route runs on one span driver, :func:`stream_spans`: it draws each
+span of STREAM_SPAN steps from the replicate substreams, and its kernel
+advances all (c, replicate) rows of a run together, x, i and the adapted
+state y of every adaptive capacity in one time loop.  Every c reuses the
+same substreams; Philox is counter-based, so span-by-span draws equal a
+whole-series draw.  One loop, :func:`_consume`, checks each span for the
+routes that fail at the first non-finite step, drops the burn-in and feeds
+the rest to a consumer's add(X, I, Y): :class:`_KeptSeries` keeps it for
+run_trajectory; in O(rows x STREAM_SPAN) memory, ``analytics._Dwells``
+counts basin dwells for flicker and :class:`_CellSums` sums each row for
+run_ensemble (one cell) and the sweep and transform grids.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
 step costs about the same ~20-35 us whether it advances 1 row or 64, while a
@@ -225,7 +225,7 @@ def _simulate_paths(
     X = np.empty(x.shape + (n + 1,))
     I = np.empty(i.shape + (n + 1,))
     Y = np.empty(y.shape + (n + 1,))
-    phi = 1.0 - 1.0 / noise.T
+    phi = noise.memory
     for t in range(n):
         X[..., t] = x
         I[:, t] = i
@@ -247,65 +247,62 @@ def stream_spans(configs: list[SimConfig], replicates, l_values):
     :func:`grid_configs` returns them.  They share the replicate substreams,
     so one set of innovation rows drives every c, and every adaptive
     capacity in l_values follows every (c, replicate) row from its config's
-    y0.  Yields (skip, X, I, Y) for each span of n <= STREAM_SPAN steps: the
-    environment states X, shape (len(configs), len(replicates), n), the noise
-    levels I, shape (len(replicates), n), and the adapted states Y, shape
-    (len(l_values),) + X.shape, at the span's steps.  The first skip columns
-    are burn-in (skip may exceed n).
+    y0.  Yields (X, I, Y) for each span of n <= STREAM_SPAN steps up to
+    t_max, burn-in included: the environment states X, shape (len(configs),
+    len(replicates), n), the noise levels I, shape (len(replicates), n), and
+    the adapted states Y, shape (len(l_values),) + X.shape.
 
+    The driver draws each span's innovation block; its kernel only steps.
     Fewer than SCALAR_ROWS rows run on the Python-float kernel, the rest on
     the numpy block kernel; both yield the same spans bit for bit.
     """
-    adapts = [AdaptationParams(float(l)) for l in l_values]  # rejects l outside [0, 1]
-    rows = len(configs) * len(replicates)
-    kernel = _scalar_spans if rows < SCALAR_ROWS else _block_spans
-    return kernel(configs, replicates, adapts)
+    ls = [AdaptationParams(float(l)).l for l in l_values]  # rejects l outside [0, 1]
+    first = configs[0]
+    streams = [innovation_stream(first.seed, k) for k in replicates]
+    blocks = (_draw_innovations(first.noise, streams, min(STREAM_SPAN, first.t_max - t))
+              for t in range(0, first.t_max, STREAM_SPAN))
+    kernel = _scalar_spans if len(configs) * len(streams) < SCALAR_ROWS else _block_spans
+    return kernel(configs, len(streams), ls, blocks)
 
 
-def _block_spans(configs: list[SimConfig], replicates, adapts: list[AdaptationParams]):
+def _block_spans(configs: list[SimConfig], n_rows: int, ls: list[float], blocks):
     """:func:`stream_spans` with every row advanced as one numpy block."""
     first = configs[0]
-    n_rows = len(replicates)
     # c at the full state shape: an (n_c, 1) column broadcasts ~40% slower
     c = np.repeat([[cfg.eco.c] for cfg in configs], n_rows, axis=1)
     x = np.repeat([[cfg.x0] for cfg in configs], n_rows, axis=1)
     i = np.full(n_rows, first.i0, dtype=float)
-    l = np.reshape([adapt.l for adapt in adapts], (-1, 1, 1))
+    l = np.reshape(ls, (-1, 1, 1))
     y = np.broadcast_to(np.repeat([[cfg.y0] for cfg in configs], n_rows, axis=1),
-                        (len(adapts),) + x.shape)
-    streams = [innovation_stream(first.seed, k) for k in replicates]
-    for t in range(0, first.t_max, STREAM_SPAN):
-        etas = _draw_innovations(first.noise, streams, min(STREAM_SPAN, first.t_max - t))
+                        (len(ls),) + x.shape)
+    for etas in blocks:
         X, I, Y = _simulate_paths(first.eco, first.noise, c, l, x, i, y, etas)
         x, i, y = X[..., -1], I[:, -1], Y[..., -1]
-        yield max(first.burn_in - t, 0), X[..., :-1], I[:, :-1], Y[..., :-1]
+        yield X[..., :-1], I[:, :-1], Y[..., :-1]
 
 
-def _scalar_spans(configs: list[SimConfig], replicates, adapts: list[AdaptationParams]):
+def _scalar_spans(configs: list[SimConfig], n_rows: int, ls: list[float], blocks):
     """:func:`stream_spans` with each row advanced in Python floats.
 
-    Draws the same innovation rows as the block kernel.  Each row's
-    parameters are bound to locals once per run, and every step evaluates
-    step_noise's, step_environment's and step_adaptation's expressions
-    inline, with the same operands in the same association, so the spans
-    agree bit for bit with the block kernel and with a step_coupled replay.
+    Each row's parameters are bound to locals once per run, and every step
+    evaluates step_noise's, step_environment's and step_adaptation's
+    expressions inline, with the same operands in the same association, so
+    the spans agree bit for bit with the block kernel and with a
+    step_coupled replay.
     """
     first = configs[0]
-    phi = 1.0 - 1.0 / first.noise.T
-    shape = (len(configs), len(replicates))
+    phi = first.noise.memory
+    shape = (len(configs), n_rows)
     # the (c, replicate) rows in C order with their growth and harvest
     # constants, and the states at the first step of the next span: per
     # replicate, per row and per (l, row)
     rows = [(cfg.eco.r, cfg.eco.K, cfg.eco.c, cfg.eco.h * cfg.eco.h, k)
-            for cfg in configs for k in range(len(replicates))]
-    ls = [adapt.l for adapt in adapts]
-    i_next = [float(first.i0)] * len(replicates)
-    x_next = [float(cfg.x0) for cfg in configs for _ in replicates]
-    y_next = [[float(cfg.y0) for cfg in configs for _ in replicates] for _ in adapts]
-    streams = [innovation_stream(first.seed, k) for k in replicates]
-    for t in range(0, first.t_max, STREAM_SPAN):
-        n = min(STREAM_SPAN, first.t_max - t)
-        etas = _draw_innovations(first.noise, streams, n)
+            for cfg in configs for k in range(n_rows)]
+    i_next = [float(first.i0)] * n_rows
+    x_next = [float(cfg.x0) for cfg in configs for _ in range(n_rows)]
+    y_next = [[float(cfg.y0) for cfg in configs for _ in range(n_rows)] for _ in ls]
+    for etas in blocks:
+        n = etas.shape[1]
         I = []
         for k, row in enumerate(etas.tolist()):
             i, Ik = i_next[k], []
@@ -314,7 +311,7 @@ def _scalar_spans(configs: list[SimConfig], replicates, adapts: list[AdaptationP
                 i = phi * i + eta
             i_next[k] = i
             I.append(Ik)
-        X, Y = [], [[] for _ in adapts]
+        X, Y = [], [[] for _ in ls]
         for j, (r, K, c, hh, k) in enumerate(rows):
             x, Xr = x_next[j], []
             for i in I[k]:
@@ -331,8 +328,8 @@ def _scalar_spans(configs: list[SimConfig], replicates, adapts: list[AdaptationP
                     y = l * (xt - y) + y
                 ys[j] = y
                 Yl.append(Yr)
-        yield (max(first.burn_in - t, 0), np.array(X).reshape(shape + (n,)), np.array(I),
-               np.array(Y).reshape((len(adapts),) + shape + (n,)))
+        yield (np.array(X).reshape(shape + (n,)), np.array(I),
+               np.array(Y).reshape((len(ls),) + shape + (n,)))
 
 
 def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int) -> None:
@@ -374,44 +371,43 @@ class _KeptSeries:
         self.Y = np.empty((n_l,) + self.X.shape)
         self.filled = 0
 
-    def add(self, skip: int, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
-        kept = slice(self.filled, self.filled + X.shape[-1] - skip)
-        self.X[..., kept], self.Y[..., kept] = X[..., skip:], Y[..., skip:]
-        self.I[:, kept] = I[:, skip:]
+    def add(self, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
+        kept = slice(self.filled, self.filled + X.shape[-1])
+        self.X[..., kept], self.I[:, kept], self.Y[..., kept] = X, I, Y
         self.filled = kept.stop
 
 
 class _CellSums:
-    """Span consumer summing each row after burn-in.
+    """Span consumer summing each row over the n_kept steps it is fed.
 
     Rows are (c, replicate), shape (n_c, n_seeds).  Sums payoff per profile
     and utility per (l, profile), reading each capacity's adapted states
     from the span's Y.  With environment, which transform_comparison reads,
-    x is summed too and each c's post-burn-in x series hashed span by span.
+    x is summed too and each c's x series hashed span by span.
     """
 
     def __init__(self, configs: list[SimConfig], n_seeds: int, n_l: int, profiles,
                  environment: bool) -> None:
         shape = (len(configs), n_seeds)
-        self.n_kept = configs[0].t_max - configs[0].burn_in
+        self.n_kept = 0
         self.profiles = [p.params for p in profiles]
         self.x = np.zeros(shape) if environment else None
         self.payoff = [np.zeros(shape) for _ in profiles]
         self.utility = [[np.zeros(shape) for _ in profiles] for _ in range(n_l)]
         self.digests = [hashlib.sha256() for _ in configs] if environment else []
 
-    def add(self, skip: int, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
-        Xk = X[..., skip:]
+    def add(self, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
         # one l at a time: utility broadcast over the stacked Y is ~2.5x slower
         for Yl, sums in zip(Y, self.utility):
             for total, w in zip(sums, self.profiles):
-                total += utility(Xk, Yl[..., skip:], w).sum(axis=-1)
+                total += utility(X, Yl, w).sum(axis=-1)
         if self.x is not None:
-            self.x += Xk.sum(axis=-1)
+            self.x += X.sum(axis=-1)
         for total, w in zip(self.payoff, self.profiles):
-            total += payoff(Xk, w).sum(axis=-1)
-        for digest, rows in zip(self.digests, Xk):
+            total += payoff(X, w).sum(axis=-1)
+        for digest, rows in zip(self.digests, X):
             digest.update(np.ascontiguousarray(rows).tobytes())
+        self.n_kept += X.shape[-1]
 
     def averages(self, totals: np.ndarray) -> tuple[np.ndarray, float, float]:
         """One cell's per-replicate time averages from their sums, their mean and its stderr."""
@@ -420,19 +416,19 @@ class _CellSums:
 
 
 def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
-    """Feed each span with post-burn-in steps to sink.add(skip, X, I, Y); returns sink.
+    """Feed the post-burn-in steps of each span to sink.add(X, I, Y); returns sink.
 
     With check, each span is checked as it arrives, burn-in included, so an
     overflowed run raises NonFiniteStateError at its first non-finite step;
     without, non-finite states reach the sink, as grid cells flag them.
     """
-    t = 0
-    for skip, X, I, Y in stream_spans(configs, replicates, l_values):
+    t, burn_in = 0, configs[0].burn_in
+    for X, I, Y in stream_spans(configs, replicates, l_values):
         if check:
             _check_finite(configs, X, t)
-        t += X.shape[-1]
-        if skip < X.shape[-1]:
-            sink.add(skip, X, I, Y)
+        skip, t = max(burn_in - t, 0), t + X.shape[-1]
+        if t > burn_in:
+            sink.add(X[..., skip:], I[..., skip:], Y[..., skip:])
     return sink
 
 

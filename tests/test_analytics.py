@@ -126,7 +126,7 @@ def test_dwell_counter_equals_run_length_encoding(case):
     bounds = [0, *cuts, X.shape[1]]
     for lo, hi in zip(bounds, bounds[1:]):
         if hi > burn_in:  # as simulate._consume feeds spans
-            dwells.add(max(burn_in - lo, 0), X[None, :, lo:hi], None, None)
+            dwells.add(X[None, :, max(lo, burn_in):hi], None, None)
     want = [run_length_flicker_stats(row[burn_in:], 5.0, min_dwell) for row in X]
     assert dwells.stats() == want
     assert [flicker_stats(row[burn_in:], 5.0, min_dwell) for row in X] == want
@@ -225,6 +225,18 @@ def test_sweep_records_regime_errors_per_cell():
     assert rows[0].regime is None
     assert rows[0].error
     assert np.isfinite(rows[0].avg_payoff)
+
+
+def test_transform_records_regime_errors_as_sweep_does():
+    # the same cell as above: transform carries the regime failure too, so the
+    # cell leaves the crossing search like any other error cell
+    cfg = replace(FAST, eco=EcoParams(r=2.5, K=10.0, c=0.5, h=1.0), x0=5.0, y0=5.0)
+    sweep_row = utility_sweep(cfg, c_grid=[0.5], l_values=[0.01], n_seeds=2)[0]
+    trans_row = transform_comparison(cfg, SPECIALIST, GENERALIST, c_grid=[0.5], l=0.01,
+                                     n_seeds=2).rows[0]
+    assert sweep_row.error.startswith("0 stable / 1 positive equilibria")
+    assert (trans_row.regime, trans_row.error) == (sweep_row.regime, sweep_row.error)
+    assert trans_row.avg_payoff_baseline == sweep_row.avg_payoff
 
 
 class TestTransformComparison:

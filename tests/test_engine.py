@@ -3,8 +3,10 @@ memory, grid validation and flagged non-finite cells."""
 
 import json
 import signal
+import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,6 +87,24 @@ class TestBlockRows:
         good = [row for row in rows if row.c != -1.0]
         assert good == utility_sweep(BASE, [0.5, 1.5], L_VALUES, n_seeds=2)
 
+    def test_unresolvable_c_rows_are_nan_but_for_the_cell(self):
+        # walks the row fields, so a field added to either row type is covered
+        with pytest.raises(ValueError) as exc:
+            EcoParams(c=-1.0)
+        sweep = utility_sweep(BASE, [-1.0], L_VALUES, n_seeds=2)
+        report = transform_comparison(BASE, SPECIALIST, GENERALIST, [-1.0], 0.01, n_seeds=2)
+        assert len(sweep) == len(L_VALUES) and len(report.rows) == 1
+        for row in (*sweep, *report.rows):
+            assert (row.c, row.regime, row.error) == (-1.0, None, str(exc.value))
+            for f in fields(row):
+                value = getattr(row, f.name)
+                if f.name.startswith("x_digest"):
+                    assert value == ""
+                elif f.type in (float, "float") and f.name not in ("c", "l"):
+                    assert np.isnan(value), f.name
+        assert [row.l for row in sweep] == L_VALUES
+        assert report.c_cross_perfect is None and report.c_cross_adaptive is None
+
     def test_workers_split_rows_without_changing_them(self):
         grid = [0.25, 0.5, 1.0, 1.5, 1.95]
         rows = utility_sweep(BASE, grid, L_VALUES, n_seeds=2)
@@ -94,8 +114,16 @@ class TestBlockRows:
 KERNELS = [_scalar_spans, _block_spans]
 
 
+def forced(kernel):
+    """A patch under which stream_spans steps every run on kernel."""
+    rows = sys.maxsize if kernel is _scalar_spans else 0
+    return mock.patch.object(simulate, "SCALAR_ROWS", rows)
+
+
 def kernel_spans(kernel, configs, replicates, l_values):
-    return kernel(configs, replicates, [AdaptationParams(l) for l in l_values])
+    """stream_spans' (X, I, Y) spans, stepped by the given kernel."""
+    with forced(kernel):
+        return list(simulate.stream_spans(configs, replicates, l_values))
 
 
 class TestAdaptationFilter:
@@ -108,7 +136,7 @@ class TestAdaptationFilter:
         configs = [*(grid_configs(replace(base, x0=2.0, y0=y0), [1.95])[0] for y0 in (1.0, 2.0, 3.0)),
                    *grid_configs(base, C_VALUES)]
         for kernel in KERNELS:
-            parts = zip(*(span[1:] for span in kernel_spans(kernel, configs, [0, 2], [l])))
+            parts = zip(*kernel_spans(kernel, configs, [0, 2], [l]))
             X, _, Y = (np.concatenate(part, axis=-1) for part in parts)
             assert Y.shape == (1,) + X.shape
             for j, cfg in enumerate(configs):
@@ -121,9 +149,9 @@ class TestAdaptationFilter:
         for kernel in KERNELS:
             stacked = kernel_spans(kernel, configs, [0, 1, 4], l_values)
             singles = [kernel_spans(kernel, configs, [0, 1, 4], [l]) for l in l_values]
-            for (_, X, _, Y), *ones in zip(stacked, *singles):
+            for (X, _, Y), *ones in zip(stacked, *singles):
                 assert Y.shape == (len(l_values),) + X.shape
-                for Yl, (_, _, _, single) in zip(Y, ones):
+                for Yl, (_, _, single) in zip(Y, ones):
                     assert np.array_equal(Yl, single[0])
 
 

@@ -683,6 +683,24 @@ class TestCli:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
+    def test_flicker_takes_no_l(self, capsys):
+        # flicker follows no adaptive capacity, so --l would change no data
+        with pytest.raises(SystemExit) as exit_:
+            cli.build_parser().parse_args(["flicker", "--preset", "fig4b", "--l", "0.5"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --l 0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["-1", "0"])
+    @pytest.mark.parametrize("command", ["sweep", "transform"])
+    def test_steps_below_one_named(self, tmp_path, capsys, command, steps):
+        out = tmp_path / "out"
+        code = run_cli(command, "--steps", steps, "--seeds", "1", "--t-max", "40",
+                       "--burn-in", "0", "--out-dir", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": f"--steps must be >= 1, got {steps}"}
+        assert not out.exists()
+
     def test_preset_choices_follow_preset_kinds(self):
         kinds = {"simulate": SimConfig, "flicker": SimConfig, "bifurcation": ScanConfig,
                  "sweep": SweepConfig, "transform": TransformConfig}

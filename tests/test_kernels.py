@@ -39,6 +39,7 @@ from flickersim.simulate import (
     SCALAR_ROWS,
     STREAM_SPAN,
     _block_spans,
+    _CellSums,
     _consume,
     _KeptSeries,
     _scalar_spans,
@@ -47,7 +48,8 @@ from flickersim.simulate import (
     stream_spans,
 )
 from oracles import adaptation_paths, replay_trajectory
-from test_engine import BASE, C_VALUES, HORIZONS, L_VALUES, at_c, replayed_mean_utility
+from test_engine import (BASE, C_VALUES, HORIZONS, L_VALUES, at_c, forced, kernel_spans,
+                         replayed_mean_utility)
 from test_simulate import SMALL
 
 # both sides of the threshold, plus fixed counts that keep the same cases
@@ -68,15 +70,14 @@ def kernel(request, monkeypatch):
 
 
 def spans(kernel, configs, replicates, l_values=Y_L_VALUES):
-    """(skip, X, I, Y) of every span, arrays as (shape, bytes): nan and -0.0 compare by bits."""
-    adapts = [AdaptationParams(l) for l in l_values]
-    return [(skip, *((a.shape, np.ascontiguousarray(a).tobytes()) for a in (X, I, Y)))
-            for skip, X, I, Y in kernel(configs, replicates, adapts)]
+    """(X, I, Y) of every span, arrays as (shape, bytes): nan and -0.0 compare by bits."""
+    return [tuple((a.shape, np.ascontiguousarray(a).tobytes()) for a in span)
+            for span in kernel_spans(kernel, configs, replicates, l_values)]
 
 
 def joined(configs, replicates, l_values):
     """X, I and Y of stream_spans at every step, burn-in included."""
-    parts = zip(*(span[1:] for span in stream_spans(configs, replicates, l_values)))
+    parts = zip(*stream_spans(configs, replicates, l_values))
     return [np.concatenate(part, axis=-1) for part in parts]
 
 
@@ -152,6 +153,46 @@ def coupled_replay(cfg: SimConfig, replicate: int) -> np.ndarray:
             x, i, y = (step_environment(x, i, cfg.eco), step_noise(i, cfg.noise, eta),
                        step_adaptation(x, y, cfg.adapt))
     return np.array(states).T
+
+
+class _Recorder:
+    """Sink that keeps a copy of every (X, I, Y) it is fed."""
+
+    def __init__(self) -> None:
+        self.spans = []
+
+    def add(self, X, I, Y) -> None:
+        self.spans.append((X.copy(), I.copy(), Y.copy()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(burn_in=st.integers(0, 3 * STREAM_SPAN + 5), kept=st.integers(1, 3 * STREAM_SPAN + 5))
+@example(burn_in=0, kept=2 * STREAM_SPAN + 3)                 # no burn-in
+@example(burn_in=STREAM_SPAN + 3, kept=STREAM_SPAN)           # ends mid-span
+@example(burn_in=STREAM_SPAN, kept=STREAM_SPAN + 1)           # ends on a span boundary
+@example(burn_in=2 * STREAM_SPAN + 5, kept=1)                 # longer than one span
+def test_consume_feeds_sinks_the_post_burn_in_steps(burn_in, kept):
+    base = replace(BASE, t_max=burn_in + kept, burn_in=burn_in)
+    configs = [*grid_configs(base, C_VALUES), *grid_configs(replace(base, x0=2.0, y0=1.0), [1.95])]
+    replicates = [0, 3]
+    for kernel in (_scalar_spans, _block_spans):
+        whole = [np.concatenate(part, axis=-1)
+                 for part in zip(*kernel_spans(kernel, configs, replicates, L_VALUES))]
+        with forced(kernel):
+            rec = _consume(configs, replicates, L_VALUES, _Recorder(), check=True)
+            sums = _consume(configs, replicates, L_VALUES,
+                            _CellSums(configs, len(replicates), len(L_VALUES), [SPECIALIST],
+                                      True), check=False)
+        assert all(span[0].shape[-1] > 0 for span in rec.spans)
+        got = [np.concatenate(part, axis=-1) for part in zip(*rec.spans)]
+        for part, full in zip(got, whole):
+            assert part.shape[-1] == kept
+            assert np.array_equal(part, full[..., burn_in:])
+        assert sums.n_kept == kept
+        x_sums = np.zeros(whole[0].shape[:-1])
+        for X, _, _ in rec.spans:  # the cell sums add up exactly the spans fed
+            x_sums += X.sum(axis=-1)
+        assert np.array_equal(sums.x, x_sums)
 
 
 @st.composite
