@@ -263,10 +263,10 @@ def utility_sweep(
 
     All l values at a given c are scored on the same environment paths
     (shared noise), and every c reuses the same replicate substreams, so
-    cells are directly comparable.  The grid is one streamed block; with
-    workers > 1 it is split into contiguous groups of c computed in
-    parallel, on at most one process per usable CPU.  The row order and
-    values do not depend on workers, which must be at least 1.  c values
+    cells are directly comparable.  The grid runs as min(workers, usable
+    CPUs, len(c_grid)) contiguous groups of c, one process each (none for
+    one group).  The row order and values do not depend on workers, the
+    most processes to open, which must be at least 1.  c values
     need not be sorted, but must be finite and distinct (GridError); a cell
     whose averages are not finite, or whose regime is undefined, carries an
     error.
@@ -279,16 +279,15 @@ def utility_sweep(
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n_groups = min(workers, len(c_grid))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_groups = min(workers, cpus or 1, len(c_grid))
     bounds = [k * len(c_grid) // n_groups for k in range(n_groups + 1)]
     jobs = [(base, c_grid[lo:hi], l_values, n_seeds) for lo, hi in zip(bounds, bounds[1:])]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if n_groups > 1:
-        with ProcessPoolExecutor(max_workers=min(n_groups, cpus or 1)) as pool:
-            groups = list(pool.map(_sweep_group, jobs))
+    if n_groups == 1:
+        rows = _sweep_group(jobs[0])
     else:
-        groups = [_sweep_group(job) for job in jobs]
-    rows = [row for group in groups for row in group]
+        with ProcessPoolExecutor(max_workers=n_groups) as pool:
+            rows = [row for group in pool.map(_sweep_group, jobs) for row in group]
     rows.sort(key=lambda row: (row.l, row.c))
     return rows
 

@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="adaptation rate (repeatable)")
     sweep.add_argument("--seeds", type=int, help="replicates per cell")
     sweep.add_argument("--workers", type=int, default=1,
-                       help="parallel workers, each over a contiguous group of c values; "
-                            "at most one process per usable CPU")
+                       help="most processes to open: the grid runs as min(WORKERS, usable CPUs, "
+                            "number of c) contiguous groups of c, one process each")
 
     trans = subs.add_parser("transform", help="specialist-vs-generalist comparison")
     _add_common(trans, TransformConfig)
@@ -142,7 +142,7 @@ def _grid_spec(args, kind: type):
 
     --c-min/--c-max/--steps default to the spec's own range and rebuild it;
     with a preset, any of them is a ConfigError instead of being ignored,
-    and a grid of fewer than one c is a ConfigError naming --steps.
+    as is a grid of fewer than one c, or of one c dropping a given --c-max.
     """
     spec = io.load_run_config(args.preset, args.config) or SimConfig()
     if not isinstance(spec, kind):
@@ -162,6 +162,8 @@ def _grid_spec(args, kind: type):
             updates.update(c_min=c_min, c_max=c_max, n_steps=steps)
         elif steps < 1:
             raise io.ConfigError(f"--steps must be >= 1, got {steps}")
+        elif steps == 1 and args.c_max is not None and c_max != c_min:
+            raise io.ConfigError(f"--steps 1 runs c = {c_min} alone, not --c-max {c_max}")
         else:
             updates["c_grid"] = tuple(float(c) for c in np.linspace(c_min, c_max, steps))
     if kind is not ScanConfig:

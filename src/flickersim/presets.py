@@ -1,7 +1,7 @@
 """Named parameter bundles reproducing the standard analyses.
 
-Each preset binds one analysis to a fixed parameter set and the shared
-default seed, so rerunning a preset is reproducible out of the box:
+Each preset binds one analysis to the paper's parameters, stating only what
+it changes from the dataclass defaults, so reruns reproduce out of the box:
 
     fig2          bifurcation scan across extraction rates
     fig4a-fig4d   single trajectories at c = 1, 1.95, 2.45, 3.1
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AdaptationParams, EcoParams, NoiseParams
-from .simulate import DEFAULT_SEED, SimConfig
+from .dynamics import EcoParams
+from .simulate import SimConfig
 from .wellbeing import GENERALIST, SPECIALIST, CaseProfile
 
 
@@ -59,24 +59,14 @@ class TransformConfig:
     n_seeds: int = 10
 
 
-def _trajectory_preset(c: float) -> SimConfig:
-    return SimConfig(
-        eco=EcoParams(r=1.0, K=10.0, c=c, h=1.0),
-        noise=NoiseParams(T=30.0, beta=0.07, mu=0.0),
-        adapt=AdaptationParams(l=0.01),
-        wellbeing=SPECIALIST,
-        seed=DEFAULT_SEED,
-    )
-
-
 PRESETS: dict[str, ScanConfig | SimConfig | SweepConfig | TransformConfig] = {
-    "fig2": ScanConfig(eco=EcoParams(r=1.0, K=10.0, c=1.0, h=1.0), c_min=1.0, c_max=3.5),
-    "fig4a": _trajectory_preset(1.0),
-    "fig4b": _trajectory_preset(1.95),
-    "fig4c": _trajectory_preset(2.45),
-    "fig4d": _trajectory_preset(3.1),
-    "fig5": SweepConfig(base=_trajectory_preset(1.0)),
-    "fig6": TransformConfig(base=_trajectory_preset(1.0)),
+    "fig2": ScanConfig(c_min=1.0, c_max=3.5),
+    "fig4a": SimConfig(eco=EcoParams(c=1.0)),
+    "fig4b": SimConfig(eco=EcoParams(c=1.95)),
+    "fig4c": SimConfig(eco=EcoParams(c=2.45)),
+    "fig4d": SimConfig(eco=EcoParams(c=3.1)),
+    "fig5": SweepConfig(),
+    "fig6": TransformConfig(),
 }
 
 

@@ -25,7 +25,7 @@ step costs about the same ~20-35 us whether it advances 1 row or 64, while a
 Python-float step costs about 1 us per row, so runs of fewer than
 SCALAR_ROWS rows advance each row in Python floats (:func:`_scalar_spans`)
 and larger ones as one numpy block (:func:`_block_spans`).  The scalar
-kernel binds each row's parameters to locals and evaluates the expressions
+kernel binds the run's one model to locals and evaluates the expressions
 of step_noise, step_environment and step_adaptation inline, with the same
 operands in the same association; the block kernel evaluates them too, so
 both agree bit for bit with each other and with a step_coupled replay,
@@ -40,6 +40,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -240,67 +241,74 @@ def _simulate_paths(
     return X, I, Y
 
 
+# The fields that the rows of one stream_spans run share: all but eco.c, x0, y0.
+_SHARED_FIELDS = tuple([f"eco.{f.name}" for f in fields(EcoParams) if f.name != "c"]
+                       + [f.name for f in fields(SimConfig) if f.name not in ("eco", "x0", "y0")])
+_shared = attrgetter(*_SHARED_FIELDS)
+
+
 def stream_spans(configs: list[SimConfig], replicates, l_values):
     """Run the given replicates of every config together, span by span.
 
-    The configs are resolved and differ only in eco.c, x0 and y0, as
-    :func:`grid_configs` returns them.  They share the replicate substreams,
-    so one set of innovation rows drives every c, and every adaptive
-    capacity in l_values follows every (c, replicate) row from its config's
-    y0.  Yields (X, I, Y) for each span of n <= STREAM_SPAN steps up to
-    t_max, burn-in included: the environment states X, shape (len(configs),
-    len(replicates), n), the noise levels I, shape (len(replicates), n), and
-    the adapted states Y, shape (len(l_values),) + X.shape.
+    The configs are resolved and step one model: they differ only in eco.c,
+    x0 and y0, as :func:`grid_configs` returns them, and a ValueError names
+    any other field that differs before anything is drawn.  They share the
+    replicate substreams, so one set of innovation rows drives every c, and
+    every adaptive capacity in l_values follows every (c, replicate) row
+    from its config's y0.  Yields (X, I, Y) for each span of n <= STREAM_SPAN
+    steps up to t_max, burn-in included: the environment states X, shape
+    (len(configs), len(replicates), n), the noise levels I, shape
+    (len(replicates), n), and the adapted states Y, (len(l_values),) + X.shape.
 
-    The driver draws each span's innovation block; its kernel only steps.
-    Fewer than SCALAR_ROWS rows run on the Python-float kernel, the rest on
-    the numpy block kernel; both yield the same spans bit for bit.
+    The driver draws each span's innovation block; its kernel only steps, in
+    Python floats below SCALAR_ROWS rows, else as one numpy block, bit-equal.
     """
     ls = [AdaptationParams(float(l)).l for l in l_values]  # rejects l outside [0, 1]
-    first = configs[0]
-    streams = [innovation_stream(first.seed, k) for k in replicates]
-    blocks = (_draw_innovations(first.noise, streams, min(STREAM_SPAN, first.t_max - t))
-              for t in range(0, first.t_max, STREAM_SPAN))
+    model = configs[0]
+    shared = _shared(model)
+    for j, cfg in enumerate(configs):
+        if (values := _shared(cfg)) != shared:
+            name, a, b = next(d for d in zip(_SHARED_FIELDS, shared, values) if d[1] != d[2])
+            raise ValueError(f"the configs of one run may differ only in eco.c, x0 and y0, "
+                             f"but {name} is {a!r} in config 0 and {b!r} in config {j}")
+    starts = [(cfg.eco.c, cfg.x0, cfg.y0) for cfg in configs]
+    streams = [innovation_stream(model.seed, k) for k in replicates]
+    blocks = (_draw_innovations(model.noise, streams, min(STREAM_SPAN, model.t_max - t))
+              for t in range(0, model.t_max, STREAM_SPAN))
     kernel = _scalar_spans if len(configs) * len(streams) < SCALAR_ROWS else _block_spans
-    return kernel(configs, len(streams), ls, blocks)
+    return kernel(model, starts, len(streams), ls, blocks)
 
 
-def _block_spans(configs: list[SimConfig], n_rows: int, ls: list[float], blocks):
+def _block_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks):
     """:func:`stream_spans` with every row advanced as one numpy block."""
-    first = configs[0]
     # c at the full state shape: an (n_c, 1) column broadcasts ~40% slower
-    c = np.repeat([[cfg.eco.c] for cfg in configs], n_rows, axis=1)
-    x = np.repeat([[cfg.x0] for cfg in configs], n_rows, axis=1)
-    i = np.full(n_rows, first.i0, dtype=float)
+    c, x, y = (np.repeat(np.reshape(v, (-1, 1)), n_rows, axis=1) for v in zip(*starts))
+    i = np.full(n_rows, model.i0, dtype=float)
     l = np.reshape(ls, (-1, 1, 1))
-    y = np.broadcast_to(np.repeat([[cfg.y0] for cfg in configs], n_rows, axis=1),
-                        (len(ls),) + x.shape)
+    y = np.broadcast_to(y, (len(ls),) + x.shape)
     for etas in blocks:
-        X, I, Y = _simulate_paths(first.eco, first.noise, c, l, x, i, y, etas)
+        X, I, Y = _simulate_paths(model.eco, model.noise, c, l, x, i, y, etas)
         x, i, y = X[..., -1], I[:, -1], Y[..., -1]
         yield X[..., :-1], I[:, :-1], Y[..., :-1]
 
 
-def _scalar_spans(configs: list[SimConfig], n_rows: int, ls: list[float], blocks):
+def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks):
     """:func:`stream_spans` with each row advanced in Python floats.
 
-    Each row's parameters are bound to locals once per run, and every step
+    The model's constants are bound to locals once per run, and every step
     evaluates step_noise's, step_environment's and step_adaptation's
     expressions inline, with the same operands in the same association, so
     the spans agree bit for bit with the block kernel and with a
     step_coupled replay.
     """
-    first = configs[0]
-    phi = first.noise.memory
-    shape = (len(configs), n_rows)
-    # the (c, replicate) rows in C order with their growth and harvest
-    # constants, and the states at the first step of the next span: per
-    # replicate, per row and per (l, row)
-    rows = [(cfg.eco.r, cfg.eco.K, cfg.eco.c, cfg.eco.h * cfg.eco.h, k)
-            for cfg in configs for k in range(n_rows)]
-    i_next = [float(first.i0)] * n_rows
-    x_next = [float(cfg.x0) for cfg in configs for _ in range(n_rows)]
-    y_next = [[float(cfg.y0) for cfg in configs for _ in range(n_rows)] for _ in ls]
+    r, K, hh, phi = model.eco.r, model.eco.K, model.eco.h * model.eco.h, model.noise.memory
+    shape = (len(starts), n_rows)
+    # the (c, replicate) rows in C order, and the states at the first step of
+    # the next span: per replicate, per row and per (l, row)
+    rows = [(c, k) for c, _, _ in starts for k in range(n_rows)]
+    i_next = [float(model.i0)] * n_rows
+    x_next = [float(x0) for _, x0, _ in starts for _ in range(n_rows)]
+    y_next = [[float(y0) for _, _, y0 in starts for _ in range(n_rows)] for _ in ls]
     for etas in blocks:
         n = etas.shape[1]
         I = []
@@ -312,7 +320,7 @@ def _scalar_spans(configs: list[SimConfig], n_rows: int, ls: list[float], blocks
             i_next[k] = i
             I.append(Ik)
         X, Y = [], [[] for _ in ls]
-        for j, (r, K, c, hh, k) in enumerate(rows):
+        for j, (c, k) in enumerate(rows):
             x, Xr = x_next[j], []
             for i in I[k]:
                 Xr.append(x)

@@ -164,13 +164,15 @@ class TestUtilitySweep:
             utility_sweep(FAST, c_grid=[1.0], l_values=[0.1], n_seeds=0)
 
     @pytest.mark.parametrize("affinity,cpu_count,opened", [
-        ({0, 1, 2}, 8, 3), (None, 2, 2), (None, None, 1),
+        ({0, 1, 2}, 8, [3]), (None, 2, [2]), (None, None, []),
     ], ids=["affinity", "cpu_count", "unknown"])
     def test_pool_capped_at_usable_cpus(self, monkeypatch, affinity, cpu_count, opened):
-        pools = []
+        # one group runs in this process and opens no pool
+        pools, mapped = [], []
 
         class InProcessPool:
-            """Records max_workers and maps in this process: no process starts."""
+            """Records max_workers and the jobs mapped, and maps in this
+            process: no process starts."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
@@ -182,6 +184,8 @@ class TestUtilitySweep:
                 return None
 
             def map(self, fn, jobs):
+                jobs = list(jobs)
+                mapped.append(len(jobs))
                 return map(fn, jobs)
 
         monkeypatch.setattr(analytics, "ProcessPoolExecutor", InProcessPool)
@@ -192,7 +196,8 @@ class TestUtilitySweep:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         grid = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
         rows = utility_sweep(FAST, c_grid=grid, l_values=[0.1], n_seeds=1, workers=64)
-        assert pools == [opened]
+        assert pools == opened
+        assert mapped == pools  # one group per process
         assert rows == utility_sweep(FAST, c_grid=grid, l_values=[0.1], n_seeds=1)
 
     @pytest.mark.parametrize("workers", [0, -3])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -700,6 +701,39 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": f"--steps must be >= 1, got {steps}"}
         assert not out.exists()
+
+    @pytest.mark.parametrize("c_max", [None, "0.5"], ids=["alone", "equal"])
+    @pytest.mark.parametrize("command,name", [("sweep", "sweep.csv"),
+                                              ("transform", "transform.csv")])
+    def test_one_step_runs_c_min(self, tmp_path, command, name, c_max):
+        extra = () if c_max is None else ("--c-max", c_max)
+        code = run_cli(command, "--steps", "1", "--c-min", "0.5", *extra, "--seeds", "1",
+                       "--t-max", "50", "--burn-in", "0", "--out-dir", tmp_path)
+        assert code == 0
+        with open(tmp_path / name, newline="") as f:
+            assert {row["c"] for row in csv.DictReader(f)} == {"0.5"}
+
+    @pytest.mark.parametrize("command", ["sweep", "transform"])
+    def test_one_step_rejects_another_c_max(self, tmp_path, capsys, command):
+        # one c cannot span [--c-min, --c-max]: the range is not dropped silently
+        out = tmp_path / "out"
+        code = run_cli(command, "--steps", "1", "--c-min", "0.5", "--c-max", "2", "--seeds",
+                       "1", "--t-max", "50", "--burn-in", "0", "--out-dir", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message":
+                       "--steps 1 runs c = 0.5 alone, not --c-max 2.0"}
+        assert not out.exists()
+
+    def test_readme_cli_examples_parse(self):
+        # every `flickersim ...` line of the README is a valid command line
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = [shlex.split(line, comments=True)
+                 for line in readme.read_text().splitlines() if line.startswith("flickersim ")]
+        assert len(lines) >= 5
+        parser = cli.build_parser()
+        for argv in lines:
+            assert parser.parse_args(argv[1:]).command == argv[1]
 
     def test_preset_choices_follow_preset_kinds(self):
         kinds = {"simulate": SimConfig, "flicker": SimConfig, "bifurcation": ScanConfig,

@@ -4,6 +4,8 @@ adapted states and overflowed states included, so no output depends on
 which kernel ran."""
 
 import json
+import os
+import re
 import sys
 from dataclasses import replace
 
@@ -60,6 +62,19 @@ OVERFLOWS = [SimConfig(x0=1e200, t_max=40, burn_in=0), SimConfig(i0=1e300, t_max
 OVERFLOW_IDS = ["x0=1e200", "i0=1e300"]
 # stacked capacities, both ends of [0, 1] included
 Y_L_VALUES = (0.0, 0.001, 0.3, 1.0)
+# a change to each field that the rows of one run share, by its name
+MODEL_CHANGES = {
+    "eco.r": lambda cfg: replace(cfg, eco=replace(cfg.eco, r=1.5)),
+    "eco.K": lambda cfg: replace(cfg, eco=replace(cfg.eco, K=12.0)),
+    "eco.h": lambda cfg: replace(cfg, eco=replace(cfg.eco, h=1.5)),
+    "noise": lambda cfg: replace(cfg, noise=NoiseParams(T=5.0)),
+    "adapt": lambda cfg: replace(cfg, adapt=AdaptationParams(l=0.5)),
+    "wellbeing": lambda cfg: replace(cfg, wellbeing=GENERALIST),
+    "t_max": lambda cfg: replace(cfg, t_max=cfg.t_max + 1),
+    "burn_in": lambda cfg: replace(cfg, burn_in=cfg.burn_in + 1),
+    "i0": lambda cfg: replace(cfg, i0=0.5),
+    "seed": lambda cfg: replace(cfg, seed=cfg.seed + 1),
+}
 
 
 @pytest.fixture(params=["scalar", "block"])
@@ -132,6 +147,19 @@ class TestKernelsAgree:
         assert all(type(cfg.eco.c) is float for cfg in configs)
         floats = grid_configs(BASE, c_values.tolist())
         assert spans(_scalar_spans, configs, [0, 1]) == spans(_scalar_spans, floats, [0, 1])
+
+    @pytest.mark.parametrize("name", MODEL_CHANGES)
+    def test_configs_share_one_model(self, name, kernel, monkeypatch):
+        # a config differing in more than c, x0 and y0 fails by name, before any draw
+        def no_draw(*args):
+            raise AssertionError("innovations drawn")
+
+        monkeypatch.setattr(simulate, "_draw_innovations", no_draw)
+        first, other = grid_configs(replace(BASE, x0=2.0, y0=1.0), [1.0, 1.95])
+        assert first.wellbeing != GENERALIST
+        message = f"differ only in eco.c, x0 and y0, but {name} is "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(stream_spans([first, MODEL_CHANGES[name](other)], [0, 1], [0.1]))
 
 
 def coupled_replay(cfg: SimConfig, replicate: int) -> np.ndarray:
@@ -325,10 +353,12 @@ def test_data_files_same_on_both_kernels(command, name, tmp_path, monkeypatch):
     assert files[0] == files[1]
 
 
-def test_sweep_csv_same_across_workers_and_kernels(tmp_path):
+def test_sweep_csv_same_across_workers_and_kernels(tmp_path, monkeypatch):
     # 12 c x 3 seeds: one block under --workers 1; groups of 6 and 4 c
-    # (18 and 12 rows) run on the scalar kernel under --workers 2 and 3
+    # (18 and 12 rows) run on the scalar kernel under --workers 2 and 3.
+    # Three usable CPUs keep 3 groups, on 3 processes, on any host.
     assert 12 * 3 >= SCALAR_ROWS > 6 * 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     args = ["sweep", "--c-min", "0.25", "--c-max", "3.5", "--steps", "12", "--seeds", "3",
             "--t-max", str(3 * STREAM_SPAN + 7), "--burn-in", str(STREAM_SPAN + 3),
             "--seed", "5"]
