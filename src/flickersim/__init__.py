@@ -12,13 +12,11 @@ transformation to a generalist strategy pays off.
 __version__ = "0.1.0"
 
 from .analytics import (
-    Basin,
     ComparisonRow,
     CrossoverReport,
     FlickerStats,
     GridError,
     SweepRow,
-    classify_basin,
     flicker_stats,
     separatrix_for,
     transform_comparison,
@@ -71,9 +69,8 @@ from .wellbeing import (
     SPECIALIST,
     CaseProfile,
     WellbeingParams,
-    average_payoff,
-    average_utility,
     payoff,
+    penalty,
     utility,
 )
 

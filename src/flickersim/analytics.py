@@ -14,9 +14,7 @@ row's means and standard errors through one helper, ``_CellSums.averages``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from enum import Enum
 
 import numpy as np
 
@@ -30,11 +28,6 @@ DEFAULT_MIN_DWELL = 5
 
 class GridError(ValueError):
     """An extraction-rate grid that cannot be evaluated."""
-
-
-class Basin(Enum):
-    HIGH = "high"
-    LOW = "low"
 
 
 @dataclass(frozen=True)
@@ -109,13 +102,6 @@ class CrossoverReport:
     band_perfect: tuple[float, float] | None
     band_adaptive: tuple[float, float] | None
     rows: tuple[ComparisonRow, ...]
-
-
-def classify_basin(x: float, separatrix: float) -> Basin:
-    """High if x >= separatrix else Low (ties count as High)."""
-    if not separatrix > 0:
-        raise ValueError(f"separatrix must be > 0, got {separatrix}")
-    return Basin.HIGH if x >= separatrix else Basin.LOW
 
 
 def separatrix_for(eco: EcoParams) -> float:
@@ -286,6 +272,8 @@ def utility_sweep(
     if n_groups == 1:
         rows = _sweep_group(jobs[0])
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a split grid pays its import
+
         with ProcessPoolExecutor(max_workers=n_groups) as pool:
             rows = [row for group in pool.map(_sweep_group, jobs) for row in group]
     rows.sort(key=lambda row: (row.l, row.c))

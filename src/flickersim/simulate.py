@@ -18,20 +18,25 @@ routes that fail at the first non-finite step, drops the burn-in and feeds
 the rest to a consumer's add(X, I, Y): :class:`_KeptSeries` keeps it for
 run_trajectory; in O(rows x STREAM_SPAN) memory, ``analytics._Dwells``
 counts basin dwells for flicker and :class:`_CellSums` sums each row for
-run_ensemble (one cell) and the sweep and transform grids.
+run_ensemble (one cell) and the sweep and transform grids, scoring each
+profile's payoff once per span and each capacity's utility as that payoff
+times its wellbeing.penalty.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
-step costs about the same ~20-35 us whether it advances 1 row or 64, while a
-Python-float step costs about 1 us per row, so runs of fewer than
+step costs about the same ~12-30 us whether it advances 1 row or 64, while a
+Python-float step costs about 0.5-1 us per row, so runs of fewer than
 SCALAR_ROWS rows advance each row in Python floats (:func:`_scalar_spans`)
 and larger ones as one numpy block (:func:`_block_spans`).  The scalar
 kernel binds the run's one model to locals and evaluates the expressions
 of step_noise, step_environment and step_adaptation inline, with the same
 operands in the same association; the block kernel evaluates them too, so
 both agree bit for bit with each other and with a step_coupled replay,
-overflowed (nan) states and -0.0 included.  The per-row crossover that sets
+overflowed (nan) states and -0.0 included.  The block kernel holds x, i and
+every y in time-major buffers allocated once per run, steps every ufunc into
+them with out=, so no step allocates, and yields each span time-last through
+one fresh C-contiguous copy per array.  The per-row crossover that sets
 SCALAR_ROWS is tabulated in the README ("How simulations stream") and
-recorded in BENCH_10.json.
+recorded in BENCH_10.json and BENCH_16.json.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 
 from .dynamics import AdaptationParams, EcoParams, NoiseParams
 from .equilibria import equilibria
-from .wellbeing import SPECIALIST, CaseProfile, payoff, utility
+from .wellbeing import SPECIALIST, CaseProfile, payoff, penalty
 
 DEFAULT_T_MAX = 50_000
 DEFAULT_BURN_IN = 5_000
@@ -56,11 +61,11 @@ DEFAULT_SEED = 42
 # values: 12 800 for the 40-value, 10-replicate fig5 grid.
 STREAM_SPAN = 32
 # Runs of fewer (c, replicate) rows than this advance each row in Python
-# floats; larger ones run as one numpy block.  36 is where the block kernel
-# catches up when every row steps its own noise level (one c, many
-# replicates); grid rows share their noise and cross later, near 48-64.  The
-# crossover table is in BENCH_10.json.
-SCALAR_ROWS = 36
+# floats; larger ones run as one numpy block.  By 32 the block kernel has
+# caught up when every row steps its own noise level (one c, many
+# replicates); grid rows share their noise and cross later, near 36-48.  The
+# crossover tables are in BENCH_16.json.
+SCALAR_ROWS = 32
 # Most bytes that _KeptSeries may allocate for the full post-burn-in X, I and
 # Y series: 1 GiB holds ~44.7 million steps of one run_trajectory.  Above
 # it, a run fails with a named ValueError instead of an unnamed MemoryError.
@@ -206,39 +211,53 @@ def _draw_innovations(noise: NoiseParams, streams, size: int) -> np.ndarray:
 
 
 def _simulate_paths(
-    eco: EcoParams, noise: NoiseParams, c: np.ndarray, l: np.ndarray, x: np.ndarray,
-    i: np.ndarray, y: np.ndarray, etas: np.ndarray,
+    eco: EcoParams, noise: NoiseParams, c: np.ndarray, l: np.ndarray, X: np.ndarray,
+    I: np.ndarray, Y: np.ndarray, scratch, etas: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Synchronous recurrence over one span; row k of etas drives noise level k.
+    """Synchronous recurrence over one span, in place; row k of etas drives noise level k.
 
-    c and x are (n_c, n_seeds) arrays of per-row extraction rates and
-    states; the noise levels i do not depend on c and stay (n_seeds,); l is
-    (n_l, 1, 1) and y the (n_l, n_c, n_seeds) adapted states.  X, I and Y
-    hold the states at steps 0..n of the span: n + 1 columns, the last of
-    which starts the next span.
+    X, I and Y are time-major buffers of STREAM_SPAN + 1 steps: X[t] holds
+    the (n_c, n_seeds) states, I[t] the (n_seeds,) noise levels, which do
+    not depend on c, and Y[t] the (n_l, n_c, n_seeds) adapted states.  Step
+    0 holds the span's start; steps 1..n are written, and step n starts the
+    next span.  c is (n_c, n_seeds) and l (n_l, 1, 1).  scratch is what
+    _block_spans allocates once per run beside them, so that no step
+    allocates: three state-shaped arrays, one shaped as Y[0], 1 + I, and
+    the step rows of X, I, Y and 1 + I as lists of views (a view made per
+    step costs ~4 % of the kernel).  Returns the n + 1 steps of X, I and Y.
 
     Expressions mirror growth_increment / step_environment / step_noise /
     step_adaptation exactly (np.maximum(0.0, v) clamps as step_environment
     does, nan included) so that scalar replay is bit-identical.
     """
     n = etas.shape[1]
-    r, K, h = eco.r, eco.K, eco.h
-    X = np.empty(x.shape + (n + 1,))
-    I = np.empty(i.shape + (n + 1,))
-    Y = np.empty(y.shape + (n + 1,))
-    phi = noise.memory
-    for t in range(n):
-        X[..., t] = x
-        I[:, t] = i
-        if l.size:  # flicker asks for no capacity: skip empty y steps
-            Y[..., t] = y
-            y = l * (x - y) + y
-        x = np.maximum(0.0, (r * x * (1.0 - x / K) - c * x * x / (x * x + h * h)) + (1.0 + i) * x)
-        i = phi * i + etas[:, t]
-    X[..., n] = x
-    I[:, n] = i
-    Y[..., n] = y
-    return X, I, Y
+    r, K, hh, phi = eco.r, eco.K, eco.h * eco.h, noise.memory
+    a, b, d, s, one_i, (Xs, Is, Ys, one_is) = scratch
+    for i, i1, eta in zip(Is, Is[1:n + 1], etas.T):
+        np.multiply(phi, i, out=i1)
+        np.add(i1, eta, out=i1)
+    np.add(1.0, I[:n], out=one_i[:n])
+    # r*x*(1 - x/K) - c*x*x/(x*x + h*h) + (1 + i)*x, clamped at 0
+    for x, x1, oi in zip(Xs, Xs[1:n + 1], one_is):
+        np.multiply(r, x, out=a)
+        np.divide(x, K, out=b)
+        np.subtract(1.0, b, out=b)
+        np.multiply(a, b, out=a)
+        np.multiply(c, x, out=b)
+        np.multiply(b, x, out=b)
+        np.multiply(x, x, out=d)
+        np.add(d, hh, out=d)
+        np.divide(b, d, out=b)
+        np.subtract(a, b, out=a)
+        np.multiply(oi, x, out=b)
+        np.add(a, b, out=a)
+        np.maximum(0.0, a, out=x1)  # out by keyword: positional out is deprecated, ~3x slower
+    if l.size:  # flicker asks for no capacity: skip empty y steps
+        for x, y, y1 in zip(Xs, Ys, Ys[1:n + 1]):
+            np.subtract(x, y, out=s)
+            np.multiply(l, s, out=s)
+            np.add(s, y, out=y1)
+    return X[:n + 1], I[:n + 1], Y[:n + 1]
 
 
 # The fields that the rows of one stream_spans run share: all but eco.c, x0, y0.
@@ -280,16 +299,29 @@ def stream_spans(configs: list[SimConfig], replicates, l_values):
 
 
 def _block_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks):
-    """:func:`stream_spans` with every row advanced as one numpy block."""
+    """:func:`stream_spans` with every row advanced as one numpy block.
+
+    The states live in time-major buffers allocated once per run, so a step
+    writes whole contiguous rows; each span is yielded time-last through one
+    fresh C-contiguous copy per array, which a sum over its last axis adds up
+    as it would a time-last block.
+    """
     # c at the full state shape: an (n_c, 1) column broadcasts ~40% slower
     c, x, y = (np.repeat(np.reshape(v, (-1, 1)), n_rows, axis=1) for v in zip(*starts))
-    i = np.full(n_rows, model.i0, dtype=float)
     l = np.reshape(ls, (-1, 1, 1))
-    y = np.broadcast_to(y, (len(ls),) + x.shape)
+    X = np.empty((STREAM_SPAN + 1,) + x.shape)
+    I = np.empty((STREAM_SPAN + 1, n_rows))
+    Y = np.empty((STREAM_SPAN + 1, len(ls)) + x.shape)
+    one_i = np.empty_like(I[1:])
+    scratch = (*(np.empty_like(x) for _ in range(3)), np.empty_like(Y[0]), one_i,
+               [list(A) for A in (X, I, Y, one_i)])
+    X[0], I[0], Y[0] = x, model.i0, y
     for etas in blocks:
-        X, I, Y = _simulate_paths(model.eco, model.noise, c, l, x, i, y, etas)
-        x, i, y = X[..., -1], I[:, -1], Y[..., -1]
-        yield X[..., :-1], I[:, :-1], Y[..., :-1]
+        n = etas.shape[1]
+        _simulate_paths(model.eco, model.noise, c, l, X, I, Y, scratch, etas)
+        # time-last; np.moveaxis costs ~6 us more per call than transpose
+        yield tuple(A[:n].transpose((*range(1, A.ndim), 0)).copy() for A in (X, I, Y))
+        X[0], I[0], Y[0] = X[n], I[n], Y[n]
 
 
 def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks):
@@ -405,14 +437,18 @@ class _CellSums:
         self.digests = [hashlib.sha256() for _ in configs] if environment else []
 
     def add(self, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
-        # one l at a time: utility broadcast over the stacked Y is ~2.5x slower
+        # utility(X, Yl, w) is payoff(X, w) * penalty(X - Yl, w): each payoff
+        # once per span, each misadaptation once per l (one l at a time: a
+        # broadcast over the stacked Y is ~2.5x slower)
+        pays = [payoff(X, w) for w in self.profiles]
         for Yl, sums in zip(Y, self.utility):
-            for total, w in zip(sums, self.profiles):
-                total += utility(X, Yl, w).sum(axis=-1)
+            d = X - Yl
+            for total, pay, w in zip(sums, pays, self.profiles):
+                total += (pay * penalty(d, w)).sum(axis=-1)
         if self.x is not None:
             self.x += X.sum(axis=-1)
-        for total, w in zip(self.payoff, self.profiles):
-            total += payoff(X, w).sum(axis=-1)
+        for total, pay in zip(self.payoff, pays):
+            total += pay.sum(axis=-1)
         for digest, rows in zip(self.digests, X):
             digest.update(np.ascontiguousarray(rows).tobytes())
         self.n_kept += X.shape[-1]

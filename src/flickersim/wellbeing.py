@@ -59,33 +59,18 @@ def payoff(x, w: WellbeingParams):
     return w.m + w.n * x
 
 
+def penalty(d, w: WellbeingParams):
+    """Gaussian misadaptation factor of utility at d = x - y: exp(-ln(2) * d^2 / a^2).
+
+    1 at d = 0 and 1/2 at |d| = a.  Accepts scalars or arrays.
+    """
+    return np.exp(-LN2 * d * d / (w.a * w.a))
+
+
 def utility(x, y, w: WellbeingParams):
     """Realized utility: payoff scaled by the Gaussian misadaptation penalty.
 
     U(x, y) = (m + n*x) * exp(-ln(2) * (x - y)^2 / a^2), so U = payoff when
     y = x and U = payoff/2 when |x - y| = a.  Accepts scalars or arrays.
     """
-    d = x - y
-    return payoff(x, w) * np.exp(-LN2 * d * d / (w.a * w.a))
-
-
-def average_payoff(xs, w: WellbeingParams) -> float:
-    """Time-average of payoff along a trajectory: the mean of the full series.
-
-    run_ensemble and the grids sum span by span, which may differ in the last bits.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise ValueError("empty trajectory")
-    return float(np.mean(payoff(xs, w)))
-
-
-def average_utility(xs, ys, w: WellbeingParams) -> float:
-    """Time-average of utility along paired series: the mean of the full series."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size == 0:
-        raise ValueError("empty trajectory")
-    if xs.shape != ys.shape:
-        raise ValueError(f"trajectory length mismatch: {xs.shape} vs {ys.shape}")
-    return float(np.mean(utility(xs, ys, w)))
+    return payoff(x, w) * penalty(x - y, w)

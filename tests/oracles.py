@@ -4,11 +4,14 @@ Everything here recomputes expected values through a different route than
 the library: fixed points by brute-force scanning of the map itself, fold
 points by fine-grid root counting in c, trajectories by replaying the
 scalar single-step functions, adapted states by one unchunked loop, time
-averages by summing a whole series span by span, and basin dwells by
-run-length encoding a whole series.
+averages by summing a whole series span by span or by one mean of the full
+series, and basin dwells by classifying each point or run-length encoding a
+whole series.
 """
 
 from __future__ import annotations
+
+from enum import Enum
 
 import numpy as np
 
@@ -18,9 +21,12 @@ from flickersim import (
     FlickerStats,
     SimConfig,
     SystemState,
+    WellbeingParams,
     innovation_stream,
+    payoff,
     resolve_config,
     step_coupled,
+    utility,
 )
 from flickersim.simulate import STREAM_SPAN
 
@@ -151,3 +157,37 @@ def run_length_flicker_stats(xs, separatrix: float, min_dwell: int) -> FlickerSt
     res_high = tuple(d for b, d in zip(basins, dwells) if b)
     res_low = tuple(d for b, d in zip(basins, dwells) if not b)
     return FlickerStats(len(dwells) - 1, res_high, res_low, sum(res_high) / high.size)
+
+
+def average_payoff(xs, w: WellbeingParams) -> float:
+    """Time-average of payoff along a trajectory: the mean of the full series.
+
+    run_ensemble and the grids sum span by span, which may differ in the last bits.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        raise ValueError("empty trajectory")
+    return float(np.mean(payoff(xs, w)))
+
+
+def average_utility(xs, ys, w: WellbeingParams) -> float:
+    """Time-average of utility along paired series: the mean of the full series."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.size == 0:
+        raise ValueError("empty trajectory")
+    if xs.shape != ys.shape:
+        raise ValueError(f"trajectory length mismatch: {xs.shape} vs {ys.shape}")
+    return float(np.mean(utility(xs, ys, w)))
+
+
+class Basin(Enum):
+    HIGH = "high"
+    LOW = "low"
+
+
+def classify_basin(x: float, separatrix: float) -> Basin:
+    """High if x >= separatrix else Low (ties count as High)."""
+    if not separatrix > 0:
+        raise ValueError(f"separatrix must be > 0, got {separatrix}")
+    return Basin.HIGH if x >= separatrix else Basin.LOW

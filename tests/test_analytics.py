@@ -1,28 +1,30 @@
+import concurrent.futures
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flickersim
 from flickersim import (
-    Basin,
     EcoParams,
     NoiseParams,
     Regime,
     SimConfig,
-    classify_basin,
     flicker_stats,
     separatrix_for,
     transform_comparison,
     utility_sweep,
 )
-from flickersim import analytics
 from flickersim.analytics import _Dwells
 from flickersim.simulate import STREAM_SPAN
 from flickersim.wellbeing import GENERALIST, SPECIALIST
-from oracles import run_length_flicker_stats
+from oracles import Basin, classify_basin, run_length_flicker_stats
 
 FAST = SimConfig(t_max=600, burn_in=100, seed=17)
 
@@ -188,7 +190,7 @@ class TestUtilitySweep:
                 mapped.append(len(jobs))
                 return map(fn, jobs)
 
-        monkeypatch.setattr(analytics, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -199,6 +201,17 @@ class TestUtilitySweep:
         assert pools == opened
         assert mapped == pools  # one group per process
         assert rows == utility_sweep(FAST, c_grid=grid, l_values=[0.1], n_seeds=1)
+
+    def test_cli_import_leaves_the_pool_unloaded(self):
+        # only a grid split across processes imports concurrent.futures and
+        # multiprocessing (~30 ms), not every command
+        code = ("import sys, flickersim.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] in "
+                "('concurrent', 'multiprocessing')])")
+        src = str(Path(flickersim.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):

@@ -224,9 +224,9 @@ def test_consume_feeds_sinks_the_post_burn_in_steps(burn_in, kept):
 
 
 @st.composite
-def scalar_runs(draw):
+def scalar_runs(draw, min_capacities=1):
     """1-3 configs of one random system that differ in c and start, 1-3
-    replicates and 1-2 capacities, over up to ~3 spans."""
+    replicates and min_capacities-2 capacities, over up to ~3 spans."""
     eco = EcoParams(r=draw(st.floats(0.01, 4.0)), K=draw(st.floats(0.1, 100.0)),
                     h=draw(st.floats(0.01, 10.0)))
     noise = NoiseParams(T=draw(st.floats(1.0, 100.0)), beta=draw(st.floats(0.0, 2.0)),
@@ -242,7 +242,7 @@ def scalar_runs(draw):
                        y0=draw(st.floats(0.0, 200.0)))
                for _ in range(draw(st.integers(1, 3)))]
     replicates = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
-    l_values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2))
+    l_values = draw(st.lists(st.floats(0.0, 1.0), min_size=min_capacities, max_size=2))
     return configs, replicates, l_values
 
 
@@ -261,6 +261,45 @@ def test_scalar_kernel_replays_step_coupled_bitwise(run):
                 assert X[j, k].tobytes() == xs.tobytes()
                 assert I[k].tobytes() == is_.tobytes()
                 assert Y[a, j, k].tobytes() == ys.tobytes()
+
+
+def _one_run(t_max=STREAM_SPAN + 5, n_configs=1, i0=0.0, x0=2.0, l_values=()):
+    """A scalar_runs draw, built by hand for the examples below."""
+    base = SimConfig(t_max=t_max, burn_in=0, i0=i0, x0=x0, y0=1.0)
+    return grid_configs(base, [1.0, 1.95, 3.1][:n_configs]), [0], list(l_values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing starts
+@settings(max_examples=100, deadline=None)
+@given(scalar_runs(min_capacities=0))  # no capacity is flicker's route
+@example(_one_run())                                            # one row, short last span
+@example(_one_run(t_max=2 * STREAM_SPAN, l_values=[0.3]))       # spans all full
+@example(_one_run(n_configs=3, x0=-0.0, l_values=[0.0, 1.0]))   # -0.0 stays -0.0
+@example(_one_run(i0=-2.0, l_values=[0.5]))                     # every row clamps to 0
+@example(_one_run(x0=1e200, l_values=[0.5]))                    # x overflows to nan
+@example(_one_run(i0=1e300))                                    # i overflows x
+def test_block_kernel_equals_scalar_kernel_bitwise(run):
+    configs, replicates, l_values = run
+    block = spans(_block_spans, configs, replicates, l_values)
+    assert block == spans(_scalar_spans, configs, replicates, l_values)
+    assert len(block) == -(-configs[0].t_max // STREAM_SPAN)
+
+
+@pytest.mark.parametrize("l_values", [L_VALUES, []], ids=["capacities", "none"])
+def test_spans_never_alias(kernel, l_values):
+    # kernel_spans and joined keep every span: a buffer reused across spans
+    # would change the spans already kept
+    configs = grid_configs(replace(BASE, t_max=3 * STREAM_SPAN + 5), C_VALUES)
+    kept, previous = [], None
+    for span in stream_spans(configs, [0, 2, 5], l_values):
+        if previous is not None:
+            for a, b in zip(previous, span):
+                assert not np.shares_memory(a, b)
+        kept.append((span, [a.tobytes() for a in span]))
+        previous = span
+    assert len(kept) == 4
+    for span, frozen in kept:
+        assert [a.tobytes() for a in span] == frozen
 
 
 # the engine against the unchunked scalar replay, at and around the threshold

@@ -8,11 +8,11 @@ from flickersim import (
     PROFILES,
     SPECIALIST,
     WellbeingParams,
-    average_payoff,
-    average_utility,
     payoff,
+    penalty,
     utility,
 )
+from oracles import average_payoff, average_utility
 
 W1 = SPECIALIST.params
 W2 = GENERALIST.params
@@ -73,6 +73,24 @@ class TestUtility:
         # equality up to the rounding of x+d and x-d themselves
         w = WellbeingParams(m=5.0, n=0.5, a=a)
         assert utility(x, x + d, w) == pytest.approx(utility(x, x - d, w), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0, float("nan")]),
+                    min_size=1, max_size=8),
+        ys=st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0, float("nan")]),
+                    min_size=8, max_size=8),
+        w=st.sampled_from([W1, W2]),
+    )
+    def test_payoff_times_penalty_is_utility(self, xs, ys, w):
+        # the cell sums score payoff(x, w) * penalty(x - y, w); as bytes, so
+        # nan and -0.0 compare by bits
+        x, y = np.array(xs), np.array(ys[:len(xs)])
+        with np.errstate(all="ignore"):
+            assert (payoff(x, w) * penalty(x - y, w)).tobytes() == utility(x, y, w).tobytes()
+            for a, b in zip(xs, ys):
+                split = np.float64(payoff(a, w) * penalty(a - b, w))
+                assert split.tobytes() == np.float64(utility(a, b, w)).tobytes()
 
     def test_strictly_decreasing_in_misadaptation(self):
         ds = np.linspace(0.0, 12.0, 60)
