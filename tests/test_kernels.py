@@ -54,9 +54,9 @@ from test_engine import (BASE, C_VALUES, HORIZONS, L_VALUES, at_c, forced, kerne
                          replayed_mean_utility)
 from test_simulate import SMALL
 
-# both sides of the threshold, plus fixed counts that keep the same cases
-# whatever SCALAR_ROWS is tuned to
-KERNEL_ROWS = sorted({23, 24, 25, SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1})
+# both sides of the threshold, plus fixed counts (around 24 and around the
+# earlier threshold 36) that keep the same cases whatever SCALAR_ROWS is tuned to
+KERNEL_ROWS = sorted({23, 24, 25, 35, 36, 37, SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1})
 # a huge finite start overflows x to nan within two steps
 OVERFLOWS = [SimConfig(x0=1e200, t_max=40, burn_in=0), SimConfig(i0=1e300, t_max=40, burn_in=0)]
 OVERFLOW_IDS = ["x0=1e200", "i0=1e300"]
