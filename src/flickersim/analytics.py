@@ -5,22 +5,22 @@ equilibrium); :class:`_Dwells` counts debounced dwells span by span.  Sweeps
 over extraction rate reuse one set of environment paths per grid point
 across all adaptive capacities and both wellbeing profiles: adaptation never
 feeds back on the environment, so comparisons are made on literally shared
-noise.  A whole grid is streamed as one block of (c, replicate) rows and
-summed span by span by the same cell engine that run_ensemble runs for one
-cell (:func:`flickersim.simulate._stream_cells`); the cell sums become each
-row's means and standard errors through one helper, ``_CellSums.averages``.
+noise.  A grid solves the equilibria once per c (config, regime, row error),
+streams as one block of (c, replicate) rows through run_ensemble's cell
+engine (:func:`flickersim.simulate._stream_cells`), and turns each whole
+block of sums into every row's mean and stderr (``_CellSums.averages``).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import AdaptationParams, EcoParams
-from .equilibria import Regime, classify_regime, equilibria
-from .simulate import SimConfig, _consume, _stream_cells, resolve_config
+from .equilibria import Regime, equilibria
+from .simulate import SimConfig, _consume, _grid_cell, _stream_cells, resolve_config
 from .wellbeing import CaseProfile
 
 DEFAULT_MIN_DWELL = 5
@@ -211,29 +211,30 @@ def _check_grid(c_grid, increasing: bool) -> list[float]:
 
 
 def _flag_nonfinite(row, error: str | None = None):
-    """row with error set when any of its averages is not finite."""
-    bad = [f.name for f in fields(row)
-           if isinstance(getattr(row, f.name), float) and not np.isfinite(getattr(row, f.name))]
+    """row with error set when any of its averages is not finite (row itself if none is)."""
+    bad = [name for name, v in vars(row).items()
+           if isinstance(v, float) and not -np.inf < v < np.inf]
     if bad:
         error = "; ".join(filter(None, [error, f"non-finite {', '.join(bad)}"]))
-    return replace(row, error=error)
+    return row if error is None else replace(row, error=error)
 
 
 def _sweep_group(args) -> list[SweepRow]:
     """Rows of utility_sweep for one contiguous group of extraction rates."""
     base, c_values, l_values, n_seeds = args
-    configs, sums = _stream_cells(base, c_values, n_seeds, l_values, [base.wellbeing])
+    cells, sums = _stream_cells(base, c_values, n_seeds, l_values, [base.wellbeing])
+    _, pay_means, pay_errs = sums.averages(sums.payoff[0])
+    utils = [sums.averages(util_sums[0])[1:] for util_sums in sums.utility]
     rows, j = [], 0
-    for c, cfg in zip(c_values, configs):
-        regime, regime_err = _regime_at(base.eco, c)
-        if isinstance(cfg, Exception):
-            rows.extend(SweepRow(c, l, regime, *[float("nan")] * 4, str(cfg)) for l in l_values)
+    for c, cell in zip(c_values, cells):
+        if isinstance(cell.config, Exception):
+            rows.extend(SweepRow(c, l, cell.regime, *[float("nan")] * 4, cell.error)
+                        for l in l_values)
             continue
-        _, avg_payoff, stderr_payoff = sums.averages(sums.payoff[0][j])
-        for l, util_sums in zip(l_values, sums.utility):
-            _, avg_utility, stderr_utility = sums.averages(util_sums[0][j])
-            row = SweepRow(c, l, regime, avg_payoff, avg_utility, stderr_payoff, stderr_utility)
-            rows.append(_flag_nonfinite(row, regime_err))
+        for l, (util_means, util_errs) in zip(l_values, utils):
+            row = SweepRow(c, l, cell.regime, pay_means[j], util_means[j], pay_errs[j],
+                           util_errs[j])
+            rows.append(_flag_nonfinite(row, cell.error))
         j += 1
     return rows
 
@@ -310,14 +311,6 @@ def _overlap_band(cs, diffs, spreads, k_cross) -> tuple[float, float] | None:
     return (cs[lo], cs[hi])
 
 
-def _regime_at(eco: EcoParams, c: float) -> tuple[Regime | None, str | None]:
-    """The regime at extraction rate c and None, or None and why it has none."""
-    try:
-        return classify_regime(replace(eco, c=c)), None
-    except Exception as exc:  # recorded per cell, not fatal
-        return None, str(exc)
-
-
 def transform_comparison(
     base: SimConfig,
     baseline_case: CaseProfile,
@@ -341,21 +334,20 @@ def transform_comparison(
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     base = replace(base, adapt=AdaptationParams(l=float(l)))
-    configs, sums = _stream_cells(base, c_grid, n_seeds, [l],
-                                  [baseline_case, transform_case], environment=True)
+    cells, sums = _stream_cells(base, c_grid, n_seeds, [l],
+                                [baseline_case, transform_case], environment=True)
+    # per c: mean and stderr of payoff, then utility, each baseline then transform
+    stats = list(zip(*[col for total in (*sums.payoff, *sums.utility[0])
+                       for col in sums.averages(total)[1:]]))
+    mean_x = (sums.x.sum(axis=-1) / (n_seeds * sums.n_kept)).tolist()
     rows, j = [], 0
-    for c, cfg in zip(c_grid, configs):
-        regime, regime_err = _regime_at(base.eco, c)
-        if isinstance(cfg, Exception):
-            rows.append(ComparisonRow(c, regime, *[float("nan")] * 9, error=str(cfg)))
+    for c, cell in zip(c_grid, cells):
+        if isinstance(cell.config, Exception):
+            rows.append(ComparisonRow(c, cell.regime, *[float("nan")] * 9, error=cell.error))
             continue
-        # mean and stderr of payoff, then utility, each baseline then transform
-        stats = [v for total in (*sums.payoff, *sums.utility[0])
-                 for v in sums.averages(total[j])[1:]]
-        mean_x = float(sums.x[j].sum() / (n_seeds * sums.n_kept))
         digest = sums.digests[j].hexdigest()[:16]
-        row = ComparisonRow(c, regime, mean_x, *stats, digest, digest)
-        rows.append(_flag_nonfinite(row, regime_err))
+        row = ComparisonRow(c, cell.regime, mean_x[j], *stats[j], digest, digest)
+        rows.append(_flag_nonfinite(row, cell.error))
         j += 1
 
     ok = [row for row in rows if row.error is None]
@@ -366,24 +358,15 @@ def transform_comparison(
         if hit is None:
             return None, None, None
         c_cross, k = hit
-        return c_cross, _regime_at(base.eco, c_cross)[0], _overlap_band(cs, diffs, spreads, k)
+        return c_cross, _grid_cell(base, c_cross).regime, _overlap_band(cs, diffs, spreads, k)
 
     d_pay = [row.avg_payoff_transform - row.avg_payoff_baseline for row in ok]
-    s_pay = [
-        np.hypot(row.stderr_payoff_transform, row.stderr_payoff_baseline) for row in ok
-    ]
+    s_pay = [np.hypot(row.stderr_payoff_transform, row.stderr_payoff_baseline) for row in ok]
     d_util = [row.avg_utility_transform - row.avg_utility_baseline for row in ok]
-    s_util = [
-        np.hypot(row.stderr_utility_transform, row.stderr_utility_baseline) for row in ok
-    ]
+    s_util = [np.hypot(row.stderr_utility_transform, row.stderr_utility_baseline) for row in ok]
     c_perfect, regime_perfect, band_perfect = locate(d_pay, s_pay)
     c_adaptive, regime_adaptive, band_adaptive = locate(d_util, s_util)
-    return CrossoverReport(
-        c_cross_perfect=c_perfect,
-        regime_perfect=regime_perfect,
-        c_cross_adaptive=c_adaptive,
-        regime_adaptive=regime_adaptive,
-        band_perfect=band_perfect,
-        band_adaptive=band_adaptive,
-        rows=tuple(rows),
-    )
+    return CrossoverReport(c_cross_perfect=c_perfect, regime_perfect=regime_perfect,
+                           c_cross_adaptive=c_adaptive, regime_adaptive=regime_adaptive,
+                           band_perfect=band_perfect, band_adaptive=band_adaptive,
+                           rows=tuple(rows))

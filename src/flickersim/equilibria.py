@@ -177,7 +177,12 @@ def classify_regime(p: EcoParams) -> Regime:
     fold skeleton); if the cubic is monotone there is no fold structure at
     all and the split falls back to K/2.
     """
-    eqs = [e for e in equilibria(p) if e.x_star > 0]
+    return _classify(p, equilibria(p))
+
+
+def _classify(p: EcoParams, eqs: list[Equilibrium]) -> Regime:
+    """classify_regime of p from its equilibria eqs, so a caller solves once."""
+    eqs = [e for e in eqs if e.x_star > 0]
     stable = [e for e in eqs if e.stable]
     if len(eqs) == 3 and len(stable) == 2 and not eqs[1].stable:
         return Regime.BISTABLE

@@ -50,7 +50,7 @@ from operator import attrgetter
 import numpy as np
 
 from .dynamics import AdaptationParams, EcoParams, NoiseParams
-from .equilibria import equilibria
+from .equilibria import Regime, _classify, equilibria
 from .wellbeing import SPECIALIST, CaseProfile, payoff, penalty
 
 DEFAULT_T_MAX = 50_000
@@ -141,7 +141,12 @@ class EnsembleSummary:
 
 def default_initial_state(eco: EcoParams) -> float:
     """The preferred starting environment: the highest stable equilibrium."""
-    stable = [e.x_star for e in equilibria(eco) if e.stable and e.x_star > 0]
+    return _highest_stable(eco, equilibria(eco))
+
+
+def _highest_stable(eco: EcoParams, eqs) -> float:
+    """default_initial_state of eco from its equilibria eqs, so a caller solves once."""
+    stable = [e.x_star for e in eqs if e.stable and e.x_star > 0]
     if not stable:
         raise ValueError(f"no stable positive equilibrium for {eco}; set x0 explicitly")
     return max(stable)
@@ -149,9 +154,12 @@ def default_initial_state(eco: EcoParams) -> float:
 
 def resolve_config(cfg: SimConfig) -> SimConfig:
     """Fill x0/y0 defaults so every run parameter is explicit."""
-    x0 = cfg.x0 if cfg.x0 is not None else default_initial_state(cfg.eco)
-    y0 = cfg.y0 if cfg.y0 is not None else x0
-    return replace(cfg, x0=x0, y0=y0)
+    return _started(cfg, cfg.x0 if cfg.x0 is not None else default_initial_state(cfg.eco))
+
+
+def _started(cfg: SimConfig, x0: float) -> SimConfig:
+    """cfg starting from x0, with y0 defaulting to x0."""
+    return replace(cfg, x0=x0, y0=cfg.y0 if cfg.y0 is not None else x0)
 
 
 # Config-file sections holding one parameter dataclass each, named after the
@@ -210,10 +218,8 @@ def _draw_innovations(noise: NoiseParams, streams, size: int) -> np.ndarray:
     return np.array([s.normal(noise.mu, noise.beta, size=size) for s in streams])
 
 
-def _simulate_paths(
-    eco: EcoParams, noise: NoiseParams, c: np.ndarray, l: np.ndarray, X: np.ndarray,
-    I: np.ndarray, Y: np.ndarray, scratch, etas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _simulate_paths(c: np.ndarray, l: np.ndarray, X: np.ndarray, I: np.ndarray, Y: np.ndarray,
+                    scratch, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Synchronous recurrence over one span, in place; row k of etas drives noise level k.
 
     X, I and Y are time-major buffers of STREAM_SPAN + 1 steps: X[t] holds
@@ -222,26 +228,27 @@ def _simulate_paths(
     0 holds the span's start; steps 1..n are written, and step n starts the
     next span.  c is (n_c, n_seeds) and l (n_l, 1, 1).  scratch is what
     _block_spans allocates once per run beside them, so that no step
-    allocates: three state-shaped arrays, one shaped as Y[0], 1 + I, and
-    the step rows of X, I, Y and 1 + I as lists of views (a view made per
-    step costs ~4 % of the kernel).  Returns the n + 1 steps of X, I and Y.
+    allocates: r, K, h*h, phi, 1.0 and 0.0 as 0-d arrays (a float operand
+    costs each ufunc call a conversion), three state-shaped arrays, one
+    shaped as Y[0], 1 + I, and the step rows of X, I, Y and 1 + I as lists
+    of views (a view made per step costs ~4 % of the kernel).  Returns the
+    n + 1 steps of X, I and Y.
 
     Expressions mirror growth_increment / step_environment / step_noise /
     step_adaptation exactly (np.maximum(0.0, v) clamps as step_environment
     does, nan included) so that scalar replay is bit-identical.
     """
     n = etas.shape[1]
-    r, K, hh, phi = eco.r, eco.K, eco.h * eco.h, noise.memory
-    a, b, d, s, one_i, (Xs, Is, Ys, one_is) = scratch
+    r, K, hh, phi, one, zero, a, b, d, s, one_i, (Xs, Is, Ys, one_is) = scratch
     for i, i1, eta in zip(Is, Is[1:n + 1], etas.T):
         np.multiply(phi, i, out=i1)
         np.add(i1, eta, out=i1)
-    np.add(1.0, I[:n], out=one_i[:n])
+    np.add(one, I[:n], out=one_i[:n])
     # r*x*(1 - x/K) - c*x*x/(x*x + h*h) + (1 + i)*x, clamped at 0
     for x, x1, oi in zip(Xs, Xs[1:n + 1], one_is):
         np.multiply(r, x, out=a)
         np.divide(x, K, out=b)
-        np.subtract(1.0, b, out=b)
+        np.subtract(one, b, out=b)
         np.multiply(a, b, out=a)
         np.multiply(c, x, out=b)
         np.multiply(b, x, out=b)
@@ -251,7 +258,7 @@ def _simulate_paths(
         np.subtract(a, b, out=a)
         np.multiply(oi, x, out=b)
         np.add(a, b, out=a)
-        np.maximum(0.0, a, out=x1)  # out by keyword: positional out is deprecated, ~3x slower
+        np.maximum(zero, a, out=x1)  # out by keyword: positional out is deprecated, ~3x slower
     if l.size:  # flicker asks for no capacity: skip empty y steps
         for x, y, y1 in zip(Xs, Ys, Ys[1:n + 1]):
             np.subtract(x, y, out=s)
@@ -313,12 +320,13 @@ def _block_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks)
     I = np.empty((STREAM_SPAN + 1, n_rows))
     Y = np.empty((STREAM_SPAN + 1, len(ls)) + x.shape)
     one_i = np.empty_like(I[1:])
-    scratch = (*(np.empty_like(x) for _ in range(3)), np.empty_like(Y[0]), one_i,
-               [list(A) for A in (X, I, Y, one_i)])
+    consts = (model.eco.r, model.eco.K, model.eco.h * model.eco.h, model.noise.memory, 1.0, 0.0)
+    scratch = (*map(np.array, consts), *(np.empty_like(x) for _ in range(3)), np.empty_like(Y[0]),
+               one_i, [list(A) for A in (X, I, Y, one_i)])
     X[0], I[0], Y[0] = x, model.i0, y
     for etas in blocks:
         n = etas.shape[1]
-        _simulate_paths(model.eco, model.noise, c, l, X, I, Y, scratch, etas)
+        _simulate_paths(c, l, X, I, Y, scratch, etas)
         # time-last; np.moveaxis costs ~6 us more per call than transpose
         yield tuple(A[:n].transpose((*range(1, A.ndim), 0)).copy() for A in (X, I, Y))
         X[0], I[0], Y[0] = X[n], I[n], Y[n]
@@ -450,13 +458,13 @@ class _CellSums:
         for total, pay in zip(self.payoff, pays):
             total += pay.sum(axis=-1)
         for digest, rows in zip(self.digests, X):
-            digest.update(np.ascontiguousarray(rows).tobytes())
+            digest.update(np.ascontiguousarray(rows))
         self.n_kept += X.shape[-1]
 
-    def averages(self, totals: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """One cell's per-replicate time averages from their sums, their mean and its stderr."""
+    def averages(self, totals: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
+        """Time averages of an (n_c, n_seeds) block of sums, each row's mean and its stderr."""
         avgs = totals / self.n_kept
-        return avgs, float(avgs.mean()), stderr_of_mean(avgs)
+        return avgs, avgs.mean(axis=-1).tolist(), _stderrs(avgs)
 
 
 def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
@@ -478,16 +486,16 @@ def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
 
 def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
                   environment: bool = False, check: bool = False):
-    """Resolved config (or error) per c, and the _CellSums of the resolved ones.
+    """The _GridCell of each c, and the _CellSums of the resolved ones.
 
     check is :func:`_consume`'s: on for run_ensemble, off for the grids.
     """
-    configs = grid_configs(base, c_values)
-    ok = [cfg for cfg in configs if isinstance(cfg, SimConfig)]
-    if not ok:
-        return configs, None
+    cells = [_grid_cell(base, c) for c in c_values]
+    ok = [cell.config for cell in cells if isinstance(cell.config, SimConfig)]
     sums = _CellSums(ok, n_seeds, len(l_values), profiles, environment)
-    return configs, _consume(ok, range(n_seeds), l_values, sums, check)
+    if ok:
+        _consume(ok, range(n_seeds), l_values, sums, check)
+    return cells, sums
 
 
 def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
@@ -510,10 +518,13 @@ def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
 
 def stderr_of_mean(values: np.ndarray) -> float:
     """Cross-replicate standard error; 0 for a single replicate."""
-    values = np.asarray(values, dtype=float)
-    if values.size <= 1:
-        return 0.0
-    return float(values.std(ddof=1) / np.sqrt(values.size))
+    return _stderrs(np.asarray(values, dtype=float).reshape(1, -1))[0]
+
+
+def _stderrs(avgs: np.ndarray) -> list[float]:
+    """stderr_of_mean of each row of avgs, from one std over the last axis."""
+    n = avgs.shape[-1]
+    return (avgs.std(axis=-1, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [0.0] * len(avgs)
 
 
 def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
@@ -529,12 +540,12 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    configs, sums = _stream_cells(cfg, [cfg.eco.c], n_seeds, [cfg.adapt.l], [cfg.wellbeing],
-                                  check=True)
-    if sums is None:
-        raise configs[0]
-    pays, mean_payoff, stderr_payoff = sums.averages(sums.payoff[0][0])
-    utils, mean_utility, stderr_utility = sums.averages(sums.utility[0][0][0])
+    [cell], sums = _stream_cells(cfg, [cfg.eco.c], n_seeds, [cfg.adapt.l], [cfg.wellbeing],
+                                 check=True)
+    if isinstance(cell.config, Exception):
+        raise cell.config
+    [pays], [mean_payoff], [stderr_payoff] = sums.averages(sums.payoff[0])
+    [utils], [mean_utility], [stderr_utility] = sums.averages(sums.utility[0][0])
     return EnsembleSummary(pays, utils, mean_payoff, mean_utility, stderr_payoff, stderr_utility)
 
 
@@ -546,11 +557,27 @@ def grid_configs(base: SimConfig, c_values) -> list[SimConfig | Exception]:
     negative c, or no stable state to start from) yields its exception in
     place of a configuration.
     """
-    configs: list[SimConfig | Exception] = []
-    for c in c_values:
-        try:
-            configs.append(resolve_config(replace(base, eco=replace(base.eco, c=float(c)))))
-        except Exception as exc:  # recorded per cell, not fatal
-            configs.append(exc)
-    return configs
+    return [_grid_cell(base, c).config for c in c_values]
+
+
+@dataclass(frozen=True)
+class _GridCell:
+    """One rate's config (or the exception in its place), regime, and row error."""
+
+    config: SimConfig | Exception
+    regime: Regime | None
+    error: str | None  # the config's message, else why the rate has no regime
+
+
+def _grid_cell(base: SimConfig, c) -> _GridCell:
+    """base at extraction rate c from one equilibria solve, each failure recorded."""
+    x0 = None
+    try:
+        cfg = replace(base, eco=replace(base.eco, c=float(c)))
+        x0 = cfg.x0
+        eqs = equilibria(cfg.eco)
+        x0 = x0 if x0 is not None else _highest_stable(cfg.eco, eqs)
+        return _GridCell(_started(cfg, x0), _classify(cfg.eco, eqs), None)
+    except Exception as exc:  # no regime, and no config until there is an x0
+        return _GridCell(exc if x0 is None else _started(cfg, x0), None, str(exc))
 

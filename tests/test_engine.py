@@ -5,17 +5,22 @@ import json
 import signal
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flickersim import (
     AdaptationParams,
     EcoParams,
     NoiseParams,
     SimConfig,
+    classify_regime,
     flicker_stats,
     get_preset,
     run_ensemble,
@@ -24,18 +29,20 @@ from flickersim import (
     transform_comparison,
     utility_sweep,
 )
-from flickersim import simulate
+from flickersim import analytics, simulate
 from flickersim.analytics import GridError, _first_upcrossing, flicker_replicates
 from flickersim.cli import main as cli_main
 from flickersim.io import write_sweep_csv
 from flickersim.simulate import (
     STREAM_SPAN,
     _block_spans,
+    _CellSums,
     _consume,
     _KeptSeries,
     _scalar_spans,
     grid_configs,
     resolve_config,
+    stderr_of_mean,
 )
 from flickersim.wellbeing import GENERALIST, SPECIALIST, payoff, utility
 from oracles import adaptation_paths, replay_trajectory, span_summed_mean
@@ -169,6 +176,48 @@ def assert_mean_and_stderr(avg, stderr, per_seed):
     # a standard error is a difference of nearly equal sums: bound its error
     # by the rounding of the average it is taken around
     assert stderr == pytest.approx(want, rel=0.0, abs=1e-12 * abs(avg))
+
+
+def block_sums(n_seeds: int, n_kept: int) -> _CellSums:
+    """A _CellSums of no configs that has been fed n_kept steps."""
+    sums = _CellSums([], n_seeds, 0, [], environment=False)
+    sums.n_kept = n_kept
+    return sums
+
+
+def as_bytes(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+# sums as a grid may hold them: finite of any size, and an overflowed row's
+# nan and +-inf
+SUM_VALUES = st.floats(-1e12, 1e12) | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([1, 2, 10]) | st.integers(1, 16),
+       st.integers(1, 5000), st.data())
+def test_block_averages_are_the_per_row_calls(n_c, n_seeds, n_kept, data):
+    """One mean and one std over a whole (n_c, n_seeds) block give each row
+    the bits of a per-row mean() and stderr_of_mean()."""
+    totals = data.draw(arrays(float, (n_c, n_seeds), elements=SUM_VALUES))
+    with np.errstate(all="ignore"):  # rows holding nan or inf
+        avgs, means, stderrs = block_sums(n_seeds, n_kept).averages(totals)
+        assert as_bytes(avgs) == as_bytes(totals / n_kept)
+        assert as_bytes(means) == as_bytes([float(row.mean()) for row in avgs])
+        assert as_bytes(stderrs) == as_bytes([stderr_of_mean(row) for row in avgs])
+        assert as_bytes(stderrs) == as_bytes(
+            [float(row.std(ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0 for row in avgs])
+    assert all(type(v) is float for v in (*means, *stderrs))
+
+
+def test_single_replicate_block_has_zero_stderr_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, means, stderrs = block_sums(1, 4).averages(np.array([[2.0], [np.inf], [np.nan]]))
+        assert stderr_of_mean([3.0]) == stderr_of_mean([]) == 0.0
+    assert as_bytes(means) == as_bytes([0.5, np.inf, np.nan])
+    assert stderrs == [0.0, 0.0, 0.0]
 
 
 HORIZONS = [
@@ -350,3 +399,86 @@ def test_flicker_command_equals_per_replicate_runs(tmp_path):
                        "residence_high": list(stats.residence_high),
                        "residence_low": list(stats.residence_low)}
     assert len(doc["replicates"]) == 3
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The extraction rate of every equilibria call, from every module that binds it."""
+    calls = []
+    solve = sys.modules["flickersim.equilibria"].equilibria
+
+    def counted(p):
+        calls.append(p.c)
+        return solve(p)
+
+    for module in (sys.modules["flickersim.equilibria"], simulate, analytics):
+        monkeypatch.setattr(module, "equilibria", counted)
+    return calls
+
+
+class TestOneSolvePerRate:
+    """A grid's config, regime and row error at each c come from one equilibria call."""
+
+    GRID = [0.25, 1.0, 1.5, 1.95, 2.45, 3.1]
+
+    def test_sweep(self, solves):
+        utility_sweep(BASE, self.GRID, L_VALUES, n_seeds=2)
+        assert sorted(solves) == self.GRID
+
+    def test_transform_solves_once_more_per_crossing(self, solves):
+        report = transform_comparison(BASE, SPECIALIST, GENERALIST, self.GRID, 0.01, n_seeds=2)
+        crossings = [c for c in (report.c_cross_perfect, report.c_cross_adaptive) if c is not None]
+        assert crossings
+        assert sorted(solves) == sorted(self.GRID + crossings)
+
+    @pytest.mark.parametrize("command,preset,n_crossings", [
+        ("sweep", "fig5", 0), ("transform", "fig6", 2)])
+    def test_cli_presets(self, command, preset, n_crossings, solves, tmp_path):
+        # 40 rates, each crossing, and the manifest resolving the base config
+        # twice: for its config and for its fingerprint
+        assert cli_main([command, "--preset", preset, "--t-max", "300", "--burn-in", "10",
+                         "--seeds", "2", "--out-dir", str(tmp_path)]) == 0
+        if n_crossings:
+            doc = json.loads((tmp_path / "crossover.json").read_text())
+            assert None not in (doc["c_cross_perfect"], doc["c_cross_adaptive"])
+        assert len(solves) == 40 + n_crossings + 2
+
+
+def worded_error(base: SimConfig, c: float) -> str | None:
+    """A grid row's error as the public functions word it: the config's
+    message, else the regime's."""
+    try:
+        cfg = resolve_config(at_c(base, c))
+    except ValueError as exc:
+        return str(exc)
+    try:
+        classify_regime(cfg.eco)
+    except Exception as exc:
+        return str(exc)
+    return None
+
+
+OVERCOMPENSATING = replace(BASE, eco=EcoParams(r=2.5, K=10.0, c=0.5, h=1.0))
+
+
+@pytest.mark.parametrize("base,c,failed", [
+    (BASE, -1.0, True),                                  # a rate EcoParams rejects
+    (replace(OVERCOMPENSATING, x0=5.0, y0=5.0), 0.5, False),  # no regime
+    (OVERCOMPENSATING, 0.5, True),                       # and no default x0
+], ids=["rejected-c", "no-regime", "no-regime-no-start"])
+def test_row_error_is_the_config_message_else_the_regime(base, c, failed):
+    error = worded_error(base, c)
+    assert error
+    assert isinstance(grid_configs(base, [c])[0], Exception) == failed
+    sweep = utility_sweep(base, [c], L_VALUES, n_seeds=2)
+    report = transform_comparison(base, SPECIALIST, GENERALIST, [c], 0.01, n_seeds=2)
+    for row in (*sweep, *report.rows):
+        assert (row.regime, row.error) == (None, error)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_non_finite_names_follow_the_regime_error():
+    base = replace(OVERCOMPENSATING, x0=5.0, y0=5.0, noise=NoiseParams(mu=1e200))
+    [row] = utility_sweep(base, [0.5], [0.1], n_seeds=2)
+    assert row.error == (f"{worded_error(base, 0.5)}; non-finite avg_payoff, avg_utility, "
+                         "stderr_payoff, stderr_utility")
