@@ -24,12 +24,12 @@ Newton step kept only if it lowers the residual) serves both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import EcoParams, growth_increment
+from .dynamics import EcoParams
 
 # Residual |f(x*) - x*| above which a root is rejected.
 RESIDUAL_TOL = 1e-9
@@ -112,19 +112,18 @@ def _cubic_roots(b: float, c: float, d: float) -> list[float]:
         u = abs(q) / 2.0 + math.sqrt(disc)
         v = -math.copysign(u ** (1.0 / 3.0), q)
         ts = [v - p / (3.0 * v) if v != 0.0 else 0.0]
-
-    def residual(x):
-        return ((x + b) * x + c) * x + d
-
     roots = []
-    for x in (t - shift for t in ts):
+    for t in ts:
+        x = t - shift
         slope = (3.0 * x + 2.0 * b) * x + c
         if slope != 0.0:
-            polished = x - residual(x) / slope
-            if abs(residual(polished)) < abs(residual(x)):
+            fx = ((x + b) * x + c) * x + d  # the residual
+            polished = x - fx / slope
+            if abs(((polished + b) * polished + c) * polished + d) < abs(fx):
                 x = polished
         roots.append(x)
-    return sorted(roots)
+    roots.sort()
+    return roots
 
 
 def equilibria(p: EcoParams) -> list[Equilibrium]:
@@ -132,24 +131,30 @@ def equilibria(p: EcoParams) -> list[Equilibrium]:
 
     x = 0 is always included (the trivial extinction equilibrium).  Raises
     EquilibriumError if the cubic yields an impossible root count (non-finite
-    parameters) or a root fails the fixed-point residual check.
+    parameters), a root fails the fixed-point residual check, or the solve
+    leaves the float range (overflow, or h^4 underflowing to 0 at x = 0).
+    The residual and multiplier are growth_increment's and map_multiplier's
+    expressions on the fields bound once.
     """
-    h2 = p.h * p.h
-    roots = [x for x in _cubic_roots(-p.K, h2 + p.c * p.K / p.r, -p.K * h2) if x > 0]
-    if not 1 <= len(roots) <= 3:
-        raise EquilibriumError(
-            f"found {len(roots)} positive fixed points for {p}; expected 1-3"
-        )
-    for x in roots:
-        residual = abs(growth_increment(x, p))
-        if residual >= RESIDUAL_TOL:
+    r, K, c, h = p.r, p.K, p.c, p.h
+    h2 = h * h
+    try:
+        roots = [x for x in _cubic_roots(-K, h2 + c * K / r, -K * h2) if x > 0]
+        if not 1 <= len(roots) <= 3:
             raise EquilibriumError(
-                f"root {x!r} has fixed-point residual {residual:.2e} for {p}"
-            )
-    out = []
-    for x in [0.0] + roots:
-        mult = float(map_multiplier(x, p))
-        out.append(Equilibrium(x_star=float(x), stable=abs(mult) < 1.0, multiplier=mult))
+                f"found {len(roots)} positive fixed points for {p}; expected 1-3")
+        for x in roots:
+            residual = abs(r * x * (1.0 - x / K) - c * x * x / (x * x + h2))
+            if residual >= RESIDUAL_TOL:
+                raise EquilibriumError(
+                    f"root {x!r} has fixed-point residual {residual:.2e} for {p}")
+        out = []
+        for x in [0.0] + roots:
+            x2 = x * x
+            mult = float(1.0 + r - 2.0 * r * x / K - c * 2.0 * x * h2 / ((x2 + h2) * (x2 + h2)))
+            out.append(Equilibrium(x_star=float(x), stable=abs(mult) < 1.0, multiplier=mult))
+    except ArithmeticError as exc:
+        raise EquilibriumError(f"{type(exc).__name__} ({exc}) solving for {p}") from None
     return out
 
 
@@ -208,19 +213,20 @@ def bifurcation_scan(
 ) -> list[ScanRow]:
     """Equilibria with stability flags on a uniform extraction-rate grid.
 
-    Per-grid-point failures are recorded in the row rather than raised.
+    Per-grid-point failures are recorded in the row rather than raised.  Each
+    rate's EcoParams is built from p_base's fields, as replace(p_base, c=c).
     """
     if not (0 <= c_min < c_max):
         raise ValueError(f"need 0 <= c_min < c_max, got [{c_min}, {c_max}]")
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
+    r, K, h = p_base.r, p_base.K, p_base.h
     rows = []
-    for c in np.linspace(c_min, c_max, n_steps):
-        p = replace(p_base, c=float(c))
+    for c in np.linspace(c_min, c_max, n_steps).tolist():
         try:
-            rows.append(ScanRow(c=float(c), equilibria=tuple(equilibria(p))))
+            rows.append(ScanRow(c, tuple(equilibria(EcoParams(r, K, c, h)))))
         except EquilibriumError as exc:
-            rows.append(ScanRow(c=float(c), equilibria=(), error=str(exc)))
+            rows.append(ScanRow(c, (), str(exc)))
     return rows
 
 
@@ -238,7 +244,7 @@ def fold_points(
     (>= 1) are validated but no longer change the result; they are kept so
     existing calls keep working.  Raises NoBistabilityError if
     the band is absent from [c_min, c_max], or not contained strictly
-    inside it.
+    inside it, and EquilibriumError if the cubic leaves the float range.
     """
     if not (0 <= c_min < c_max):
         raise ValueError(f"need 0 <= c_min < c_max, got [{c_min}, {c_max}]")
@@ -247,7 +253,10 @@ def fold_points(
     if n_scan < 1:
         raise ValueError(f"n_scan must be >= 1, got {n_scan}")
     r, K, h2 = p_base.r, p_base.K, p_base.h * p_base.h
-    xs = [x for x in _cubic_roots(-K / 2.0, 0.0, K * h2 / 2.0) if x > 0]
+    try:
+        xs = [x for x in _cubic_roots(-K / 2.0, 0.0, K * h2 / 2.0) if x > 0]
+    except ArithmeticError as exc:
+        raise EquilibriumError(f"{type(exc).__name__} ({exc}) in the folds of {p_base}") from None
     folds = sorted(r * (1.0 - x / K) * (x * x + h2) / x for x in xs)
     if len(folds) != 2 or not (folds[0] < folds[1] and folds[1] > c_min and folds[0] < c_max):
         raise NoBistabilityError(

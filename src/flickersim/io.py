@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .analytics import ComparisonRow, CrossoverReport, FlickerStats, SweepRow
@@ -139,6 +138,8 @@ def load_config(path: str | os.PathLike) -> SimConfig:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    import yaml  # only --config runs read or write YAML
+
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -148,6 +149,8 @@ def load_config(path: str | os.PathLike) -> SimConfig:
 
 def write_config(cfg: SimConfig, path: str | os.PathLike) -> None:
     """Write a config as YAML; load_config(write_config(cfg)) == cfg."""
+    import yaml
+
     _atomic_write(path, yaml.safe_dump(config_to_dict(cfg), sort_keys=True))
 
 
@@ -165,6 +168,8 @@ def _fmt(value) -> str:
     doubled, as csv.QUOTE_MINIMAL writes it, so every row parses to the
     header's width.
     """
+    if type(value) is float:  # most cells: tested first
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):

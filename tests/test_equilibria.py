@@ -1,7 +1,10 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from flickersim import (
@@ -9,15 +12,19 @@ from flickersim import (
     NoBistabilityError,
     Regime,
     RegimeError,
+    SimConfig,
     bifurcation_scan,
     classify_regime,
+    default_initial_state,
     equilibria,
     fold_points,
     growth_increment,
     map_multiplier,
+    run_trajectory,
+    separatrix_for,
     step_environment,
 )
-from flickersim.equilibria import RESIDUAL_TOL
+from flickersim.equilibria import RESIDUAL_TOL, EquilibriumError, ScanRow
 from oracles import brute_force_fixed_points
 
 P = EcoParams(r=1.0, K=10.0, c=1.0, h=1.0)
@@ -221,3 +228,98 @@ def test_regime_error_outside_supported_structure():
     # period doubling; the three-regime structure no longer applies
     with pytest.raises(RegimeError):
         classify_regime(EcoParams(r=2.5, K=10.0, c=0.0, h=1.0))
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.05, 3.0), K=st.floats(0.1, 100.0), h=st.floats(0.01, 10.0),
+       c_max=st.floats(0.01, 10.0), n_steps=st.integers(2, 40), as_numpy=st.booleans())
+def test_scan_rows_are_the_public_solve(r, K, h, c_max, n_steps, as_numpy):
+    """bifurcation_scan builds each rate's EcoParams from the base's fields, and
+    equilibria writes growth_increment and map_multiplier out on bound fields:
+    both give the public route's bits, also for numpy-typed fields."""
+    p = EcoParams(*(np.float64(v) if as_numpy else v for v in (r, K, 1.0, h)))
+    rows = bifurcation_scan(p, 0.0, c_max, n_steps)
+    assert [row.c for row in rows] == np.linspace(0.0, c_max, n_steps).tolist()
+    for row in rows:
+        at_c = replace(p, c=row.c)
+        try:
+            want = ScanRow(row.c, tuple(equilibria(at_c)))
+        except EquilibriumError as exc:
+            want = ScanRow(row.c, (), str(exc))
+        assert repr(row) == repr(want)
+        for e in row.equilibria:
+            assert type(e.x_star) is float and type(e.multiplier) is float
+            assert _bits(e.multiplier) == _bits(float(map_multiplier(e.x_star, at_c)))
+            if e.x_star > 0:
+                assert abs(growth_increment(e.x_star, at_c)) < RESIDUAL_TOL
+
+
+def _returns_or_fails_by_name(fn, *args, documented: str | None = None) -> None:
+    """Call fn(*args); a named solver error, or the ValueError its docstring
+    documents (whose message starts with documented), counts as a result."""
+    try:
+        fn(*args)
+    except (EquilibriumError, RegimeError, NoBistabilityError):
+        pass
+    except ValueError as exc:
+        if documented is None or not str(exc).startswith(documented):
+            raise
+
+
+magnitudes = st.floats(-160.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=magnitudes, K=magnitudes, h=magnitudes, c=st.just(0.0) | magnitudes)
+@example(r=1.0, K=1e52, h=1.0, c=1.0)
+@example(r=1.0, K=10.0, h=1e-100, c=1.0)
+@example(r=1.0, K=1e154, h=1.0, c=1.0)
+def test_every_accepted_magnitude_returns_or_fails_by_name(r, K, h, c):
+    """Over every magnitude EcoParams accepts, the solver's entry points return
+    or raise a named error; the named errors of equilibria name the parameters."""
+    p = EcoParams(r=r, K=K, c=c, h=h)
+    try:
+        equilibria(p)
+    except EquilibriumError as exc:
+        assert str(p) in str(exc)
+    _returns_or_fails_by_name(classify_regime, p)
+    _returns_or_fails_by_name(fold_points, p, 0.0, 1e300)
+    _returns_or_fails_by_name(fold_points, p, 0.0, 4.0)
+    _returns_or_fails_by_name(separatrix_for, p, documented="no unique unstable interior equilibrium")
+    _returns_or_fails_by_name(default_initial_state, p, documented="no stable positive equilibrium")
+    rows = bifurcation_scan(p, 0.0, max(c, 1.0), 5)
+    assert len(rows) == 5 and all(bool(row.equilibria) != bool(row.error) for row in rows)
+
+
+class TestExtremeMagnitudes:
+    """Inputs EcoParams accepts whose solve leaves the float range."""
+
+    HUGE_K = EcoParams(K=1e52)  # the cubic's (q/2)^2 overflows
+    TINY_H = EcoParams(h=1e-100)  # (x^2 + h^2)^2 underflows to 0.0 at x = 0
+
+    def test_overflow_is_named(self):
+        with pytest.raises(EquilibriumError, match=r"OverflowError .* K=1e\+52"):
+            equilibria(self.HUGE_K)
+        with pytest.raises(EquilibriumError, match=r"OverflowError .* K=1e\+154"):
+            fold_points(EcoParams(K=1e154), 0.0, 1e300)
+
+    def test_underflow_is_named(self):
+        with pytest.raises(EquilibriumError, match="ZeroDivisionError .* h=1e-100"):
+            equilibria(self.TINY_H)
+
+    @pytest.mark.parametrize("p", [HUGE_K, TINY_H], ids=["huge-K", "tiny-h"])
+    def test_callers_inherit_the_named_error(self, p):
+        for fn in (classify_regime, separatrix_for, default_initial_state):
+            with pytest.raises(EquilibriumError):
+                fn(p)
+        with pytest.raises(EquilibriumError):
+            run_trajectory(SimConfig(eco=p, t_max=40, burn_in=0))
+
+    def test_scan_records_the_error_in_each_row(self):
+        rows = bifurcation_scan(self.HUGE_K, 0.0, 1.0, 3)
+        assert [row.equilibria for row in rows] == [(), (), ()]
+        assert all("OverflowError" in row.error for row in rows)

@@ -678,6 +678,16 @@ class TestCli:
         assert err["message"].startswith(f"{section}.{name} must be finite")
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_h_whose_fourth_power_underflows_fails_by_name(self, tmp_path, capsys):
+        # h * h > 0, but (x^2 + h^2)^2 is 0.0 at x = 0, where the map's multiplier divides by it
+        cfg_path = tmp_path / "tiny_h.yaml"
+        cfg_path.write_text("eco:\n  h: 1.0e-100\nsim:\n  t_max: 40\n  burn_in: 0\n")
+        assert run_cli("simulate", "--config", cfg_path, "--out-dir", tmp_path / "out") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "EquilibriumError"
+        assert "ZeroDivisionError" in err["message"] and "h=1e-100" in err["message"]
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_bifurcation_takes_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             cli.build_parser().parse_args(["bifurcation", "--preset", "fig2", "--seed", "5"])
@@ -771,11 +781,22 @@ class TestCli:
         assert len(lines) == 191
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy.signal alone took ~1.5 s of every CLI start-up; keep it out."""
+def _loaded_by_cli_import(package: str) -> str:
+    """package and its submodules in sys.modules of a fresh interpreter after
+    import flickersim.cli, as a printed sorted list."""
     src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import flickersim.cli; "
-             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+             "print(sorted(m for m in sys.modules "
+             "if m == sys.argv[2] or m.startswith(sys.argv[2] + '.')))")
+    return subprocess.run([sys.executable, "-c", probe, str(src), package], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.signal alone took ~1.5 s of every CLI start-up; keep it out."""
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_yaml():
+    """Only --config runs read or write YAML, so only they import PyYAML."""
+    assert _loaded_by_cli_import("yaml") == "[]"
