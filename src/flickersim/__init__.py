@@ -47,6 +47,7 @@ from .equilibria import (
     fold_points,
     map_multiplier,
 )
+from .io import config_fingerprint
 from .presets import PRESETS, ScanConfig, SweepConfig, TransformConfig, get_preset
 from .simulate import (
     DEFAULT_BURN_IN,
@@ -56,7 +57,6 @@ from .simulate import (
     NonFiniteStateError,
     SimConfig,
     Trajectory,
-    config_fingerprint,
     default_initial_state,
     innovation_stream,
     resolve_config,

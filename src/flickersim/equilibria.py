@@ -86,10 +86,18 @@ class ScanRow:
 
 
 def map_multiplier(x: float, p: EcoParams) -> float:
-    """Derivative of the one-step environment map at x (zero noise)."""
+    """Derivative of the one-step environment map at x (zero noise).
+
+    Raises EquilibriumError where (x^2 + h^2)^2 underflows to 0.0, as at
+    x = 0 for any h below ~1.5e-81.
+    """
     h2 = p.h * p.h
     x2 = x * x
-    return 1.0 + p.r - 2.0 * p.r * x / p.K - p.c * 2.0 * x * h2 / ((x2 + h2) * (x2 + h2))
+    try:
+        return 1.0 + p.r - 2.0 * p.r * x / p.K - p.c * 2.0 * x * h2 / ((x2 + h2) * (x2 + h2))
+    except ArithmeticError as exc:
+        raise EquilibriumError(
+            f"{type(exc).__name__} ({exc}) in the map multiplier at x={x!r} for {p}") from None
 
 
 def _cubic_roots(b: float, c: float, d: float) -> list[float]:

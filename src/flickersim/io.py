@@ -4,7 +4,9 @@ Configs are YAML documents with nested sections (eco / noise / adapt /
 wellbeing / sim); JSON is accepted as an alternative input since every JSON
 config is also valid YAML.  Unknown keys are rejected by name.  Floats are
 written with shortest round-trip formatting, so loading a written config or
-CSV reproduces the exact 64-bit values, independent of locale.
+CSV reproduces the exact 64-bit values, independent of locale.  A config
+file's schema is also the record a manifest writes, and config_fingerprint
+hashes that record.
 
 All file writes go through a write-temp-then-rename helper, so partially
 written outputs are never observed.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import hashlib
 import json
 import operator
 import os
@@ -26,17 +29,10 @@ import numpy as np
 
 from . import __version__
 from .analytics import ComparisonRow, CrossoverReport, FlickerStats, SweepRow
-from .equilibria import Equilibrium, Regime, ScanRow
+from .dynamics import AdaptationParams, EcoParams, NoiseParams
+from .equilibria import Equilibrium, EquilibriumError, ScanRow
 from .presets import get_preset
-from .simulate import (
-    CONFIG_SECTIONS,
-    SIM_FIELDS,
-    SimConfig,
-    Trajectory,
-    _jsonable,
-    config_fingerprint,
-    config_to_dict,
-)
+from .simulate import SimConfig, Trajectory, resolve_config
 from .wellbeing import PROFILES, CaseProfile, WellbeingParams, payoff, utility
 
 
@@ -53,10 +49,14 @@ class ValidationError(ConfigError):
 
 
 # ---------------------------------------------------------------------------
-# config serialization
+# the config record: one schema for config files, manifests and fingerprints
 
-# the sections of a config file; eco/noise/adapt take the fields of their
-# CONFIG_SECTIONS dataclass, and sim the SIM_FIELDS of SimConfig
+# Config-file sections holding one parameter dataclass each, named after the
+# SimConfig field they fill.  The wellbeing section holds the profile's label
+# and WellbeingParams fields, and the sim section SIM_FIELDS.
+CONFIG_SECTIONS = {"eco": EcoParams, "noise": NoiseParams, "adapt": AdaptationParams}
+SIM_FIELDS = tuple(f for f in dataclasses.fields(SimConfig)
+                   if f.name not in CONFIG_SECTIONS and f.name != "wellbeing")
 _SECTIONS = (*CONFIG_SECTIONS, "wellbeing", "sim")
 _WELLBEING_KEYS = ("case", "label", *(f.name for f in dataclasses.fields(WellbeingParams)))
 
@@ -112,6 +112,51 @@ def _build_wellbeing(data: dict) -> CaseProfile:
     values = {**dataclasses.asdict(PROFILES["specialist"].params),
               **_values("wellbeing", params, dataclasses.fields(WellbeingParams))}
     return CaseProfile(label, _build(WellbeingParams, **values))
+
+
+def config_to_dict(cfg: SimConfig) -> dict:
+    """Nested plain-dict form of a SimConfig (the config file schema)."""
+    doc = {name: dataclasses.asdict(getattr(cfg, name)) for name in CONFIG_SECTIONS}
+    doc["wellbeing"] = {"label": cfg.wellbeing.label, **dataclasses.asdict(cfg.wellbeing.params)}
+    doc["sim"] = {f.name: getattr(cfg, f.name) for f in SIM_FIELDS}
+    return doc
+
+
+def _jsonable(obj):
+    """Plain JSON form of a run configuration, as manifests record it.
+
+    A SimConfig, alone or nested in a grid spec, becomes its resolved
+    :func:`config_to_dict`.  One with no start at its own eco.c (a grid's
+    base, whose rates come from the grid) is recorded as given, x0 and y0
+    null.  Other dataclasses become dicts of their fields.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        if isinstance(obj, SimConfig):
+            try:
+                obj = resolve_config(obj)
+            except (ValueError, EquilibriumError):
+                pass
+            return config_to_dict(obj)
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def _fingerprint(record) -> str:
+    """sha256 hex (16 chars) of a :func:`_jsonable` record."""
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def config_fingerprint(obj) -> str:
+    """Hash of a fully resolved run configuration (sha256 hex, 16 chars).
+
+    obj is a SimConfig or a grid spec (presets.ScanConfig, SweepConfig,
+    TransformConfig).  Hashes :func:`_jsonable`, the record manifests
+    write, so a SimConfig fingerprints alike alone and nested in a grid
+    spec.  Changes iff any configuration value changes.
+    """
+    return _fingerprint(_jsonable(obj))
 
 
 def config_from_dict(data: dict[str, Any]) -> SimConfig:
@@ -225,9 +270,8 @@ def write_trajectory_csv(path, tr: Trajectory, w: WellbeingParams) -> Path:
 
 
 def _record(obj) -> dict:
-    """A dataclass's fields by name, in declaration order; a Regime becomes its int."""
-    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    return {k: int(v) if isinstance(v, Regime) else v for k, v in values.items()}
+    """A dataclass's fields by name, in declaration order (json writes a Regime as its int)."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _columns(cls) -> tuple[list[str], operator.attrgetter]:
@@ -280,6 +324,7 @@ def write_flicker_json(path, stats: list[FlickerStats], separatrix: float,
 def build_manifest(command: str, config_obj, seed, outputs: list[Path],
                    extra: dict | None = None) -> dict:
     """Run manifest: resolved configuration, tool and library versions, seed, outputs."""
+    record = _jsonable(config_obj)
     doc = {
         "tool": "flickersim",
         "version": __version__,
@@ -291,8 +336,8 @@ def build_manifest(command: str, config_obj, seed, outputs: list[Path],
         "command": command,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "master_seed": seed,
-        "config": _jsonable(config_obj),
-        "config_fingerprint": config_fingerprint(config_obj),
+        "config": record,
+        "config_fingerprint": _fingerprint(record),
         "outputs": [str(p) for p in outputs],
     }
     if extra:

@@ -42,9 +42,8 @@ recorded in BENCH_10.json and BENCH_16.json.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -160,51 +159,6 @@ def resolve_config(cfg: SimConfig) -> SimConfig:
 def _started(cfg: SimConfig, x0: float) -> SimConfig:
     """cfg starting from x0, with y0 defaulting to x0."""
     return replace(cfg, x0=x0, y0=cfg.y0 if cfg.y0 is not None else x0)
-
-
-# Config-file sections holding one parameter dataclass each, named after the
-# SimConfig field they fill.  The wellbeing section holds the profile's label
-# and WellbeingParams fields, and the sim section SIM_FIELDS.
-CONFIG_SECTIONS = {"eco": EcoParams, "noise": NoiseParams, "adapt": AdaptationParams}
-SIM_FIELDS = tuple(f for f in fields(SimConfig)
-                   if f.name not in CONFIG_SECTIONS and f.name != "wellbeing")
-
-
-def config_to_dict(cfg: SimConfig) -> dict:
-    """Nested plain-dict form of a SimConfig (the config file schema)."""
-    doc = {name: asdict(getattr(cfg, name)) for name in CONFIG_SECTIONS}
-    doc["wellbeing"] = {"label": cfg.wellbeing.label, **asdict(cfg.wellbeing.params)}
-    doc["sim"] = {f.name: getattr(cfg, f.name) for f in SIM_FIELDS}
-    return doc
-
-
-def _jsonable(obj):
-    """Plain JSON form of a run configuration, as manifests record it.
-
-    A SimConfig, alone or nested in a grid spec, becomes its resolved
-    :func:`config_to_dict`; other dataclasses become dicts of their fields.
-    """
-    if is_dataclass(obj) and not isinstance(obj, type):
-        if isinstance(obj, SimConfig):
-            return config_to_dict(resolve_config(obj))
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
-def config_fingerprint(obj) -> str:
-    """Hash of a fully resolved run configuration (sha256 hex, 16 chars).
-
-    obj is a SimConfig or a grid spec (presets.ScanConfig, SweepConfig,
-    TransformConfig).  Hashes :func:`_jsonable`, which is what manifests
-    record, so a SimConfig fingerprints alike alone and nested in a grid
-    spec.  Changes iff any configuration value changes.
-    """
-    payload = json.dumps(_jsonable(obj), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def innovation_stream(seed: int, replicate: int = 0) -> np.random.Generator:

@@ -21,7 +21,7 @@ from flickersim import (
     transform_comparison,
     utility_sweep,
 )
-from flickersim.analytics import _Dwells
+from flickersim.analytics import _Dwells, flicker_replicates
 from flickersim.simulate import STREAM_SPAN
 from flickersim.wellbeing import GENERALIST, SPECIALIST
 from oracles import Basin, classify_basin, run_length_flicker_stats
@@ -105,6 +105,11 @@ class TestFlickerStats:
             flicker_stats([1.0], 1.0, min_dwell=0)
 
 
+def test_flicker_replicates_need_a_replicate():
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        flicker_replicates(FAST, 0, 1.0)
+
+
 @st.composite
 def cut_series(draw):
     """Rows of runs around the separatrix 5.0 (ties included), a burn-in that
@@ -164,6 +169,10 @@ class TestUtilitySweep:
             utility_sweep(FAST, c_grid=[], l_values=[0.1], n_seeds=1)
         with pytest.raises(ValueError):
             utility_sweep(FAST, c_grid=[1.0], l_values=[0.1], n_seeds=0)
+
+    def test_empty_l_values_rejected(self):
+        with pytest.raises(ValueError, match="l_values must be nonempty"):
+            utility_sweep(FAST, c_grid=[1.0], l_values=[], n_seeds=1)
 
     @pytest.mark.parametrize("affinity,cpu_count,opened", [
         ({0, 1, 2}, 8, [3]), (None, 2, [2]), (None, None, []),

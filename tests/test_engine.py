@@ -435,13 +435,21 @@ class TestOneSolvePerRate:
         ("sweep", "fig5", 0), ("transform", "fig6", 2)])
     def test_cli_presets(self, command, preset, n_crossings, solves, tmp_path):
         # 40 rates, each crossing, and the manifest resolving the base config
-        # twice: for its config and for its fingerprint
+        # once: its config and its fingerprint share one record
         assert cli_main([command, "--preset", preset, "--t-max", "300", "--burn-in", "10",
                          "--seeds", "2", "--out-dir", str(tmp_path)]) == 0
         if n_crossings:
             doc = json.loads((tmp_path / "crossover.json").read_text())
             assert None not in (doc["c_cross_perfect"], doc["c_cross_adaptive"])
-        assert len(solves) == 40 + n_crossings + 2
+        assert len(solves) == 40 + n_crossings + 1
+
+    @pytest.mark.parametrize("argv,n_solves", [
+        (["simulate"], 2), (["flicker", "--seeds", "2"], 3)])
+    def test_sim_commands_resolve_once_for_the_manifest(self, argv, n_solves, solves, tmp_path):
+        # the run's own solves (flicker's separatrix too), and one for the manifest
+        assert cli_main([*argv, "--preset", "fig4b", "--t-max", "300", "--burn-in", "10",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert solves == [1.95] * n_solves
 
 
 def worded_error(base: SimConfig, c: float) -> str | None:

@@ -179,6 +179,14 @@ class TestFoldPoints:
         with pytest.raises(NoBistabilityError):
             fold_points(P, 2.0, 2.2, tol=1e-4)  # bistable throughout
 
+    @pytest.mark.parametrize("args,match", [
+        ((2.0, 1.0), r"need 0 <= c_min < c_max"), ((-1.0, 4.0), r"need 0 <= c_min < c_max"),
+        ((0.0, 4.0, 0.0), "tol must be > 0"), ((0.0, 4.0, 1e-4, 0), "n_scan must be >= 1"),
+    ], ids=["reversed", "negative", "tol", "n_scan"])
+    def test_bad_arguments_named(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            fold_points(P, *args)
+
     def test_consistent_with_classify_regime(self):
         fp = fold_points(P, 0.0, 4.0, tol=1e-5)
         eps = 1e-3
@@ -291,6 +299,7 @@ def test_every_accepted_magnitude_returns_or_fails_by_name(r, K, h, c):
     _returns_or_fails_by_name(fold_points, p, 0.0, 4.0)
     _returns_or_fails_by_name(separatrix_for, p, documented="no unique unstable interior equilibrium")
     _returns_or_fails_by_name(default_initial_state, p, documented="no stable positive equilibrium")
+    _returns_or_fails_by_name(map_multiplier, 0.0, p)
     rows = bifurcation_scan(p, 0.0, max(c, 1.0), 5)
     assert len(rows) == 5 and all(bool(row.equilibria) != bool(row.error) for row in rows)
 
@@ -310,6 +319,8 @@ class TestExtremeMagnitudes:
     def test_underflow_is_named(self):
         with pytest.raises(EquilibriumError, match="ZeroDivisionError .* h=1e-100"):
             equilibria(self.TINY_H)
+        with pytest.raises(EquilibriumError, match="ZeroDivisionError .* x=0.0 .* h=1e-100"):
+            map_multiplier(0.0, self.TINY_H)
 
     @pytest.mark.parametrize("p", [HUGE_K, TINY_H], ids=["huge-K", "tiny-h"])
     def test_callers_inherit_the_named_error(self, p):

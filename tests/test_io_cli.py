@@ -34,7 +34,13 @@ from flickersim import (
     utility_sweep,
 )
 from flickersim import cli, simulate
-from flickersim.analytics import ComparisonRow, CrossoverReport, FlickerStats, SweepRow
+from flickersim.analytics import (
+    ComparisonRow,
+    CrossoverReport,
+    FlickerStats,
+    SweepRow,
+    flicker_replicates,
+)
 from flickersim.cli import main
 from flickersim.equilibria import Regime
 from flickersim.io import (
@@ -174,6 +180,15 @@ class TestConfigFiles:
         bad.write_text("eco: [unclosed")
         with pytest.raises(ParseError, match="cannot parse"):
             load_config(bad)
+
+    @pytest.mark.parametrize("data,match", [
+        ([1.0], "config root must be a mapping, got list"),
+        ({"eco": 2.0}, "section eco must be a mapping, got 2.0"),
+        ({"wellbeing": {"label": 3, "m": 1.0}}, "wellbeing.label must be a string, got 3"),
+    ], ids=["root", "section", "label"])
+    def test_misshapen_documents_named(self, data, match):
+        with pytest.raises(ValidationError, match=match):
+            config_from_dict(data)
 
     def test_non_numeric_rejected(self):
         with pytest.raises(ValidationError, match="eco.c"):
@@ -446,6 +461,12 @@ def test_written_files_honour_the_umask(tmp_path, umask):
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        _atomic_write(tmp_path / "out.csv", b"not text")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestCli:
     def test_simulate_writes_csv_and_manifest(self, tmp_path, capsys):
         code = run_cli("simulate", "--preset", "fig4b", "--t-max", "400",
@@ -497,6 +518,13 @@ class TestCli:
         bistable_cs = sorted(c for c, k in per_c.items() if k == 3)
         assert bistable_cs
         assert folds["c_low"] < bistable_cs[0] < bistable_cs[-1] < folds["c_high"]
+
+    def test_bifurcation_without_a_band_records_the_fold_error(self, tmp_path):
+        assert run_cli("bifurcation", "--c-min", "0", "--c-max", "0.5", "--steps", "3",
+                       "--out-dir", tmp_path) == 0
+        folds = json.loads((tmp_path / "manifest.json").read_text())["fold_points"]
+        assert list(folds) == ["error"]
+        assert folds["error"].startswith("no bistable extraction interval in [0.0, 0.5]")
 
     def test_sweep_row_count_and_workers(self, tmp_path):
         args = ("sweep", "--preset", "fig5", "--seeds", "2", "--t-max", "300",
@@ -770,6 +798,46 @@ class TestCli:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("argv,updates", [
+        (["simulate", "--preset", "fig4b", "--c", "2.45", "--l", "0.1", "--case", "generalist"],
+         {"eco": EcoParams(c=2.45), "adapt": AdaptationParams(l=0.1), "wellbeing": GENERALIST}),
+        (["flicker", "--preset", "fig4a", "--c", "1.95", "--seeds", "2"],
+         {"eco": EcoParams(c=1.95)}),
+    ], ids=["simulate", "flicker"])
+    def test_run_overrides_give_the_library_bytes(self, tmp_path, argv, updates):
+        """--c, --l and --case set the config the library then runs on."""
+        assert run_cli(*argv, "--t-max", "300", "--burn-in", "50",
+                       "--out-dir", tmp_path / "cli") == 0
+        cfg = replace(get_preset(argv[2]), t_max=300, burn_in=50, **updates)
+        if argv[0] == "simulate":
+            name = "trajectory.csv"
+            write_trajectory_csv(tmp_path / name, run_trajectory(cfg), cfg.wellbeing.params)
+        else:
+            name, separatrix = "flicker.json", separatrix_for(cfg.eco)
+            stats = flicker_replicates(cfg, 2, separatrix)
+            write_flicker_json(tmp_path / name, stats, separatrix, 5)
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+        manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+        assert manifest["config_fingerprint"] == config_fingerprint(cfg)
+
+    @pytest.mark.parametrize("command,kind", [("sweep", SweepConfig),
+                                              ("transform", TransformConfig)])
+    def test_grid_base_with_no_start_is_recorded_as_given(self, tmp_path, capsys, command, kind):
+        """A grid runs the rates of its c_grid, so a base config with no start at
+        its own eco.c (r = 2.5 overcompensates at c = 0.5) still gets a manifest."""
+        cfg_path = tmp_path / "r25.yaml"
+        cfg_path.write_text("eco: {r: 2.5, c: 0.5}\n")
+        assert run_cli(command, "--config", cfg_path, "--c-min", "2", "--c-max", "3",
+                       "--steps", "3", "--seeds", "2", "--t-max", "300", "--burn-in", "50",
+                       "--out-dir", tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        base = manifest["config"]["base"]
+        assert (base["eco"]["c"], base["sim"]["x0"], base["sim"]["y0"]) == (0.5, None, None)
+        spec = kind(base=replace(load_config(cfg_path), t_max=300, burn_in=50),
+                    c_grid=(2.0, 2.5, 3.0), n_seeds=2)
+        assert manifest["config_fingerprint"] == config_fingerprint(spec)
 
     def test_config_file_drives_simulation(self, tmp_path):
         cfg = SimConfig(eco=get_preset("fig4b").eco, t_max=200, burn_in=10, seed=4)

@@ -209,6 +209,12 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="n_seeds"):
             run_ensemble(SMALL, n_seeds=0)
 
+    def test_config_with_no_start_fails_by_name(self):
+        # r = 2.5 overcompensates: no stable positive equilibrium to start from
+        cfg = replace(SMALL, eco=EcoParams(r=2.5, K=10.0, c=0.5, h=1.0))
+        with pytest.raises(ValueError, match="no stable positive equilibrium .* set x0"):
+            run_ensemble(cfg, n_seeds=2)
+
     def test_mean_consistency(self):
         summary = run_ensemble(SMALL, n_seeds=5)
         assert summary.mean_payoff == pytest.approx(summary.avg_payoffs.mean())

@@ -1,0 +1,95 @@
+"""Run a fixed command matrix on two source trees and compare what they write.
+
+    python tools/compare_outputs.py PARENT_TREE CHANGE_TREE
+
+Each tree is a checkout of this repository.  Every command of MATRIX runs
+as ``python -m flickersim.cli`` in a fresh process with that tree's ``src``
+alone on PYTHONPATH (and no bytecode written into the tree), one output
+directory per command and tree under a temporary directory.  Data files are
+compared byte for byte; manifests as JSON, leaving out ``created_utc`` and
+the directories of the output paths.  Exit codes and error messages must
+match too.  Prints one line per file and exits 1 on any difference, else 0.
+The full matrix takes about 12 s per tree on a 2-CPU host.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (label, arguments after the command): the preset figures, the grids at both
+# worker counts, and small runs off the presets
+MATRIX = [
+    ("bifurcation-fig2", ["bifurcation", "--preset", "fig2"]),
+    ("bifurcation-0-1", ["bifurcation", "--c-min", "0", "--c-max", "1"]),
+    *((f"simulate-{fig}", ["simulate", "--preset", fig])
+      for fig in ("fig4a", "fig4b", "fig4c", "fig4d")),
+    ("flicker-fig4b-8", ["flicker", "--preset", "fig4b", "--seeds", "8"]),
+    *((f"sweep-fig5-w{w}", ["sweep", "--preset", "fig5", "--workers", str(w)]) for w in (1, 2)),
+    ("sweep-small", ["sweep", "--c-min=-1", "--c-max", "2", "--steps", "7", "--seeds", "3"]),
+    ("transform-fig6", ["transform", "--preset", "fig6"]),
+]
+
+
+def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str]:
+    """Exit code and stderr of one command on tree, writing into out."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out.mkdir(parents=True)
+    proc = subprocess.run([sys.executable, "-m", "flickersim.cli", *argv,
+                           "--out-dir", str(out)],
+                          cwd=out, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def _manifest(path: Path) -> dict:
+    """A manifest without its timestamp, its outputs reduced to file names."""
+    doc = json.loads(path.read_text())
+    del doc["created_utc"]
+    doc["outputs"] = [Path(p).name for p in doc["outputs"]]
+    return doc
+
+
+def compare(a: Path, b: Path) -> list[tuple[str, bool]]:
+    """(file name, identical) for every file either directory holds."""
+    result = []
+    for name in sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()}):
+        pa, pb = a / name, b / name
+        if not (pa.exists() and pb.exists()):
+            same = False
+        elif name == "manifest.json":
+            same = _manifest(pa) == _manifest(pb)
+        else:
+            same = filecmp.cmp(pa, pb, shallow=False)
+        result.append((name, same))
+    return result
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/compare_outputs.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    parent, change = map(Path, argv)
+    differences = 0
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
+        for label, command in MATRIX:
+            dirs = [Path(work) / side / label for side in ("parent", "change")]
+            runs = [run(tree, command, out) for tree, out in zip((parent, change), dirs)]
+            if runs[0] != runs[1]:
+                differences += 1
+                print(f"DIFFERENT {label}: exit/stderr {runs[0]!r} vs {runs[1]!r}")
+                continue
+            for name, same in compare(*dirs):
+                differences += not same
+                print(f"{'identical' if same else 'DIFFERENT'} {label}/{name}")
+    print(f"{differences} difference(s)")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
