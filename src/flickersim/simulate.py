@@ -9,34 +9,36 @@ point expressions as the scalar step functions in
 ``step_coupled`` reproduces any trajectory bit for bit.
 
 Every route runs on one span driver, :func:`stream_spans`: it draws each
-span of STREAM_SPAN steps from the replicate substreams, and its kernel
-advances all (c, replicate) rows of a run together, x, i and the adapted
-state y of every adaptive capacity in one time loop.  Every c reuses the
-same substreams; Philox is counter-based, so span-by-span draws equal a
-whole-series draw.  One loop, :func:`_consume`, checks each span for the
-routes that fail at the first non-finite step, drops the burn-in and feeds
-the rest to a consumer's add(X, I, Y): :class:`_KeptSeries` keeps it for
-run_trajectory; in O(rows x STREAM_SPAN) memory, ``analytics._Dwells``
-counts basin dwells for flicker and :class:`_CellSums` sums each row for
-run_ensemble (one cell) and the sweep and transform grids, scoring each
-profile's payoff once per span and each capacity's utility as that payoff
-times its wellbeing.penalty.
+block of innovations from the replicate substreams, and its kernel advances
+all (c, replicate) rows of a run together, x, i and the adapted state y of
+every adaptive capacity in one time loop, yielding spans of STREAM_SPAN
+steps.  Every c reuses the same substreams; Philox is counter-based, so
+block-by-block draws equal a whole-series draw.  One loop, :func:`_consume`,
+checks each span for the routes that fail at the first non-finite step,
+drops the burn-in and feeds the rest to a consumer's add(X, I, Y):
+:class:`_KeptSeries` keeps it for run_trajectory; in memory that does not
+grow with t_max, ``analytics._Dwells`` counts basin dwells for flicker and
+:class:`_CellSums` sums each row for run_ensemble (one cell) and the sweep
+and transform grids, scoring each profile's payoff once per span and each
+capacity's utility as that payoff times its wellbeing.penalty.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
 step costs about the same ~12-30 us whether it advances 1 row or 64, while a
 Python-float step costs about 0.5-1 us per row, so runs of fewer than
 SCALAR_ROWS rows advance each row in Python floats (:func:`_scalar_spans`)
-and larger ones as one numpy block (:func:`_block_spans`).  The scalar
-kernel binds the run's one model to locals and evaluates the expressions
-of step_noise, step_environment and step_adaptation inline, with the same
-operands in the same association; the block kernel evaluates them too, so
-both agree bit for bit with each other and with a step_coupled replay,
-overflowed (nan) states and -0.0 included.  The block kernel holds x, i and
-every y in time-major buffers allocated once per run, steps every ufunc into
-them with out=, so no step allocates, and yields each span time-last through
-one fresh C-contiguous copy per array.  The per-row crossover that sets
-SCALAR_ROWS is tabulated in the README ("How simulations stream") and
-recorded in BENCH_10.json and BENCH_16.json.
+and larger ones as one numpy block (:func:`_block_spans`).  A numpy block
+is one span and a scalar one SCALAR_ROWS // rows spans, so a scalar draw
+and its set-up are paid once per up to SCALAR_ROWS x STREAM_SPAN row-steps.
+The scalar kernel binds the run's one model to locals and evaluates the
+expressions of step_noise, step_environment and step_adaptation inline, with
+the same operands in the same association; the block kernel evaluates them
+too, so both agree bit for bit with each other and with a step_coupled
+replay, overflowed (nan) states and -0.0 included.  The block kernel holds
+x, i and every y in time-major buffers allocated once per run, steps every
+ufunc into them with out=, so no step allocates, and yields each span
+time-last through one fresh C-contiguous copy per array.  The per-row
+crossover that sets SCALAR_ROWS is tabulated in the README ("How
+simulations stream") and recorded in BENCH_10.json and BENCH_16.json.
 """
 
 from __future__ import annotations
@@ -240,9 +242,14 @@ def stream_spans(configs: list[SimConfig], replicates, l_values):
     (len(configs), len(replicates), n), the noise levels I, shape
     (len(replicates), n), and the adapted states Y, (len(l_values),) + X.shape.
 
-    The driver draws each span's innovation block; its kernel only steps, in
-    Python floats below SCALAR_ROWS rows, else as one numpy block, bit-equal.
+    This function draws the innovations and its kernel only steps, bit-equal
+    either way: below SCALAR_ROWS rows in Python floats, with one draw per
+    SCALAR_ROWS // rows spans; else as one numpy block, with one per span.
+    Raises ValueError, before any draw, when configs or replicates is empty.
     """
+    if not configs or not len(replicates):
+        raise ValueError(f"a run needs at least one config and one replicate, "
+                         f"got {len(configs)} configs and {len(replicates)} replicates")
     ls = [AdaptationParams(float(l)).l for l in l_values]  # rejects l outside [0, 1]
     model = configs[0]
     shared = _shared(model)
@@ -253,9 +260,13 @@ def stream_spans(configs: list[SimConfig], replicates, l_values):
                              f"but {name} is {a!r} in config 0 and {b!r} in config {j}")
     starts = [(cfg.eco.c, cfg.x0, cfg.y0) for cfg in configs]
     streams = [innovation_stream(model.seed, k) for k in replicates]
-    blocks = (_draw_innovations(model.noise, streams, min(STREAM_SPAN, model.t_max - t))
-              for t in range(0, model.t_max, STREAM_SPAN))
-    kernel = _scalar_spans if len(configs) * len(streams) < SCALAR_ROWS else _block_spans
+    rows = len(configs) * len(streams)
+    # below SCALAR_ROWS rows a block holds up to SCALAR_ROWS x STREAM_SPAN
+    # row-steps, the largest scalar span; from there on it is one span
+    steps = STREAM_SPAN * max(1, SCALAR_ROWS // rows)
+    blocks = (_draw_innovations(model.noise, streams, min(steps, model.t_max - t))
+              for t in range(0, model.t_max, steps))
+    kernel = _scalar_spans if rows < SCALAR_ROWS else _block_spans
     return kernel(model, starts, len(streams), ls, blocks)
 
 
@@ -293,7 +304,8 @@ def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks
     evaluates step_noise's, step_environment's and step_adaptation's
     expressions inline, with the same operands in the same association, so
     the spans agree bit for bit with the block kernel and with a
-    step_coupled replay.
+    step_coupled replay.  Each block is stepped whole, converted to arrays
+    once and yielded as views of its consecutive STREAM_SPAN-step slices.
     """
     r, K, hh, phi = model.eco.r, model.eco.K, model.eco.h * model.eco.h, model.noise.memory
     shape = (len(starts), n_rows)
@@ -330,8 +342,11 @@ def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks
                     y = l * (xt - y) + y
                 ys[j] = y
                 Yl.append(Yr)
-        yield (np.array(X).reshape(shape + (n,)), np.array(I),
-               np.array(Y).reshape((len(ls),) + shape + (n,)))
+        X, I, Y = (np.array(X).reshape(shape + (n,)), np.array(I),
+                   np.array(Y).reshape((len(ls),) + shape + (n,)))
+        for t in range(0, n, STREAM_SPAN):
+            span = slice(t, t + STREAM_SPAN)
+            yield X[..., span], I[:, span], Y[..., span]
 
 
 def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int) -> None:

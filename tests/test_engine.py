@@ -34,6 +34,7 @@ from flickersim.analytics import GridError, _first_upcrossing, flicker_replicate
 from flickersim.cli import main as cli_main
 from flickersim.io import write_sweep_csv
 from flickersim.simulate import (
+    SCALAR_ROWS,
     STREAM_SPAN,
     _block_spans,
     _CellSums,
@@ -293,11 +294,14 @@ class TestGridReplaysExactly:
         assert row.avg_utility_transform == replayed_mean_utility(cfg, 2, GENERALIST.params)
 
 
-@pytest.mark.parametrize("run", [
-    lambda cfg: utility_sweep(cfg, [0.5, 1.0, 1.5], L_VALUES, n_seeds=4),
-    lambda cfg: run_ensemble(cfg, 4),
-], ids=["utility_sweep", "run_ensemble"])
-def test_sweep_memory_does_not_grow_with_horizon(run):
+@pytest.mark.parametrize("run,short", [
+    (lambda cfg: utility_sweep(cfg, [0.5, 1.0, 1.5], L_VALUES, n_seeds=4), 16 * STREAM_SPAN),
+    (lambda cfg: run_ensemble(cfg, 4), 16 * STREAM_SPAN),
+    # one row draws and steps SCALAR_ROWS spans at a time, so its memory grows
+    # with t_max until the horizon fills one block, and from there on must not
+    (lambda cfg: run_ensemble(cfg, 1), SCALAR_ROWS * STREAM_SPAN),
+], ids=["utility_sweep", "run_ensemble", "run_ensemble-1-seed"])
+def test_sweep_memory_does_not_grow_with_horizon(run, short):
     def peak(t_max):
         cfg = replace(BASE, t_max=t_max, burn_in=t_max // 10)
         run(cfg)  # warm caches
@@ -308,7 +312,6 @@ def test_sweep_memory_does_not_grow_with_horizon(run):
         finally:
             tracemalloc.stop()
 
-    short = 16 * STREAM_SPAN
     assert peak(8 * short) < 1.5 * peak(short)
 
 

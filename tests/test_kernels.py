@@ -32,10 +32,11 @@ from flickersim import (
     step_coupled,
     step_environment,
     step_noise,
+    transform_comparison,
     utility_sweep,
 )
 from flickersim import simulate
-from flickersim.analytics import flicker_replicates
+from flickersim.analytics import flicker_replicates, separatrix_for
 from flickersim.cli import main as cli_main
 from flickersim.simulate import (
     SCALAR_ROWS,
@@ -85,9 +86,13 @@ def kernel(request, monkeypatch):
 
 
 def spans(kernel, configs, replicates, l_values=Y_L_VALUES):
-    """(X, I, Y) of every span, arrays as (shape, bytes): nan and -0.0 compare by bits."""
-    return [tuple((a.shape, np.ascontiguousarray(a).tobytes()) for a in span)
-            for span in kernel_spans(kernel, configs, replicates, l_values)]
+    """(X, I, Y) of every span on kernel, as_bytes."""
+    return as_bytes(kernel_spans(kernel, configs, replicates, l_values))
+
+
+def as_bytes(spans):
+    """Span arrays as (shape, bytes): nan and -0.0 compare by bits."""
+    return [tuple((a.shape, np.ascontiguousarray(a).tobytes()) for a in span) for span in spans]
 
 
 def joined(configs, replicates, l_values):
@@ -160,6 +165,19 @@ class TestKernelsAgree:
         message = f"differ only in eco.c, x0 and y0, but {name} is "
         with pytest.raises(ValueError, match=re.escape(message)):
             list(stream_spans([first, MODEL_CHANGES[name](other)], [0, 1], [0.1]))
+
+
+    @pytest.mark.parametrize("configs,replicates", [([], [0]), ([BASE], [])],
+                             ids=["no-config", "no-replicate"])
+    def test_empty_run_fails_by_name(self, configs, replicates, kernel, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("innovations drawn")
+
+        monkeypatch.setattr(simulate, "_draw_innovations", no_draw)
+        message = (f"a run needs at least one config and one replicate, got {len(configs)} "
+                   f"configs and {len(replicates)} replicates")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(stream_spans(configs, replicates, [0.1]))
 
 
 def coupled_replay(cfg: SimConfig, replicate: int) -> np.ndarray:
@@ -463,3 +481,132 @@ class TestOverflowIsNamed:
         rows = utility_sweep(cfg, [1.0], [0.1], n_seeds=2)
         assert not np.isfinite(rows[0].avg_payoff)
         assert "non-finite" in rows[0].error
+
+
+# Few-row runs step on the scalar kernel, which draws and steps
+# SCALAR_ROWS // rows spans at a time: the (configs, replicates) of a grid
+# cell at each row count, and each count's block length in steps.
+FEW_ROWS = {1: (1, 1), 2: (1, 2), 3: (3, 1), 8: (2, 4), 9: (3, 3), 16: (2, 8)}
+
+
+def block_steps(rows: int) -> int:
+    return STREAM_SPAN * (SCALAR_ROWS // rows)
+
+
+# (burn_in, t_max) for a block of b steps
+FEW_ROW_HORIZONS = {
+    "burn-in-mid-span-in-first-block": lambda b: (STREAM_SPAN + 5, 2 * b),
+    "burn-in-on-block-edge": lambda b: (b, 2 * b + STREAM_SPAN),
+    "burn-in-after-first-block": lambda b: (b + STREAM_SPAN + 3, 2 * b + 7),
+    "t_max-off-block-and-span": lambda b: (5, b + STREAM_SPAN + 7),
+}
+
+
+def few_row_base(rows: int, horizon: str) -> SimConfig:
+    burn_in, t_max = FEW_ROW_HORIZONS[horizon](block_steps(rows))
+    return replace(BASE, t_max=t_max, burn_in=burn_in)
+
+
+def on_block_kernel(run):
+    """run() with every stream_spans call stepped by the block kernel."""
+    with forced(_block_spans):
+        return run()
+
+
+@pytest.mark.parametrize("horizon", FEW_ROW_HORIZONS)
+@pytest.mark.parametrize("rows", FEW_ROWS)
+class TestFewRowBlocks:
+    """With the shipped SCALAR_ROWS, one scalar draw covers several spans; the
+    spans and every result equal the block kernel's, which draws per span."""
+
+    def test_spans_equal_block_kernel(self, rows, horizon):
+        n_c, n_seeds = FEW_ROWS[rows]
+        configs = grid_configs(few_row_base(rows, horizon), C_VALUES[:n_c])
+        assert stream_spans(configs, range(n_seeds), []).__name__ == "_scalar_spans"
+        got = as_bytes(stream_spans(configs, range(n_seeds), Y_L_VALUES))
+        assert got == spans(_block_spans, configs, range(n_seeds))
+        assert len(got) == -(-configs[0].t_max // STREAM_SPAN)
+
+    def test_results_equal_block_kernel(self, rows, horizon):
+        n_c, n_seeds = FEW_ROWS[rows]
+        base = few_row_base(rows, horizon)
+        cfg = at_c(base, 1.95)
+        runs = [
+            lambda: ensemble_bits(cfg, rows),
+            lambda: utility_sweep(base, C_VALUES[:n_c], L_VALUES, n_seeds),
+            lambda: transform_comparison(base, SPECIALIST, GENERALIST, C_VALUES[:n_c], 0.1,
+                                         n_seeds),
+            lambda: flicker_replicates(cfg, rows, separatrix_for(cfg.eco), min_dwell=3),
+        ]
+        for run in runs:  # repr of Python floats is exact
+            assert repr(run()) == repr(on_block_kernel(run))
+
+
+def ensemble_bits(cfg: SimConfig, n_seeds: int):
+    """run_ensemble's summary, its arrays as bytes."""
+    s = run_ensemble(cfg, n_seeds)
+    return repr(s), s.avg_payoffs.tobytes(), s.avg_utilities.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("cfg", OVERFLOWS, ids=OVERFLOW_IDS)
+@pytest.mark.parametrize("rows", FEW_ROWS)
+def test_few_row_overflow_names_the_same_step(cfg, rows):
+    # a horizon of two blocks, so the overflow lies in a block of several spans
+    cfg = replace(cfg, t_max=2 * block_steps(rows) + 7)
+    for run in (lambda: ensemble_bits(cfg, rows),
+                lambda: flicker_replicates(cfg, rows, separatrix=1.0),
+                *([lambda: run_trajectory(cfg)] if rows == 1 else [])):
+        with pytest.raises(NonFiniteStateError) as scalar:
+            run()
+        with pytest.raises(NonFiniteStateError) as block:
+            on_block_kernel(run)
+        assert re.search(r"at step \d+ ", str(scalar.value))
+        assert str(scalar.value) == str(block.value)
+
+
+class TestDrawsPerBlock:
+    """The scalar route draws once per SCALAR_ROWS // rows spans; the block
+    kernel, and the scalar one from SCALAR_ROWS // 2 + 1 rows up, once per span."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(replicates, steps) of every _draw_innovations call."""
+        draw, calls = simulate._draw_innovations, []
+
+        def counted(noise, streams, size):
+            calls.append((len(streams), size))
+            return draw(noise, streams, size)
+
+        monkeypatch.setattr(simulate, "_draw_innovations", counted)
+        return calls
+
+    def test_run_trajectory_draws_ten_blocks(self, draws):
+        run_trajectory(replace(get_preset("fig4b"), t_max=10_000))
+        assert len(draws) == 10  # 313 spans of 32 steps
+        assert draws[0] == (1, SCALAR_ROWS * STREAM_SPAN)
+
+    def test_flicker_draws_forty_blocks(self, draws):
+        cfg = replace(get_preset("fig4b"), t_max=5_000, burn_in=500)
+        flicker_replicates(cfg, 8, separatrix_for(cfg.eco))
+        assert len(draws) == 40  # 157 spans of 32 steps
+        assert draws[0] == (8, STREAM_SPAN * SCALAR_ROWS // 8)
+
+    @pytest.mark.parametrize("rows", [SCALAR_ROWS - 1, SCALAR_ROWS])
+    def test_one_draw_per_span_near_the_threshold(self, rows, draws):
+        cfg = replace(get_preset("fig4b"), t_max=10 * STREAM_SPAN + 3, burn_in=10)
+        run_ensemble(cfg, rows)
+        assert draws == [(rows, STREAM_SPAN)] * 10 + [(rows, 3)]
+
+    def test_one_draw_per_span_on_the_block_kernel(self, draws, monkeypatch):
+        monkeypatch.setattr(simulate, "SCALAR_ROWS", 0)
+        run_trajectory(replace(get_preset("fig4b"), t_max=10_000))
+        assert len(draws) == -(-10_000 // STREAM_SPAN)
+
+    @pytest.mark.parametrize("rows", range(1, SCALAR_ROWS))
+    def test_no_draw_exceeds_the_largest_scalar_span(self, rows, draws):
+        n_c = 3 if rows % 3 == 0 else 1
+        cfg = replace(BASE, t_max=2 * SCALAR_ROWS * STREAM_SPAN + 5, burn_in=0)
+        list(stream_spans(grid_configs(cfg, C_VALUES[:n_c]), range(rows // n_c), []))
+        assert max(n_seeds * steps for n_seeds, steps in draws) <= SCALAR_ROWS * STREAM_SPAN
+        assert {steps for _, steps in draws[:-1]} == {block_steps(rows)}
