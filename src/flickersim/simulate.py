@@ -27,8 +27,8 @@ step costs about the same ~12-30 us whether it advances 1 row or 64, while a
 Python-float step costs about 0.5-1 us per row, so runs of fewer than
 SCALAR_ROWS rows advance each row in Python floats (:func:`_scalar_spans`)
 and larger ones as one numpy block (:func:`_block_spans`).  A numpy block
-is one span and a scalar one SCALAR_ROWS // rows spans, so a scalar draw
-and its set-up are paid once per up to SCALAR_ROWS x STREAM_SPAN row-steps.
+is one span and a scalar one as many spans as fit in SCALAR_BLOCK = 1 024
+row-steps, so a scalar draw and its set-up are paid once per block.
 The scalar kernel binds the run's one model to locals and evaluates the
 expressions of step_noise, step_environment and step_adaptation inline, with
 the same operands in the same association; the block kernel evaluates them
@@ -67,6 +67,11 @@ STREAM_SPAN = 32
 # replicates); grid rows share their noise and cross later, near 36-48.  The
 # crossover tables are in BENCH_16.json.
 SCALAR_ROWS = 32
+# Most row-steps the scalar kernel draws and steps at once, SCALAR_ROWS x
+# STREAM_SPAN at the values above: 32 spans at 1 row, one from 17 rows up.
+# It is fixed, not derived from SCALAR_ROWS, so a block stays this small
+# whatever row count routes to the scalar kernel.
+SCALAR_BLOCK = 1024
 # Most bytes that _KeptSeries may allocate for the full post-burn-in X, I and
 # Y series: 1 GiB holds ~44.7 million steps of one run_trajectory.  Above
 # it, a run fails with a named ValueError instead of an unnamed MemoryError.
@@ -244,7 +249,8 @@ def stream_spans(configs: list[SimConfig], replicates, l_values):
 
     This function draws the innovations and its kernel only steps, bit-equal
     either way: below SCALAR_ROWS rows in Python floats, with one draw per
-    SCALAR_ROWS // rows spans; else as one numpy block, with one per span.
+    SCALAR_BLOCK // (STREAM_SPAN x rows) spans, at least one; else as one
+    numpy block, with one draw per span.
     Raises ValueError, before any draw, when configs or replicates is empty.
     """
     if not configs or not len(replicates):
@@ -261,12 +267,11 @@ def stream_spans(configs: list[SimConfig], replicates, l_values):
     starts = [(cfg.eco.c, cfg.x0, cfg.y0) for cfg in configs]
     streams = [innovation_stream(model.seed, k) for k in replicates]
     rows = len(configs) * len(streams)
-    # below SCALAR_ROWS rows a block holds up to SCALAR_ROWS x STREAM_SPAN
-    # row-steps, the largest scalar span; from there on it is one span
-    steps = STREAM_SPAN * max(1, SCALAR_ROWS // rows)
+    kernel = _scalar_spans if rows < SCALAR_ROWS else _block_spans
+    spans = max(1, SCALAR_BLOCK // (STREAM_SPAN * rows)) if kernel is _scalar_spans else 1
+    steps = STREAM_SPAN * spans
     blocks = (_draw_innovations(model.noise, streams, min(steps, model.t_max - t))
               for t in range(0, model.t_max, steps))
-    kernel = _scalar_spans if rows < SCALAR_ROWS else _block_spans
     return kernel(model, starts, len(streams), ls, blocks)
 
 

@@ -34,7 +34,7 @@ from flickersim.analytics import GridError, _first_upcrossing, flicker_replicate
 from flickersim.cli import main as cli_main
 from flickersim.io import write_sweep_csv
 from flickersim.simulate import (
-    SCALAR_ROWS,
+    SCALAR_BLOCK,
     STREAM_SPAN,
     _block_spans,
     _CellSums,
@@ -297,9 +297,9 @@ class TestGridReplaysExactly:
 @pytest.mark.parametrize("run,short", [
     (lambda cfg: utility_sweep(cfg, [0.5, 1.0, 1.5], L_VALUES, n_seeds=4), 16 * STREAM_SPAN),
     (lambda cfg: run_ensemble(cfg, 4), 16 * STREAM_SPAN),
-    # one row draws and steps SCALAR_ROWS spans at a time, so its memory grows
+    # one row draws and steps SCALAR_BLOCK steps at a time, so its memory grows
     # with t_max until the horizon fills one block, and from there on must not
-    (lambda cfg: run_ensemble(cfg, 1), SCALAR_ROWS * STREAM_SPAN),
+    (lambda cfg: run_ensemble(cfg, 1), SCALAR_BLOCK),
 ], ids=["utility_sweep", "run_ensemble", "run_ensemble-1-seed"])
 def test_sweep_memory_does_not_grow_with_horizon(run, short):
     def peak(t_max):

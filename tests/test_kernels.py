@@ -39,6 +39,7 @@ from flickersim import simulate
 from flickersim.analytics import flicker_replicates, separatrix_for
 from flickersim.cli import main as cli_main
 from flickersim.simulate import (
+    SCALAR_BLOCK,
     SCALAR_ROWS,
     STREAM_SPAN,
     _block_spans,
@@ -55,9 +56,22 @@ from test_engine import (BASE, C_VALUES, HORIZONS, L_VALUES, at_c, forced, kerne
                          replayed_mean_utility)
 from test_simulate import SMALL
 
+# Few rows, whose scalar blocks hold several spans (1 024 steps at 1 row, 320
+# at 3, 96 at 9): the (configs, replicates) of a grid cell at each row count.
+FEW_ROWS = {1: (1, 1), 2: (1, 2), 3: (3, 1), 8: (2, 4), 9: (3, 3), 16: (2, 8)}
 # both sides of the threshold, plus fixed counts (around 24 and around the
-# earlier threshold 36) that keep the same cases whatever SCALAR_ROWS is tuned to
-KERNEL_ROWS = sorted({23, 24, 25, 35, 36, 37, SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1})
+# earlier threshold 36) that keep the same cases whatever SCALAR_ROWS is tuned
+# to, and the few rows
+KERNEL_ROWS = sorted({*FEW_ROWS, 23, 24, 25, 35, 36, 37,
+                      SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1})
+# (t_max, burn_in) with t_max on neither a block nor a span boundary: the
+# burn-in ends on a block edge at 3, 9, 16 and from 17 rows, or at 1, 2, 8
+# and 16 rows; then mid-span inside the first block at 1 row (after it from
+# 2 rows), or after the first block at every row count
+BLOCK_EDGES = [(SCALAR_BLOCK + STREAM_SPAN + 7, burn_in)
+               for burn_in in (SCALAR_BLOCK - 64, SCALAR_BLOCK)]
+BLOCK_HORIZONS = [*BLOCK_EDGES, *((SCALAR_BLOCK + STREAM_SPAN + 7, burn_in)
+                                  for burn_in in (SCALAR_BLOCK - 24, SCALAR_BLOCK + 3))]
 # a huge finite start overflows x to nan within two steps
 OVERFLOWS = [SimConfig(x0=1e200, t_max=40, burn_in=0), SimConfig(i0=1e300, t_max=40, burn_in=0)]
 OVERFLOW_IDS = ["x0=1e200", "i0=1e300"]
@@ -86,13 +100,9 @@ def kernel(request, monkeypatch):
 
 
 def spans(kernel, configs, replicates, l_values=Y_L_VALUES):
-    """(X, I, Y) of every span on kernel, as_bytes."""
-    return as_bytes(kernel_spans(kernel, configs, replicates, l_values))
-
-
-def as_bytes(spans):
-    """Span arrays as (shape, bytes): nan and -0.0 compare by bits."""
-    return [tuple((a.shape, np.ascontiguousarray(a).tobytes()) for a in span) for span in spans]
+    """(X, I, Y) of every span, arrays as (shape, bytes): nan and -0.0 compare by bits."""
+    return [tuple((a.shape, np.ascontiguousarray(a).tobytes()) for a in span)
+            for span in kernel_spans(kernel, configs, replicates, l_values)]
 
 
 def joined(configs, replicates, l_values):
@@ -165,7 +175,6 @@ class TestKernelsAgree:
         message = f"differ only in eco.c, x0 and y0, but {name} is "
         with pytest.raises(ValueError, match=re.escape(message)):
             list(stream_spans([first, MODEL_CHANGES[name](other)], [0, 1], [0.1]))
-
 
     @pytest.mark.parametrize("configs,replicates", [([], [0]), ([BASE], [])],
                              ids=["no-config", "no-replicate"])
@@ -320,9 +329,12 @@ def test_spans_never_alias(kernel, l_values):
         assert [a.tobytes() for a in span] == frozen
 
 
-# the engine against the unchunked scalar replay, at and around the threshold
-@pytest.mark.parametrize("rows", KERNEL_ROWS)
-@pytest.mark.parametrize("t_max,burn_in", [(300, 0), *HORIZONS])
+# the engine against the unchunked scalar replay, at and around the threshold;
+# the block edges only move below 17 rows, where a block holds several spans
+@pytest.mark.parametrize("t_max,burn_in,rows", [
+    *((t_max, burn_in, rows) for t_max, burn_in in [(300, 0), *HORIZONS] for rows in KERNEL_ROWS),
+    *((t_max, burn_in, rows) for t_max, burn_in in BLOCK_HORIZONS for rows in FEW_ROWS),
+])
 def test_rows_match_scalar_replay_bitwise(rows, t_max, burn_in):
     cfg = replace(SMALL, t_max=t_max, burn_in=burn_in)
     X, I, Y = joined([resolve_config(cfg)], range(rows), [cfg.adapt.l])
@@ -342,7 +354,7 @@ def test_sweep_at_threshold_replays_exactly(rows, t_max, burn_in):
         assert row.avg_utility == replayed_mean_utility(cell, rows, cfg.wellbeing.params)
 
 
-@pytest.mark.parametrize("n_seeds", [1, 3, 8])
+@pytest.mark.parametrize("n_seeds", FEW_ROWS)
 def test_run_ensemble_same_on_both_kernels(n_seeds, monkeypatch):
     cfg = replace(get_preset("fig4b"), t_max=3 * STREAM_SPAN + 7, burn_in=STREAM_SPAN + 3)
     results = []
@@ -462,11 +474,14 @@ class TestOverflowIsNamed:
         draw, drawn = simulate._draw_innovations, []
         monkeypatch.setattr(simulate, "_draw_innovations",
                             lambda *args: drawn.append(args) or draw(*args))
-        # the overflow lies in the burn-in of a long run: one span is drawn, not 31 250
+        # the overflow lies in the burn-in of a long run: one block of at most
+        # SCALAR_BLOCK row-steps is drawn, not the 10**6 steps of every row
         with pytest.raises(NonFiniteStateError) as long:
             run(replace(cfg, t_max=10**6, burn_in=10**6 - 1))
         assert str(long.value) == str(short.value)
         assert len(drawn) == 1
+        [(_, streams, steps)] = drawn
+        assert len(streams) * steps <= SCALAR_BLOCK
 
     def test_simulate_fails_before_writing(self, cfg, kernel, tmp_path, capsys):
         start = "x0: 1.0e+200" if cfg.x0 else "i0: 1.0e+300"
@@ -483,53 +498,25 @@ class TestOverflowIsNamed:
         assert "non-finite" in rows[0].error
 
 
-# Few-row runs step on the scalar kernel, which draws and steps
-# SCALAR_ROWS // rows spans at a time: the (configs, replicates) of a grid
-# cell at each row count, and each count's block length in steps.
-FEW_ROWS = {1: (1, 1), 2: (1, 2), 3: (3, 1), 8: (2, 4), 9: (3, 3), 16: (2, 8)}
-
-
-def block_steps(rows: int) -> int:
-    return STREAM_SPAN * (SCALAR_ROWS // rows)
-
-
-# (burn_in, t_max) for a block of b steps
-FEW_ROW_HORIZONS = {
-    "burn-in-mid-span-in-first-block": lambda b: (STREAM_SPAN + 5, 2 * b),
-    "burn-in-on-block-edge": lambda b: (b, 2 * b + STREAM_SPAN),
-    "burn-in-after-first-block": lambda b: (b + STREAM_SPAN + 3, 2 * b + 7),
-    "t_max-off-block-and-span": lambda b: (5, b + STREAM_SPAN + 7),
-}
-
-
-def few_row_base(rows: int, horizon: str) -> SimConfig:
-    burn_in, t_max = FEW_ROW_HORIZONS[horizon](block_steps(rows))
-    return replace(BASE, t_max=t_max, burn_in=burn_in)
-
-
 def on_block_kernel(run):
     """run() with every stream_spans call stepped by the block kernel."""
     with forced(_block_spans):
         return run()
 
 
-@pytest.mark.parametrize("horizon", FEW_ROW_HORIZONS)
+def ensemble_bits(cfg: SimConfig, n_seeds: int):
+    """run_ensemble's summary, its arrays as bytes."""
+    s = run_ensemble(cfg, n_seeds)
+    return repr(s), s.avg_payoffs.tobytes(), s.avg_utilities.tobytes()
+
+
 @pytest.mark.parametrize("rows", FEW_ROWS)
-class TestFewRowBlocks:
-    """With the shipped SCALAR_ROWS, one scalar draw covers several spans; the
-    spans and every result equal the block kernel's, which draws per span."""
-
-    def test_spans_equal_block_kernel(self, rows, horizon):
-        n_c, n_seeds = FEW_ROWS[rows]
-        configs = grid_configs(few_row_base(rows, horizon), C_VALUES[:n_c])
-        assert stream_spans(configs, range(n_seeds), []).__name__ == "_scalar_spans"
-        got = as_bytes(stream_spans(configs, range(n_seeds), Y_L_VALUES))
-        assert got == spans(_block_spans, configs, range(n_seeds))
-        assert len(got) == -(-configs[0].t_max // STREAM_SPAN)
-
-    def test_results_equal_block_kernel(self, rows, horizon):
-        n_c, n_seeds = FEW_ROWS[rows]
-        base = few_row_base(rows, horizon)
+def test_few_row_results_equal_block_kernel(rows):
+    # the shipped SCALAR_ROWS: one scalar draw covers several spans, and every
+    # result equals the block kernel's, which draws per span
+    n_c, n_seeds = FEW_ROWS[rows]
+    for t_max, burn_in in BLOCK_EDGES:
+        base = replace(BASE, t_max=t_max, burn_in=burn_in)
         cfg = at_c(base, 1.95)
         runs = [
             lambda: ensemble_bits(cfg, rows),
@@ -542,32 +529,26 @@ class TestFewRowBlocks:
             assert repr(run()) == repr(on_block_kernel(run))
 
 
-def ensemble_bits(cfg: SimConfig, n_seeds: int):
-    """run_ensemble's summary, its arrays as bytes."""
-    s = run_ensemble(cfg, n_seeds)
-    return repr(s), s.avg_payoffs.tobytes(), s.avg_utilities.tobytes()
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
-@pytest.mark.parametrize("cfg", OVERFLOWS, ids=OVERFLOW_IDS)
-@pytest.mark.parametrize("rows", FEW_ROWS)
-def test_few_row_overflow_names_the_same_step(cfg, rows):
-    # a horizon of two blocks, so the overflow lies in a block of several spans
-    cfg = replace(cfg, t_max=2 * block_steps(rows) + 7)
-    for run in (lambda: ensemble_bits(cfg, rows),
-                lambda: flicker_replicates(cfg, rows, separatrix=1.0),
-                *([lambda: run_trajectory(cfg)] if rows == 1 else [])):
-        with pytest.raises(NonFiniteStateError) as scalar:
-            run()
-        with pytest.raises(NonFiniteStateError) as block:
-            on_block_kernel(run)
-        assert re.search(r"at step \d+ ", str(scalar.value))
-        assert str(scalar.value) == str(block.value)
+@pytest.mark.parametrize("rows", [1, 3, 9])
+def test_few_row_overflow_names_the_same_step(rows):
+    for cfg in OVERFLOWS:
+        # a horizon of several blocks, so the overflow lies in a block of several spans
+        cfg = replace(cfg, t_max=BLOCK_HORIZONS[0][0])
+        for run in (lambda: ensemble_bits(cfg, rows),
+                    lambda: flicker_replicates(cfg, rows, separatrix=1.0),
+                    *([lambda: run_trajectory(cfg)] if rows == 1 else [])):
+            with pytest.raises(NonFiniteStateError) as scalar:
+                run()
+            with pytest.raises(NonFiniteStateError) as block:
+                on_block_kernel(run)
+            assert re.search(r"at step \d+ ", str(scalar.value))
+            assert str(scalar.value) == str(block.value)
 
 
 class TestDrawsPerBlock:
-    """The scalar route draws once per SCALAR_ROWS // rows spans; the block
-    kernel, and the scalar one from SCALAR_ROWS // 2 + 1 rows up, once per span."""
+    """The scalar route draws once per block of up to SCALAR_BLOCK row-steps;
+    the block kernel, and the scalar one from 17 rows up, once per span."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -584,13 +565,13 @@ class TestDrawsPerBlock:
     def test_run_trajectory_draws_ten_blocks(self, draws):
         run_trajectory(replace(get_preset("fig4b"), t_max=10_000))
         assert len(draws) == 10  # 313 spans of 32 steps
-        assert draws[0] == (1, SCALAR_ROWS * STREAM_SPAN)
+        assert draws[0] == (1, 1024)
 
     def test_flicker_draws_forty_blocks(self, draws):
         cfg = replace(get_preset("fig4b"), t_max=5_000, burn_in=500)
         flicker_replicates(cfg, 8, separatrix_for(cfg.eco))
         assert len(draws) == 40  # 157 spans of 32 steps
-        assert draws[0] == (8, STREAM_SPAN * SCALAR_ROWS // 8)
+        assert draws[0] == (8, 128)
 
     @pytest.mark.parametrize("rows", [SCALAR_ROWS - 1, SCALAR_ROWS])
     def test_one_draw_per_span_near_the_threshold(self, rows, draws):
@@ -603,10 +584,13 @@ class TestDrawsPerBlock:
         run_trajectory(replace(get_preset("fig4b"), t_max=10_000))
         assert len(draws) == -(-10_000 // STREAM_SPAN)
 
-    @pytest.mark.parametrize("rows", range(1, SCALAR_ROWS))
-    def test_no_draw_exceeds_the_largest_scalar_span(self, rows, draws):
-        n_c = 3 if rows % 3 == 0 else 1
-        cfg = replace(BASE, t_max=2 * SCALAR_ROWS * STREAM_SPAN + 5, burn_in=0)
+    # rows: (configs, steps per block)
+    @pytest.mark.parametrize("rows,n_c,steps", [
+        (1, 1, 1024), (2, 1, 512), (3, 3, 320), (8, 1, 128), (9, 3, 96), (16, 1, 64),
+        (17, 1, 32), (31, 1, 32),
+    ])
+    def test_block_size(self, rows, n_c, steps, draws):
+        cfg = replace(BASE, t_max=2 * SCALAR_BLOCK + 5, burn_in=0)
         list(stream_spans(grid_configs(cfg, C_VALUES[:n_c]), range(rows // n_c), []))
-        assert max(n_seeds * steps for n_seeds, steps in draws) <= SCALAR_ROWS * STREAM_SPAN
-        assert {steps for _, steps in draws[:-1]} == {block_steps(rows)}
+        assert {size for _, size in draws[:-1]} == {steps}
+        assert max(n_seeds * size for n_seeds, size in draws) <= SCALAR_BLOCK

@@ -9,7 +9,9 @@ directory per command and tree under a temporary directory.  Data files are
 compared byte for byte; manifests as JSON, leaving out ``created_utc`` and
 the directories of the output paths.  Exit codes and error messages must
 match too.  Prints one line per file and exits 1 on any difference, else 0.
-The full matrix takes about 12 s per tree on a 2-CPU host.
+The full matrix takes about 12 s per tree on a 2-CPU host.  run also
+returns each command's wall seconds and peak RSS, which
+tools/time_presets.py reports.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 # (label, arguments after the command): the preset figures, the grids at both
 # worker counts, and small runs off the presets
@@ -36,15 +40,28 @@ MATRIX = [
 ]
 
 
-def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str]:
-    """Exit code and stderr of one command on tree, writing into out."""
+class Run(NamedTuple):
+    code: int
+    stderr: str
+    wall_s: float
+    peak_rss_mb: float  # wait4's ru_maxrss for this one child
+
+
+def run(tree: Path, argv: list[str], out: Path) -> Run:
+    """One command on tree in a fresh process, writing into out."""
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     out.mkdir(parents=True)
-    proc = subprocess.run([sys.executable, "-m", "flickersim.cli", *argv,
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-m", "flickersim.cli", *argv,
                            "--out-dir", str(out)],
-                          cwd=out, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stderr
+                          cwd=out, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        stderr = proc.stderr.read()  # to EOF, so the child never blocks on a full pipe
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return Run(proc.returncode, stderr, wall, usage.ru_maxrss / 1024)  # KiB on Linux
 
 
 def _manifest(path: Path) -> dict:
@@ -79,7 +96,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
         for label, command in MATRIX:
             dirs = [Path(work) / side / label for side in ("parent", "change")]
-            runs = [run(tree, command, out) for tree, out in zip((parent, change), dirs)]
+            runs = [run(tree, command, out)[:2] for tree, out in zip((parent, change), dirs)]
             if runs[0] != runs[1]:
                 differences += 1
                 print(f"DIFFERENT {label}: exit/stderr {runs[0]!r} vs {runs[1]!r}")

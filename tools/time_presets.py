@@ -3,30 +3,29 @@
     python tools/time_presets.py PARENT_TREE CHANGE_TREE [--rounds N]
 
 Each tree is a checkout of this repository.  Every command of COMMANDS runs
-as ``python -m flickersim.cli`` in a fresh process with that tree's ``src``
-alone on PYTHONPATH (and no bytecode written into the tree), in its own
-output directory under a temporary directory.  Within a round each command
-runs on both trees back to back, and the tree that goes first alternates
-from round to round.  Prints the raw wall seconds and peak RSS of every run,
-then per command and tree the median wall seconds and the largest peak RSS,
-and ends with one JSON line holding every raw number.  Peak RSS is the
-``ru_maxrss`` that ``wait4`` reports for that one child (the figure that
-``RUSAGE_CHILDREN`` takes the maximum of over all children).  Exits 1 if
-any command fails on either tree.  One round takes about 18 s on a 2-CPU
-host.
+through compare_outputs.run: as ``python -m flickersim.cli`` in a fresh
+process with that tree's ``src`` alone on PYTHONPATH (and no bytecode
+written into the tree), in its own output directory under a temporary
+directory.  Within a round each command runs on both trees back to back,
+and the tree that goes first alternates from round to round.  Prints the
+raw wall seconds and peak RSS of every run, then per command and tree the
+median wall seconds and the largest peak RSS, and ends with one JSON line
+holding every raw number.  Peak RSS is the ``ru_maxrss`` that ``wait4``
+reports for that one child (the figure that ``RUSAGE_CHILDREN`` takes the
+maximum of over all children).  Exits 1 if any command fails on either
+tree.  One round takes about 18 s on a 2-CPU host.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+from compare_outputs import run
 
 # (label, arguments): the five commands at their presets, and flicker at the
 # replicate counts of the benchmark and of the roadmap's timings
@@ -39,22 +38,6 @@ COMMANDS = [
     ("flicker-fig4b-8", ["flicker", "--preset", "fig4b", "--seeds", "8"]),
     ("flicker-fig4b-20", ["flicker", "--preset", "fig4b", "--seeds", "20"]),
 ]
-
-
-def run(tree: Path, argv: list[str], out: Path) -> tuple[int, float, float]:
-    """Exit code, wall seconds and peak RSS in MB of one command on tree."""
-    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    out.mkdir(parents=True)
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "flickersim.cli", *argv,
-                             "--out-dir", str(out)],
-                            cwd=out, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    return proc.returncode, wall, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
 def main(argv: list[str]) -> int:
@@ -74,7 +57,8 @@ def main(argv: list[str]) -> int:
             order = list(trees) if r % 2 == 0 else list(trees)[::-1]
             for label, command in COMMANDS:
                 for side in order:
-                    code, wall, peak = run(trees[side], command, Path(work) / f"{r}-{side}-{label}")
+                    code, _, wall, peak = run(trees[side], command,
+                                              Path(work) / f"{r}-{side}-{label}")
                     failures += code != 0
                     walls[label, side].append(wall)
                     rss[label, side].append(peak)
