@@ -22,6 +22,7 @@ import operator
 import os
 import platform
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any
 
@@ -196,7 +197,7 @@ def write_config(cfg: SimConfig, path: str | os.PathLike) -> None:
     """Write a config as YAML; load_config(write_config(cfg)) == cfg."""
     import yaml
 
-    _atomic_write(path, yaml.safe_dump(config_to_dict(cfg), sort_keys=True))
+    _atomic_write(path, [yaml.safe_dump(config_to_dict(cfg), sort_keys=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +231,20 @@ def _fmt(value) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _atomic_write(path: str | os.PathLike, text: str) -> Path:
+def _atomic_write(path: str | os.PathLike, chunks: Iterable[str]) -> Path:
+    """Write the text chunks, in order, to a temp file renamed onto path.
+
+    Chunks are written as they come, so a caller that builds them one at a
+    time holds one at a time.  The file gets the mode open() would give it.
+    On any error, the error propagates, the temp file is removed and an
+    existing file at path is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -255,18 +263,32 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trajectory_csv(path, tr: Trajectory, w: WellbeingParams) -> Path:
-    """One row per retained step; payoff and utility scored as whole arrays.
+# Rows of trajectory.csv built and written at a time: the writer holds the
+# text of one block, not of the whole series (~630 B of Python objects per
+# row while a block is formatted).
+_TRAJECTORY_ROWS = 1024
 
-    Floats are formatted as _fmt does (repr of the Python float), so the
-    bytes equal a per-cell _csv_text of the same values.
+
+def _trajectory_blocks(tr: Trajectory, w: WellbeingParams) -> Iterator[str]:
+    yield "t,x,y,i,payoff,utility\n"
+    for start in range(0, len(tr), _TRAJECTORY_ROWS):
+        block = slice(start, start + _TRAJECTORY_ROWS)
+        xs, ys = tr.xs[block], tr.ys[block]
+        columns = (range(tr.t0 + start, tr.t0 + start + xs.size), xs.tolist(), ys.tolist(),
+                   tr.noise[block].tolist(), payoff(xs, w).tolist(),
+                   utility(xs, ys, w).tolist())
+        yield "".join(["%d,%r,%r,%r,%r,%r\n" % row for row in zip(*columns)])
+
+
+def write_trajectory_csv(path, tr: Trajectory, w: WellbeingParams) -> Path:
+    """One row per retained step, written _TRAJECTORY_ROWS rows at a time.
+
+    Each block's payoff and utility are scored as arrays over its slice of
+    the series.  Floats are formatted as _fmt does (repr of the Python
+    float), so the bytes equal a per-cell _csv_text of the same values.
+    Beyond the series, the write holds one block.
     """
-    columns = (range(tr.t0, tr.t0 + len(tr)), tr.xs.tolist(), tr.ys.tolist(),
-               tr.noise.tolist(), payoff(tr.xs, w).tolist(),
-               utility(tr.xs, tr.ys, w).tolist())
-    lines = ["t,x,y,i,payoff,utility"]
-    lines.extend("%d,%r,%r,%r,%r,%r" % row for row in zip(*columns))
-    return _atomic_write(path, "\n".join(lines) + "\n")
+    return _atomic_write(path, _trajectory_blocks(tr, w))
 
 
 def _record(obj) -> dict:
@@ -283,18 +305,18 @@ def _columns(cls) -> tuple[list[str], operator.attrgetter]:
 def _write_rows(path, rows, cls) -> Path:
     """CSV with one column per field of cls, in declaration order."""
     names, cells = _columns(cls)
-    return _atomic_write(path, _csv_text(names, [cells(row) for row in rows]))
+    return _atomic_write(path, [_csv_text(names, [cells(row) for row in rows])])
 
 
 def _write_json(path, doc) -> Path:
-    return _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return _atomic_write(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
 def write_bifurcation_csv(path, scan: list[ScanRow]) -> Path:
     """One row per equilibrium: c, then the Equilibrium fields."""
     names, cells = _columns(Equilibrium)
     rows = [(row.c, *cells(eq)) for row in scan for eq in row.equilibria]
-    return _atomic_write(path, _csv_text(["c", *names], rows))
+    return _atomic_write(path, [_csv_text(["c", *names], rows)])
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> Path:
@@ -321,6 +343,21 @@ def write_flicker_json(path, stats: list[FlickerStats], separatrix: float,
 # ---------------------------------------------------------------------------
 # manifests
 
+def _numpy_dispatch() -> list[str]:
+    """numpy's SIMD dispatch targets that are on at run time, in numpy's order.
+
+    numpy picks some kernels (np.exp among them) by CPU feature when it is
+    imported, and NPY_DISABLE_CPU_FEATURES switches targets off, so the
+    utility columns' last bits depend on this list.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath
+    features = _multiarray_umath.__cpu_features__
+    return [target for target in _multiarray_umath.__cpu_dispatch__ if features.get(target)]
+
+
 def build_manifest(command: str, config_obj, seed, outputs: list[Path],
                    extra: dict | None = None) -> dict:
     """Run manifest: resolved configuration, tool and library versions, seed, outputs."""
@@ -331,6 +368,7 @@ def build_manifest(command: str, config_obj, seed, outputs: list[Path],
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "numpy_dispatch": _numpy_dispatch(),
             "platform": platform.platform(),
         },
         "command": command,

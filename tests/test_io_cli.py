@@ -7,6 +7,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -46,8 +47,10 @@ from flickersim.equilibria import Regime
 from flickersim.io import (
     ParseError,
     ValidationError,
-    _csv_text,
+    _TRAJECTORY_ROWS,
     _atomic_write,
+    _csv_text,
+    _numpy_dispatch,
     build_manifest,
     config_from_dict,
     config_to_dict,
@@ -298,7 +301,22 @@ class TestManifest:
         assert doc["config"]["eco"]["c"] == 1.0
         assert doc["config_fingerprint"] == config_fingerprint(cfg)
         assert "created_utc" in doc
-        assert set(doc["environment"]) == {"python", "numpy", "platform"}
+        assert set(doc["environment"]) == {"python", "numpy", "numpy_dispatch", "platform"}
+        assert doc["environment"]["numpy_dispatch"] == _numpy_dispatch()
+
+    def test_manifest_names_the_dispatch_switched_off(self):
+        """With this host's enabled dispatch targets disabled, a fresh process
+        records none of them."""
+        enabled = _numpy_dispatch()
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(enabled),
+               "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+        script = ("import json; from flickersim.io import build_manifest; "
+                  "print(json.dumps(build_manifest('simulate', None, 0, [])['environment']))")
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        recorded = json.loads(out)["numpy_dispatch"]
+        assert isinstance(recorded, list)
+        assert not set(recorded) & set(enabled)
 
     def test_sim_config_fingerprints_alike_alone_and_nested(self):
         spec = get_preset("fig5")
@@ -435,13 +453,27 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-@pytest.mark.parametrize("preset", ["fig4a", "fig4b", "fig4c", "fig4d"])
-def test_trajectory_csv_equals_per_point_scoring(tmp_path, preset):
-    """The writer scores payoff and utility as whole arrays (numpy's vector
-    exp); its bytes equal rows scored point by point with scalar calls and
-    formatted cell by cell, so every column is bit-equal to scalar scoring."""
-    cfg = replace(get_preset(preset), t_max=1500, burn_in=100, seed=13)
+# (preset, kept rows): each figure at 1 400 rows, and fig4b at every block edge
+# of the writer: one row, a block less one, one block, one block and one row,
+# and two blocks and one row
+TRAJECTORY_LENGTHS = [
+    *((fig, 1400) for fig in ("fig4a", "fig4b", "fig4c", "fig4d")),
+    *(("fig4b", kept) for kept in (1, _TRAJECTORY_ROWS - 1, _TRAJECTORY_ROWS,
+                                   _TRAJECTORY_ROWS + 1, 2 * _TRAJECTORY_ROWS + 1)),
+]
+
+
+@pytest.mark.parametrize("preset,kept", TRAJECTORY_LENGTHS,
+                         ids=[fig if kept == 1400 else f"{fig}-kept{kept}"
+                              for fig, kept in TRAJECTORY_LENGTHS])
+def test_trajectory_csv_equals_per_point_scoring(tmp_path, preset, kept):
+    """The writer scores payoff and utility as arrays, a block of rows at a
+    time (numpy's vector exp); its bytes equal rows scored point by point
+    with scalar calls and formatted cell by cell, so every column is
+    bit-equal to scalar scoring, on both sides of every block edge."""
+    cfg = replace(get_preset(preset), t_max=100 + kept, burn_in=100, seed=13)
     tr = run_trajectory(cfg)
+    assert len(tr) == kept
     w = cfg.wellbeing.params
     rows = [
         [tr.t0 + k, x, y, i, float(payoff(x, w)), float(utility(x, y, w))]
@@ -451,11 +483,29 @@ def test_trajectory_csv_equals_per_point_scoring(tmp_path, preset):
     assert path.read_text() == _csv_text(["t", "x", "y", "i", "payoff", "utility"], rows)
 
 
+def test_trajectory_csv_memory_does_not_grow_with_length(tmp_path):
+    """Beyond the series it writes, the writer holds one block of rows."""
+    cfg = get_preset("fig4b")
+    short = 4 * _TRAJECTORY_ROWS
+
+    def peak(kept):
+        tr = run_trajectory(replace(cfg, t_max=cfg.burn_in + kept))
+        write_trajectory_csv(tmp_path / "warm.csv", tr, cfg.wellbeing.params)  # warm caches
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(tmp_path / "trajectory.csv", tr, cfg.wellbeing.params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * short) < 1.5 * peak(short)
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
 def test_written_files_honour_the_umask(tmp_path, umask):
     previous = os.umask(umask)
     try:
-        path = _atomic_write(tmp_path / "out.csv", "x\n")
+        path = _atomic_write(tmp_path / "out.csv", ["x\n"])
     finally:
         os.umask(previous)
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
@@ -463,8 +513,19 @@ def test_written_files_honour_the_umask(tmp_path, umask):
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(TypeError):
-        _atomic_write(tmp_path / "out.csv", b"not text")
+        _atomic_write(tmp_path / "out.csv", [b"not text"])
     assert list(tmp_path.iterdir()) == []
+
+    def failing_chunks():
+        yield "t,x\n"
+        raise RuntimeError("chunk failed")
+
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(target, failing_chunks())
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old\n"
 
 
 class TestCli:

@@ -13,7 +13,7 @@ median wall seconds and the largest peak RSS, and ends with one JSON line
 holding every raw number.  Peak RSS is the ``ru_maxrss`` that ``wait4``
 reports for that one child (the figure that ``RUSAGE_CHILDREN`` takes the
 maximum of over all children).  Exits 1 if any command fails on either
-tree.  One round takes about 18 s on a 2-CPU host.
+tree.  One round takes about 25 s on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -27,10 +27,13 @@ from pathlib import Path
 
 from compare_outputs import run
 
-# (label, arguments): the five commands at their presets, and flicker at the
-# replicate counts of the benchmark and of the roadmap's timings
+# (label, arguments): the five commands at their presets, simulate at a
+# horizon 20 times its preset's (its peak RSS shows whether trajectory.csv is
+# written in bounded blocks), and flicker at the replicate counts of the
+# benchmark and of the roadmap's timings
 COMMANDS = [
     ("simulate-fig4b", ["simulate", "--preset", "fig4b"]),
+    ("simulate-fig4b-200k", ["simulate", "--preset", "fig4b", "--t-max", "200000"]),
     ("bifurcation-fig2", ["bifurcation", "--preset", "fig2"]),
     ("sweep-fig5", ["sweep", "--preset", "fig5"]),
     ("transform-fig6", ["transform", "--preset", "fig6"]),
@@ -62,13 +65,13 @@ def main(argv: list[str]) -> int:
                     failures += code != 0
                     walls[label, side].append(wall)
                     rss[label, side].append(peak)
-                    print(f"round {r} {label:<17} {side:<6} {wall:7.3f} s {peak:6.1f} MB"
+                    print(f"round {r} {label:<19} {side:<6} {wall:7.3f} s {peak:6.1f} MB"
                           f"{'' if code == 0 else f'  exit {code}'}", flush=True)
-    print(f"\n{'command':<17} {'parent s':>9} {'change s':>9} {'ratio':>6} "
+    print(f"\n{'command':<19} {'parent s':>9} {'change s':>9} {'ratio':>6} "
           f"{'parent MB':>9} {'change MB':>9}")
     for label, _ in COMMANDS:
         p, c = (statistics.median(walls[label, side]) for side in trees)
-        print(f"{label:<17} {p:9.3f} {c:9.3f} {c / p:6.3f} "
+        print(f"{label:<19} {p:9.3f} {c:9.3f} {c / p:6.3f} "
               f"{max(rss[label, 'parent']):9.1f} {max(rss[label, 'change']):9.1f}")
     print(json.dumps({label: {side: {"wall_s": walls[label, side], "peak_rss_mb": rss[label, side]}
                               for side in trees} for label, _ in COMMANDS}))
