@@ -11,24 +11,27 @@ point expressions as the scalar step functions in
 Every route runs on one span driver, :func:`stream_spans`: it draws each
 block of innovations from the replicate substreams, and its kernel advances
 all (c, replicate) rows of a run together, x, i and the adapted state y of
-every adaptive capacity in one time loop, yielding spans of STREAM_SPAN
-steps.  Every c reuses the same substreams; Philox is counter-based, so
-block-by-block draws equal a whole-series draw.  One loop, :func:`_consume`,
-checks each span for the routes that fail at the first non-finite step,
-drops the burn-in and feeds the rest to a consumer's add(X, I, Y):
-:class:`_KeptSeries` keeps it for run_trajectory; in memory that does not
-grow with t_max, ``analytics._Dwells`` counts basin dwells for flicker and
-:class:`_CellSums` sums each row for run_ensemble (one cell) and the sweep
-and transform grids, scoring each profile's payoff once per span and each
-capacity's utility as that payoff times its wellbeing.penalty.
+every adaptive capacity in one time loop, yielding each block of whole
+STREAM_SPAN-step spans as one piece.  Every c reuses the same substreams;
+Philox is counter-based, so block-by-block draws equal a whole-series draw.
+One loop, :func:`_consume`, checks each piece for the routes that fail at
+the first non-finite step, drops the burn-in and feeds the rest to a
+consumer's add(X, I, Y), which gives the same result wherever the series
+is cut: :class:`_KeptSeries` keeps it for run_trajectory; in memory that
+does not grow with t_max, ``analytics._Dwells`` counts basin dwells for
+flicker and :class:`_CellSums` sums each row for run_ensemble (one cell)
+and the sweep and transform grids, scoring each profile's payoff once per
+piece and each capacity's utility as that payoff times its
+wellbeing.penalty, and adding the sums span by span on the STREAM_SPAN grid.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
 step costs about the same ~12-30 us whether it advances 1 row or 64, while a
 Python-float step costs about 0.5-1 us per row, so runs of fewer than
 SCALAR_ROWS rows advance each row in Python floats (:func:`_scalar_spans`)
 and larger ones as one numpy block (:func:`_block_spans`).  A numpy block
-is one span and a scalar one as many spans as fit in SCALAR_BLOCK = 1 024
-row-steps, so a scalar draw and its set-up are paid once per block.
+is one span and a scalar one as many spans as fit in SCALAR_BLOCK = 4 096
+row-steps, so a scalar draw, its set-up, its conversion to arrays and each
+consumer call are paid once per block.
 The scalar kernel binds the run's one model to locals and evaluates the
 expressions of step_noise, step_environment and step_adaptation inline, with
 the same operands in the same association; the block kernel evaluates them
@@ -67,11 +70,11 @@ STREAM_SPAN = 32
 # replicates); grid rows share their noise and cross later, near 36-48.  The
 # crossover tables are in BENCH_16.json.
 SCALAR_ROWS = 32
-# Most row-steps the scalar kernel draws and steps at once, SCALAR_ROWS x
-# STREAM_SPAN at the values above: 32 spans at 1 row, one from 17 rows up.
-# It is fixed, not derived from SCALAR_ROWS, so a block stays this small
-# whatever row count routes to the scalar kernel.
-SCALAR_BLOCK = 1024
+# Most row-steps the scalar kernel draws, steps and yields at once, in whole
+# spans: 128 spans at 1 row, 16 at 8 rows, 4 at 31 rows.  It is fixed, not
+# derived from SCALAR_ROWS, so a block stays this small whatever row count
+# routes to the scalar kernel.
+SCALAR_BLOCK = 4096
 # Most bytes that _KeptSeries may allocate for the full post-burn-in X, I and
 # Y series: 1 GiB holds ~44.7 million steps of one run_trajectory.  Above
 # it, a run fails with a named ValueError instead of an unnamed MemoryError.
@@ -242,15 +245,17 @@ def stream_spans(configs: list[SimConfig], replicates, l_values):
     any other field that differs before anything is drawn.  They share the
     replicate substreams, so one set of innovation rows drives every c, and
     every adaptive capacity in l_values follows every (c, replicate) row
-    from its config's y0.  Yields (X, I, Y) for each span of n <= STREAM_SPAN
-    steps up to t_max, burn-in included: the environment states X, shape
+    from its config's y0.  Yields (X, I, Y) for each block of n steps up to
+    t_max, burn-in included: the environment states X, shape
     (len(configs), len(replicates), n), the noise levels I, shape
     (len(replicates), n), and the adapted states Y, (len(l_values),) + X.shape.
+    Every block starts on the STREAM_SPAN grid from step 0 and holds whole
+    spans, except the run's last.
 
     This function draws the innovations and its kernel only steps, bit-equal
-    either way: below SCALAR_ROWS rows in Python floats, with one draw per
-    SCALAR_BLOCK // (STREAM_SPAN x rows) spans, at least one; else as one
-    numpy block, with one draw per span.
+    either way: below SCALAR_ROWS rows in Python floats, with one draw and
+    one block per SCALAR_BLOCK // (STREAM_SPAN x rows) spans, at least one;
+    else as one numpy block, with one draw and one block per span.
     Raises ValueError, before any draw, when configs or replicates is empty.
     """
     if not configs or not len(replicates):
@@ -310,7 +315,7 @@ def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks
     expressions inline, with the same operands in the same association, so
     the spans agree bit for bit with the block kernel and with a
     step_coupled replay.  Each block is stepped whole, converted to arrays
-    once and yielded as views of its consecutive STREAM_SPAN-step slices.
+    once and yielded whole.
     """
     r, K, hh, phi = model.eco.r, model.eco.K, model.eco.h * model.eco.h, model.noise.memory
     shape = (len(starts), n_rows)
@@ -347,11 +352,8 @@ def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks
                     y = l * (xt - y) + y
                 ys[j] = y
                 Yl.append(Yr)
-        X, I, Y = (np.array(X).reshape(shape + (n,)), np.array(I),
-                   np.array(Y).reshape((len(ls),) + shape + (n,)))
-        for t in range(0, n, STREAM_SPAN):
-            span = slice(t, t + STREAM_SPAN)
-            yield X[..., span], I[:, span], Y[..., span]
+        yield (np.array(X, dtype=float).reshape(shape + (n,)), np.array(I, dtype=float),
+               np.array(Y, dtype=float).reshape((len(ls),) + shape + (n,)))
 
 
 def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int) -> None:
@@ -399,19 +401,39 @@ class _KeptSeries:
         self.filled = kept.stop
 
 
+def _spans(A: np.ndarray, cuts) -> list[np.ndarray]:
+    """A cut along its last axis at the span edges cuts; [A] itself when none lies inside."""
+    if not cuts:
+        return [A]
+    edges = [0, *cuts, A.shape[-1]]
+    return [A[..., a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _add_span_sums(total: np.ndarray, A: np.ndarray, cuts) -> None:
+    """total += the sum of A over its last axis, span by span in time order,
+    so total gets the bits of feeding A's spans one at a time."""
+    for span in _spans(A, cuts):
+        total += span.sum(axis=-1)
+
+
 class _CellSums:
     """Span consumer summing each row over the n_kept steps it is fed.
 
     Rows are (c, replicate), shape (n_c, n_seeds).  Sums payoff per profile
     and utility per (l, profile), reading each capacity's adapted states
-    from the span's Y.  With environment, which transform_comparison reads,
-    x is summed too and each c's x series hashed span by span.
+    from the piece's Y.  With environment, which transform_comparison reads,
+    x is summed too and each c's x series hashed.  A piece may hold many
+    spans: each profile's payoff and penalty are scored once over it, and
+    every sum and digest update still follows the STREAM_SPAN grid counted
+    from step 0, so the totals and digests have the same bits however the
+    kept steps are cut into pieces.
     """
 
     def __init__(self, configs: list[SimConfig], n_seeds: int, n_l: int, profiles,
                  environment: bool) -> None:
         shape = (len(configs), n_seeds)
         self.n_kept = 0
+        self.burn_in = configs[0].burn_in if configs else 0  # the step of the first kept one
         self.profiles = [p.params for p in profiles]
         self.x = np.zeros(shape) if environment else None
         self.payoff = [np.zeros(shape) for _ in profiles]
@@ -419,21 +441,25 @@ class _CellSums:
         self.digests = [hashlib.sha256() for _ in configs] if environment else []
 
     def add(self, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
+        n = X.shape[-1]
+        # the span edges inside this piece, which starts at step burn_in + n_kept
+        cuts = range(-(self.burn_in + self.n_kept) % STREAM_SPAN or STREAM_SPAN, n, STREAM_SPAN)
         # utility(X, Yl, w) is payoff(X, w) * penalty(X - Yl, w): each payoff
-        # once per span, each misadaptation once per l (one l at a time: a
+        # once per piece, each misadaptation once per l (one l at a time: a
         # broadcast over the stacked Y is ~2.5x slower)
         pays = [payoff(X, w) for w in self.profiles]
         for Yl, sums in zip(Y, self.utility):
             d = X - Yl
             for total, pay, w in zip(sums, pays, self.profiles):
-                total += (pay * penalty(d, w)).sum(axis=-1)
+                _add_span_sums(total, pay * penalty(d, w), cuts)
         if self.x is not None:
-            self.x += X.sum(axis=-1)
+            _add_span_sums(self.x, X, cuts)
         for total, pay in zip(self.payoff, pays):
-            total += pay.sum(axis=-1)
-        for digest, rows in zip(self.digests, X):
-            digest.update(np.ascontiguousarray(rows))
-        self.n_kept += X.shape[-1]
+            _add_span_sums(total, pay, cuts)
+        for digest, rows in zip(self.digests, X):  # each span's (n_seeds, steps) bytes
+            for span in _spans(rows, cuts):
+                digest.update(np.ascontiguousarray(span))
+        self.n_kept += n
 
     def averages(self, totals: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
         """Time averages of an (n_c, n_seeds) block of sums, each row's mean and its stderr."""
@@ -442,11 +468,14 @@ class _CellSums:
 
 
 def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
-    """Feed the post-burn-in steps of each span to sink.add(X, I, Y); returns sink.
+    """Feed the post-burn-in steps of each block to sink.add(X, I, Y); returns sink.
 
-    With check, each span is checked as it arrives, burn-in included, so an
-    overflowed run raises NonFiniteStateError at its first non-finite step;
-    without, non-finite states reach the sink, as grid cells flag them.
+    A block holds one span or, on the scalar kernel, up to SCALAR_BLOCK
+    row-steps of whole spans, and the first piece fed may start mid-span;
+    every sink gives the same result wherever its series is cut.  With
+    check, each block is checked as it arrives, burn-in included, so an
+    overflowed run raises NonFiniteStateError naming its first non-finite
+    step; without, non-finite states reach the sink, as grid cells flag them.
     """
     t, burn_in = 0, configs[0].burn_in
     for X, I, Y in stream_spans(configs, replicates, l_values):

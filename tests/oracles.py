@@ -112,7 +112,7 @@ def adaptation_paths(X: np.ndarray, y0: float, l: float) -> np.ndarray:
     Iterates step_adaptation's y_{t+1} = l*(x_t - y_t) + y_t over the whole
     series at once, vectorised across rows, so every row equals a scalar
     replay bit for bit.  The unchunked reference for the adapted states
-    that stream_spans carries span by span.
+    that stream_spans carries block by block.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     l = AdaptationParams(float(l)).l  # rejects l outside [0, 1]

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -221,6 +221,64 @@ def test_single_replicate_block_has_zero_stderr_without_warning():
     assert stderrs == [0.0, 0.0, 0.0]
 
 
+def span_edges(burn_in: int, t_max: int) -> list[int]:
+    """The STREAM_SPAN grid's edges strictly inside the kept steps, counted
+    from the first kept one: where stream_spans may end a block."""
+    return [t - burn_in for t in range(STREAM_SPAN, t_max, STREAM_SPAN) if t > burn_in]
+
+
+def cut_cell(n_c, n_seeds, n_l, burn_in, t_max, cuts, n_profiles, seed):
+    """Kept X and Y of a random cell, the cuts into pieces, and its configs."""
+    rng = np.random.default_rng(seed)
+    shape = (n_c, n_seeds, t_max - burn_in)
+    X, Y = rng.uniform(0.0, 20.0, shape), rng.uniform(0.0, 20.0, (n_l,) + shape)
+    configs = [SimConfig(t_max=t_max, burn_in=burn_in)] * n_c
+    return configs, X, Y, sorted(cuts), [SPECIALIST, GENERALIST][:n_profiles]
+
+
+@st.composite
+def cut_cells(draw):
+    """cut_cell of 1-3 c, 1-3 seeds, 0-3 capacities and 1-2 profiles, with a
+    burn-in that may end mid-span, t_max off the span grid, and pieces cut
+    at random span edges, as blocks of any size would cut them."""
+    burn_in = draw(st.integers(0, 3 * STREAM_SPAN + 5))
+    t_max = burn_in + draw(st.integers(1, 9 * STREAM_SPAN + 5))
+    edges = span_edges(burn_in, t_max)
+    cuts = draw(st.sets(st.sampled_from(edges)) if edges else st.just(set()))
+    return cut_cell(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3)),
+                    burn_in, t_max, cuts, draw(st.integers(1, 2)), draw(st.integers(0, 2**32)))
+
+
+def fed_sums(configs, X, Y, profiles, cuts):
+    """A _CellSums with environment, fed X and Y in the pieces between cuts."""
+    sums = _CellSums(configs, X.shape[1], len(Y), profiles, environment=True)
+    edges = [0, *cuts, X.shape[-1]]
+    for a, b in zip(edges, edges[1:]):
+        sums.add(X[..., a:b], None, Y[..., a:b])
+    return sums
+
+
+def sums_bits(sums: _CellSums):
+    """Step count, totals as bytes and digests of a _CellSums."""
+    return (sums.n_kept, as_bytes(sums.x), as_bytes(sums.payoff), as_bytes(sums.utility),
+            [d.hexdigest() for d in sums.digests])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_cells())
+# pieces of several spans each: a whole-piece sum or hash would differ
+@example(cut_cell(2, 3, 2, STREAM_SPAN + 3, 9 * STREAM_SPAN + 7, {6 * STREAM_SPAN - 3}, 2, 7))
+@example(cut_cell(1, 2, 0, 0, 5 * STREAM_SPAN + 1, set(), 1, 8))
+def test_cell_sums_do_not_depend_on_the_cuts(cell):
+    """Totals and x digests keep their bits however the kept steps are cut
+    into pieces: each piece is summed and hashed span by span, on the
+    STREAM_SPAN grid from step 0, as if the spans were fed one at a time."""
+    configs, X, Y, cuts, profiles = cell
+    want = sums_bits(fed_sums(configs, X, Y, profiles,
+                              span_edges(configs[0].burn_in, configs[0].t_max)))
+    assert sums_bits(fed_sums(configs, X, Y, profiles, cuts)) == want
+
+
 HORIZONS = [
     (3 * STREAM_SPAN + 7, STREAM_SPAN + 3),   # t_max off the span, burn_in inside a span
     (3 * STREAM_SPAN, STREAM_SPAN),           # burn_in on a span boundary
@@ -296,9 +354,10 @@ class TestGridReplaysExactly:
 
 @pytest.mark.parametrize("run,short", [
     (lambda cfg: utility_sweep(cfg, [0.5, 1.0, 1.5], L_VALUES, n_seeds=4), 16 * STREAM_SPAN),
-    (lambda cfg: run_ensemble(cfg, 4), 16 * STREAM_SPAN),
-    # one row draws and steps SCALAR_BLOCK steps at a time, so its memory grows
-    # with t_max until the horizon fills one block, and from there on must not
+    # 4 and 1 rows draw and step SCALAR_BLOCK row-steps at a time, so their
+    # memory grows with t_max until the horizon fills one block, and from
+    # there on must not
+    (lambda cfg: run_ensemble(cfg, 4), SCALAR_BLOCK // 4),
     (lambda cfg: run_ensemble(cfg, 1), SCALAR_BLOCK),
 ], ids=["utility_sweep", "run_ensemble", "run_ensemble-1-seed"])
 def test_sweep_memory_does_not_grow_with_horizon(run, short):
@@ -318,7 +377,7 @@ def test_sweep_memory_does_not_grow_with_horizon(run, short):
 def test_flicker_memory_does_not_grow_with_horizon(monkeypatch):
     # 20 fig4b replicates on the block kernel, which flicker runs from
     # SCALAR_ROWS replicates up: tracemalloc slows the Python-float kernel ~5x
-    # more, and both kernels yield the same spans (tests/test_kernels.py).  The
+    # more, and both kernels yield the same series (tests/test_kernels.py).  The
     # stats list every dwell, so they grow with t_max (14 KB at 10 000 steps,
     # 73 KB at 40 000); what the run holds beyond them must not.
     monkeypatch.setattr(simulate, "SCALAR_ROWS", 0)

@@ -1,5 +1,6 @@
 """stream_spans' two kernels: Python floats below SCALAR_ROWS rows, one
-numpy block at and above it.  Both must yield the same spans bit for bit,
+numpy block at and above it.  Both must yield the same series bit for bit,
+the scalar one in blocks of whole spans and the block one span by span,
 adapted states and overflowed states included, so no output depends on
 which kernel ran."""
 
@@ -26,6 +27,7 @@ from flickersim import (
     classify_regime,
     get_preset,
     innovation_stream,
+    payoff,
     run_ensemble,
     run_trajectory,
     step_adaptation,
@@ -53,25 +55,35 @@ from flickersim.simulate import (
 )
 from oracles import adaptation_paths, replay_trajectory
 from test_engine import (BASE, C_VALUES, HORIZONS, L_VALUES, at_c, forced, kernel_spans,
-                         replayed_mean_utility)
+                         replayed_mean_utility, span_edges)
 from test_simulate import SMALL
 
-# Few rows, whose scalar blocks hold several spans (1 024 steps at 1 row, 320
-# at 3, 96 at 9): the (configs, replicates) of a grid cell at each row count.
-FEW_ROWS = {1: (1, 1), 2: (1, 2), 3: (3, 1), 8: (2, 4), 9: (3, 3), 16: (2, 8)}
+# Few rows, whose scalar blocks hold several spans (4 096 steps at 1 row,
+# 1 344 at 3, 448 at 9, 128 at 31): the (configs, replicates) of a grid cell
+# at each row count.
+FEW_ROWS = {1: (1, 1), 2: (1, 2), 3: (3, 1), 8: (2, 4), 9: (3, 3), 16: (2, 8), 31: (1, 31)}
 # both sides of the threshold, plus fixed counts (around 24 and around the
 # earlier threshold 36) that keep the same cases whatever SCALAR_ROWS is tuned
 # to, and the few rows
 KERNEL_ROWS = sorted({*FEW_ROWS, 23, 24, 25, 35, 36, 37,
                       SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1})
-# (t_max, burn_in) with t_max on neither a block nor a span boundary: the
-# burn-in ends on a block edge at 3, 9, 16 and from 17 rows, or at 1, 2, 8
-# and 16 rows; then mid-span inside the first block at 1 row (after it from
-# 2 rows), or after the first block at every row count
-BLOCK_EDGES = [(SCALAR_BLOCK + STREAM_SPAN + 7, burn_in)
-               for burn_in in (SCALAR_BLOCK - 64, SCALAR_BLOCK)]
-BLOCK_HORIZONS = [*BLOCK_EDGES, *((SCALAR_BLOCK + STREAM_SPAN + 7, burn_in)
-                                  for burn_in in (SCALAR_BLOCK - 24, SCALAR_BLOCK + 3))]
+
+
+def block_horizons(block: int) -> list[tuple[int, int]]:
+    """(t_max, burn_in) around a block of `block` steps, with t_max on neither
+    a block nor a span boundary: burn-ins of block - 64 and block, then
+    block - 24 (mid-span) and block + 3."""
+    return [(block + STREAM_SPAN + 7, burn_in)
+            for burn_in in (block - 64, block, block - 24, block + 3)]
+
+
+# At SCALAR_BLOCK the burn-in ends on a block edge at 3 and 9 rows, or at 1,
+# 2, 8, 16 and 31 rows; then mid-span inside the first block at 1 row
+# (after it from 2 rows), or after the first block at every row count.  The
+# horizons of the earlier 1 024-row-step bound stay: there the burn-in ends
+# inside the first block at 1-3 rows, or on a block edge at 8, 16 and 31.
+BLOCK_EDGES = block_horizons(SCALAR_BLOCK)[:2]
+BLOCK_HORIZONS = [*block_horizons(SCALAR_BLOCK), *block_horizons(1024)]
 # a huge finite start overflows x to nan within two steps
 OVERFLOWS = [SimConfig(x0=1e200, t_max=40, burn_in=0), SimConfig(i0=1e300, t_max=40, burn_in=0)]
 OVERFLOW_IDS = ["x0=1e200", "i0=1e300"]
@@ -99,16 +111,33 @@ def kernel(request, monkeypatch):
     return request.param
 
 
-def spans(kernel, configs, replicates, l_values=Y_L_VALUES):
-    """(X, I, Y) of every span, arrays as (shape, bytes): nan and -0.0 compare by bits."""
-    return [tuple((a.shape, np.ascontiguousarray(a).tobytes()) for a in span)
-            for span in kernel_spans(kernel, configs, replicates, l_values)]
-
-
 def joined(configs, replicates, l_values):
-    """X, I and Y of stream_spans at every step, burn-in included."""
-    parts = zip(*stream_spans(configs, replicates, l_values))
-    return [np.concatenate(part, axis=-1) for part in parts]
+    """X, I and Y of stream_spans at every step, burn-in included.
+
+    Checks that every piece starts on the STREAM_SPAN grid from step 0 and
+    holds whole spans, except the run's last: one span on the block kernel,
+    at most SCALAR_BLOCK row-steps on the scalar one.
+    """
+    pieces = list(stream_spans(configs, replicates, l_values))
+    rows = len(configs) * len(replicates)
+    most = max(STREAM_SPAN, SCALAR_BLOCK // rows) if rows < simulate.SCALAR_ROWS else STREAM_SPAN
+    t = 0
+    for k, (X, I, Y) in enumerate(pieces):
+        n = X.shape[-1]
+        assert X.shape == (len(configs), len(replicates), n) and I.shape == (len(replicates), n)
+        assert Y.shape == (len(l_values),) + X.shape
+        assert t % STREAM_SPAN == 0 and 0 < n <= most
+        assert n % STREAM_SPAN == 0 or k == len(pieces) - 1
+        t += n
+    assert t == configs[0].t_max
+    return [np.concatenate(part, axis=-1) for part in zip(*pieces)]
+
+
+def series(kernel, configs, replicates, l_values=Y_L_VALUES):
+    """joined X, I and Y as stepped by kernel, as (shape, bytes): nan and
+    -0.0 compare by bits."""
+    with forced(kernel):
+        return [(a.shape, a.tobytes()) for a in joined(configs, replicates, l_values)]
 
 
 class TestKernelsAgree:
@@ -122,10 +151,9 @@ class TestKernelsAgree:
     def test_stream_spans_bit_equal(self, base):
         configs = grid_configs(base, [1.0, 1.95, 3.1])
         replicates = [0, 2, 5]
-        scalar = spans(_scalar_spans, configs, replicates)
-        assert scalar == spans(_block_spans, configs, replicates)
-        assert len(scalar) == -(-base.t_max // STREAM_SPAN)
-        assert scalar[0][-1][0] == (len(Y_L_VALUES), len(configs), len(replicates), STREAM_SPAN)
+        scalar = series(_scalar_spans, configs, replicates)
+        assert scalar == series(_block_spans, configs, replicates)
+        assert scalar[-1][0] == (len(Y_L_VALUES), len(configs), len(replicates), base.t_max)
 
     def test_adapted_states_equal_adaptation_paths(self, kernel):
         # BASE's burn-in ends inside a span; each capacity starts at its config's y0
@@ -161,7 +189,7 @@ class TestKernelsAgree:
         configs = grid_configs(BASE, c_values)
         assert all(type(cfg.eco.c) is float for cfg in configs)
         floats = grid_configs(BASE, c_values.tolist())
-        assert spans(_scalar_spans, configs, [0, 1]) == spans(_scalar_spans, floats, [0, 1])
+        assert series(_scalar_spans, configs, [0, 1]) == series(_scalar_spans, floats, [0, 1])
 
     @pytest.mark.parametrize("name", MODEL_CHANGES)
     def test_configs_share_one_model(self, name, kernel, monkeypatch):
@@ -244,10 +272,17 @@ def test_consume_feeds_sinks_the_post_burn_in_steps(burn_in, kept):
             assert part.shape[-1] == kept
             assert np.array_equal(part, full[..., burn_in:])
         assert sums.n_kept == kept
+        # the cell sums add up the joined series span by span, on the
+        # STREAM_SPAN grid from step 0, whatever pieces they were fed
         x_sums = np.zeros(whole[0].shape[:-1])
-        for X, _, _ in rec.spans:  # the cell sums add up exactly the spans fed
+        pay_sums = np.zeros_like(x_sums)
+        edges = [0, *span_edges(burn_in, base.t_max), kept]
+        for a, b in zip(edges, edges[1:]):
+            X = whole[0][..., burn_in + a:burn_in + b]
             x_sums += X.sum(axis=-1)
+            pay_sums += payoff(X, SPECIALIST.params).sum(axis=-1)
         assert np.array_equal(sums.x, x_sums)
+        assert np.array_equal(sums.payoff[0], pay_sums)
 
 
 @st.composite
@@ -307,16 +342,18 @@ def _one_run(t_max=STREAM_SPAN + 5, n_configs=1, i0=0.0, x0=2.0, l_values=()):
 @example(_one_run(i0=1e300))                                    # i overflows x
 def test_block_kernel_equals_scalar_kernel_bitwise(run):
     configs, replicates, l_values = run
-    block = spans(_block_spans, configs, replicates, l_values)
-    assert block == spans(_scalar_spans, configs, replicates, l_values)
-    assert len(block) == -(-configs[0].t_max // STREAM_SPAN)
+    block = series(_block_spans, configs, replicates, l_values)
+    assert block == series(_scalar_spans, configs, replicates, l_values)
+    assert block[0][0] == (len(configs), len(replicates), configs[0].t_max)
 
 
 @pytest.mark.parametrize("l_values", [L_VALUES, []], ids=["capacities", "none"])
 def test_spans_never_alias(kernel, l_values):
-    # kernel_spans and joined keep every span: a buffer reused across spans
-    # would change the spans already kept
-    configs = grid_configs(replace(BASE, t_max=3 * STREAM_SPAN + 5), C_VALUES)
+    # kernel_spans and joined keep every piece: a buffer reused across pieces
+    # would change the pieces already kept.  9 rows step scalar blocks of
+    # `block` steps; the horizon holds three of them and 5 steps more.
+    block = STREAM_SPAN * (SCALAR_BLOCK // (STREAM_SPAN * 9))
+    configs = grid_configs(replace(BASE, t_max=3 * block + 5), C_VALUES)
     kept, previous = [], None
     for span in stream_spans(configs, [0, 2, 5], l_values):
         if previous is not None:
@@ -324,13 +361,13 @@ def test_spans_never_alias(kernel, l_values):
                 assert not np.shares_memory(a, b)
         kept.append((span, [a.tobytes() for a in span]))
         previous = span
-    assert len(kept) == 4
+    assert len(kept) == (4 if kernel == "scalar" else -(-(3 * block + 5) // STREAM_SPAN))
     for span, frozen in kept:
         assert [a.tobytes() for a in span] == frozen
 
 
 # the engine against the unchunked scalar replay, at and around the threshold;
-# the block edges only move below 17 rows, where a block holds several spans
+# the few rows also at the block horizons, where a block holds several spans
 @pytest.mark.parametrize("t_max,burn_in,rows", [
     *((t_max, burn_in, rows) for t_max, burn_in in [(300, 0), *HORIZONS] for rows in KERNEL_ROWS),
     *((t_max, burn_in, rows) for t_max, burn_in in BLOCK_HORIZONS for rows in FEW_ROWS),
@@ -547,8 +584,9 @@ def test_few_row_overflow_names_the_same_step(rows):
 
 
 class TestDrawsPerBlock:
-    """The scalar route draws once per block of up to SCALAR_BLOCK row-steps;
-    the block kernel, and the scalar one from 17 rows up, once per span."""
+    """The scalar route draws once per block of whole spans, up to
+    SCALAR_BLOCK row-steps (4 spans at 31 rows); the block kernel once per
+    span."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -563,17 +601,23 @@ class TestDrawsPerBlock:
         return calls
 
     def test_run_trajectory_draws_ten_blocks(self, draws):
-        run_trajectory(replace(get_preset("fig4b"), t_max=10_000))
-        assert len(draws) == 10  # 313 spans of 32 steps
-        assert draws[0] == (1, 1024)
+        run_trajectory(replace(get_preset("fig4b"), t_max=40_000))
+        assert len(draws) == 10  # 1 250 spans of 32 steps
+        assert draws[0] == (1, SCALAR_BLOCK)
 
     def test_flicker_draws_forty_blocks(self, draws):
-        cfg = replace(get_preset("fig4b"), t_max=5_000, burn_in=500)
+        cfg = replace(get_preset("fig4b"), t_max=20_000, burn_in=500)
         flicker_replicates(cfg, 8, separatrix_for(cfg.eco))
-        assert len(draws) == 40  # 157 spans of 32 steps
-        assert draws[0] == (8, 128)
+        assert len(draws) == 40  # 625 spans of 32 steps
+        assert draws[0] == (8, SCALAR_BLOCK // 8)
 
-    @pytest.mark.parametrize("rows", [SCALAR_ROWS - 1, SCALAR_ROWS])
+    def test_few_spans_per_block_below_the_threshold(self, draws):
+        rows = SCALAR_ROWS - 1
+        cfg = replace(get_preset("fig4b"), t_max=10 * STREAM_SPAN + 3, burn_in=10)
+        run_ensemble(cfg, rows)
+        assert draws == [(rows, 128), (rows, 128), (rows, 67)]  # 4 spans per block
+
+    @pytest.mark.parametrize("rows", [SCALAR_ROWS])
     def test_one_draw_per_span_near_the_threshold(self, rows, draws):
         cfg = replace(get_preset("fig4b"), t_max=10 * STREAM_SPAN + 3, burn_in=10)
         run_ensemble(cfg, rows)
@@ -584,13 +628,31 @@ class TestDrawsPerBlock:
         run_trajectory(replace(get_preset("fig4b"), t_max=10_000))
         assert len(draws) == -(-10_000 // STREAM_SPAN)
 
-    # rows: (configs, steps per block)
+    @staticmethod
+    def assert_block_size(rows, n_c, steps, draws):
+        """Every block but the last of a run over two SCALAR_BLOCKs holds
+        steps, and each block is yielded whole."""
+        cfg = replace(BASE, t_max=2 * simulate.SCALAR_BLOCK + 5, burn_in=0)
+        pieces = stream_spans(grid_configs(cfg, C_VALUES[:n_c]), range(rows // n_c), [])
+        assert [X.shape[-1] for X, _, _ in pieces] == [size for _, size in draws]
+        assert {size for _, size in draws[:-1]} == {steps}
+        assert max(n_seeds * size for n_seeds, size in draws) <= simulate.SCALAR_BLOCK
+
+    # rows: (configs, steps per block) at the shipped SCALAR_BLOCK
+    @pytest.mark.parametrize("rows,n_c,steps", [
+        (1, 1, 4096), (2, 1, 2048), (3, 3, 1344), (8, 1, 512), (9, 3, 448), (16, 1, 256),
+        (17, 1, 224), (31, 1, 128),
+    ])
+    def test_shipped_block_size(self, rows, n_c, steps, draws):
+        assert SCALAR_BLOCK == 4096
+        self.assert_block_size(rows, n_c, steps, draws)
+
+    # rows: (configs, steps per block) at a bound of 1 024 row-steps: the
+    # blocks follow SCALAR_BLOCK, in whole spans, whatever its value
     @pytest.mark.parametrize("rows,n_c,steps", [
         (1, 1, 1024), (2, 1, 512), (3, 3, 320), (8, 1, 128), (9, 3, 96), (16, 1, 64),
         (17, 1, 32), (31, 1, 32),
     ])
-    def test_block_size(self, rows, n_c, steps, draws):
-        cfg = replace(BASE, t_max=2 * SCALAR_BLOCK + 5, burn_in=0)
-        list(stream_spans(grid_configs(cfg, C_VALUES[:n_c]), range(rows // n_c), []))
-        assert {size for _, size in draws[:-1]} == {steps}
-        assert max(n_seeds * size for n_seeds, size in draws) <= SCALAR_BLOCK
+    def test_block_size(self, rows, n_c, steps, draws, monkeypatch):
+        monkeypatch.setattr(simulate, "SCALAR_BLOCK", 1024)
+        self.assert_block_size(rows, n_c, steps, draws)

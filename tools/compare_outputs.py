@@ -37,6 +37,10 @@ MATRIX = [
     *((f"sweep-fig5-w{w}", ["sweep", "--preset", "fig5", "--workers", str(w)]) for w in (1, 2)),
     ("sweep-small", ["sweep", "--c-min=-1", "--c-max", "2", "--steps", "7", "--seeds", "3"]),
     ("transform-fig6", ["transform", "--preset", "fig6"]),
+    # 4 c x 3 seeds: 12 rows on the scalar kernel, whose burn-in ends inside
+    # a block of several spans, so x_digest is compared across block edges
+    ("transform-few-rows", ["transform", "--c-min", "1.5", "--c-max", "2.5", "--steps", "4",
+                            "--seeds", "3", "--t-max", "5000", "--burn-in", "500"]),
 ]
 
 
