@@ -142,7 +142,8 @@ def _grid_spec(args, kind: type):
 
     --c-min/--c-max/--steps default to the spec's own range and rebuild it;
     with a preset, any of them is a ConfigError instead of being ignored,
-    as is a grid of fewer than one c, or of one c dropping a given --c-max.
+    as is a non-finite --c-min or --c-max, a grid of fewer than one c, or
+    one c dropping a given --c-max.
     """
     spec = io.load_run_config(args.preset, args.config) or SimConfig()
     if not isinstance(spec, kind):
@@ -156,6 +157,9 @@ def _grid_spec(args, kind: type):
                for dest, field in _SPEC_FLAGS.items()
                if (v := getattr(args, dest, None)) is not None}
     if given:
+        for flag in ("--c-min", "--c-max"):
+            if flags[flag] is not None and not np.isfinite(flags[flag]):
+                raise io.ConfigError(f"{flag} must be finite, got {flags[flag]}")
         c_min, c_max, steps = (d if v is None else v
                                for v, d in zip(flags.values(), _c_range(spec)))
         if kind is ScanConfig:

@@ -114,12 +114,15 @@ def _cubic_roots(b: float, c: float, d: float) -> list[float]:
     if disc < 0.0:  # implies p < 0
         m = 2.0 * math.sqrt(-p / 3.0)
         theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
-        ts = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)]
+        # m cos(theta - 2 pi k / 3) for k = 0, 1, 2, each offset with the bits
+        # of 2.0 * math.pi * k / 3.0
+        ts = (m * math.cos(theta), m * math.cos(theta - 2.0 * math.pi / 3.0),
+              m * math.cos(theta - 2.0 * math.pi * 2 / 3.0))
     else:
         # v takes the sign that avoids cancellation; the other cube root is -p/(3v)
         u = abs(q) / 2.0 + math.sqrt(disc)
         v = -math.copysign(u ** (1.0 / 3.0), q)
-        ts = [v - p / (3.0 * v) if v != 0.0 else 0.0]
+        ts = (v - p / (3.0 * v) if v != 0.0 else 0.0,)
     roots = []
     for t in ts:
         x = t - shift
@@ -138,31 +141,41 @@ def equilibria(p: EcoParams) -> list[Equilibrium]:
     """All nonnegative fixed points of the environment map, sorted ascending.
 
     x = 0 is always included (the trivial extinction equilibrium).  Raises
-    EquilibriumError if the cubic yields an impossible root count (non-finite
-    parameters), a root fails the fixed-point residual check, or the solve
-    leaves the float range (overflow, or h^4 underflowing to 0 at x = 0).
-    The residual and multiplier are growth_increment's and map_multiplier's
-    expressions on the fields bound once.
+    EquilibriumError, naming p, if the cubic yields an impossible root count
+    (non-finite parameters), a root fails the fixed-point residual check, or
+    the solve leaves the float range (overflow, or h^4 underflowing to 0 at
+    x = 0).
     """
-    r, K, c, h = p.r, p.K, p.c, p.h
+    return _equilibria(p.r, p.K, p.c, p.h)
+
+
+def _equilibria(r: float, K: float, c: float, h: float) -> list[Equilibrium]:
+    """equilibria of EcoParams(r, K, c, h), for fields already validated.
+
+    The residual and multiplier are growth_increment's and map_multiplier's
+    expressions on the bound fields.  An EcoParams is built only to name the
+    parameters in an error, so a caller that varies one field (as
+    bifurcation_scan varies c) builds none per solve.
+    """
     h2 = h * h
     try:
         roots = [x for x in _cubic_roots(-K, h2 + c * K / r, -K * h2) if x > 0]
         if not 1 <= len(roots) <= 3:
-            raise EquilibriumError(
-                f"found {len(roots)} positive fixed points for {p}; expected 1-3")
+            raise EquilibriumError(f"found {len(roots)} positive fixed points for "
+                                   f"{EcoParams(r, K, c, h)}; expected 1-3")
         for x in roots:
             residual = abs(r * x * (1.0 - x / K) - c * x * x / (x * x + h2))
             if residual >= RESIDUAL_TOL:
-                raise EquilibriumError(
-                    f"root {x!r} has fixed-point residual {residual:.2e} for {p}")
+                raise EquilibriumError(f"root {x!r} has fixed-point residual {residual:.2e} "
+                                       f"for {EcoParams(r, K, c, h)}")
         out = []
         for x in [0.0] + roots:
             x2 = x * x
             mult = float(1.0 + r - 2.0 * r * x / K - c * 2.0 * x * h2 / ((x2 + h2) * (x2 + h2)))
-            out.append(Equilibrium(x_star=float(x), stable=abs(mult) < 1.0, multiplier=mult))
+            out.append(Equilibrium(float(x), abs(mult) < 1.0, mult))
     except ArithmeticError as exc:
-        raise EquilibriumError(f"{type(exc).__name__} ({exc}) solving for {p}") from None
+        raise EquilibriumError(
+            f"{type(exc).__name__} ({exc}) solving for {EcoParams(r, K, c, h)}") from None
     return out
 
 
@@ -221,18 +234,20 @@ def bifurcation_scan(
 ) -> list[ScanRow]:
     """Equilibria with stability flags on a uniform extraction-rate grid.
 
-    Per-grid-point failures are recorded in the row rather than raised.  Each
-    rate's EcoParams is built from p_base's fields, as replace(p_base, c=c).
+    Needs 0 <= c_min < c_max < inf, so that every rate of the grid is a
+    valid eco.c; each rate is solved on p_base's r, K and h, with no
+    EcoParams built per rate.  Per-grid-point failures are recorded in the
+    row rather than raised, with equilibria's message for that rate.
     """
-    if not (0 <= c_min < c_max):
-        raise ValueError(f"need 0 <= c_min < c_max, got [{c_min}, {c_max}]")
+    if not (0 <= c_min < c_max < math.inf):
+        raise ValueError(f"need 0 <= c_min < c_max < inf, got [{c_min}, {c_max}]")
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
     r, K, h = p_base.r, p_base.K, p_base.h
     rows = []
     for c in np.linspace(c_min, c_max, n_steps).tolist():
         try:
-            rows.append(ScanRow(c, tuple(equilibria(EcoParams(r, K, c, h)))))
+            rows.append(ScanRow(c, tuple(_equilibria(r, K, c, h))))
         except EquilibriumError as exc:
             rows.append(ScanRow(c, (), str(exc)))
     return rows

@@ -259,7 +259,7 @@ def _atomic_write(path: str | os.PathLike, chunks: Iterable[str]) -> Path:
 
 def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

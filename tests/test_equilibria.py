@@ -1,5 +1,8 @@
+import importlib
+import math
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,9 @@ from flickersim import (
 )
 from flickersim.equilibria import RESIDUAL_TOL, EquilibriumError, ScanRow
 from oracles import brute_force_fixed_points
+
+# the package re-exports the function equilibria() under the submodule's name
+equilibria_module = importlib.import_module("flickersim.equilibria")
 
 P = EcoParams(r=1.0, K=10.0, c=1.0, h=1.0)
 
@@ -244,12 +250,24 @@ def _bits(x) -> bytes:
 
 @settings(max_examples=200, deadline=None)
 @given(r=st.floats(0.05, 3.0), K=st.floats(0.1, 100.0), h=st.floats(0.01, 10.0),
-       c_max=st.floats(0.01, 10.0), n_steps=st.integers(2, 40), as_numpy=st.booleans())
+       c_max=st.floats(0.01, 10.0) | st.just(math.inf), n_steps=st.integers(2, 40),
+       as_numpy=st.booleans())
+@example(r=1.0, K=1e52, h=1.0, c_max=4.0, n_steps=5, as_numpy=False)
+@example(r=1.0, K=10.0, h=1e-100, c_max=4.0, n_steps=5, as_numpy=False)
+@example(r=1.0, K=10.0, h=1.0, c_max=math.inf, n_steps=5, as_numpy=False)
 def test_scan_rows_are_the_public_solve(r, K, h, c_max, n_steps, as_numpy):
-    """bifurcation_scan builds each rate's EcoParams from the base's fields, and
-    equilibria writes growth_increment and map_multiplier out on bound fields:
-    both give the public route's bits, also for numpy-typed fields."""
+    """bifurcation_scan solves each rate on the base's bound r, K and h, with no
+    EcoParams per rate, and equilibria writes growth_increment and
+    map_multiplier out on bound fields: both give the public route's bits,
+    also for numpy-typed fields.  An error row holds the public route's
+    message, naming the parameters (every rate fails at K = 1e52 and at
+    h = 1e-100).  An infinite c_max fails by name before any rate is solved."""
     p = EcoParams(*(np.float64(v) if as_numpy else v for v in (r, K, 1.0, h)))
+    if c_max == math.inf:
+        with mock.patch.object(equilibria_module, "_equilibria", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=r"need 0 <= c_min < c_max < inf"):
+                bifurcation_scan(p, 0.0, c_max, n_steps)
+        return
     rows = bifurcation_scan(p, 0.0, c_max, n_steps)
     assert [row.c for row in rows] == np.linspace(0.0, c_max, n_steps).tolist()
     for row in rows:
@@ -258,6 +276,7 @@ def test_scan_rows_are_the_public_solve(r, K, h, c_max, n_steps, as_numpy):
             want = ScanRow(row.c, tuple(equilibria(at_c)))
         except EquilibriumError as exc:
             want = ScanRow(row.c, (), str(exc))
+            assert str(at_c) in row.error
         assert repr(row) == repr(want)
         for e in row.equilibria:
             assert type(e.x_star) is float and type(e.multiplier) is float

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -824,6 +825,26 @@ class TestCli:
                        "--steps 1 runs c = 0.5 alone, not --c-max 2.0"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flags,flag,value", [
+        ("bifurcation", ["--c-max", "inf"], "--c-max", "inf"),
+        ("bifurcation", ["--c-min", "nan"], "--c-min", "nan"),
+        ("sweep", ["--c-max", "inf", "--steps", "3"], "--c-max", "inf"),
+        ("transform", ["--c-min=-inf"], "--c-min", "-inf"),
+    ], ids=["bifurcation-inf", "bifurcation-nan", "sweep-inf", "transform-minus-inf"])
+    def test_non_finite_c_range_named(self, tmp_path, capsys, command, flags, flag, value):
+        # rejected before np.linspace, which would warn and fill the grid with nan
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(command, *flags, "--out-dir", out)
+        assert code == 1
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ConfigError",
+                                        "message": f"{flag} must be finite, got {value}"}
+        assert not out.exists()
+
     def test_readme_cli_examples_parse(self):
         # every `flickersim ...` line of the README is a valid command line
         readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -929,3 +950,16 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_yaml():
     """Only --config runs read or write YAML, so only they import PyYAML."""
     assert _loaded_by_cli_import("yaml") == "[]"
+
+
+def test_golden_digests(tmp_path):
+    """The data files of tests/golden.json keep their sha256 (they do not
+    depend on numpy's CPU dispatch).  A mismatch prints every digest got."""
+    golden = json.loads((Path(__file__).resolve().parent / "golden.json").read_text())
+    want, got = {}, {}
+    for k, entry in enumerate(golden["digests"]):
+        label = " ".join(entry["argv"])
+        assert run_cli(*entry["argv"], "--out-dir", tmp_path / str(k)) == 0
+        want[label] = entry["sha256"]
+        got[label] = hashlib.sha256((tmp_path / str(k) / entry["file"]).read_bytes()).hexdigest()
+    assert got == want, "digests now:\n" + json.dumps(got, indent=2)

@@ -31,6 +31,8 @@ from typing import NamedTuple
 MATRIX = [
     ("bifurcation-fig2", ["bifurcation", "--preset", "fig2"]),
     ("bifurcation-0-1", ["bifurcation", "--c-min", "0", "--c-max", "1"]),
+    # 10x fig2's rates, across both folds
+    ("bifurcation-dense", ["bifurcation", "--c-min", "0", "--c-max", "6", "--steps", "4001"]),
     *((f"simulate-{fig}", ["simulate", "--preset", fig])
       for fig in ("fig4a", "fig4b", "fig4c", "fig4d")),
     ("flicker-fig4b-8", ["flicker", "--preset", "fig4b", "--seeds", "8"]),
