@@ -154,29 +154,32 @@ def _equilibria(r: float, K: float, c: float, h: float) -> list[Equilibrium]:
 
     The residual and multiplier are growth_increment's and map_multiplier's
     expressions on the bound fields.  An EcoParams is built only to name the
-    parameters in an error, so a caller that varies one field (as
-    bifurcation_scan varies c) builds none per solve.
+    parameters in an error, at the one raise below, so a caller that varies
+    one field (as bifurcation_scan varies c) builds none per solve.
     """
     h2 = h * h
     try:
         roots = [x for x in _cubic_roots(-K, h2 + c * K / r, -K * h2) if x > 0]
         if not 1 <= len(roots) <= 3:
-            raise EquilibriumError(f"found {len(roots)} positive fixed points for "
-                                   f"{EcoParams(r, K, c, h)}; expected 1-3")
+            # (text before the parameters, text after them)
+            raise EquilibriumError(f"found {len(roots)} positive fixed points for",
+                                   "; expected 1-3")
         for x in roots:
             residual = abs(r * x * (1.0 - x / K) - c * x * x / (x * x + h2))
             if residual >= RESIDUAL_TOL:
-                raise EquilibriumError(f"root {x!r} has fixed-point residual {residual:.2e} "
-                                       f"for {EcoParams(r, K, c, h)}")
+                raise EquilibriumError(f"root {x!r} has fixed-point residual {residual:.2e} for",
+                                       "")
         out = []
         for x in [0.0] + roots:
             x2 = x * x
             mult = float(1.0 + r - 2.0 * r * x / K - c * 2.0 * x * h2 / ((x2 + h2) * (x2 + h2)))
             out.append(Equilibrium(float(x), abs(mult) < 1.0, mult))
+        return out
+    except EquilibriumError as exc:
+        head, tail = exc.args
     except ArithmeticError as exc:
-        raise EquilibriumError(
-            f"{type(exc).__name__} ({exc}) solving for {EcoParams(r, K, c, h)}") from None
-    return out
+        head, tail = f"{type(exc).__name__} ({exc}) solving for", ""
+    raise EquilibriumError(f"{head} {EcoParams(r, K, c, h)}{tail}") from None
 
 
 def _cubic_turning_points(p: EcoParams) -> tuple[float, float] | None:
