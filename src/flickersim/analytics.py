@@ -5,10 +5,11 @@ equilibrium); :class:`_Dwells` counts debounced dwells span by span.  Sweeps
 over extraction rate reuse one set of environment paths per grid point
 across all adaptive capacities and both wellbeing profiles: adaptation never
 feeds back on the environment, so comparisons are made on literally shared
-noise.  A grid solves the equilibria once per c (config, regime, row error),
-streams as one block of (c, replicate) rows through run_ensemble's cell
-engine (:func:`flickersim.simulate._stream_cells`), and turns each whole
-block of sums into every row's mean and stderr (``_CellSums.averages``).
+noise.  A grid solves the equilibria once per c ((c, x0, y0) start, regime,
+row error), streams one model from every start as one block of (c,
+replicate) rows through run_ensemble's cell engine
+(:func:`flickersim.simulate._stream_cells`), and turns each whole block of
+sums into every row's mean and stderr (``_CellSums.averages``).
 """
 
 from __future__ import annotations
@@ -190,7 +191,9 @@ def flicker_replicates(cfg: SimConfig, n_seeds: int, separatrix: float,
     counted span by span.  Arguments are checked before any span is drawn, and
     an overflowed state raises NonFiniteStateError as run_trajectory does."""
     dwells = _Dwells(n_seeds, separatrix, min_dwell)
-    return _consume([resolve_config(cfg)], range(n_seeds), [], dwells, check=True).stats()
+    cfg = resolve_config(cfg)
+    return _consume(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], range(n_seeds), [], dwells,
+                    check=True).stats()
 
 
 def _check_grid(c_grid, increasing: bool) -> list[float]:
@@ -227,7 +230,7 @@ def _sweep_group(args) -> list[SweepRow]:
     utils = [sums.averages(util_sums[0])[1:] for util_sums in sums.utility]
     rows, j = [], 0
     for c, cell in zip(c_values, cells):
-        if isinstance(cell.config, Exception):
+        if isinstance(cell.start, Exception):
             rows.extend(SweepRow(c, l, cell.regime, *[float("nan")] * 4, cell.error)
                         for l in l_values)
             continue
@@ -342,7 +345,7 @@ def transform_comparison(
     mean_x = (sums.x.sum(axis=-1) / (n_seeds * sums.n_kept)).tolist()
     rows, j = [], 0
     for c, cell in zip(c_grid, cells):
-        if isinstance(cell.config, Exception):
+        if isinstance(cell.start, Exception):
             rows.append(ComparisonRow(c, cell.regime, *[float("nan")] * 9, error=cell.error))
             continue
         digest = sums.digests[j].hexdigest()[:16]

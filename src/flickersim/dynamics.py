@@ -47,6 +47,9 @@ class EcoParams:
             raise ValueError(f"eco.h must be large enough that h * h > 0, got {self.h}")
         if not 0 <= self.c < math.inf:
             raise ValueError(f"eco.c must be finite and >= 0, got {self.c}")
+        # Python floats, so numpy scalars take the solver's and the kernels' float paths
+        for name in ("r", "K", "c", "h"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

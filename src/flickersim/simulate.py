@@ -8,11 +8,13 @@ point expressions as the scalar step functions in
 :mod:`flickersim.dynamics`, batched across replicates; a replay through
 ``step_coupled`` reproduces any trajectory bit for bit.
 
-Every route runs on one span driver, :func:`stream_spans`: it draws each
-block of innovations from the replicate substreams, and its kernel advances
-all (c, replicate) rows of a run together, x, i and the adapted state y of
-every adaptive capacity in one time loop, yielding each block of whole
-STREAM_SPAN-step spans as one piece.  Every c reuses the same substreams;
+Every route runs on one span driver, :func:`stream_spans`: a run is one
+model and a list of (c, x0, y0) starts, one per extraction rate, so its rows
+share a model by construction.  The driver draws each block of innovations
+from the replicate substreams, and its kernel advances all (c, replicate)
+rows of a run together, x, i and the adapted state y of every adaptive
+capacity in one time loop, yielding each block of whole STREAM_SPAN-step
+spans as one piece.  Every c reuses the same substreams;
 Philox is counter-based, so block-by-block draws equal a whole-series draw.
 One loop, :func:`_consume`, checks each piece for the routes that fail at
 the first non-finite step, drops the burn-in and feeds the rest to a
@@ -48,8 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,12 +164,13 @@ def _highest_stable(eco: EcoParams, eqs) -> float:
 
 def resolve_config(cfg: SimConfig) -> SimConfig:
     """Fill x0/y0 defaults so every run parameter is explicit."""
-    return _started(cfg, cfg.x0 if cfg.x0 is not None else default_initial_state(cfg.eco))
+    x0 = cfg.x0 if cfg.x0 is not None else default_initial_state(cfg.eco)
+    return replace(cfg, x0=x0, y0=_y0(cfg, x0))
 
 
-def _started(cfg: SimConfig, x0: float) -> SimConfig:
-    """cfg starting from x0, with y0 defaulting to x0."""
-    return replace(cfg, x0=x0, y0=cfg.y0 if cfg.y0 is not None else x0)
+def _y0(cfg: SimConfig, x0: float) -> float:
+    """The y0 of cfg started from x0: its own, else x0."""
+    return cfg.y0 if cfg.y0 is not None else x0
 
 
 def innovation_stream(seed: int, replicate: int = 0) -> np.random.Generator:
@@ -231,23 +233,16 @@ def _simulate_paths(c: np.ndarray, l: np.ndarray, X: np.ndarray, I: np.ndarray, 
     return X[:n + 1], I[:n + 1], Y[:n + 1]
 
 
-# The fields that the rows of one stream_spans run share: all but eco.c, x0, y0.
-_SHARED_FIELDS = tuple([f"eco.{f.name}" for f in fields(EcoParams) if f.name != "c"]
-                       + [f.name for f in fields(SimConfig) if f.name not in ("eco", "x0", "y0")])
-_shared = attrgetter(*_SHARED_FIELDS)
+def stream_spans(model: SimConfig, starts, replicates, l_values):
+    """Run the given replicates of model from every (c, x0, y0) start together, span by span.
 
-
-def stream_spans(configs: list[SimConfig], replicates, l_values):
-    """Run the given replicates of every config together, span by span.
-
-    The configs are resolved and step one model: they differ only in eco.c,
-    x0 and y0, as :func:`grid_configs` returns them, and a ValueError names
-    any other field that differs before anything is drawn.  They share the
-    replicate substreams, so one set of innovation rows drives every c, and
-    every adaptive capacity in l_values follows every (c, replicate) row
-    from its config's y0.  Yields (X, I, Y) for each block of n steps up to
-    t_max, burn-in included: the environment states X, shape
-    (len(configs), len(replicates), n), the noise levels I, shape
+    Every row steps model (r, K, h, noise, i0, seed and horizon) at its
+    start's extraction rate c, from its start's x0, and every adaptive
+    capacity in l_values follows it from its start's y0; model's own eco.c,
+    x0 and y0 are not read.  The starts share the replicate substreams, so
+    one set of innovation rows drives every c.  Yields (X, I, Y) for each
+    block of n steps up to t_max, burn-in included: the environment states
+    X, shape (len(starts), len(replicates), n), the noise levels I, shape
     (len(replicates), n), and the adapted states Y, (len(l_values),) + X.shape.
     Every block starts on the STREAM_SPAN grid from step 0 and holds whole
     spans, except the run's last.
@@ -256,22 +251,14 @@ def stream_spans(configs: list[SimConfig], replicates, l_values):
     either way: below SCALAR_ROWS rows in Python floats, with one draw and
     one block per SCALAR_BLOCK // (STREAM_SPAN x rows) spans, at least one;
     else as one numpy block, with one draw and one block per span.
-    Raises ValueError, before any draw, when configs or replicates is empty.
+    Raises ValueError, before any draw, when starts or replicates is empty.
     """
-    if not configs or not len(replicates):
-        raise ValueError(f"a run needs at least one config and one replicate, "
-                         f"got {len(configs)} configs and {len(replicates)} replicates")
+    if not starts or not len(replicates):
+        raise ValueError(f"a run needs at least one start and one replicate, "
+                         f"got {len(starts)} starts and {len(replicates)} replicates")
     ls = [AdaptationParams(float(l)).l for l in l_values]  # rejects l outside [0, 1]
-    model = configs[0]
-    shared = _shared(model)
-    for j, cfg in enumerate(configs):
-        if (values := _shared(cfg)) != shared:
-            name, a, b = next(d for d in zip(_SHARED_FIELDS, shared, values) if d[1] != d[2])
-            raise ValueError(f"the configs of one run may differ only in eco.c, x0 and y0, "
-                             f"but {name} is {a!r} in config 0 and {b!r} in config {j}")
-    starts = [(cfg.eco.c, cfg.x0, cfg.y0) for cfg in configs]
     streams = [innovation_stream(model.seed, k) for k in replicates]
-    rows = len(configs) * len(streams)
+    rows = len(starts) * len(streams)
     kernel = _scalar_spans if rows < SCALAR_ROWS else _block_spans
     spans = max(1, SCALAR_BLOCK // (STREAM_SPAN * rows)) if kernel is _scalar_spans else 1
     steps = STREAM_SPAN * spans
@@ -356,20 +343,20 @@ def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks
                np.array(Y, dtype=float).reshape((len(ls),) + shape + (n,)))
 
 
-def _check_finite(configs: list[SimConfig], X: np.ndarray, t0: int) -> None:
+def _check_finite(model: SimConfig, starts, X: np.ndarray, t0: int) -> None:
     """NonFiniteStateError naming the earliest non-finite state in X.
 
-    X has shape (len(configs), rows, n) and holds steps t0 onward.  An
+    X has shape (len(starts), rows, n) and holds steps t0 onward.  An
     overflowed state stays nan, so a finite last column clears the span.
     """
     if not all(map(math.isfinite, X[..., -1].ravel().tolist())):
         bad = ~np.isfinite(X)
         t = int(bad.any(axis=(0, 1)).argmax())
         j, k = (int(index[0]) for index in np.nonzero(bad[..., t]))
-        cfg = configs[j]
+        c, x0, _ = starts[j]
         raise NonFiniteStateError(
             f"the environment state overflowed to {X[j, k, t]} at step {t0 + t} "
-            f"(c={cfg.eco.c}, x0={cfg.x0}, i0={cfg.i0})"
+            f"(c={c}, x0={x0}, i0={model.i0})"
         )
 
 
@@ -381,16 +368,16 @@ class _KeptSeries:
     Raises ValueError when they would take more than KEPT_SERIES_MAX_BYTES.
     """
 
-    def __init__(self, configs: list[SimConfig], n_rows: int, n_l: int) -> None:
-        n_kept = configs[0].t_max - configs[0].burn_in
+    def __init__(self, model: SimConfig, n_c: int, n_rows: int, n_l: int) -> None:
+        n_kept = model.t_max - model.burn_in
         # float64 X and every Y over (c, row), and I over rows
-        n_bytes = 8 * n_rows * n_kept * (len(configs) * (1 + n_l) + 1)
+        n_bytes = 8 * n_rows * n_kept * (n_c * (1 + n_l) + 1)
         if n_bytes > KEPT_SERIES_MAX_BYTES:
             raise ValueError(
                 f"keeping sim.t_max - sim.burn_in = {n_kept} steps needs {n_bytes} bytes, "
                 f"above KEPT_SERIES_MAX_BYTES = {KEPT_SERIES_MAX_BYTES}; "
                 "lower sim.t_max or raise sim.burn_in")
-        self.X = np.empty((len(configs), n_rows, n_kept))
+        self.X = np.empty((n_c, n_rows, n_kept))
         self.I = np.empty((n_rows, n_kept))
         self.Y = np.empty((n_l,) + self.X.shape)
         self.filled = 0
@@ -429,16 +416,16 @@ class _CellSums:
     kept steps are cut into pieces.
     """
 
-    def __init__(self, configs: list[SimConfig], n_seeds: int, n_l: int, profiles,
+    def __init__(self, burn_in: int, n_c: int, n_seeds: int, n_l: int, profiles,
                  environment: bool) -> None:
-        shape = (len(configs), n_seeds)
+        shape = (n_c, n_seeds)
         self.n_kept = 0
-        self.burn_in = configs[0].burn_in if configs else 0  # the step of the first kept one
+        self.burn_in = burn_in  # the step of the first kept one
         self.profiles = [p.params for p in profiles]
         self.x = np.zeros(shape) if environment else None
         self.payoff = [np.zeros(shape) for _ in profiles]
         self.utility = [[np.zeros(shape) for _ in profiles] for _ in range(n_l)]
-        self.digests = [hashlib.sha256() for _ in configs] if environment else []
+        self.digests = [hashlib.sha256() for _ in range(n_c)] if environment else []
 
     def add(self, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
         n = X.shape[-1]
@@ -467,7 +454,7 @@ class _CellSums:
         return avgs, avgs.mean(axis=-1).tolist(), _stderrs(avgs)
 
 
-def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
+def _consume(model: SimConfig, starts, replicates, l_values, sink, check: bool):
     """Feed the post-burn-in steps of each block to sink.add(X, I, Y); returns sink.
 
     A block holds one span or, on the scalar kernel, up to SCALAR_BLOCK
@@ -477,27 +464,27 @@ def _consume(configs: list[SimConfig], replicates, l_values, sink, check: bool):
     overflowed run raises NonFiniteStateError naming its first non-finite
     step; without, non-finite states reach the sink, as grid cells flag them.
     """
-    t, burn_in = 0, configs[0].burn_in
-    for X, I, Y in stream_spans(configs, replicates, l_values):
+    t = 0
+    for X, I, Y in stream_spans(model, starts, replicates, l_values):
         if check:
-            _check_finite(configs, X, t)
-        skip, t = max(burn_in - t, 0), t + X.shape[-1]
-        if t > burn_in:
+            _check_finite(model, starts, X, t)
+        skip, t = max(model.burn_in - t, 0), t + X.shape[-1]
+        if t > model.burn_in:
             sink.add(X[..., skip:], I[..., skip:], Y[..., skip:])
     return sink
 
 
 def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
                   environment: bool = False, check: bool = False):
-    """The _GridCell of each c, and the _CellSums of the resolved ones.
+    """The _GridCell of each c, and the _CellSums of base run from their starts.
 
     check is :func:`_consume`'s: on for run_ensemble, off for the grids.
     """
     cells = [_grid_cell(base, c) for c in c_values]
-    ok = [cell.config for cell in cells if isinstance(cell.config, SimConfig)]
-    sums = _CellSums(ok, n_seeds, len(l_values), profiles, environment)
-    if ok:
-        _consume(ok, range(n_seeds), l_values, sums, check)
+    starts = [cell.start for cell in cells if isinstance(cell.start, tuple)]
+    sums = _CellSums(base.burn_in, len(starts), n_seeds, len(l_values), profiles, environment)
+    if starts:
+        _consume(base, starts, range(n_seeds), l_values, sums, check)
     return cells, sums
 
 
@@ -510,7 +497,8 @@ def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     a results file.
     """
     rcfg = resolve_config(cfg)
-    kept = _consume([rcfg], [replicate], [rcfg.adapt.l], _KeptSeries([rcfg], 1, 1), check=True)
+    kept = _consume(rcfg, [(rcfg.eco.c, rcfg.x0, rcfg.y0)], [replicate], [rcfg.adapt.l],
+                    _KeptSeries(rcfg, 1, 1, 1), check=True)
     return Trajectory(
         xs=kept.X[0, 0],
         ys=kept.Y[0, 0, 0],
@@ -519,13 +507,9 @@ def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     )
 
 
-def stderr_of_mean(values: np.ndarray) -> float:
-    """Cross-replicate standard error; 0 for a single replicate."""
-    return _stderrs(np.asarray(values, dtype=float).reshape(1, -1))[0]
-
-
 def _stderrs(avgs: np.ndarray) -> list[float]:
-    """stderr_of_mean of each row of avgs, from one std over the last axis."""
+    """The cross-replicate standard error of each row's mean, from one std over
+    the last axis; 0 for a single replicate."""
     n = avgs.shape[-1]
     return (avgs.std(axis=-1, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [0.0] * len(avgs)
 
@@ -545,42 +529,30 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     [cell], sums = _stream_cells(cfg, [cfg.eco.c], n_seeds, [cfg.adapt.l], [cfg.wellbeing],
                                  check=True)
-    if isinstance(cell.config, Exception):
-        raise cell.config
+    if isinstance(cell.start, Exception):
+        raise cell.start
     [pays], [mean_payoff], [stderr_payoff] = sums.averages(sums.payoff[0])
     [utils], [mean_utility], [stderr_utility] = sums.averages(sums.utility[0][0])
     return EnsembleSummary(pays, utils, mean_payoff, mean_utility, stderr_payoff, stderr_utility)
 
 
-def grid_configs(base: SimConfig, c_values) -> list[SimConfig | Exception]:
-    """The resolved configuration of base at each extraction rate.
-
-    c is stored as a Python float whatever its input type, so the scalar
-    kernel steps in float arithmetic.  A rate that cannot be resolved (a
-    negative c, or no stable state to start from) yields its exception in
-    place of a configuration.
-    """
-    return [_grid_cell(base, c).config for c in c_values]
-
-
 @dataclass(frozen=True)
 class _GridCell:
-    """One rate's config (or the exception in its place), regime, and row error."""
+    """One rate's (c, x0, y0) start (or the exception in its place), regime, and row error."""
 
-    config: SimConfig | Exception
+    start: tuple[float, float, float] | Exception
     regime: Regime | None
-    error: str | None  # the config's message, else why the rate has no regime
+    error: str | None  # the start's message, else why the rate has no regime
 
 
 def _grid_cell(base: SimConfig, c) -> _GridCell:
-    """base at extraction rate c from one equilibria solve, each failure recorded."""
+    """base's start at extraction rate c from one equilibria solve, each failure recorded."""
     x0 = None
     try:
-        cfg = replace(base, eco=replace(base.eco, c=float(c)))
-        x0 = cfg.x0
-        eqs = equilibria(cfg.eco)
-        x0 = x0 if x0 is not None else _highest_stable(cfg.eco, eqs)
-        return _GridCell(_started(cfg, x0), _classify(cfg.eco, eqs), None)
-    except Exception as exc:  # no regime, and no config until there is an x0
-        return _GridCell(exc if x0 is None else _started(cfg, x0), None, str(exc))
-
+        eco = replace(base.eco, c=c)
+        x0 = base.x0
+        eqs = equilibria(eco)
+        x0 = x0 if x0 is not None else _highest_stable(eco, eqs)
+        return _GridCell((eco.c, x0, _y0(base, x0)), _classify(eco, eqs), None)
+    except Exception as exc:  # no regime, and no start until there is an x0
+        return _GridCell(exc if x0 is None else (eco.c, x0, _y0(base, x0)), None, str(exc))

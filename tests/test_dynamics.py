@@ -39,6 +39,15 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="eco.c"):
             EcoParams(c=-0.1)
 
+    def test_eco_fields_are_python_floats(self):
+        # numpy scalars and ints are stored as floats, after validation, so a
+        # rejected value is named as given
+        p = EcoParams(r=np.float64(1.5), K=10, c=np.float32(0.5), h=np.int64(2))
+        assert [type(v) for v in vars(p).values()] == [float] * 4
+        assert p == EcoParams(1.5, 10.0, 0.5, 2.0)
+        with pytest.raises(ValueError, match=r"got -1$"):
+            EcoParams(K=np.int64(-1))
+
     def test_noise_bounds(self):
         with pytest.raises(ValueError, match="noise.T"):
             NoiseParams(T=0.5)

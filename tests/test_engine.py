@@ -39,11 +39,10 @@ from flickersim.simulate import (
     _block_spans,
     _CellSums,
     _consume,
+    _grid_cell,
     _KeptSeries,
     _scalar_spans,
-    grid_configs,
     resolve_config,
-    stderr_of_mean,
 )
 from flickersim.wellbeing import GENERALIST, SPECIALIST, payoff, utility
 from oracles import adaptation_paths, replay_trajectory, span_summed_mean
@@ -55,6 +54,11 @@ L_VALUES = [0.001, 0.1]
 
 def at_c(cfg: SimConfig, c: float) -> SimConfig:
     return replace(cfg, eco=replace(cfg.eco, c=c))
+
+
+def starts_at(base: SimConfig, c_values) -> list:
+    """The (c, x0, y0) start of base at each rate, as a grid steps it."""
+    return [_grid_cell(base, c).start for c in c_values]
 
 
 def within(seconds: int, fn, *args):
@@ -75,18 +79,19 @@ class TestBlockRows:
     @pytest.mark.parametrize("base", [BASE, replace(BASE, x0=2.0, y0=1.0)],
                              ids=["default-x0", "explicit-x0-y0"])
     def test_every_row_is_run_trajectory(self, base):
-        configs = grid_configs(base, C_VALUES)
+        starts = starts_at(base, C_VALUES)
         if base.x0 is None:
-            assert len({cfg.x0 for cfg in configs}) == len(C_VALUES)
-        xs = _consume(configs, range(3), [], _KeptSeries(configs, 3, 0), check=True).X
+            assert len({x0 for _, x0, _ in starts}) == len(C_VALUES)
+        xs = _consume(base, starts, range(3), [], _KeptSeries(base, len(starts), 3, 0),
+                      check=True).X
         for j, c in enumerate(C_VALUES):
             for k in range(3):
                 assert np.array_equal(xs[j, k], run_trajectory(at_c(base, c), k).xs)
 
     def test_unresolvable_c_errors_alone(self):
-        configs = grid_configs(BASE, [0.5, -1.0, 1.5])
-        assert isinstance(configs[1], ValueError)
-        assert [cfg.eco.c for cfg in (configs[0], configs[2])] == [0.5, 1.5]
+        starts = starts_at(BASE, [0.5, -1.0, 1.5])
+        assert isinstance(starts[1], ValueError)
+        assert [start[0] for start in (starts[0], starts[2])] == [0.5, 1.5]
 
         rows = utility_sweep(BASE, [0.5, -1.0, 1.5], L_VALUES, n_seeds=2)
         bad = [row for row in rows if row.c == -1.0]
@@ -128,10 +133,10 @@ def forced(kernel):
     return mock.patch.object(simulate, "SCALAR_ROWS", rows)
 
 
-def kernel_spans(kernel, configs, replicates, l_values):
+def kernel_spans(kernel, model, starts, replicates, l_values):
     """stream_spans' (X, I, Y) spans, stepped by the given kernel."""
     with forced(kernel):
-        return list(simulate.stream_spans(configs, replicates, l_values))
+        return list(simulate.stream_spans(model, starts, replicates, l_values))
 
 
 class TestAdaptationFilter:
@@ -141,22 +146,21 @@ class TestAdaptationFilter:
     def test_spans_join_to_adaptation_paths(self, l):
         # the last span is 11 steps; rows start from y0 = 1, 2, 3 and the defaults
         base = replace(BASE, t_max=5 * STREAM_SPAN + 11)
-        configs = [*(grid_configs(replace(base, x0=2.0, y0=y0), [1.95])[0] for y0 in (1.0, 2.0, 3.0)),
-                   *grid_configs(base, C_VALUES)]
+        starts = [*(starts_at(replace(base, x0=2.0, y0=y0), [1.95])[0] for y0 in (1.0, 2.0, 3.0)),
+                  *starts_at(base, C_VALUES)]
         for kernel in KERNELS:
-            parts = zip(*kernel_spans(kernel, configs, [0, 2], [l]))
+            parts = zip(*kernel_spans(kernel, base, starts, [0, 2], [l]))
             X, _, Y = (np.concatenate(part, axis=-1) for part in parts)
             assert Y.shape == (1,) + X.shape
-            for j, cfg in enumerate(configs):
-                assert np.array_equal(Y[0, j], adaptation_paths(X[j], cfg.y0, l))
+            for j, (_, _, y0) in enumerate(starts):
+                assert np.array_equal(Y[0, j], adaptation_paths(X[j], y0, l))
 
     def test_stacked_capacities_equal_one_filter_each(self):
         l_values = [0.001, 0.3, 1.0]
-        configs = [*grid_configs(replace(BASE, x0=2.0, y0=4.0), [1.0, 3.1]),
-                   *grid_configs(BASE, C_VALUES)]
+        starts = [*starts_at(replace(BASE, x0=2.0, y0=4.0), [1.0, 3.1]), *starts_at(BASE, C_VALUES)]
         for kernel in KERNELS:
-            stacked = kernel_spans(kernel, configs, [0, 1, 4], l_values)
-            singles = [kernel_spans(kernel, configs, [0, 1, 4], [l]) for l in l_values]
+            stacked = kernel_spans(kernel, BASE, starts, [0, 1, 4], l_values)
+            singles = [kernel_spans(kernel, BASE, starts, [0, 1, 4], [l]) for l in l_values]
             for (X, _, Y), *ones in zip(stacked, *singles):
                 assert Y.shape == (len(l_values),) + X.shape
                 for Yl, (_, _, single) in zip(Y, ones):
@@ -180,8 +184,8 @@ def assert_mean_and_stderr(avg, stderr, per_seed):
 
 
 def block_sums(n_seeds: int, n_kept: int) -> _CellSums:
-    """A _CellSums of no configs that has been fed n_kept steps."""
-    sums = _CellSums([], n_seeds, 0, [], environment=False)
+    """A _CellSums of no rates that has been fed n_kept steps."""
+    sums = _CellSums(0, 0, n_seeds, 0, [], environment=False)
     sums.n_kept = n_kept
     return sums
 
@@ -200,13 +204,12 @@ SUM_VALUES = st.floats(-1e12, 1e12) | st.sampled_from([np.nan, np.inf, -np.inf, 
        st.integers(1, 5000), st.data())
 def test_block_averages_are_the_per_row_calls(n_c, n_seeds, n_kept, data):
     """One mean and one std over a whole (n_c, n_seeds) block give each row
-    the bits of a per-row mean() and stderr_of_mean()."""
+    the bits of a per-row mean() and std(ddof=1) / sqrt(n_seeds)."""
     totals = data.draw(arrays(float, (n_c, n_seeds), elements=SUM_VALUES))
     with np.errstate(all="ignore"):  # rows holding nan or inf
         avgs, means, stderrs = block_sums(n_seeds, n_kept).averages(totals)
         assert as_bytes(avgs) == as_bytes(totals / n_kept)
         assert as_bytes(means) == as_bytes([float(row.mean()) for row in avgs])
-        assert as_bytes(stderrs) == as_bytes([stderr_of_mean(row) for row in avgs])
         assert as_bytes(stderrs) == as_bytes(
             [float(row.std(ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0 for row in avgs])
     assert all(type(v) is float for v in (*means, *stderrs))
@@ -216,7 +219,6 @@ def test_single_replicate_block_has_zero_stderr_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, means, stderrs = block_sums(1, 4).averages(np.array([[2.0], [np.inf], [np.nan]]))
-        assert stderr_of_mean([3.0]) == stderr_of_mean([]) == 0.0
     assert as_bytes(means) == as_bytes([0.5, np.inf, np.nan])
     assert stderrs == [0.0, 0.0, 0.0]
 
@@ -228,12 +230,12 @@ def span_edges(burn_in: int, t_max: int) -> list[int]:
 
 
 def cut_cell(n_c, n_seeds, n_l, burn_in, t_max, cuts, n_profiles, seed):
-    """Kept X and Y of a random cell, the cuts into pieces, and its configs."""
+    """Kept X and Y of a random cell, the cuts into pieces, and its model."""
     rng = np.random.default_rng(seed)
     shape = (n_c, n_seeds, t_max - burn_in)
     X, Y = rng.uniform(0.0, 20.0, shape), rng.uniform(0.0, 20.0, (n_l,) + shape)
-    configs = [SimConfig(t_max=t_max, burn_in=burn_in)] * n_c
-    return configs, X, Y, sorted(cuts), [SPECIALIST, GENERALIST][:n_profiles]
+    model = SimConfig(t_max=t_max, burn_in=burn_in)
+    return model, X, Y, sorted(cuts), [SPECIALIST, GENERALIST][:n_profiles]
 
 
 @st.composite
@@ -249,9 +251,9 @@ def cut_cells(draw):
                     burn_in, t_max, cuts, draw(st.integers(1, 2)), draw(st.integers(0, 2**32)))
 
 
-def fed_sums(configs, X, Y, profiles, cuts):
+def fed_sums(model, X, Y, profiles, cuts):
     """A _CellSums with environment, fed X and Y in the pieces between cuts."""
-    sums = _CellSums(configs, X.shape[1], len(Y), profiles, environment=True)
+    sums = _CellSums(model.burn_in, *X.shape[:2], len(Y), profiles, environment=True)
     edges = [0, *cuts, X.shape[-1]]
     for a, b in zip(edges, edges[1:]):
         sums.add(X[..., a:b], None, Y[..., a:b])
@@ -273,10 +275,9 @@ def test_cell_sums_do_not_depend_on_the_cuts(cell):
     """Totals and x digests keep their bits however the kept steps are cut
     into pieces: each piece is summed and hashed span by span, on the
     STREAM_SPAN grid from step 0, as if the spans were fed one at a time."""
-    configs, X, Y, cuts, profiles = cell
-    want = sums_bits(fed_sums(configs, X, Y, profiles,
-                              span_edges(configs[0].burn_in, configs[0].t_max)))
-    assert sums_bits(fed_sums(configs, X, Y, profiles, cuts)) == want
+    model, X, Y, cuts, profiles = cell
+    want = sums_bits(fed_sums(model, X, Y, profiles, span_edges(model.burn_in, model.t_max)))
+    assert sums_bits(fed_sums(model, X, Y, profiles, cuts)) == want
 
 
 HORIZONS = [
@@ -479,7 +480,7 @@ def solves(monkeypatch):
 
 
 class TestOneSolvePerRate:
-    """A grid's config, regime and row error at each c come from one equilibria call."""
+    """A grid's start, regime and row error at each c come from one equilibria call."""
 
     GRID = [0.25, 1.0, 1.5, 1.95, 2.45, 3.1]
 
@@ -539,11 +540,49 @@ OVERCOMPENSATING = replace(BASE, eco=EcoParams(r=2.5, K=10.0, c=0.5, h=1.0))
 def test_row_error_is_the_config_message_else_the_regime(base, c, failed):
     error = worded_error(base, c)
     assert error
-    assert isinstance(grid_configs(base, [c])[0], Exception) == failed
+    assert isinstance(_grid_cell(base, c).start, Exception) == failed
     sweep = utility_sweep(base, [c], L_VALUES, n_seeds=2)
     report = transform_comparison(base, SPECIALIST, GENERALIST, [c], 0.01, n_seeds=2)
     for row in (*sweep, *report.rows):
         assert (row.regime, row.error) == (None, error)
+
+
+def start_or_error(start):
+    """A grid start, or its exception, as types and reprs that compare by value."""
+    if isinstance(start, Exception):
+        return type(start), str(start)
+    return [(type(v), repr(v)) for v in start]
+
+
+@st.composite
+def grid_rates(draw):
+    """A base with x0 and y0 each unset or set, and an extraction rate: any
+    rate on the paper's scale, negative ones and rates of an
+    overcompensating map, which has no stable state, included."""
+    eco = EcoParams(r=draw(st.floats(0.1, 3.0)), K=draw(st.floats(0.5, 20.0)),
+                    h=draw(st.floats(0.1, 3.0)))
+    start = st.none() | st.floats(0.0, 20.0)
+    base = replace(BASE, eco=eco, x0=draw(start), y0=draw(start))
+    return base, draw(st.floats(-3.0, 5.0) | st.sampled_from([np.float64(1.95), 0, 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_rates())
+@example((BASE, -1.0))                                     # a rate EcoParams rejects
+@example((replace(BASE, y0=4.0), 1.95))                    # y0 set, x0 the default
+@example((replace(BASE, x0=2.0), 3.1))                     # x0 set, y0 follows it
+@example((OVERCOMPENSATING, 0.5))                          # no stable state to start from
+@example((replace(OVERCOMPENSATING, x0=5.0, y0=1.0), 0.5))  # no regime, but a start
+def test_grid_start_is_the_resolved_config(cell):
+    """A grid rate starts where resolve_config starts the base at that rate,
+    or fails as it does: one rule, with y0 defaulting to x0."""
+    base, c = cell
+    try:
+        cfg = resolve_config(at_c(base, c))
+        want = (cfg.eco.c, cfg.x0, cfg.y0)
+    except Exception as exc:
+        want = exc
+    assert start_or_error(_grid_cell(base, c).start) == start_or_error(want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

@@ -248,14 +248,15 @@ def _bits(x) -> bytes:
 @given(r=st.floats(0.05, 3.0), K=st.floats(0.1, 100.0), h=st.floats(0.01, 10.0),
        c_max=st.floats(0.01, 10.0), n_steps=st.integers(2, 40), as_numpy=st.booleans())
 @example(r=1.0, K=1e52, h=1.0, c_max=4.0, n_steps=5, as_numpy=False)
+@example(r=1.0, K=1e52, h=1.0, c_max=4.0, n_steps=5, as_numpy=True)
 @example(r=1.0, K=10.0, h=1e-100, c_max=4.0, n_steps=5, as_numpy=False)
 def test_scan_rows_are_the_public_solve(r, K, h, c_max, n_steps, as_numpy):
     """bifurcation_scan solves each rate on the base's bound r, K and h, with no
     EcoParams per rate, and equilibria writes growth_increment and
     map_multiplier out on bound fields: both give the public route's bits,
-    also for numpy-typed fields.  An error row holds the public route's
-    message, naming the parameters (every rate fails at K = 1e52 and at
-    h = 1e-100)."""
+    also for numpy-typed fields, which EcoParams stores as Python floats.  An
+    error row holds the public route's message, naming the parameters (every
+    rate fails at K = 1e52, numpy-typed or not, and at h = 1e-100)."""
     p = EcoParams(*(np.float64(v) if as_numpy else v for v in (r, K, 1.0, h)))
     rows = bifurcation_scan(p, 0.0, c_max, n_steps)
     assert [row.c for row in rows] == np.linspace(0.0, c_max, n_steps).tolist()

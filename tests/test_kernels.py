@@ -49,17 +49,16 @@ from flickersim.simulate import (
     _consume,
     _KeptSeries,
     _scalar_spans,
-    grid_configs,
     resolve_config,
     stream_spans,
 )
 from oracles import adaptation_paths, replay_trajectory
 from test_engine import (BASE, C_VALUES, HORIZONS, L_VALUES, at_c, forced, kernel_spans,
-                         replayed_mean_utility, span_edges)
+                         replayed_mean_utility, span_edges, starts_at)
 from test_simulate import SMALL
 
 # Few rows, whose scalar blocks hold several spans (4 096 steps at 1 row,
-# 1 344 at 3, 448 at 9, 128 at 31): the (configs, replicates) of a grid cell
+# 1 344 at 3, 448 at 9, 128 at 31): the (rates, replicates) of a grid cell
 # at each row count.
 FEW_ROWS = {1: (1, 1), 2: (1, 2), 3: (3, 1), 8: (2, 4), 9: (3, 3), 16: (2, 8), 31: (1, 31)}
 # both sides of the threshold, plus fixed counts (around 24 and around the
@@ -89,19 +88,6 @@ OVERFLOWS = [SimConfig(x0=1e200, t_max=40, burn_in=0), SimConfig(i0=1e300, t_max
 OVERFLOW_IDS = ["x0=1e200", "i0=1e300"]
 # stacked capacities, both ends of [0, 1] included
 Y_L_VALUES = (0.0, 0.001, 0.3, 1.0)
-# a change to each field that the rows of one run share, by its name
-MODEL_CHANGES = {
-    "eco.r": lambda cfg: replace(cfg, eco=replace(cfg.eco, r=1.5)),
-    "eco.K": lambda cfg: replace(cfg, eco=replace(cfg.eco, K=12.0)),
-    "eco.h": lambda cfg: replace(cfg, eco=replace(cfg.eco, h=1.5)),
-    "noise": lambda cfg: replace(cfg, noise=NoiseParams(T=5.0)),
-    "adapt": lambda cfg: replace(cfg, adapt=AdaptationParams(l=0.5)),
-    "wellbeing": lambda cfg: replace(cfg, wellbeing=GENERALIST),
-    "t_max": lambda cfg: replace(cfg, t_max=cfg.t_max + 1),
-    "burn_in": lambda cfg: replace(cfg, burn_in=cfg.burn_in + 1),
-    "i0": lambda cfg: replace(cfg, i0=0.5),
-    "seed": lambda cfg: replace(cfg, seed=cfg.seed + 1),
-}
 
 
 @pytest.fixture(params=["scalar", "block"])
@@ -111,33 +97,33 @@ def kernel(request, monkeypatch):
     return request.param
 
 
-def joined(configs, replicates, l_values):
+def joined(model, starts, replicates, l_values):
     """X, I and Y of stream_spans at every step, burn-in included.
 
     Checks that every piece starts on the STREAM_SPAN grid from step 0 and
     holds whole spans, except the run's last: one span on the block kernel,
     at most SCALAR_BLOCK row-steps on the scalar one.
     """
-    pieces = list(stream_spans(configs, replicates, l_values))
-    rows = len(configs) * len(replicates)
+    pieces = list(stream_spans(model, starts, replicates, l_values))
+    rows = len(starts) * len(replicates)
     most = max(STREAM_SPAN, SCALAR_BLOCK // rows) if rows < simulate.SCALAR_ROWS else STREAM_SPAN
     t = 0
     for k, (X, I, Y) in enumerate(pieces):
         n = X.shape[-1]
-        assert X.shape == (len(configs), len(replicates), n) and I.shape == (len(replicates), n)
+        assert X.shape == (len(starts), len(replicates), n) and I.shape == (len(replicates), n)
         assert Y.shape == (len(l_values),) + X.shape
         assert t % STREAM_SPAN == 0 and 0 < n <= most
         assert n % STREAM_SPAN == 0 or k == len(pieces) - 1
         t += n
-    assert t == configs[0].t_max
+    assert t == model.t_max
     return [np.concatenate(part, axis=-1) for part in zip(*pieces)]
 
 
-def series(kernel, configs, replicates, l_values=Y_L_VALUES):
+def series(kernel, model, starts, replicates, l_values=Y_L_VALUES):
     """joined X, I and Y as stepped by kernel, as (shape, bytes): nan and
     -0.0 compare by bits."""
     with forced(kernel):
-        return [(a.shape, a.tobytes()) for a in joined(configs, replicates, l_values)]
+        return [(a.shape, a.tobytes()) for a in joined(model, starts, replicates, l_values)]
 
 
 class TestKernelsAgree:
@@ -149,72 +135,60 @@ class TestKernelsAgree:
         *(replace(cfg, seed=BASE.seed) for cfg in OVERFLOWS),
     ], ids=["base", "absorbed", "negative-zero", *OVERFLOW_IDS])
     def test_stream_spans_bit_equal(self, base):
-        configs = grid_configs(base, [1.0, 1.95, 3.1])
+        starts = starts_at(base, [1.0, 1.95, 3.1])
         replicates = [0, 2, 5]
-        scalar = series(_scalar_spans, configs, replicates)
-        assert scalar == series(_block_spans, configs, replicates)
-        assert scalar[-1][0] == (len(Y_L_VALUES), len(configs), len(replicates), base.t_max)
+        scalar = series(_scalar_spans, base, starts, replicates)
+        assert scalar == series(_block_spans, base, starts, replicates)
+        assert scalar[-1][0] == (len(Y_L_VALUES), len(starts), len(replicates), base.t_max)
 
     def test_adapted_states_equal_adaptation_paths(self, kernel):
-        # BASE's burn-in ends inside a span; each capacity starts at its config's y0
-        configs = [*grid_configs(replace(BASE, x0=2.0, y0=1.0), C_VALUES),
-                   *grid_configs(BASE, C_VALUES)]
+        # BASE's burn-in ends inside a span; each capacity starts at its start's y0
+        starts = [*starts_at(replace(BASE, x0=2.0, y0=1.0), C_VALUES), *starts_at(BASE, C_VALUES)]
         replicates = [0, 2, 5]
-        X, _, Y = joined(configs, replicates, Y_L_VALUES)
-        kept = _consume(configs, replicates, Y_L_VALUES,
-                        _KeptSeries(configs, len(replicates), len(Y_L_VALUES)), True).Y
+        X, _, Y = joined(BASE, starts, replicates, Y_L_VALUES)
+        kept = _consume(BASE, starts, replicates, Y_L_VALUES,
+                        _KeptSeries(BASE, len(starts), len(replicates), len(Y_L_VALUES)), True).Y
         for a, l in enumerate(Y_L_VALUES):
-            single = joined(configs, replicates, [l])[2][0]
+            single = joined(BASE, starts, replicates, [l])[2][0]
             assert np.array_equal(Y[a], single)  # stacked capacities equal one each
-            for j, cfg in enumerate(configs):
-                want = adaptation_paths(X[j], cfg.y0, l)
+            for j, (_, _, y0) in enumerate(starts):
+                want = adaptation_paths(X[j], y0, l)
                 assert np.array_equal(Y[a, j], want)
                 assert np.array_equal(kept[a, j], want[:, BASE.burn_in:])
 
     def test_absorbed_rows_are_covered(self):
         heavy = replace(BASE, noise=NoiseParams(T=5.0, beta=0.8))
-        X, _, _ = joined(grid_configs(heavy, [1.0]), [0, 2], [])
+        X, _, _ = joined(heavy, starts_at(heavy, [1.0]), [0, 2], [])
         assert np.all(X[..., 0] > 0.0) and np.any(X[..., -1] == 0.0)
 
     def test_row_count_picks_the_kernel(self):
-        one = grid_configs(BASE, [1.0])
-        assert stream_spans(one, range(SCALAR_ROWS - 1), []).__name__ == "_scalar_spans"
-        assert stream_spans(one, range(SCALAR_ROWS), []).__name__ == "_block_spans"
+        one = starts_at(BASE, [1.0])
+        assert stream_spans(BASE, one, range(SCALAR_ROWS - 1), []).__name__ == "_scalar_spans"
+        assert stream_spans(BASE, one, range(SCALAR_ROWS), []).__name__ == "_block_spans"
         # the fig5 grid, 40 c x 10 replicates, stays one block
-        fig5 = grid_configs(BASE, np.linspace(0.25, 3.5, 40))
-        assert stream_spans(fig5, range(10), []).__name__ == "_block_spans"
+        fig5 = starts_at(BASE, np.linspace(0.25, 3.5, 40))
+        assert stream_spans(BASE, fig5, range(10), []).__name__ == "_block_spans"
 
     def test_grid_c_is_a_python_float(self):
         c_values = np.linspace(0.25, 3.5, 5)
-        configs = grid_configs(BASE, c_values)
-        assert all(type(cfg.eco.c) is float for cfg in configs)
-        floats = grid_configs(BASE, c_values.tolist())
-        assert series(_scalar_spans, configs, [0, 1]) == series(_scalar_spans, floats, [0, 1])
+        starts = starts_at(BASE, c_values)
+        assert all(type(c) is float for c, _, _ in starts)
+        floats = starts_at(BASE, c_values.tolist())
+        assert (series(_scalar_spans, BASE, starts, [0, 1])
+                == series(_scalar_spans, BASE, floats, [0, 1]))
 
-    @pytest.mark.parametrize("name", MODEL_CHANGES)
-    def test_configs_share_one_model(self, name, kernel, monkeypatch):
-        # a config differing in more than c, x0 and y0 fails by name, before any draw
-        def no_draw(*args):
-            raise AssertionError("innovations drawn")
-
-        monkeypatch.setattr(simulate, "_draw_innovations", no_draw)
-        first, other = grid_configs(replace(BASE, x0=2.0, y0=1.0), [1.0, 1.95])
-        assert first.wellbeing != GENERALIST
-        message = f"differ only in eco.c, x0 and y0, but {name} is "
-        with pytest.raises(ValueError, match=re.escape(message)):
-            list(stream_spans([first, MODEL_CHANGES[name](other)], [0, 1], [0.1]))
-
-    @pytest.mark.parametrize("configs,replicates", [([], [0]), ([BASE], [])],
+    # no-config: a run of no (c, x0, y0) start
+    @pytest.mark.parametrize("starts,replicates", [([], [0]), ([(1.0, 2.0, 2.0)], [])],
                              ids=["no-config", "no-replicate"])
-    def test_empty_run_fails_by_name(self, configs, replicates, kernel, monkeypatch):
+    def test_empty_run_fails_by_name(self, starts, replicates, kernel, monkeypatch):
         def no_draw(*args):
             raise AssertionError("innovations drawn")
 
         monkeypatch.setattr(simulate, "_draw_innovations", no_draw)
-        message = (f"a run needs at least one config and one replicate, got {len(configs)} "
-                   f"configs and {len(replicates)} replicates")
+        message = (f"a run needs at least one start and one replicate, got {len(starts)} "
+                   f"starts and {len(replicates)} replicates")
         with pytest.raises(ValueError, match=re.escape(message)):
-            list(stream_spans(configs, replicates, [0.1]))
+            list(stream_spans(BASE, starts, replicates, [0.1]))
 
 
 def coupled_replay(cfg: SimConfig, replicate: int) -> np.ndarray:
@@ -256,16 +230,16 @@ class _Recorder:
 @example(burn_in=2 * STREAM_SPAN + 5, kept=1)                 # longer than one span
 def test_consume_feeds_sinks_the_post_burn_in_steps(burn_in, kept):
     base = replace(BASE, t_max=burn_in + kept, burn_in=burn_in)
-    configs = [*grid_configs(base, C_VALUES), *grid_configs(replace(base, x0=2.0, y0=1.0), [1.95])]
+    starts = [*starts_at(base, C_VALUES), *starts_at(replace(base, x0=2.0, y0=1.0), [1.95])]
     replicates = [0, 3]
     for kernel in (_scalar_spans, _block_spans):
         whole = [np.concatenate(part, axis=-1)
-                 for part in zip(*kernel_spans(kernel, configs, replicates, L_VALUES))]
+                 for part in zip(*kernel_spans(kernel, base, starts, replicates, L_VALUES))]
         with forced(kernel):
-            rec = _consume(configs, replicates, L_VALUES, _Recorder(), check=True)
-            sums = _consume(configs, replicates, L_VALUES,
-                            _CellSums(configs, len(replicates), len(L_VALUES), [SPECIALIST],
-                                      True), check=False)
+            rec = _consume(base, starts, replicates, L_VALUES, _Recorder(), check=True)
+            sums = _consume(base, starts, replicates, L_VALUES,
+                            _CellSums(burn_in, len(starts), len(replicates), len(L_VALUES),
+                                      [SPECIALIST], True), check=False)
         assert all(span[0].shape[-1] > 0 for span in rec.spans)
         got = [np.concatenate(part, axis=-1) for part in zip(*rec.spans)]
         for part, full in zip(got, whole):
@@ -287,8 +261,8 @@ def test_consume_feeds_sinks_the_post_burn_in_steps(burn_in, kept):
 
 @st.composite
 def scalar_runs(draw, min_capacities=1):
-    """1-3 configs of one random system that differ in c and start, 1-3
-    replicates and min_capacities-2 capacities, over up to ~3 spans."""
+    """One random model, 1-3 random (c, x0, y0) starts, 1-3 replicates and
+    min_capacities-2 capacities, over up to ~3 spans."""
     eco = EcoParams(r=draw(st.floats(0.01, 4.0)), K=draw(st.floats(0.1, 100.0)),
                     h=draw(st.floats(0.01, 10.0)))
     noise = NoiseParams(T=draw(st.floats(1.0, 100.0)), beta=draw(st.floats(0.0, 2.0)),
@@ -296,39 +270,40 @@ def scalar_runs(draw, min_capacities=1):
     t_max = draw(st.integers(1, 3 * STREAM_SPAN + 5))
     # i0 = -2 clamps every positive start to 0 at the first step; the huge
     # starts overflow to nan
-    base = SimConfig(eco=eco, noise=noise, t_max=t_max, burn_in=draw(st.integers(0, t_max - 1)),
-                     i0=draw(st.sampled_from([-2.0, 1e300]) | st.floats(-3.0, 3.0)),
-                     seed=draw(st.integers(0, 2**32)))
-    start = st.sampled_from([0.0, -0.0, 1e200]) | st.floats(0.0, 200.0)
-    configs = [replace(base, eco=replace(eco, c=draw(st.floats(0.0, 5.0))), x0=draw(start),
-                       y0=draw(st.floats(0.0, 200.0)))
-               for _ in range(draw(st.integers(1, 3)))]
+    model = SimConfig(eco=eco, noise=noise, t_max=t_max, burn_in=draw(st.integers(0, t_max - 1)),
+                      i0=draw(st.sampled_from([-2.0, 1e300]) | st.floats(-3.0, 3.0)),
+                      seed=draw(st.integers(0, 2**32)))
+    x0 = st.sampled_from([0.0, -0.0, 1e200]) | st.floats(0.0, 200.0)
+    starts = [(draw(st.floats(0.0, 5.0)), draw(x0), draw(st.floats(0.0, 200.0)))
+              for _ in range(draw(st.integers(1, 3)))]
     replicates = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
     l_values = draw(st.lists(st.floats(0.0, 1.0), min_size=min_capacities, max_size=2))
-    return configs, replicates, l_values
+    return model, starts, replicates, l_values
 
 
 @settings(max_examples=150, deadline=None)
 @given(scalar_runs())
 def test_scalar_kernel_replays_step_coupled_bitwise(run):
-    configs, replicates, l_values = run
+    model, starts, replicates, l_values = run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "SCALAR_ROWS", sys.maxsize)
-        X, I, Y = joined(configs, replicates, l_values)
+        X, I, Y = joined(model, starts, replicates, l_values)
     # as bytes, so nan and -0.0 compare by bits
-    for j, cfg in enumerate(configs):
+    for j, (c, x0, y0) in enumerate(starts):
         for k, replicate in enumerate(replicates):
             for a, l in enumerate(l_values):
-                xs, is_, ys = coupled_replay(replace(cfg, adapt=AdaptationParams(l)), replicate)
+                cfg = replace(model, eco=replace(model.eco, c=c), adapt=AdaptationParams(l),
+                              x0=x0, y0=y0)
+                xs, is_, ys = coupled_replay(cfg, replicate)
                 assert X[j, k].tobytes() == xs.tobytes()
                 assert I[k].tobytes() == is_.tobytes()
                 assert Y[a, j, k].tobytes() == ys.tobytes()
 
 
-def _one_run(t_max=STREAM_SPAN + 5, n_configs=1, i0=0.0, x0=2.0, l_values=()):
+def _one_run(t_max=STREAM_SPAN + 5, n_rates=1, i0=0.0, x0=2.0, l_values=()):
     """A scalar_runs draw, built by hand for the examples below."""
     base = SimConfig(t_max=t_max, burn_in=0, i0=i0, x0=x0, y0=1.0)
-    return grid_configs(base, [1.0, 1.95, 3.1][:n_configs]), [0], list(l_values)
+    return base, starts_at(base, [1.0, 1.95, 3.1][:n_rates]), [0], list(l_values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing starts
@@ -336,15 +311,15 @@ def _one_run(t_max=STREAM_SPAN + 5, n_configs=1, i0=0.0, x0=2.0, l_values=()):
 @given(scalar_runs(min_capacities=0))  # no capacity is flicker's route
 @example(_one_run())                                            # one row, short last span
 @example(_one_run(t_max=2 * STREAM_SPAN, l_values=[0.3]))       # spans all full
-@example(_one_run(n_configs=3, x0=-0.0, l_values=[0.0, 1.0]))   # -0.0 stays -0.0
+@example(_one_run(n_rates=3, x0=-0.0, l_values=[0.0, 1.0]))   # -0.0 stays -0.0
 @example(_one_run(i0=-2.0, l_values=[0.5]))                     # every row clamps to 0
 @example(_one_run(x0=1e200, l_values=[0.5]))                    # x overflows to nan
 @example(_one_run(i0=1e300))                                    # i overflows x
 def test_block_kernel_equals_scalar_kernel_bitwise(run):
-    configs, replicates, l_values = run
-    block = series(_block_spans, configs, replicates, l_values)
-    assert block == series(_scalar_spans, configs, replicates, l_values)
-    assert block[0][0] == (len(configs), len(replicates), configs[0].t_max)
+    model, starts, replicates, l_values = run
+    block = series(_block_spans, model, starts, replicates, l_values)
+    assert block == series(_scalar_spans, model, starts, replicates, l_values)
+    assert block[0][0] == (len(starts), len(replicates), model.t_max)
 
 
 @pytest.mark.parametrize("l_values", [L_VALUES, []], ids=["capacities", "none"])
@@ -353,9 +328,9 @@ def test_spans_never_alias(kernel, l_values):
     # would change the pieces already kept.  9 rows step scalar blocks of
     # `block` steps; the horizon holds three of them and 5 steps more.
     block = STREAM_SPAN * (SCALAR_BLOCK // (STREAM_SPAN * 9))
-    configs = grid_configs(replace(BASE, t_max=3 * block + 5), C_VALUES)
+    model = replace(BASE, t_max=3 * block + 5)
     kept, previous = [], None
-    for span in stream_spans(configs, [0, 2, 5], l_values):
+    for span in stream_spans(model, starts_at(model, C_VALUES), [0, 2, 5], l_values):
         if previous is not None:
             for a, b in zip(previous, span):
                 assert not np.shares_memory(a, b)
@@ -373,8 +348,8 @@ def test_spans_never_alias(kernel, l_values):
     *((t_max, burn_in, rows) for t_max, burn_in in BLOCK_HORIZONS for rows in FEW_ROWS),
 ])
 def test_rows_match_scalar_replay_bitwise(rows, t_max, burn_in):
-    cfg = replace(SMALL, t_max=t_max, burn_in=burn_in)
-    X, I, Y = joined([resolve_config(cfg)], range(rows), [cfg.adapt.l])
+    cfg = resolve_config(replace(SMALL, t_max=t_max, burn_in=burn_in))
+    X, I, Y = joined(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], range(rows), [cfg.adapt.l])
     for k in (0, rows - 1):
         xs, is_, ys = replay_trajectory(cfg, k)
         assert np.array_equal(X[0, k], xs)
@@ -633,12 +608,12 @@ class TestDrawsPerBlock:
         """Every block but the last of a run over two SCALAR_BLOCKs holds
         steps, and each block is yielded whole."""
         cfg = replace(BASE, t_max=2 * simulate.SCALAR_BLOCK + 5, burn_in=0)
-        pieces = stream_spans(grid_configs(cfg, C_VALUES[:n_c]), range(rows // n_c), [])
+        pieces = stream_spans(cfg, starts_at(cfg, C_VALUES[:n_c]), range(rows // n_c), [])
         assert [X.shape[-1] for X, _, _ in pieces] == [size for _, size in draws]
         assert {size for _, size in draws[:-1]} == {steps}
         assert max(n_seeds * size for n_seeds, size in draws) <= simulate.SCALAR_BLOCK
 
-    # rows: (configs, steps per block) at the shipped SCALAR_BLOCK
+    # rows: (rates, steps per block) at the shipped SCALAR_BLOCK
     @pytest.mark.parametrize("rows,n_c,steps", [
         (1, 1, 4096), (2, 1, 2048), (3, 3, 1344), (8, 1, 512), (9, 3, 448), (16, 1, 256),
         (17, 1, 224), (31, 1, 128),
@@ -647,7 +622,7 @@ class TestDrawsPerBlock:
         assert SCALAR_BLOCK == 4096
         self.assert_block_size(rows, n_c, steps, draws)
 
-    # rows: (configs, steps per block) at a bound of 1 024 row-steps: the
+    # rows: (rates, steps per block) at a bound of 1 024 row-steps: the
     # blocks follow SCALAR_BLOCK, in whole spans, whatever its value
     @pytest.mark.parametrize("rows,n_c,steps", [
         (1, 1, 1024), (2, 1, 512), (3, 3, 320), (8, 1, 128), (9, 3, 96), (16, 1, 64),

@@ -7,9 +7,10 @@ as ``python -m flickersim.cli`` in a fresh process with that tree's ``src``
 alone on PYTHONPATH (and no bytecode written into the tree), one output
 directory per command and tree under a temporary directory.  Data files are
 compared byte for byte; manifests as JSON, leaving out ``created_utc`` and
-the directories of the output paths.  Exit codes and error messages must
-match too.  Prints one line per file and exits 1 on any difference, else 0.
-The full matrix takes about 12 s per tree on a 2-CPU host.  run also
+the directories of the output paths.  Exit codes and stderr must match
+too, each warning compared by its category and message, not by the file and
+line that raised it.  Prints one line per file and exits 1 on any difference, else 0.
+The full matrix takes about 15 s per tree on a 2-CPU host.  run also
 returns each command's wall seconds and peak RSS, which
 tools/time_presets.py reports.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,8 +28,17 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
+# config files that MATRIX names after --config, written into the temporary
+# directory and read by both trees
+CONFIGS = {
+    # a grid whose every row starts from the base's x0 and y0
+    "start.yaml": "sim:\n  x0: 2.0\n  y0: 1.0\n",
+    # x overflows to nan at step 1
+    "overflow.yaml": "sim:\n  x0: 1.0e+200\n  t_max: 600\n  burn_in: 100\n",
+}
+
 # (label, arguments after the command): the preset figures, the grids at both
-# worker counts, and small runs off the presets
+# worker counts, small runs off the presets, and runs from CONFIGS
 MATRIX = [
     ("bifurcation-fig2", ["bifurcation", "--preset", "fig2"]),
     ("bifurcation-0-1", ["bifurcation", "--c-min", "0", "--c-max", "1"]),
@@ -43,6 +54,10 @@ MATRIX = [
     # a block of several spans, so x_digest is compared across block edges
     ("transform-few-rows", ["transform", "--c-min", "1.5", "--c-max", "2.5", "--steps", "4",
                             "--seeds", "3", "--t-max", "5000", "--burn-in", "500"]),
+    ("sweep-start", ["sweep", "--config", "start.yaml"]),
+    # simulate exits 1 naming the step; the sweep writes NaN rows that carry errors
+    ("simulate-overflow", ["simulate", "--config", "overflow.yaml"]),
+    ("sweep-overflow", ["sweep", "--config", "overflow.yaml"]),
 ]
 
 
@@ -68,6 +83,15 @@ def run(tree: Path, argv: list[str], out: Path) -> Run:
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     return Run(proc.returncode, stderr, wall, usage.ru_maxrss / 1024)  # KiB on Linux
+
+
+# a warning as Python prints it: file:line: Category: message, then the source line
+_WARNING = re.compile(r"^\S+:\d+: (\w+Warning: .*)\n(?:  .*\n)?", re.MULTILINE)
+
+
+def _stderr(text: str) -> str:
+    """text with each warning reduced to its category and message."""
+    return _WARNING.sub(r"\1\n", text)
 
 
 def _manifest(path: Path) -> dict:
@@ -100,9 +124,13 @@ def main(argv: list[str]) -> int:
     parent, change = map(Path, argv)
     differences = 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
+        for name, text in CONFIGS.items():
+            (Path(work) / name).write_text(text)
         for label, command in MATRIX:
+            command = [str(Path(work) / arg) if arg in CONFIGS else arg for arg in command]
             dirs = [Path(work) / side / label for side in ("parent", "change")]
-            runs = [run(tree, command, out)[:2] for tree, out in zip((parent, change), dirs)]
+            runs = [(r.code, _stderr(r.stderr))
+                    for r in (run(tree, command, out) for tree, out in zip((parent, change), dirs))]
             if runs[0] != runs[1]:
                 differences += 1
                 print(f"DIFFERENT {label}: exit/stderr {runs[0]!r} vs {runs[1]!r}")
