@@ -5,23 +5,24 @@ equilibrium); :class:`_Dwells` counts debounced dwells span by span.  Sweeps
 over extraction rate reuse one set of environment paths per grid point
 across all adaptive capacities and both wellbeing profiles: adaptation never
 feeds back on the environment, so comparisons are made on literally shared
-noise.  A grid solves the equilibria once per c ((c, x0, y0) start, regime,
-row error), streams one model from every start as one block of (c,
-replicate) rows through run_ensemble's cell engine
-(:func:`flickersim.simulate._stream_cells`), and turns each whole block of
-sums into every row's mean and stderr (``_CellSums.averages``).
+noise.  Both grids run on one path, :func:`_grid`: it solves the equilibria
+once per c ((c, x0, y0) start, regime, row error), streams one model from
+every start as one block of (c, replicate) rows into a ``_CellSums``, and
+turns each whole block of sums into every row's mean and stderr
+(``_CellSums.averages``); :func:`_cell_row` makes each rate's rows.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
 from .dynamics import AdaptationParams, EcoParams
 from .equilibria import Regime, equilibria
-from .simulate import SimConfig, _consume, _grid_cell, _stream_cells, resolve_config
+from .simulate import SimConfig, _CellSums, _consume, _grid_cell, resolve_config
 from .wellbeing import CaseProfile
 
 DEFAULT_MIN_DWELL = 5
@@ -64,9 +65,9 @@ class SweepRow:
 class ComparisonRow:
     """Both wellbeing profiles evaluated on shared trajectories at one c.
 
-    The x_digest fields hash the exact environment series each profile was
-    scored on (replicate rows of each span in turn, span after span); equal
-    digests certify the shared-noise comparison.
+    Both profiles are scored on one x series, so there is one x digest,
+    written under both column names: the first 16 hex digits of the sha256
+    of that series (replicate rows of each span in turn, span after span).
     """
 
     c: float
@@ -222,24 +223,50 @@ def _flag_nonfinite(row, error: str | None = None):
     return row if error is None else replace(row, error=error)
 
 
-def _sweep_group(args) -> list[SweepRow]:
-    """Rows of utility_sweep for one contiguous group of extraction rates."""
-    base, c_values, l_values, n_seeds = args
-    cells, sums = _stream_cells(base, c_values, n_seeds, l_values, [base.wellbeing])
-    _, pay_means, pay_errs = sums.averages(sums.payoff[0])
-    utils = [sums.averages(util_sums[0])[1:] for util_sums in sums.utility]
-    rows, j = [], 0
-    for c, cell in zip(c_values, cells):
-        if isinstance(cell.start, Exception):
-            rows.extend(SweepRow(c, l, cell.regime, *[float("nan")] * 4, cell.error)
-                        for l in l_values)
-            continue
-        for l, (util_means, util_errs) in zip(l_values, utils):
-            row = SweepRow(c, l, cell.regime, pay_means[j], util_means[j], pay_errs[j],
-                           util_errs[j])
-            rows.append(_flag_nonfinite(row, cell.error))
-        j += 1
-    return rows
+def _grid_group(args) -> list[tuple]:
+    """_grid's entries for one contiguous group of extraction rates."""
+    base, c_values, l_values, profiles, n_seeds, environment = args
+    cells = [_grid_cell(base, c) for c in c_values]
+    starts = [cell.start for cell in cells if isinstance(cell.start, tuple)]
+    sums = _CellSums(base.burn_in, len(starts), n_seeds, len(l_values), profiles, environment)
+    if starts:
+        with np.errstate(over="ignore", invalid="ignore"):  # _cell_row flags overflowed rows
+            _consume(base, starts, range(n_seeds), l_values, sums, check=False)
+    cols = [sums.averages(total)[1:] for total in (*sums.payoff, *chain(*sums.utility))]
+    stats = [([m[j] for m, _ in cols], [e[j] for _, e in cols]) for j in range(len(starts))]
+    if environment:
+        mean_x = (sums.x.sum(axis=-1) / (n_seeds * sums.n_kept)).tolist()
+        stats = [(*st, x, d.hexdigest()[:16]) for st, x, d in zip(stats, mean_x, sums.digests)]
+    stats = iter(stats)
+    return [(cell, next(stats) if isinstance(cell.start, tuple) else None) for cell in cells]
+
+
+def _grid(base, c_grid, l_values, profiles, n_seeds, workers=1, environment=False) -> list[tuple]:
+    """(cell, stats) per rate of c_grid: its _GridCell, and None if it has no start,
+    else the means and stderrs of each profile's payoff, then each (l, profile)'s
+    utility, and with environment its mean x and 16-hex x digest.  Runs as
+    min(workers, usable CPUs, len(c_grid)) contiguous groups of c, one process
+    each (none for one group); the entries do not depend on the grouping."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_groups = min(workers, cpus or 1, len(c_grid))
+    bounds = [k * len(c_grid) // n_groups for k in range(n_groups + 1)]
+    jobs = [(base, c_grid[lo:hi], l_values, profiles, n_seeds, environment)
+            for lo, hi in zip(bounds, bounds[1:])]
+    if n_groups == 1:
+        return _grid_group(jobs[0])
+    from concurrent.futures import ProcessPoolExecutor  # only a split grid pays its import
+
+    with ProcessPoolExecutor(max_workers=n_groups) as pool:
+        return [entry for group in pool.map(_grid_group, jobs) for entry in group]
+
+
+def _cell_row(row_type, cell, keys: tuple, values):
+    """row_type(*keys, cell.regime, *values), flagged by _flag_nonfinite with the cell's
+    error; values None (no start) gives NaN for each later float field and the cell's error."""
+    if values is None:
+        nan = {f.name: float("nan") for f in fields(row_type)[len(keys) + 1:] if f.type == "float"}
+        return row_type(*keys, cell.regime, **nan, error=cell.error)
+    return _flag_nonfinite(row_type(*keys, cell.regime, *values), cell.error)
 
 
 def utility_sweep(
@@ -269,17 +296,12 @@ def utility_sweep(
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_groups = min(workers, cpus or 1, len(c_grid))
-    bounds = [k * len(c_grid) // n_groups for k in range(n_groups + 1)]
-    jobs = [(base, c_grid[lo:hi], l_values, n_seeds) for lo, hi in zip(bounds, bounds[1:])]
-    if n_groups == 1:
-        rows = _sweep_group(jobs[0])
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a split grid pays its import
-
-        with ProcessPoolExecutor(max_workers=n_groups) as pool:
-            rows = [row for group in pool.map(_sweep_group, jobs) for row in group]
+    rows = []
+    for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, l_values, [base.wellbeing],
+                                             n_seeds, workers)):
+        for j, l in enumerate(l_values, start=1):  # utility j follows the one payoff
+            values = stats and (stats[0][0], stats[0][j], stats[1][0], stats[1][j])
+            rows.append(_cell_row(SweepRow, cell, (c, l), values))
     rows.sort(key=lambda row: (row.l, row.c))
     return rows
 
@@ -337,21 +359,12 @@ def transform_comparison(
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     base = replace(base, adapt=AdaptationParams(l=float(l)))
-    cells, sums = _stream_cells(base, c_grid, n_seeds, [l],
-                                [baseline_case, transform_case], environment=True)
-    # per c: mean and stderr of payoff, then utility, each baseline then transform
-    stats = list(zip(*[col for total in (*sums.payoff, *sums.utility[0])
-                       for col in sums.averages(total)[1:]]))
-    mean_x = (sums.x.sum(axis=-1) / (n_seeds * sums.n_kept)).tolist()
-    rows, j = [], 0
-    for c, cell in zip(c_grid, cells):
-        if isinstance(cell.start, Exception):
-            rows.append(ComparisonRow(c, cell.regime, *[float("nan")] * 9, error=cell.error))
-            continue
-        digest = sums.digests[j].hexdigest()[:16]
-        row = ComparisonRow(c, cell.regime, mean_x[j], *stats[j], digest, digest)
-        rows.append(_flag_nonfinite(row, cell.error))
-        j += 1
+    rows = []
+    for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, [l], [baseline_case, transform_case],
+                                             n_seeds, environment=True)):
+        if stats:  # mean_x, mean and stderr of payoff then utility, each baseline then transform
+            stats = (stats[2], *chain(*zip(*stats[:2])), stats[3], stats[3])
+        rows.append(_cell_row(ComparisonRow, cell, (c,), stats))
 
     ok = [row for row in rows if row.error is None]
     cs = [row.c for row in ok]

@@ -288,7 +288,8 @@ def _block_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks)
     X[0], I[0], Y[0] = x, model.i0, y
     for etas in blocks:
         n = etas.shape[1]
-        _simulate_paths(c, l, X, I, Y, scratch, etas)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows are named or flagged
+            _simulate_paths(c, l, X, I, Y, scratch, etas)
         # time-last; np.moveaxis costs ~6 us more per call than transpose
         yield tuple(A[:n].transpose((*range(1, A.ndim), 0)).copy() for A in (X, I, Y))
         X[0], I[0], Y[0] = X[n], I[n], Y[n]
@@ -474,20 +475,6 @@ def _consume(model: SimConfig, starts, replicates, l_values, sink, check: bool):
     return sink
 
 
-def _stream_cells(base: SimConfig, c_values, n_seeds: int, l_values, profiles,
-                  environment: bool = False, check: bool = False):
-    """The _GridCell of each c, and the _CellSums of base run from their starts.
-
-    check is :func:`_consume`'s: on for run_ensemble, off for the grids.
-    """
-    cells = [_grid_cell(base, c) for c in c_values]
-    starts = [cell.start for cell in cells if isinstance(cell.start, tuple)]
-    sums = _CellSums(base.burn_in, len(starts), n_seeds, len(l_values), profiles, environment)
-    if starts:
-        _consume(base, starts, range(n_seeds), l_values, sums, check)
-    return cells, sums
-
-
 def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     """Simulate one trajectory and discard the burn-in prefix.
 
@@ -527,10 +514,9 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    [cell], sums = _stream_cells(cfg, [cfg.eco.c], n_seeds, [cfg.adapt.l], [cfg.wellbeing],
-                                 check=True)
-    if isinstance(cell.start, Exception):
-        raise cell.start
+    cfg = resolve_config(cfg)
+    sums = _consume(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], range(n_seeds), [cfg.adapt.l],
+                    _CellSums(cfg.burn_in, 1, n_seeds, 1, [cfg.wellbeing], False), check=True)
     [pays], [mean_payoff], [stderr_payoff] = sums.averages(sums.payoff[0])
     [utils], [mean_utility], [stderr_utility] = sums.averages(sums.utility[0][0])
     return EnsembleSummary(pays, utils, mean_payoff, mean_utility, stderr_payoff, stderr_utility)

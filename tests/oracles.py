@@ -11,6 +11,7 @@ whole series.
 
 from __future__ import annotations
 
+import hashlib
 from enum import Enum
 
 import numpy as np
@@ -135,6 +136,20 @@ def span_summed_mean(values, t0: int) -> float:
         total += values[t - t0:end - t0].sum()
         t = end
     return total / values.size
+
+
+def span_x_digest(X, t0: int) -> str:
+    """First 16 hex digits of the sha256 of a (replicates, steps) post-burn-in
+    block whose first column is step t0, hashed as the engine hashes x: the
+    C-order bytes of each span of STREAM_SPAN steps counted from step 0, in
+    time order."""
+    X = np.asarray(X, dtype=float)
+    digest, t = hashlib.sha256(), t0
+    while t < t0 + X.shape[-1]:
+        end = (t // STREAM_SPAN + 1) * STREAM_SPAN
+        digest.update(np.ascontiguousarray(X[:, t - t0:end - t0]).tobytes())
+        t = end
+    return digest.hexdigest()[:16]
 
 
 def run_length_flicker_stats(xs, separatrix: float, min_dwell: int) -> FlickerStats:

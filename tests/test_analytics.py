@@ -22,9 +22,15 @@ from flickersim import (
     utility_sweep,
 )
 from flickersim.analytics import _Dwells, flicker_replicates
-from flickersim.simulate import STREAM_SPAN
+from flickersim.simulate import SCALAR_ROWS, STREAM_SPAN
 from flickersim.wellbeing import GENERALIST, SPECIALIST
-from oracles import Basin, classify_basin, run_length_flicker_stats
+from oracles import (
+    Basin,
+    classify_basin,
+    replay_trajectory,
+    run_length_flicker_stats,
+    span_x_digest,
+)
 
 FAST = SimConfig(t_max=600, burn_in=100, seed=17)
 
@@ -255,15 +261,26 @@ def test_sweep_records_regime_errors_per_cell():
 
 
 def test_transform_records_regime_errors_as_sweep_does():
-    # the same cell as above: transform carries the regime failure too, so the
-    # cell leaves the crossing search like any other error cell
+    # the cell above among rates that do have a regime: transform carries the
+    # regime failure too, so the cell leaves the crossing search like any
+    # other error cell, and its baseline columns are sweep's cells, bit for
+    # bit, on the scalar kernel (6 rows) and on the block kernel (33 rows)
     cfg = replace(FAST, eco=EcoParams(r=2.5, K=10.0, c=0.5, h=1.0), x0=5.0, y0=5.0)
-    sweep_row = utility_sweep(cfg, c_grid=[0.5], l_values=[0.01], n_seeds=2)[0]
-    trans_row = transform_comparison(cfg, SPECIALIST, GENERALIST, c_grid=[0.5], l=0.01,
-                                     n_seeds=2).rows[0]
-    assert sweep_row.error.startswith("0 stable / 1 positive equilibria")
-    assert (trans_row.regime, trans_row.error) == (sweep_row.regime, sweep_row.error)
-    assert trans_row.avg_payoff_baseline == sweep_row.avg_payoff
+    grid = [0.5, 3.0, 5.0]
+    for n_seeds, block in [(2, False), (11, True)]:
+        assert (len(grid) * n_seeds >= SCALAR_ROWS) == block
+        sweep = utility_sweep(cfg, c_grid=grid, l_values=[0.01], n_seeds=n_seeds)
+        report = transform_comparison(cfg, SPECIALIST, GENERALIST, c_grid=grid, l=0.01,
+                                      n_seeds=n_seeds)
+        assert sweep[0].error.startswith("0 stable / 1 positive equilibria")
+        assert [row.regime for row in sweep] == [None, Regime.SINGLE_HIGH, Regime.BISTABLE]
+        for sweep_row, trans_row in zip(sweep, report.rows, strict=True):
+            assert (trans_row.c, trans_row.regime, trans_row.error) == (
+                sweep_row.c, sweep_row.regime, sweep_row.error)
+            baseline = (trans_row.avg_payoff_baseline, trans_row.stderr_payoff_baseline,
+                        trans_row.avg_utility_baseline, trans_row.stderr_utility_baseline)
+            assert repr(baseline) == repr((sweep_row.avg_payoff, sweep_row.stderr_payoff,
+                                           sweep_row.avg_utility, sweep_row.stderr_utility))
 
 
 class TestTransformComparison:
@@ -276,10 +293,14 @@ class TestTransformComparison:
         assert report.band_adaptive is None
 
     def test_shared_trajectories_across_cases(self):
+        # one digest of the x series both profiles are scored on, under both names
         report = transform_comparison(FAST, SPECIALIST, GENERALIST,
                                       c_grid=[1.0, 2.0], l=0.01, n_seeds=2)
         for row in report.rows:
-            assert row.x_digest_baseline == row.x_digest_transform
+            cfg = replace(FAST, eco=replace(FAST.eco, c=row.c))
+            X = np.stack([replay_trajectory(cfg, k)[0][FAST.burn_in:] for k in range(2)])
+            assert row.x_digest_baseline == row.x_digest_transform == span_x_digest(
+                X, FAST.burn_in)
             assert row.error is None
 
     def test_rows_cover_grid_with_regimes(self):

@@ -382,7 +382,6 @@ class TestWriterBytes:
         with open(path, newline="") as fh:
             assert list(csv.reader(fh))[1][-1] == error
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     def test_multi_field_errors_parse_to_header_width(self, tmp_path):
         # an overflowing start flags every average of its cells, in one error
         cfg = SimConfig(x0=1e200, t_max=200, burn_in=10)

@@ -127,7 +127,6 @@ def series(kernel, model, starts, replicates, l_values=Y_L_VALUES):
 
 
 class TestKernelsAgree:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow cases
     @pytest.mark.parametrize("base", [
         BASE,                                              # burn-in ends inside a span
         replace(BASE, noise=NoiseParams(T=5.0, beta=0.8)),  # shocks below i = -1 absorb rows at 0
@@ -306,7 +305,6 @@ def _one_run(t_max=STREAM_SPAN + 5, n_rates=1, i0=0.0, x0=2.0, l_values=()):
     return base, starts_at(base, [1.0, 1.95, 3.1][:n_rates]), [0], list(l_values)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing starts
 @settings(max_examples=100, deadline=None)
 @given(scalar_runs(min_capacities=0))  # no capacity is flicker's route
 @example(_one_run())                                            # one row, short last span
@@ -456,7 +454,6 @@ def test_non_finite_state_error_is_a_value_error():
     assert issubclass(NonFiniteStateError, ValueError)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 @pytest.mark.parametrize("cfg", OVERFLOWS, ids=OVERFLOW_IDS)
 class TestOverflowIsNamed:
     """A huge finite start raises NonFiniteStateError on either kernel instead
@@ -541,7 +538,6 @@ def test_few_row_results_equal_block_kernel(rows):
             assert repr(run()) == repr(on_block_kernel(run))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 @pytest.mark.parametrize("rows", [1, 3, 9])
 def test_few_row_overflow_names_the_same_step(rows):
     for cfg in OVERFLOWS:

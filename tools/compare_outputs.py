@@ -58,6 +58,9 @@ MATRIX = [
     # simulate exits 1 naming the step; the sweep writes NaN rows that carry errors
     ("simulate-overflow", ["simulate", "--config", "overflow.yaml"]),
     ("sweep-overflow", ["sweep", "--config", "overflow.yaml"]),
+    # 4 c x 10 seeds: 40 rows on the block kernel, each flagged
+    ("transform-overflow", ["transform", "--config", "overflow.yaml", "--c-min", "1",
+                            "--c-max", "2", "--steps", "4", "--seeds", "10"]),
 ]
 
 
