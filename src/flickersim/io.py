@@ -4,9 +4,11 @@ Configs are YAML documents with nested sections (eco / noise / adapt /
 wellbeing / sim); JSON is accepted as an alternative input since every JSON
 config is also valid YAML.  Unknown keys are rejected by name.  Floats are
 written with shortest round-trip formatting, so loading a written config or
-CSV reproduces the exact 64-bit values, independent of locale.  A config
-file's schema is also the record a manifest writes, and config_fingerprint
-hashes that record.
+CSV reproduces the exact 64-bit values, independent of locale.  Every CSV
+float is spelled as repr spells it: trajectory.csv takes the digits from
+orjson's Ryu (shortest round-trip) output where 1e-3 <= |v| < 1e15 or v is
+zero, and from repr elsewhere.  A config file's schema is also the record a
+manifest writes, and config_fingerprint hashes that record.
 
 All file writes go through a write-temp-then-rename helper, so partially
 written outputs are never observed.
@@ -264,9 +266,34 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 # Rows of trajectory.csv built and written at a time: the writer holds the
-# text of one block, not of the whole series (~630 B of Python objects per
+# text of one block, not of the whole series (~790 B of Python objects per
 # row while a block is formatted).
 _TRAJECTORY_ROWS = 1024
+
+# Where _RYU_MIN <= |v| < _RYU_MAX, or v is zero, orjson's shortest digits
+# are spelled as repr spells them.  The band stops short of repr's exponent
+# forms (below 1e-4 and from 1e16, where orjson writes 1e16 for repr's
+# 1e+16), and orjson writes nan and inf as null.
+_RYU_MIN, _RYU_MAX = 1e-3, 1e15
+
+
+def _reprs(a) -> list[str]:
+    """[repr(v) for v in a.tolist()] for a 1-D float array, from one orjson call.
+
+    orjson writes each float's shortest round-trip digits (Ryu); a value
+    outside the band above is formatted again by repr.
+    """
+    import orjson  # only trajectory.csv needs it
+
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if not a.size:
+        return []
+    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    inside = ((mag >= _RYU_MIN) & (mag < _RYU_MAX)) | (a == 0)
+    for k in np.flatnonzero(~inside).tolist():
+        cells[k] = repr(float(a[k]))
+    return cells
 
 
 def _trajectory_blocks(tr: Trajectory, w: WellbeingParams) -> Iterator[str]:
@@ -274,18 +301,19 @@ def _trajectory_blocks(tr: Trajectory, w: WellbeingParams) -> Iterator[str]:
     for start in range(0, len(tr), _TRAJECTORY_ROWS):
         block = slice(start, start + _TRAJECTORY_ROWS)
         xs, ys = tr.xs[block], tr.ys[block]
-        columns = (range(tr.t0 + start, tr.t0 + start + xs.size), xs.tolist(), ys.tolist(),
-                   tr.noise[block].tolist(), payoff(xs, w).tolist(),
-                   utility(xs, ys, w).tolist())
-        yield "".join(["%d,%r,%r,%r,%r,%r\n" % row for row in zip(*columns)])
+        columns = (range(tr.t0 + start, tr.t0 + start + xs.size), _reprs(xs), _reprs(ys),
+                   _reprs(tr.noise[block]), _reprs(payoff(xs, w)), _reprs(utility(xs, ys, w)))
+        yield "".join(["%d,%s,%s,%s,%s,%s\n" % row for row in zip(*columns)])
 
 
 def write_trajectory_csv(path, tr: Trajectory, w: WellbeingParams) -> Path:
     """One row per retained step, written _TRAJECTORY_ROWS rows at a time.
 
     Each block's payoff and utility are scored as arrays over its slice of
-    the series.  Floats are formatted as _fmt does (repr of the Python
-    float), so the bytes equal a per-cell _csv_text of the same values.
+    the series.  Each column of a block is formatted by one orjson call
+    (Ryu's shortest round-trip digits), and each nonzero value outside
+    1e-3 <= |v| < 1e15 (nan and inf included) again by repr of the Python
+    float, so the bytes equal a per-cell _csv_text of the same values.
     Beyond the series, the write holds one block.
     """
     return _atomic_write(path, _trajectory_blocks(tr, w))

@@ -62,9 +62,12 @@ def payoff(x, w: WellbeingParams):
 def penalty(d, w: WellbeingParams):
     """Gaussian misadaptation factor of utility at d = x - y: exp(-ln(2) * d^2 / a^2).
 
-    1 at d = 0 and 1/2 at |d| = a.  Accepts scalars or arrays.
+    1 at d = 0 and 1/2 at |d| = a.  Accepts scalars or arrays.  Where d * d
+    overflows, the factor is exp(-inf) = 0, its limit, with no warning; an
+    invalid operation (d nan or inf) still warns.
     """
-    return np.exp(-LN2 * d * d / (w.a * w.a))
+    with np.errstate(over="ignore"):
+        return np.exp(-LN2 * d * d / (w.a * w.a))
 
 
 def utility(x, y, w: WellbeingParams):

@@ -139,7 +139,6 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     return code, stderr.getvalue()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing states
 @settings(max_examples=50, deadline=5000)
 @given(case=cases())
 @example(case=Case(SimConfig(t_max=21, burn_in=20, seed=3)))  # t_max = burn_in + 1

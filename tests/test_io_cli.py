@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flickersim import (
@@ -52,6 +52,7 @@ from flickersim.io import (
     _atomic_write,
     _csv_text,
     _numpy_dispatch,
+    _reprs,
     build_manifest,
     config_from_dict,
     config_to_dict,
@@ -453,25 +454,39 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-# (preset, kept rows): each figure at 1 400 rows, and fig4b at every block edge
-# of the writer: one row, a block less one, one block, one block and one row,
-# and two blocks and one row
+# a run whose x grows ~100-fold a step to 1.7e154 at step 77, with i
+# exactly 0.0 (beta = 0) and y at 1.0 (l = 0): its last payoffs and x lie
+# above the writer's Ryu band, and its utility falls to 0.0 once (x - y)^2
+# overflows
+HUGE_CONFIG = {"eco": {"r": 100, "K": 1.0e+153, "c": 0, "h": 1.0}, "noise": {"beta": 0},
+               "adapt": {"l": 0}, "sim": {"x0": 1, "t_max": 78, "burn_in": 0}}
+
+
+def _kept(preset: str, kept: int) -> SimConfig:
+    """preset's config keeping `kept` rows after a 100-step burn-in."""
+    return replace(get_preset(preset), t_max=100 + kept, burn_in=100, seed=13)
+
+
+# (id, config, kept rows): each figure at 1 400 rows, fig4b at every block
+# edge of the writer (one row, a block less one, one block, one block and one
+# row, and two blocks and one row), and HUGE_CONFIG
 TRAJECTORY_LENGTHS = [
-    *((fig, 1400) for fig in ("fig4a", "fig4b", "fig4c", "fig4d")),
-    *(("fig4b", kept) for kept in (1, _TRAJECTORY_ROWS - 1, _TRAJECTORY_ROWS,
-                                   _TRAJECTORY_ROWS + 1, 2 * _TRAJECTORY_ROWS + 1)),
+    *((fig, _kept(fig, 1400), 1400) for fig in ("fig4a", "fig4b", "fig4c", "fig4d")),
+    *((f"fig4b-kept{kept}", _kept("fig4b", kept), kept)
+      for kept in (1, _TRAJECTORY_ROWS - 1, _TRAJECTORY_ROWS,
+                   _TRAJECTORY_ROWS + 1, 2 * _TRAJECTORY_ROWS + 1)),
+    ("huge", config_from_dict(HUGE_CONFIG), 78),
 ]
 
 
-@pytest.mark.parametrize("preset,kept", TRAJECTORY_LENGTHS,
-                         ids=[fig if kept == 1400 else f"{fig}-kept{kept}"
-                              for fig, kept in TRAJECTORY_LENGTHS])
-def test_trajectory_csv_equals_per_point_scoring(tmp_path, preset, kept):
+@pytest.mark.parametrize("cfg,kept", [case[1:] for case in TRAJECTORY_LENGTHS],
+                         ids=[case[0] for case in TRAJECTORY_LENGTHS])
+def test_trajectory_csv_equals_per_point_scoring(tmp_path, cfg, kept):
     """The writer scores payoff and utility as arrays, a block of rows at a
-    time (numpy's vector exp); its bytes equal rows scored point by point
-    with scalar calls and formatted cell by cell, so every column is
-    bit-equal to scalar scoring, on both sides of every block edge."""
-    cfg = replace(get_preset(preset), t_max=100 + kept, burn_in=100, seed=13)
+    time (numpy's vector exp), and formats a block's columns with orjson; its
+    bytes equal rows scored point by point with scalar calls and formatted
+    cell by cell with repr, so every column is bit-equal to scalar scoring,
+    on both sides of every block edge and outside the Ryu band."""
     tr = run_trajectory(cfg)
     assert len(tr) == kept
     w = cfg.wellbeing.params
@@ -481,6 +496,32 @@ def test_trajectory_csv_equals_per_point_scoring(tmp_path, preset, kept):
     ]
     path = write_trajectory_csv(tmp_path / "trajectory.csv", tr, w)
     assert path.read_text() == _csv_text(["t", "x", "y", "i", "payoff", "utility"], rows)
+
+
+# the edges of _reprs's band and repr's exponent forms beyond them: 1e-3 and
+# the float below it, 1e15 and the float above it, 1e16 (repr 1e+16), the
+# largest and smallest of repr's negative exponents, the least subnormal and
+# the largest float
+REPR_EDGES = [1e-3, np.nextafter(1e-3, 0.0), 1e15, np.nextafter(1e15, math.inf), 1e16,
+              9.9999999999e-05, 1e-05, 5e-324, 1.7976931348623157e308]
+
+
+def _with_examples(test):
+    for edge in REPR_EDGES:
+        test = example(values=[float(edge), -float(edge)])(test)
+    return test
+
+
+@_with_examples
+@settings(max_examples=300)
+@given(values=st.lists(st.floats(), max_size=40))
+def test_column_formatter_is_repr(values):
+    """_reprs gives repr's text of every float, nan, +-inf, -0.0 and
+    subnormals included, for a column and for a strided view of it."""
+    a = np.array(values, dtype=np.float64)
+    expected = [repr(v) for v in a.tolist()]
+    assert _reprs(a) == expected
+    assert _reprs(a[::-2]) == expected[::-2]
 
 
 def test_trajectory_csv_memory_does_not_grow_with_length(tmp_path):
@@ -920,6 +961,20 @@ class TestCli:
                     c_grid=(2.0, 2.5, 3.0), n_seeds=2)
         assert manifest["config_fingerprint"] == config_fingerprint(spec)
 
+    def test_overflowing_penalty_scores_zero_utility(self, tmp_path):
+        """(x - y)^2 overflows at x ~ 1.3e154; the penalty is then exp(-inf)
+        = 0, its limit, and simulate neither warns nor fails."""
+        cfg_path = tmp_path / "huge.yaml"
+        write_config(config_from_dict(HUGE_CONFIG), cfg_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("simulate", "--config", cfg_path, "--out-dir", tmp_path)
+        assert code == 0
+        last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1].split(",")
+        assert last[0] == "77"
+        assert float(last[1]) > 1e154
+        assert last[3] == "0.0" and last[5] == "0.0"
+
     def test_config_file_drives_simulation(self, tmp_path):
         cfg = SimConfig(eco=get_preset("fig4b").eco, t_max=200, burn_in=10, seed=4)
         cfg_path = tmp_path / "my.yaml"
@@ -949,6 +1004,11 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_yaml():
     """Only --config runs read or write YAML, so only they import PyYAML."""
     assert _loaded_by_cli_import("yaml") == "[]"
+
+
+def test_cli_import_loads_no_orjson():
+    """Only the trajectory.csv writer formats with orjson, so only it imports it."""
+    assert _loaded_by_cli_import("orjson") == "[]"
 
 
 def test_golden_digests(tmp_path):

@@ -9,7 +9,8 @@ directory per command and tree under a temporary directory.  Data files are
 compared byte for byte; manifests as JSON, leaving out ``created_utc`` and
 the directories of the output paths.  Exit codes and stderr must match
 too, each warning compared by its category and message, not by the file and
-line that raised it.  Prints one line per file and exits 1 on any difference, else 0.
+line that raised it; the files are compared whether or not they do.  Prints
+one line per file and exits 1 on any difference, else 0.
 The full matrix takes about 15 s per tree on a 2-CPU host.  run also
 returns each command's wall seconds and peak RSS, which
 tools/time_presets.py reports.
@@ -35,6 +36,10 @@ CONFIGS = {
     "start.yaml": "sim:\n  x0: 2.0\n  y0: 1.0\n",
     # x overflows to nan at step 1
     "overflow.yaml": "sim:\n  x0: 1.0e+200\n  t_max: 600\n  burn_in: 100\n",
+    # x grows ~100-fold a step to 1.7e154, where (x - y)^2 overflows: cells
+    # outside trajectory.csv's Ryu band
+    "huge.yaml": ("eco: {r: 100, K: 1.0e+153, c: 0, h: 1.0}\nnoise: {beta: 0}\n"
+                  "adapt: {l: 0}\nsim: {x0: 1, t_max: 78, burn_in: 0}\n"),
 }
 
 # (label, arguments after the command): the preset figures, the grids at both
@@ -46,6 +51,8 @@ MATRIX = [
     ("bifurcation-dense", ["bifurcation", "--c-min", "0", "--c-max", "6", "--steps", "4001"]),
     *((f"simulate-{fig}", ["simulate", "--preset", fig])
       for fig in ("fig4a", "fig4b", "fig4c", "fig4d")),
+    # 200 blocks of trajectory.csv
+    ("simulate-fig4b-200k", ["simulate", "--preset", "fig4b", "--t-max", "200000"]),
     ("flicker-fig4b-8", ["flicker", "--preset", "fig4b", "--seeds", "8"]),
     *((f"sweep-fig5-w{w}", ["sweep", "--preset", "fig5", "--workers", str(w)]) for w in (1, 2)),
     ("sweep-small", ["sweep", "--c-min=-1", "--c-max", "2", "--steps", "7", "--seeds", "3"]),
@@ -58,6 +65,7 @@ MATRIX = [
     # simulate exits 1 naming the step; the sweep writes NaN rows that carry errors
     ("simulate-overflow", ["simulate", "--config", "overflow.yaml"]),
     ("sweep-overflow", ["sweep", "--config", "overflow.yaml"]),
+    ("simulate-huge", ["simulate", "--config", "huge.yaml"]),
     # 4 c x 10 seeds: 40 rows on the block kernel, each flagged
     ("transform-overflow", ["transform", "--config", "overflow.yaml", "--c-min", "1",
                             "--c-max", "2", "--steps", "4", "--seeds", "10"]),
@@ -137,7 +145,6 @@ def main(argv: list[str]) -> int:
             if runs[0] != runs[1]:
                 differences += 1
                 print(f"DIFFERENT {label}: exit/stderr {runs[0]!r} vs {runs[1]!r}")
-                continue
             for name, same in compare(*dirs):
                 differences += not same
                 print(f"{'identical' if same else 'DIFFERENT'} {label}/{name}")
