@@ -30,7 +30,7 @@ from .dynamics import AdaptationParams
 from .analytics import separatrix_for
 from .equilibria import NoBistabilityError, bifurcation_scan, fold_points
 from .presets import PRESETS, ScanConfig, SweepConfig, TransformConfig
-from .simulate import SimConfig, run_trajectory
+from .simulate import SimConfig, trajectory_pieces
 from .wellbeing import PROFILES
 
 ENV_OUT_DIR = "FLICKERSIM_OUT_DIR"
@@ -189,9 +189,11 @@ def _sim_config(args) -> SimConfig:
 
 def _cmd_simulate(args):
     cfg = _sim_config(args)
-    tr = run_trajectory(cfg)
-    out = Path(args.out_dir)
-    return cfg, [io.write_trajectory_csv(out / "trajectory.csv", tr, cfg.wellbeing.params)], None
+    # resolved before the file opens; the run steps as the writer takes its pieces
+    t0, pieces = trajectory_pieces(cfg)
+    path = io.write_trajectory_csv(Path(args.out_dir) / "trajectory.csv", t0, pieces,
+                                   cfg.wellbeing.params)
+    return cfg, [path], None
 
 
 def _cmd_bifurcation(args):

@@ -1,14 +1,16 @@
 """Configuration files, CSV/JSON export, and run manifests.
 
 Configs are YAML documents with nested sections (eco / noise / adapt /
-wellbeing / sim); JSON is accepted as an alternative input since every JSON
-config is also valid YAML.  Unknown keys are rejected by name.  Floats are
-written with shortest round-trip formatting, so loading a written config or
-CSV reproduces the exact 64-bit values, independent of locale.  Every CSV
-float is spelled as repr spells it: trajectory.csv takes the digits from
-orjson's Ryu (shortest round-trip) output where 1e-3 <= |v| < 1e15 or v is
-zero, and from repr elsewhere.  A config file's schema is also the record a
-manifest writes, and config_fingerprint hashes that record.
+wellbeing / sim), or the same document as JSON in a file named *.json,
+which is read by json: PyYAML follows YAML 1.1, whose floats need a decimal
+point, so it would read json.dumps's 1e+153 or 1e-05 as a string.  Unknown
+keys are rejected by name.  Floats are written with shortest round-trip
+formatting, so loading a written config or CSV reproduces the exact 64-bit
+values, independent of locale.  Every CSV float is spelled as repr spells
+it: trajectory.csv is written from a run's pieces a block of rows at a
+time, each block's digits from one orjson call (Ryu's shortest round-trip
+output) and each nonzero value outside 1e-3 <= |v| < 1e15 from repr.  A config file's schema is also the record a manifest writes,
+and config_fingerprint hashes that record.
 
 All file writes go through a write-temp-then-rename helper, so partially
 written outputs are never observed.
@@ -35,7 +37,7 @@ from .analytics import ComparisonRow, CrossoverReport, FlickerStats, SweepRow
 from .dynamics import AdaptationParams, EcoParams, NoiseParams
 from .equilibria import Equilibrium, EquilibriumError, ScanRow
 from .presets import get_preset
-from .simulate import SimConfig, Trajectory, resolve_config
+from .simulate import SimConfig, resolve_config
 from .wellbeing import PROFILES, CaseProfile, WellbeingParams, payoff, utility
 
 
@@ -180,18 +182,24 @@ def config_from_dict(data: dict[str, Any]) -> SimConfig:
 
 
 def load_config(path: str | os.PathLike) -> SimConfig:
-    """Load and validate a YAML or JSON config file."""
+    """Load and validate a config file: JSON if its name ends in .json, else YAML."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    import yaml  # only --config runs read or write YAML
+    if path.suffix.lower() == ".json":
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParseError(f"cannot parse {path}: {exc}") from None
+    else:
+        import yaml  # only --config runs read or write YAML
 
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"cannot parse {path}: {exc}") from None
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ParseError(f"cannot parse {path}: {exc}") from None
     return config_from_dict(data if data is not None else {})
 
 
@@ -266,8 +274,7 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 # Rows of trajectory.csv built and written at a time: the writer holds the
-# text of one block, not of the whole series (~790 B of Python objects per
-# row while a block is formatted).
+# text of one block, not of the whole series.
 _TRAJECTORY_ROWS = 1024
 
 # Where _RYU_MIN <= |v| < _RYU_MAX, or v is zero, orjson's shortest digits
@@ -277,46 +284,57 @@ _TRAJECTORY_ROWS = 1024
 _RYU_MIN, _RYU_MAX = 1e-3, 1e15
 
 
-def _reprs(a) -> list[str]:
-    """[repr(v) for v in a.tolist()] for a 1-D float array, from one orjson call.
+def _rows(a) -> list[str]:
+    """[",".join(map(repr, row)) for row in a.tolist()] for a 2-D float array,
+    from one orjson call.
 
     orjson writes each float's shortest round-trip digits (Ryu); a value
-    outside the band above is formatted again by repr.
+    outside the band above is formatted again by repr, in its row's text.
     """
     import orjson  # only trajectory.csv needs it
 
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if not a.size:
+    if not len(a):
         return []
-    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    rows = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
     mag = np.abs(a)
-    inside = ((mag >= _RYU_MIN) & (mag < _RYU_MAX)) | (a == 0)
-    for k in np.flatnonzero(~inside).tolist():
-        cells[k] = repr(float(a[k]))
-    return cells
+    ks, js = np.nonzero(((mag < _RYU_MIN) | ~(mag < _RYU_MAX)) & (a != 0))
+    # repr of a 17-digit float costs ~1.5 us: only the cells outside the band
+    for k, j, v in zip(ks.tolist(), js.tolist(), a[ks, js].tolist()):
+        cells = rows[k].split(",")
+        cells[j] = repr(v)
+        rows[k] = ",".join(cells)
+    return rows
 
 
-def _trajectory_blocks(tr: Trajectory, w: WellbeingParams) -> Iterator[str]:
+def _trajectory_blocks(t0: int, pieces, w: WellbeingParams) -> Iterator[str]:
     yield "t,x,y,i,payoff,utility\n"
-    for start in range(0, len(tr), _TRAJECTORY_ROWS):
-        block = slice(start, start + _TRAJECTORY_ROWS)
-        xs, ys = tr.xs[block], tr.ys[block]
-        columns = (range(tr.t0 + start, tr.t0 + start + xs.size), _reprs(xs), _reprs(ys),
-                   _reprs(tr.noise[block]), _reprs(payoff(xs, w)), _reprs(utility(xs, ys, w)))
-        yield "".join(["%d,%s,%s,%s,%s,%s\n" % row for row in zip(*columns)])
+    t = t0
+    for xs, ys, noise in pieces:
+        for start in range(0, xs.size, _TRAJECTORY_ROWS):
+            block = slice(start, start + _TRAJECTORY_ROWS)
+            x, y = xs[block], ys[block]
+            rows = _rows(np.stack([x, y, noise[block], payoff(x, w), utility(x, y, w)], axis=1))
+            # each row after its step: one join and one %-format, no per-row call
+            yield ("%d," + "\n%d,".join(rows) + "\n") % tuple(range(t, t + x.size))
+            t += x.size
 
 
-def write_trajectory_csv(path, tr: Trajectory, w: WellbeingParams) -> Path:
-    """One row per retained step, written _TRAJECTORY_ROWS rows at a time.
+def write_trajectory_csv(path, t0: int, pieces: Iterable, w: WellbeingParams) -> Path:
+    """One row per step of pieces, the first at step t0, written in blocks.
 
-    Each block's payoff and utility are scored as arrays over its slice of
-    the series.  Each column of a block is formatted by one orjson call
-    (Ryu's shortest round-trip digits), and each nonzero value outside
-    1e-3 <= |v| < 1e15 (nan and inf included) again by repr of the Python
-    float, so the bytes equal a per-cell _csv_text of the same values.
-    Beyond the series, the write holds one block.
+    pieces are (xs, ys, noise) arrays of consecutive steps, taken one at a
+    time, as simulate.trajectory_pieces yields them; a Trajectory tr passes
+    as the one piece [(tr.xs, tr.ys, tr.noise)].  Each piece is cut into
+    blocks of at most _TRAJECTORY_ROWS rows.  A block's payoff and utility
+    are scored as arrays, its five float columns are stacked into one
+    (rows, 5) array formatted by one orjson call (Ryu's shortest round-trip
+    digits), and each nonzero value outside 1e-3 <= |v| < 1e15 (nan and
+    inf included) again by repr of the Python float, so the bytes equal a
+    per-cell _csv_text of the same values.  The write holds one piece and
+    one block; an error from pieces removes the temp file.
     """
-    return _atomic_write(path, _trajectory_blocks(tr, w))
+    return _atomic_write(path, _trajectory_blocks(t0, pieces, w))
 
 
 def _record(obj) -> dict:

@@ -16,15 +16,18 @@ rows of a run together, x, i and the adapted state y of every adaptive
 capacity in one time loop, yielding each block of whole STREAM_SPAN-step
 spans as one piece.  Every c reuses the same substreams;
 Philox is counter-based, so block-by-block draws equal a whole-series draw.
-One loop, :func:`_consume`, checks each piece for the routes that fail at
-the first non-finite step, drops the burn-in and feeds the rest to a
-consumer's add(X, I, Y), which gives the same result wherever the series
-is cut: :class:`_KeptSeries` keeps it for run_trajectory; in memory that
-does not grow with t_max, ``analytics._Dwells`` counts basin dwells for
-flicker and :class:`_CellSums` sums each row for run_ensemble (one cell)
-and the sweep and transform grids, scoring each profile's payoff once per
-piece and each capacity's utility as that payoff times its
-wellbeing.penalty, and adding the sums span by span on the STREAM_SPAN grid.
+One loop, :func:`_kept_pieces`, checks each piece for the routes that fail
+at the first non-finite step, drops the burn-in and yields the rest.
+:func:`trajectory_pieces` hands one replicate's pieces to the trajectory.csv
+writer as they come, so ``flickersim simulate`` holds one piece at a time.
+:func:`_consume` feeds them to a consumer's add(X, I, Y), which gives the
+same result wherever the series is cut: :class:`_KeptSeries` keeps it for
+run_trajectory; in memory that does not grow with t_max,
+``analytics._Dwells`` counts basin dwells for flicker and :class:`_CellSums`
+sums each row for run_ensemble (one cell) and the sweep and transform
+grids, scoring each profile's payoff once per piece and each capacity's
+utility as that payoff times its wellbeing.penalty, and adding the sums
+span by span on the STREAM_SPAN grid.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
 step costs about the same ~12-30 us whether it advances 1 row or 64, while a
@@ -79,6 +82,7 @@ SCALAR_BLOCK = 4096
 # Most bytes that _KeptSeries may allocate for the full post-burn-in X, I and
 # Y series: 1 GiB holds ~44.7 million steps of one run_trajectory.  Above
 # it, a run fails with a named ValueError instead of an unnamed MemoryError.
+# trajectory_pieces keeps no series, so the cap does not bound simulate.
 KEPT_SERIES_MAX_BYTES = 1 << 30
 
 
@@ -450,20 +454,24 @@ class _CellSums:
         self.n_kept += n
 
     def averages(self, totals: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
-        """Time averages of an (n_c, n_seeds) block of sums, each row's mean and its stderr."""
-        avgs = totals / self.n_kept
-        return avgs, avgs.mean(axis=-1).tolist(), _stderrs(avgs)
+        """Time averages of an (n_c, n_seeds) block of sums, each row's mean and its stderr.
+
+        Huge finite averages may give an inf mean or stderr, with no
+        warning; grid rows flag it as non-finite.
+        """
+        with np.errstate(over="ignore"):
+            avgs = totals / self.n_kept
+            return avgs, avgs.mean(axis=-1).tolist(), _stderrs(avgs)
 
 
-def _consume(model: SimConfig, starts, replicates, l_values, sink, check: bool):
-    """Feed the post-burn-in steps of each block to sink.add(X, I, Y); returns sink.
+def _kept_pieces(model: SimConfig, starts, replicates, l_values, check: bool):
+    """The post-burn-in steps (X, I, Y) of each block of :func:`stream_spans`, in order.
 
     A block holds one span or, on the scalar kernel, up to SCALAR_BLOCK
-    row-steps of whole spans, and the first piece fed may start mid-span;
-    every sink gives the same result wherever its series is cut.  With
+    row-steps of whole spans, and the first piece may start mid-span.  With
     check, each block is checked as it arrives, burn-in included, so an
     overflowed run raises NonFiniteStateError naming its first non-finite
-    step; without, non-finite states reach the sink, as grid cells flag them.
+    step; without, non-finite states are yielded, as grid cells flag them.
     """
     t = 0
     for X, I, Y in stream_spans(model, starts, replicates, l_values):
@@ -471,8 +479,35 @@ def _consume(model: SimConfig, starts, replicates, l_values, sink, check: bool):
             _check_finite(model, starts, X, t)
         skip, t = max(model.burn_in - t, 0), t + X.shape[-1]
         if t > model.burn_in:
-            sink.add(X[..., skip:], I[..., skip:], Y[..., skip:])
+            yield X[..., skip:], I[..., skip:], Y[..., skip:]
+
+
+def _consume(model: SimConfig, starts, replicates, l_values, sink, check: bool):
+    """Feed each :func:`_kept_pieces` piece to sink.add(X, I, Y); returns sink.
+
+    Every sink gives the same result wherever its series is cut.
+    """
+    for X, I, Y in _kept_pieces(model, starts, replicates, l_values, check):
+        sink.add(X, I, Y)
     return sink
+
+
+def trajectory_pieces(cfg: SimConfig, replicate: int = 0):
+    """run_trajectory(cfg, replicate)'s series as (t0, pieces), without keeping it.
+
+    cfg is resolved now, so a config error raises here.  pieces is a
+    generator of (xs, ys, noise) arrays, each a block of the stream's
+    consecutive post-burn-in steps, the first at step t0 = burn_in; joined,
+    they equal the Trajectory's xs, ys and noise bit for bit.  The run steps
+    as the pieces are taken, one block at a time, and raises
+    NonFiniteStateError from the generator at the block where a state
+    overflows.  It holds no full series, so KEPT_SERIES_MAX_BYTES does not
+    apply.
+    """
+    cfg = resolve_config(cfg)
+    pieces = _kept_pieces(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], [replicate], [cfg.adapt.l],
+                          check=True)
+    return cfg.burn_in, ((X[0, 0], Y[0, 0, 0], I[0]) for X, I, Y in pieces)
 
 
 def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:

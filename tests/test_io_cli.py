@@ -52,7 +52,7 @@ from flickersim.io import (
     _atomic_write,
     _csv_text,
     _numpy_dispatch,
-    _reprs,
+    _rows,
     build_manifest,
     config_from_dict,
     config_to_dict,
@@ -65,6 +65,7 @@ from flickersim.io import (
     write_trajectory_csv,
 )
 from flickersim.presets import ScanConfig, SweepConfig, TransformConfig
+from flickersim.simulate import SCALAR_BLOCK, trajectory_pieces
 from flickersim.wellbeing import PROFILES, CaseProfile, WellbeingParams
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -122,6 +123,22 @@ class TestConfigFiles:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config_to_dict(cfg)))
         assert load_config(path) == cfg
+
+    def test_json_exponent_floats_are_numbers(self, tmp_path):
+        """json.dumps spells 1e153 as 1e+153 and 1e-5 as 1e-05, which YAML
+        1.1 reads as strings; a .json config is read as JSON."""
+        cfg = config_from_dict(HUGE_CONFIG)
+        cfg = replace(cfg, eco=replace(cfg.eco, h=1e-05))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert "1e+153" in path.read_text() and "1e-05" in path.read_text()
+        assert load_config(path) == cfg
+
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"eco": {"c": 1.0,}}')
+        with pytest.raises(ParseError, match=f"cannot parse {path}"):
+            load_config(path)
 
     def test_defaults_filled(self):
         cfg = config_from_dict({"eco": {"c": 2.0}})
@@ -469,12 +486,14 @@ def _kept(preset: str, kept: int) -> SimConfig:
 
 # (id, config, kept rows): each figure at 1 400 rows, fig4b at every block
 # edge of the writer (one row, a block less one, one block, one block and one
-# row, and two blocks and one row), and HUGE_CONFIG
+# row, and two blocks and one row), fig4b over three pieces of the scalar
+# kernel (the first starting mid-piece, the last of 5 rows), and HUGE_CONFIG
 TRAJECTORY_LENGTHS = [
     *((fig, _kept(fig, 1400), 1400) for fig in ("fig4a", "fig4b", "fig4c", "fig4d")),
     *((f"fig4b-kept{kept}", _kept("fig4b", kept), kept)
       for kept in (1, _TRAJECTORY_ROWS - 1, _TRAJECTORY_ROWS,
                    _TRAJECTORY_ROWS + 1, 2 * _TRAJECTORY_ROWS + 1)),
+    ("fig4b-pieces", _kept("fig4b", 2 * SCALAR_BLOCK - 95), 2 * SCALAR_BLOCK - 95),
     ("huge", config_from_dict(HUGE_CONFIG), 78),
 ]
 
@@ -483,10 +502,12 @@ TRAJECTORY_LENGTHS = [
                          ids=[case[0] for case in TRAJECTORY_LENGTHS])
 def test_trajectory_csv_equals_per_point_scoring(tmp_path, cfg, kept):
     """The writer scores payoff and utility as arrays, a block of rows at a
-    time (numpy's vector exp), and formats a block's columns with orjson; its
-    bytes equal rows scored point by point with scalar calls and formatted
-    cell by cell with repr, so every column is bit-equal to scalar scoring,
-    on both sides of every block edge and outside the Ryu band."""
+    time (numpy's vector exp), and formats a block with orjson; its bytes
+    equal rows scored point by point with scalar calls and formatted cell by
+    cell with repr, so every column is bit-equal to scalar scoring, on both
+    sides of every block and piece edge and outside the Ryu band.  A
+    Trajectory written as one piece and the run streamed from
+    trajectory_pieces give the same bytes."""
     tr = run_trajectory(cfg)
     assert len(tr) == kept
     w = cfg.wellbeing.params
@@ -494,11 +515,15 @@ def test_trajectory_csv_equals_per_point_scoring(tmp_path, cfg, kept):
         [tr.t0 + k, x, y, i, float(payoff(x, w)), float(utility(x, y, w))]
         for k, (x, y, i) in enumerate(zip(tr.xs, tr.ys, tr.noise))
     ]
-    path = write_trajectory_csv(tmp_path / "trajectory.csv", tr, w)
-    assert path.read_text() == _csv_text(["t", "x", "y", "i", "payoff", "utility"], rows)
+    expected = _csv_text(["t", "x", "y", "i", "payoff", "utility"], rows)
+    path = write_trajectory_csv(tmp_path / "trajectory.csv", tr.t0, [(tr.xs, tr.ys, tr.noise)],
+                                w)
+    assert path.read_text() == expected
+    t0, pieces = trajectory_pieces(cfg)
+    assert write_trajectory_csv(tmp_path / "streamed.csv", t0, pieces, w).read_text() == expected
 
 
-# the edges of _reprs's band and repr's exponent forms beyond them: 1e-3 and
+# the edges of _rows's band and repr's exponent forms beyond them: 1e-3 and
 # the float below it, 1e15 and the float above it, 1e16 (repr 1e+16), the
 # largest and smallest of repr's negative exponents, the least subnormal and
 # the largest float
@@ -507,21 +532,39 @@ REPR_EDGES = [1e-3, np.nextafter(1e-3, 0.0), 1e15, np.nextafter(1e15, math.inf),
 
 
 def _with_examples(test):
+    """Each edge and its negation as a column, and beside in-band cells in
+    rows of two; and blocks of no rows."""
     for edge in REPR_EDGES:
-        test = example(values=[float(edge), -float(edge)])(test)
+        test = example(values=[float(edge), -float(edge)], columns=1)(test)
+        test = example(values=[0.5, float(edge), -float(edge), 2.0], columns=2)(test)
+    for columns in (1, 5):
+        test = example(values=[], columns=columns)(test)
     return test
 
 
 @_with_examples
 @settings(max_examples=300)
-@given(values=st.lists(st.floats(), max_size=40))
-def test_column_formatter_is_repr(values):
-    """_reprs gives repr's text of every float, nan, +-inf, -0.0 and
-    subnormals included, for a column and for a strided view of it."""
-    a = np.array(values, dtype=np.float64)
-    expected = [repr(v) for v in a.tolist()]
-    assert _reprs(a) == expected
-    assert _reprs(a[::-2]) == expected[::-2]
+@given(values=st.lists(st.floats(), max_size=40), columns=st.integers(1, 5))
+def test_column_formatter_is_repr(values, columns):
+    """_rows gives each row as its cells' repr texts joined by commas, for
+    every float, nan, +-inf, -0.0 and subnormals included, in blocks of one
+    to five columns and of no rows, and for a strided view of a block."""
+    n = len(values) // columns
+    a = np.array(values[:n * columns], dtype=np.float64).reshape(n, columns)
+    expected = [",".join(map(repr, row)) for row in a.tolist()]
+    assert _rows(a) == expected
+    assert _rows(a[::-2]) == expected[::-2]
+
+
+def _traced_peak(run) -> int:
+    """tracemalloc's peak over run(), after one untraced run() that warms caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_trajectory_csv_memory_does_not_grow_with_length(tmp_path):
@@ -531,13 +574,24 @@ def test_trajectory_csv_memory_does_not_grow_with_length(tmp_path):
 
     def peak(kept):
         tr = run_trajectory(replace(cfg, t_max=cfg.burn_in + kept))
-        write_trajectory_csv(tmp_path / "warm.csv", tr, cfg.wellbeing.params)  # warm caches
-        tracemalloc.start()
-        try:
-            write_trajectory_csv(tmp_path / "trajectory.csv", tr, cfg.wellbeing.params)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(lambda: write_trajectory_csv(
+            tmp_path / "trajectory.csv", tr.t0, [(tr.xs, tr.ys, tr.noise)], cfg.wellbeing.params))
+
+    assert peak(8 * short) < 1.5 * peak(short)
+
+
+def test_streamed_trajectory_memory_does_not_grow_with_t_max(tmp_path):
+    """simulate's route, trajectory_pieces feeding the writer, holds one
+    piece of the run and one block of text, whatever the horizon: the run
+    itself is traced, not only the write."""
+    cfg = get_preset("fig4b")
+    short = 8 * _TRAJECTORY_ROWS
+
+    def peak(kept):
+        def streamed():
+            t0, pieces = trajectory_pieces(replace(cfg, t_max=cfg.burn_in + kept))
+            write_trajectory_csv(tmp_path / "trajectory.csv", t0, pieces, cfg.wellbeing.params)
+        return _traced_peak(streamed)
 
     assert peak(8 * short) < 1.5 * peak(short)
 
@@ -934,7 +988,9 @@ class TestCli:
         cfg = replace(get_preset(argv[2]), t_max=300, burn_in=50, **updates)
         if argv[0] == "simulate":
             name = "trajectory.csv"
-            write_trajectory_csv(tmp_path / name, run_trajectory(cfg), cfg.wellbeing.params)
+            tr = run_trajectory(cfg)
+            write_trajectory_csv(tmp_path / name, tr.t0, [(tr.xs, tr.ys, tr.noise)],
+                                 cfg.wellbeing.params)
         else:
             name, separatrix = "flicker.json", separatrix_for(cfg.eco)
             stats = flicker_replicates(cfg, 2, separatrix)
@@ -974,6 +1030,34 @@ class TestCli:
         assert last[0] == "77"
         assert float(last[1]) > 1e154
         assert last[3] == "0.0" and last[5] == "0.0"
+
+    def test_simulate_is_not_bound_by_the_kept_series_cap(self, tmp_path, monkeypatch):
+        """simulate streams its pieces to the writer and keeps no series, so
+        a cap that stops run_trajectory leaves its bytes unchanged."""
+        args = ("simulate", "--preset", "fig4b", "--t-max", "6000", "--burn-in", "100")
+        assert run_cli(*args, "--out-dir", tmp_path / "a") == 0
+        monkeypatch.setattr(simulate, "KEPT_SERIES_MAX_BYTES", 8)
+        with pytest.raises(ValueError, match="above KEPT_SERIES_MAX_BYTES = 8"):
+            run_trajectory(replace(get_preset("fig4b"), t_max=6000, burn_in=100))
+        assert run_cli(*args, "--out-dir", tmp_path / "b") == 0
+        assert (tmp_path / "b/trajectory.csv").read_bytes() == \
+               (tmp_path / "a/trajectory.csv").read_bytes()
+
+    def test_overflow_mid_stream_leaves_no_file(self, tmp_path, capsys):
+        """x grows ~9 % a step until it overflows at step 8179, after the
+        writer has taken the first pieces: simulate exits 1 naming the step,
+        and neither trajectory.csv nor its temp file is left."""
+        cfg_path = tmp_path / "late.yaml"
+        cfg_path.write_text("eco: {r: 0.001, K: 1.0e+308, c: 0, h: 1.0}\n"
+                            "noise: {beta: 0, mu: 0.003}\n"
+                            "sim: {x0: 1, t_max: 20000, burn_in: 0}\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "NonFiniteStateError",
+                         "message": "the environment state overflowed to inf at step 8179 "
+                                    "(c=0.0, x0=1.0, i0=0.0)"}
+        assert list(out.iterdir()) == []
 
     def test_config_file_drives_simulation(self, tmp_path):
         cfg = SimConfig(eco=get_preset("fig4b").eco, t_max=200, burn_in=10, seed=4)

@@ -18,6 +18,7 @@ from flickersim import (
     run_trajectory,
     step_adaptation,
     utility,
+    utility_sweep,
 )
 from flickersim import simulate
 from oracles import adaptation_paths, replay_trajectory, span_summed_mean
@@ -238,6 +239,20 @@ class TestRunEnsemble:
             xs, _, ys = (series[cfg.burn_in:] for series in replay_trajectory(cfg, k))
             assert summary.avg_payoffs[k] == span_summed_mean(payoff(xs, w), cfg.burn_in)
             assert summary.avg_utilities[k] == span_summed_mean(utility(xs, ys, w), cfg.burn_in)
+
+    def test_huge_finite_averages_give_an_inf_stderr_without_warning(self):
+        """x climbs past 1e154 within 110 steps; the squares in the payoff
+        stderr overflow, which reads an inf stderr (a grid row flags it), not
+        a RuntimeWarning, which the suite makes an error."""
+        cfg = SimConfig(eco=EcoParams(r=0.25, K=1e154, c=0.0, h=1.5717277847026288e-162),
+                        noise=NoiseParams(T=20.0, beta=1.0, mu=1.0),
+                        adapt=AdaptationParams(l=0.0), t_max=110, burn_in=0, x0=1e17,
+                        i0=1.0, seed=3)
+        summary = run_ensemble(cfg, n_seeds=2)
+        assert np.isfinite(summary.avg_payoffs).all()
+        assert summary.stderr_payoff == np.inf
+        [row] = utility_sweep(cfg, [0.0], [0.0], n_seeds=2)
+        assert "non-finite stderr_payoff" in row.error
 
 
 def test_tracking_loss_ratio_grows_with_capacity():

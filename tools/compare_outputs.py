@@ -11,7 +11,7 @@ the directories of the output paths.  Exit codes and stderr must match
 too, each warning compared by its category and message, not by the file and
 line that raised it; the files are compared whether or not they do.  Prints
 one line per file and exits 1 on any difference, else 0.
-The full matrix takes about 15 s per tree on a 2-CPU host.  run also
+The full matrix takes about 20 s per tree on a 2-CPU host.  run also
 returns each command's wall seconds and peak RSS, which
 tools/time_presets.py reports.
 """
@@ -40,6 +40,10 @@ CONFIGS = {
     # outside trajectory.csv's Ryu band
     "huge.yaml": ("eco: {r: 100, K: 1.0e+153, c: 0, h: 1.0}\nnoise: {beta: 0}\n"
                   "adapt: {l: 0}\nsim: {x0: 1, t_max: 78, burn_in: 0}\n"),
+    # x grows ~9 % a step and overflows at step 8179, after the first pieces
+    # of trajectory.csv are written
+    "late.yaml": ("eco: {r: 0.001, K: 1.0e+308, c: 0, h: 1.0}\nnoise: {beta: 0, mu: 0.003}\n"
+                  "sim: {x0: 1, t_max: 20000, burn_in: 0}\n"),
 }
 
 # (label, arguments after the command): the preset figures, the grids at both
@@ -51,8 +55,9 @@ MATRIX = [
     ("bifurcation-dense", ["bifurcation", "--c-min", "0", "--c-max", "6", "--steps", "4001"]),
     *((f"simulate-{fig}", ["simulate", "--preset", fig])
       for fig in ("fig4a", "fig4b", "fig4c", "fig4d")),
-    # 200 blocks of trajectory.csv
+    # 200 and 1 000 blocks of trajectory.csv
     ("simulate-fig4b-200k", ["simulate", "--preset", "fig4b", "--t-max", "200000"]),
+    ("simulate-fig4b-1m", ["simulate", "--preset", "fig4b", "--t-max", "1000000"]),
     ("flicker-fig4b-8", ["flicker", "--preset", "fig4b", "--seeds", "8"]),
     *((f"sweep-fig5-w{w}", ["sweep", "--preset", "fig5", "--workers", str(w)]) for w in (1, 2)),
     ("sweep-small", ["sweep", "--c-min=-1", "--c-max", "2", "--steps", "7", "--seeds", "3"]),
@@ -66,6 +71,7 @@ MATRIX = [
     ("simulate-overflow", ["simulate", "--config", "overflow.yaml"]),
     ("sweep-overflow", ["sweep", "--config", "overflow.yaml"]),
     ("simulate-huge", ["simulate", "--config", "huge.yaml"]),
+    ("simulate-overflow-late", ["simulate", "--config", "late.yaml"]),
     # 4 c x 10 seeds: 40 rows on the block kernel, each flagged
     ("transform-overflow", ["transform", "--config", "overflow.yaml", "--c-min", "1",
                             "--c-max", "2", "--steps", "4", "--seeds", "10"]),

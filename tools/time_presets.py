@@ -13,7 +13,7 @@ median wall seconds and the largest peak RSS, and ends with one JSON line
 holding every raw number.  Peak RSS is the ``ru_maxrss`` that ``wait4``
 reports for that one child (the figure that ``RUSAGE_CHILDREN`` takes the
 maximum of over all children).  Exits 1 if any command fails on either
-tree.  One round takes about 25 s on a 2-CPU host.
+tree.  One round takes about 40 s on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from pathlib import Path
 
 from compare_outputs import run
 
-# (label, arguments): the five commands at their presets, simulate at a
-# horizon 20 times its preset's (its peak RSS shows whether trajectory.csv is
-# written in bounded blocks), and flicker at the replicate counts of the
-# benchmark and of the roadmap's timings
+# (label, arguments): the five commands at their presets, simulate at
+# horizons 4 and 60 times its preset's (their peak RSS shows whether
+# simulate's memory grows with t_max), and flicker at the replicate counts
+# of the benchmark and of the roadmap's timings
 COMMANDS = [
     ("simulate-fig4b", ["simulate", "--preset", "fig4b"]),
     ("simulate-fig4b-200k", ["simulate", "--preset", "fig4b", "--t-max", "200000"]),
+    ("simulate-fig4b-3m", ["simulate", "--preset", "fig4b", "--t-max", "3000000"]),
     ("bifurcation-fig2", ["bifurcation", "--preset", "fig2"]),
     ("sweep-fig5", ["sweep", "--preset", "fig5"]),
     ("transform-fig6", ["transform", "--preset", "fig6"]),
