@@ -8,8 +8,8 @@ feeds back on the environment, so comparisons are made on literally shared
 noise.  Both grids run on one path, :func:`_grid`: it solves the equilibria
 once per c ((c, x0, y0) start, regime, row error), streams one model from
 every start as one block of (c, replicate) rows into a ``_CellSums``, and
-turns each whole block of sums into every row's mean and stderr
-(``_CellSums.averages``); :func:`_cell_row` makes each rate's rows.
+turns each whole block of sums, payoffs from the x sums, into every row's
+mean and stderr (``_CellSums.averages``); :func:`_cell_row` makes the rows.
 """
 
 from __future__ import annotations
@@ -225,32 +225,33 @@ def _flag_nonfinite(row, error: str | None = None):
 
 def _grid_group(args) -> list[tuple]:
     """_grid's entries for one contiguous group of extraction rates."""
-    base, c_values, l_values, profiles, n_seeds, environment = args
+    base, c_values, l_values, profiles, n_seeds, x_columns = args
     cells = [_grid_cell(base, c) for c in c_values]
     starts = [cell.start for cell in cells if isinstance(cell.start, tuple)]
-    sums = _CellSums(base.burn_in, len(starts), n_seeds, len(l_values), profiles, environment)
+    sums = _CellSums(base.burn_in, len(starts), n_seeds, len(l_values), profiles, x_columns)
     if starts:
         with np.errstate(over="ignore", invalid="ignore"):  # _cell_row flags overflowed rows
             _consume(base, starts, range(n_seeds), l_values, sums, check=False)
-    cols = [sums.averages(total)[1:] for total in (*sums.payoff, *chain(*sums.utility))]
+    cols = [*(sums.averages(sums.x, w)[1:] for w in sums.profiles),
+            *(sums.averages(total)[1:] for total in chain(*sums.utility))]
     stats = [([m[j] for m, _ in cols], [e[j] for _, e in cols]) for j in range(len(starts))]
-    if environment:
+    if x_columns:
         mean_x = (sums.x.sum(axis=-1) / (n_seeds * sums.n_kept)).tolist()
         stats = [(*st, x, d.hexdigest()[:16]) for st, x, d in zip(stats, mean_x, sums.digests)]
     stats = iter(stats)
     return [(cell, next(stats) if isinstance(cell.start, tuple) else None) for cell in cells]
 
 
-def _grid(base, c_grid, l_values, profiles, n_seeds, workers=1, environment=False) -> list[tuple]:
+def _grid(base, c_grid, l_values, profiles, n_seeds, workers=1, x_columns=False) -> list[tuple]:
     """(cell, stats) per rate of c_grid: its _GridCell, and None if it has no start,
     else the means and stderrs of each profile's payoff, then each (l, profile)'s
-    utility, and with environment its mean x and 16-hex x digest.  Runs as
+    utility, and with x_columns its mean x and 16-hex x digest.  Runs as
     min(workers, usable CPUs, len(c_grid)) contiguous groups of c, one process
     each (none for one group); the entries do not depend on the grouping."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_groups = min(workers, cpus or 1, len(c_grid))
     bounds = [k * len(c_grid) // n_groups for k in range(n_groups + 1)]
-    jobs = [(base, c_grid[lo:hi], l_values, profiles, n_seeds, environment)
+    jobs = [(base, c_grid[lo:hi], l_values, profiles, n_seeds, x_columns)
             for lo, hi in zip(bounds, bounds[1:])]
     if n_groups == 1:
         return _grid_group(jobs[0])
@@ -361,7 +362,7 @@ def transform_comparison(
     base = replace(base, adapt=AdaptationParams(l=float(l)))
     rows = []
     for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, [l], [baseline_case, transform_case],
-                                             n_seeds, environment=True)):
+                                             n_seeds, x_columns=True)):
         if stats:  # mean_x, mean and stderr of payoff then utility, each baseline then transform
             stats = (stats[2], *chain(*zip(*stats[:2])), stats[3], stats[3])
         rows.append(_cell_row(ComparisonRow, cell, (c,), stats))

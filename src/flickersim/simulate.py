@@ -24,10 +24,10 @@ writer as they come, so ``flickersim simulate`` holds one piece at a time.
 same result wherever the series is cut: :class:`_KeptSeries` keeps it for
 run_trajectory; in memory that does not grow with t_max,
 ``analytics._Dwells`` counts basin dwells for flicker and :class:`_CellSums`
-sums each row for run_ensemble (one cell) and the sweep and transform
-grids, scoring each profile's payoff once per piece and each capacity's
-utility as that payoff times its wellbeing.penalty, and adding the sums
-span by span on the STREAM_SPAN grid.
+sums each row's x and utilities for run_ensemble (one cell) and the sweep
+and transform grids, span by span on the STREAM_SPAN grid; each utility is
+a profile's payoff, scored once per piece, times a wellbeing.penalty, and
+each replicate's payoff average is the (affine) payoff at its mean x.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
 step costs about the same ~12-30 us whether it advances 1 row or 64, while a
@@ -302,14 +302,14 @@ def _block_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks)
 def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks):
     """:func:`stream_spans` with each row advanced in Python floats.
 
-    The model's constants are bound to locals once per run, and every step
+    The model's constants are bound to locals once per block, and every step
     evaluates step_noise's, step_environment's and step_adaptation's
     expressions inline, with the same operands in the same association, so
     the spans agree bit for bit with the block kernel and with a
     step_coupled replay.  Each block is stepped whole, converted to arrays
     once and yielded whole.
     """
-    r, K, hh, phi = model.eco.r, model.eco.K, model.eco.h * model.eco.h, model.noise.memory
+    consts = model.eco.r, model.eco.K, model.eco.h * model.eco.h, model.noise.memory
     shape = (len(starts), n_rows)
     # the (c, replicate) rows in C order, and the states at the first step of
     # the next span: per replicate, per row and per (l, row)
@@ -317,7 +317,9 @@ def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks
     i_next = [float(model.i0)] * n_rows
     x_next = [float(x0) for _, x0, _ in starts for _ in range(n_rows)]
     y_next = [[float(y0) for _, _, y0 in starts for _ in range(n_rows)] for _ in ls]
-    for etas in blocks:
+
+    def block(etas):  # its Python lists die on return, so none is alive at the yield
+        r, K, hh, phi = consts
         n = etas.shape[1]
         I = []
         for k, row in enumerate(etas.tolist()):
@@ -344,8 +346,10 @@ def _scalar_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks
                     y = l * (xt - y) + y
                 ys[j] = y
                 Yl.append(Yr)
-        yield (np.array(X, dtype=float).reshape(shape + (n,)), np.array(I, dtype=float),
-               np.array(Y, dtype=float).reshape((len(ls),) + shape + (n,)))
+        return (np.array(X, dtype=float).reshape(shape + (n,)), np.array(I, dtype=float),
+                np.array(Y, dtype=float).reshape((len(ls),) + shape + (n,)))
+    for etas in blocks:
+        yield block(etas)
 
 
 def _check_finite(model: SimConfig, starts, X: np.ndarray, t0: int) -> None:
@@ -411,26 +415,25 @@ def _add_span_sums(total: np.ndarray, A: np.ndarray, cuts) -> None:
 class _CellSums:
     """Span consumer summing each row over the n_kept steps it is fed.
 
-    Rows are (c, replicate), shape (n_c, n_seeds).  Sums payoff per profile
-    and utility per (l, profile), reading each capacity's adapted states
-    from the piece's Y.  With environment, which transform_comparison reads,
-    x is summed too and each c's x series hashed.  A piece may hold many
-    spans: each profile's payoff and penalty are scored once over it, and
-    every sum and digest update still follows the STREAM_SPAN grid counted
-    from step 0, so the totals and digests have the same bits however the
-    kept steps are cut into pieces.
+    Rows are (c, replicate), shape (n_c, n_seeds).  Sums x, whose averages
+    give each profile's payoff (:meth:`averages`), and utility per (l,
+    profile), reading each capacity's adapted states from the piece's Y.
+    With digests, which transform_comparison reads, each c's x series is
+    hashed.  A piece may hold many spans: each profile's payoff and penalty
+    are scored once over it, and every sum and digest update still follows
+    the STREAM_SPAN grid counted from step 0, so the totals and digests have
+    the same bits however the kept steps are cut into pieces.
     """
 
     def __init__(self, burn_in: int, n_c: int, n_seeds: int, n_l: int, profiles,
-                 environment: bool) -> None:
+                 digests: bool) -> None:
         shape = (n_c, n_seeds)
         self.n_kept = 0
         self.burn_in = burn_in  # the step of the first kept one
         self.profiles = [p.params for p in profiles]
-        self.x = np.zeros(shape) if environment else None
-        self.payoff = [np.zeros(shape) for _ in profiles]
+        self.x = np.zeros(shape)
         self.utility = [[np.zeros(shape) for _ in profiles] for _ in range(n_l)]
-        self.digests = [hashlib.sha256() for _ in range(n_c)] if environment else []
+        self.digests = [hashlib.sha256() for _ in range(n_c)] if digests else []
 
     def add(self, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
         n = X.shape[-1]
@@ -444,23 +447,21 @@ class _CellSums:
             d = X - Yl
             for total, pay, w in zip(sums, pays, self.profiles):
                 _add_span_sums(total, pay * penalty(d, w), cuts)
-        if self.x is not None:
-            _add_span_sums(self.x, X, cuts)
-        for total, pay in zip(self.payoff, pays):
-            _add_span_sums(total, pay, cuts)
+        _add_span_sums(self.x, X, cuts)
         for digest, rows in zip(self.digests, X):  # each span's (n_seeds, steps) bytes
             for span in _spans(rows, cuts):
                 digest.update(np.ascontiguousarray(span))
         self.n_kept += n
 
-    def averages(self, totals: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
+    def averages(self, totals: np.ndarray, w=None) -> tuple[np.ndarray, list[float], list[float]]:
         """Time averages of an (n_c, n_seeds) block of sums, each row's mean and its stderr.
 
-        Huge finite averages may give an inf mean or stderr, with no
-        warning; grid rows flag it as non-finite.
+        With w, a profile's WellbeingParams, totals are x sums and each average
+        the payoff at that mean x (payoff is affine in x).  A huge or overflowed
+        sum may give a non-finite mean or stderr, with no warning; grid rows flag it.
         """
-        with np.errstate(over="ignore"):
-            avgs = totals / self.n_kept
+        with np.errstate(over="ignore", invalid="ignore"):
+            avgs = totals / self.n_kept if w is None else payoff(totals / self.n_kept, w)
             return avgs, avgs.mean(axis=-1).tolist(), _stderrs(avgs)
 
 
@@ -521,12 +522,7 @@ def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     rcfg = resolve_config(cfg)
     kept = _consume(rcfg, [(rcfg.eco.c, rcfg.x0, rcfg.y0)], [replicate], [rcfg.adapt.l],
                     _KeptSeries(rcfg, 1, 1, 1), check=True)
-    return Trajectory(
-        xs=kept.X[0, 0],
-        ys=kept.Y[0, 0, 0],
-        noise=kept.I[0],
-        t0=rcfg.burn_in,
-    )
+    return Trajectory(kept.X[0, 0], kept.Y[0, 0, 0], kept.I[0], rcfg.burn_in)
 
 
 def _stderrs(avgs: np.ndarray) -> list[float]:
@@ -545,14 +541,16 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
     with t_max.  Replicate k draws its innovations from the (seed, k)
     substream, so the summary does not depend on evaluation order, and
     replicate 0 runs run_trajectory(cfg)'s states.  Raises
-    NonFiniteStateError as run_trajectory does.
+    NonFiniteStateError as run_trajectory does; a sum that overflows gives
+    a non-finite average, with no warning.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     cfg = resolve_config(cfg)
-    sums = _consume(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], range(n_seeds), [cfg.adapt.l],
-                    _CellSums(cfg.burn_in, 1, n_seeds, 1, [cfg.wellbeing], False), check=True)
-    [pays], [mean_payoff], [stderr_payoff] = sums.averages(sums.payoff[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow: a non-finite average
+        sums = _consume(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], range(n_seeds), [cfg.adapt.l],
+                        _CellSums(cfg.burn_in, 1, n_seeds, 1, [cfg.wellbeing], False), check=True)
+    [pays], [mean_payoff], [stderr_payoff] = sums.averages(sums.x, cfg.wellbeing.params)
     [utils], [mean_utility], [stderr_utility] = sums.averages(sums.utility[0][0])
     return EnsembleSummary(pays, utils, mean_payoff, mean_utility, stderr_payoff, stderr_utility)
 

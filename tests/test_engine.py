@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -44,7 +44,14 @@ from flickersim.simulate import (
     _scalar_spans,
     resolve_config,
 )
-from flickersim.wellbeing import GENERALIST, SPECIALIST, payoff, utility
+from flickersim.wellbeing import (
+    GENERALIST,
+    SPECIALIST,
+    CaseProfile,
+    WellbeingParams,
+    payoff,
+    utility,
+)
 from oracles import adaptation_paths, replay_trajectory, span_summed_mean, span_x_digest
 
 BASE = SimConfig(t_max=3 * STREAM_SPAN + 7, burn_in=STREAM_SPAN + 3, seed=23)
@@ -185,7 +192,7 @@ def assert_mean_and_stderr(avg, stderr, per_seed):
 
 def block_sums(n_seeds: int, n_kept: int) -> _CellSums:
     """A _CellSums of no rates that has been fed n_kept steps."""
-    sums = _CellSums(0, 0, n_seeds, 0, [], environment=False)
+    sums = _CellSums(0, 0, n_seeds, 0, [], digests=False)
     sums.n_kept = n_kept
     return sums
 
@@ -252,8 +259,8 @@ def cut_cells(draw):
 
 
 def fed_sums(model, X, Y, profiles, cuts):
-    """A _CellSums with environment, fed X and Y in the pieces between cuts."""
-    sums = _CellSums(model.burn_in, *X.shape[:2], len(Y), profiles, environment=True)
+    """A _CellSums with digests, fed X and Y in the pieces between cuts."""
+    sums = _CellSums(model.burn_in, *X.shape[:2], len(Y), profiles, digests=True)
     edges = [0, *cuts, X.shape[-1]]
     for a, b in zip(edges, edges[1:]):
         sums.add(X[..., a:b], None, Y[..., a:b])
@@ -261,8 +268,9 @@ def fed_sums(model, X, Y, profiles, cuts):
 
 
 def sums_bits(sums: _CellSums):
-    """Step count, totals as bytes and digests of a _CellSums."""
-    return (sums.n_kept, as_bytes(sums.x), as_bytes(sums.payoff), as_bytes(sums.utility),
+    """Step count, totals as bytes and digests of a _CellSums (its payoffs
+    come from its x totals)."""
+    return (sums.n_kept, as_bytes(sums.x), as_bytes(sums.utility),
             [d.hexdigest() for d in sums.digests])
 
 
@@ -352,6 +360,39 @@ class TestGridReplaysExactly:
         row = report.rows[0]
         assert row.avg_utility_baseline == replayed_mean_utility(cfg, 2, SPECIALIST.params)
         assert row.avg_utility_transform == replayed_mean_utility(cfg, 2, GENERALIST.params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.25, 3.5), min_size=1, max_size=3, unique=True),
+       st.integers(1, 12), st.integers(1, 4 * STREAM_SPAN + 5), st.floats(0.0, 1.0),
+       st.none() | st.floats(0.0, 15.0), st.integers(0, 2**32))
+# 3 c x 11 seeds: 33 rows, on the block kernel
+@example([1.0, 1.95, 3.1], 11, 3 * STREAM_SPAN + 7, 0.4, None, 23)
+def test_grid_payoff_is_the_payoff_at_the_mean_x(c_values, n_seeds, t_max, burn_frac, x0, seed):
+    """Every payoff column of a grid row is, bit for bit, the mean over
+    replicates of m + n * (each replicate's span-summed mean x, from a
+    _KeptSeries run of the same starts), and its stderr theirs."""
+    base = SimConfig(t_max=t_max, burn_in=int(burn_frac * (t_max - 1)), x0=x0, seed=seed)
+    cells = [_grid_cell(base, c) for c in sorted(c_values)]
+    starts = [cell.start for cell in cells if isinstance(cell.start, tuple)]
+    assume(starts)
+    kept = _consume(base, starts, range(n_seeds), [], _KeptSeries(base, len(starts), n_seeds, 0),
+                    check=False)
+
+    def want(X, w):
+        pays = np.array([w.m + w.n * span_summed_mean(x, base.burn_in) for x in X])
+        stderr = float(pays.std(ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0
+        return float(pays.mean()), stderr
+
+    sweep = {row.c: row for row in utility_sweep(base, c_values, [0.1], n_seeds)}
+    pairs = {row.c: row for row in transform_comparison(base, SPECIALIST, GENERALIST,
+                                                         sorted(c_values), 0.1, n_seeds).rows}
+    for (c, _, _), X in zip(starts, kept.X):
+        for row, tag, w in ((sweep[c], "", SPECIALIST.params),
+                            (pairs[c], "_baseline", SPECIALIST.params),
+                            (pairs[c], "_transform", GENERALIST.params)):
+            got = (getattr(row, f"avg_payoff{tag}"), getattr(row, f"stderr_payoff{tag}"))
+            assert as_bytes(got) == as_bytes(want(X, w)), (c, tag)
 
 
 @pytest.mark.parametrize("run,short", [
@@ -445,6 +486,25 @@ class TestNonFiniteCells:
                                       n_seeds=1)
         assert all("non-finite" in row.error for row in report.rows)
         assert report.c_cross_perfect is None and report.c_cross_adaptive is None
+
+    def test_overflowing_x_sum_flags_the_payoff_without_warning(self):
+        """x grows ~0.1 % a step from 1e306 and stays finite, but its sum over
+        500 kept steps overflows.  A flat payoff (n = 0) summed per step read
+        5.0; from the x sum it is 5 + 0 * inf = nan, flagged, as mean_x is."""
+        flat = CaseProfile("flat", WellbeingParams(m=5.0, n=0.0, a=3.0))
+        cfg = SimConfig(eco=EcoParams(r=0.001, K=1e308, c=0.0), noise=NoiseParams(beta=0.0),
+                        wellbeing=flat, t_max=600, burn_in=100, x0=1e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_ensemble(cfg, n_seeds=2)
+            [row] = utility_sweep(cfg, [0.0], [0.1], n_seeds=2)
+            [pair] = transform_comparison(cfg, flat, GENERALIST, [0.0], l=0.1, n_seeds=2).rows
+        assert np.isnan(summary.avg_payoffs).all() and np.isnan(summary.mean_payoff)
+        assert np.isfinite(summary.mean_utility)
+        assert np.isnan(row.avg_payoff)
+        assert "non-finite avg_payoff, stderr_payoff" in row.error
+        assert pair.mean_x == np.inf
+        assert "non-finite mean_x, avg_payoff_baseline" in pair.error
 
 
 def test_flicker_command_equals_per_replicate_runs(tmp_path):

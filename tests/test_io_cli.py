@@ -596,6 +596,28 @@ def test_streamed_trajectory_memory_does_not_grow_with_t_max(tmp_path):
     assert peak(8 * short) < 1.5 * peak(short)
 
 
+def test_scalar_pieces_hold_no_block_lists():
+    """While a piece of trajectory_pieces is out, the run holds that block's
+    arrays and its innovations, not the Python lists its floats were stepped
+    in (~32 B a float, for x, y, i and the innovations).  At fig4b the
+    lists held ~657 KB beside ~135 KB of arrays."""
+    cfg = get_preset("fig4b")
+    cfg = replace(cfg, t_max=cfg.burn_in + 4 * SCALAR_BLOCK)
+    tracemalloc.start()
+    try:
+        _, pieces = trajectory_pieces(cfg)
+        held = []
+        for piece in pieces:
+            held.append(tracemalloc.get_traced_memory()[0])
+            del piece
+        del pieces
+        left = tracemalloc.get_traced_memory()[0]  # the run's caches, outside the generator
+    finally:
+        tracemalloc.stop()
+    # x, i, y and the innovations of one block, with half as much again to spare
+    assert max(held) - left < 6 * 8 * SCALAR_BLOCK, (held, left)
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
 def test_written_files_honour_the_umask(tmp_path, umask):
     previous = os.umask(umask)
@@ -1095,14 +1117,31 @@ def test_cli_import_loads_no_orjson():
     assert _loaded_by_cli_import("orjson") == "[]"
 
 
-def test_golden_digests(tmp_path):
-    """The data files of tests/golden.json keep their sha256 (they do not
-    depend on numpy's CPU dispatch).  A mismatch prints every digest got."""
+def check_golden(tmp_path, dispatch: str) -> None:
+    """Rerun every command of tests/golden.json and compare its files' sha256
+    with the set recorded under "any", else under dispatch.  Fails naming a
+    dispatch with no set, and on a mismatch, printing every digest got."""
     golden = json.loads((Path(__file__).resolve().parent / "golden.json").read_text())
     want, got = {}, {}
-    for k, entry in enumerate(golden["digests"]):
-        label = " ".join(entry["argv"])
+    for k, entry in enumerate(golden["commands"]):
+        label, sets = " ".join(entry["argv"]), entry["sha256"]
         assert run_cli(*entry["argv"], "--out-dir", tmp_path / str(k)) == 0
-        want[label] = entry["sha256"]
-        got[label] = hashlib.sha256((tmp_path / str(k) / entry["file"]).read_bytes()).hexdigest()
+        want[label] = sets.get("any", sets.get(dispatch))
+        got[label] = {name: hashlib.sha256((tmp_path / str(k) / name).read_bytes()).hexdigest()
+                      for name in next(iter(sets.values()))}
+    missing = [label for label, files in want.items() if files is None]
+    assert not missing, (f"numpy dispatch {dispatch!r} has no digests in tests/golden.json for "
+                         f"{missing}; record these:\n" + json.dumps(got, indent=2))
     assert got == want, "digests now:\n" + json.dumps(got, indent=2)
+
+
+def test_golden_digests(tmp_path):
+    """Data files keep their bytes: bifurcation.csv and flicker.json on any
+    host, and trajectory.csv, sweep.csv (scalar and block kernel sizes),
+    transform.csv and crossover.json on each recorded numpy dispatch."""
+    check_golden(tmp_path, " ".join(_numpy_dispatch()))
+
+
+def test_golden_digests_fail_on_an_unrecorded_dispatch(tmp_path):
+    with pytest.raises(AssertionError, match="numpy dispatch 'X86_V2' has no digests"):
+        check_golden(tmp_path, "X86_V2")

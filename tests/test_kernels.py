@@ -27,7 +27,6 @@ from flickersim import (
     classify_regime,
     get_preset,
     innovation_stream,
-    payoff,
     run_ensemble,
     run_trajectory,
     step_adaptation,
@@ -246,16 +245,15 @@ def test_consume_feeds_sinks_the_post_burn_in_steps(burn_in, kept):
             assert np.array_equal(part, full[..., burn_in:])
         assert sums.n_kept == kept
         # the cell sums add up the joined series span by span, on the
-        # STREAM_SPAN grid from step 0, whatever pieces they were fed
+        # STREAM_SPAN grid from step 0, whatever pieces they were fed, and
+        # each replicate's payoff average is the payoff at its x average
         x_sums = np.zeros(whole[0].shape[:-1])
-        pay_sums = np.zeros_like(x_sums)
         edges = [0, *span_edges(burn_in, base.t_max), kept]
         for a, b in zip(edges, edges[1:]):
-            X = whole[0][..., burn_in + a:burn_in + b]
-            x_sums += X.sum(axis=-1)
-            pay_sums += payoff(X, SPECIALIST.params).sum(axis=-1)
+            x_sums += whole[0][..., burn_in + a:burn_in + b].sum(axis=-1)
         assert np.array_equal(sums.x, x_sums)
-        assert np.array_equal(sums.payoff[0], pay_sums)
+        w = SPECIALIST.params
+        assert np.array_equal(sums.averages(sums.x, w)[0], w.m + w.n * (x_sums / kept))
 
 
 @st.composite

@@ -12,7 +12,6 @@ from flickersim import (
     default_initial_state,
     equilibria,
     innovation_stream,
-    payoff,
     resolve_config,
     run_ensemble,
     run_trajectory,
@@ -188,13 +187,14 @@ class TestRunTrajectory:
 
 class TestRunEnsemble:
     """run_ensemble's averages are sums of per-span sums: the exact checks
-    compare them with span_summed_mean of the per-step payoff and utility."""
+    compare each replicate's payoff with m + n * span_summed_mean of its x,
+    and its utility with span_summed_mean of the per-step utility."""
 
     def test_single_seed_equals_trajectory(self):
         summary = run_ensemble(SMALL, n_seeds=1)
         tr = run_trajectory(SMALL)
         w = SMALL.wellbeing.params
-        assert summary.avg_payoffs[0] == span_summed_mean(payoff(tr.xs, w), tr.t0)
+        assert summary.avg_payoffs[0] == w.m + w.n * span_summed_mean(tr.xs, tr.t0)
         assert summary.avg_utilities[0] == span_summed_mean(utility(tr.xs, tr.ys, w), tr.t0)
         assert summary.stderr_payoff == 0.0
         assert summary.stderr_utility == 0.0
@@ -228,7 +228,7 @@ class TestRunEnsemble:
         w = SMALL.wellbeing.params
         for k in range(3):
             tr = run_trajectory(SMALL, replicate=k)
-            assert summary.avg_payoffs[k] == span_summed_mean(payoff(tr.xs, w), tr.t0)
+            assert summary.avg_payoffs[k] == w.m + w.n * span_summed_mean(tr.xs, tr.t0)
 
     def test_adapted_state_starts_at_explicit_y0(self):
         # y0 != x0, so a y series started anywhere but y0 shows in every average
@@ -237,7 +237,7 @@ class TestRunEnsemble:
         w = cfg.wellbeing.params
         for k in range(2):
             xs, _, ys = (series[cfg.burn_in:] for series in replay_trajectory(cfg, k))
-            assert summary.avg_payoffs[k] == span_summed_mean(payoff(xs, w), cfg.burn_in)
+            assert summary.avg_payoffs[k] == w.m + w.n * span_summed_mean(xs, cfg.burn_in)
             assert summary.avg_utilities[k] == span_summed_mean(utility(xs, ys, w), cfg.burn_in)
 
     def test_huge_finite_averages_give_an_inf_stderr_without_warning(self):

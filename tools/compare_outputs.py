@@ -10,7 +10,10 @@ compared byte for byte; manifests as JSON, leaving out ``created_utc`` and
 the directories of the output paths.  Exit codes and stderr must match
 too, each warning compared by its category and message, not by the file and
 line that raised it; the files are compared whether or not they do.  Prints
-one line per file and exits 1 on any difference, else 0.
+one line per file and exits 1 on any difference, else 0.  Under a differing
+CSV file with the same header, it prints each differing column with its
+count of differing rows and the largest relative difference of its numbers;
+under a differing JSON file, each differing key.
 The full matrix takes about 20 s per tree on a 2-CPU host.  run also
 returns each command's wall seconds and peak RSS, which
 tools/time_presets.py reports.
@@ -18,8 +21,10 @@ tools/time_presets.py reports.
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import json
+import math
 import os
 import re
 import subprocess
@@ -119,6 +124,54 @@ def _manifest(path: Path) -> dict:
     return doc
 
 
+def _relative(u: str, v: str) -> float:
+    """|u - v| over the larger magnitude, read as floats; inf when either is not a number."""
+    try:
+        x, y = float(u), float(v)
+    except ValueError:
+        return math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+
+
+def _flat(doc, key: str = "") -> dict:
+    """A JSON document as {dotted key: leaf value}, list items keyed by index."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {key: doc}
+    flat = {}
+    for name, value in items:
+        flat.update(_flat(value, f"{key}.{name}" if key else str(name)))
+    return flat
+
+
+def _details(pa: Path, pb: Path) -> list[str]:
+    """How two differing data files differ: per CSV column with the same
+    header, its differing rows and largest relative difference; per JSON
+    file, its differing keys.  Empty for any other file."""
+    if pa.suffix == ".json":
+        fa, fb = _flat(json.loads(pa.read_text())), _flat(json.loads(pb.read_text()))
+        return [f"key {k}: {fa.get(k)!r} vs {fb.get(k)!r}"
+                for k in sorted(fa.keys() | fb.keys()) if fa.get(k) != fb.get(k)]
+    if pa.suffix != ".csv":
+        return []
+    ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (pa, pb))
+    if not (ra and rb) or ra[0] != rb[0] or len(ra) != len(rb):
+        return [f"header or row count differs: {len(ra)} vs {len(rb)} lines"]
+    lines = []
+    for j, column in enumerate(ra[0]):
+        pairs = [(u[j], v[j]) for u, v in zip(ra[1:], rb[1:]) if u[j] != v[j]]
+        if pairs:
+            worst = max(_relative(u, v) for u, v in pairs)
+            lines.append(f"column {column}: {len(pairs)} of {len(ra) - 1} rows, "
+                         f"max relative difference {worst:.3g}")
+    return lines
+
+
 def compare(a: Path, b: Path) -> list[tuple[str, bool]]:
     """(file name, identical) for every file either directory holds."""
     result = []
@@ -154,6 +207,9 @@ def main(argv: list[str]) -> int:
             for name, same in compare(*dirs):
                 differences += not same
                 print(f"{'identical' if same else 'DIFFERENT'} {label}/{name}")
+                if not same and name != "manifest.json" and all((d / name).exists() for d in dirs):
+                    for line in _details(*(d / name for d in dirs)):
+                        print(f"    {line}")
     print(f"{differences} difference(s)")
     return 1 if differences else 0
 
