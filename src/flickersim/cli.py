@@ -70,49 +70,62 @@ def _add_sim_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--c", type=float, help="extraction rate override")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _simulate_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, SimConfig)
+    _add_sim_overrides(sub)
+    sub.add_argument("--l", type=float, help="adaptation rate override")
+    sub.add_argument("--case", choices=sorted(PROFILES), help="wellbeing profile override")
+
+
+def _bifurcation_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, ScanConfig)
+    _add_c_range(sub, ScanConfig)
+
+
+def _sweep_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, SweepConfig)
+    _add_run_flags(sub)
+    _add_c_range(sub, SweepConfig)
+    sub.add_argument("--l", type=float, action="append", dest="l_values",
+                     help="adaptation rate (repeatable)")
+    sub.add_argument("--seeds", type=int, help="replicates per cell")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="most processes to open: the grid runs as min(WORKERS, usable CPUs, "
+                          "number of c) contiguous groups of c, one process each")
+
+
+def _transform_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, TransformConfig)
+    _add_run_flags(sub)
+    _add_c_range(sub, TransformConfig)
+    sub.add_argument("--l", type=float, help="adaptation rate")
+    sub.add_argument("--seeds", type=int, help="replicates per cell")
+
+
+def _flicker_args(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, SimConfig)
+    _add_sim_overrides(sub)
+    sub.add_argument("--seeds", type=int, default=1, help="replicates")
+    sub.add_argument("--min-dwell", type=int, default=analytics.DEFAULT_MIN_DWELL,
+                     help="steps a new basin must persist to count as a switch")
+    sub.add_argument("--separatrix", type=float,
+                     help="basin threshold override (required outside the bistable regime)")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand with its help line, and the
+    arguments of command alone, or of every subcommand when command is None.
+
+    argparse parses one subcommand's arguments only, so the parser built
+    for the command that argv names parses argv as the full one does.
+    """
     parser = argparse.ArgumentParser(prog="flickersim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="run one trajectory")
-    _add_common(sim, SimConfig)
-    _add_sim_overrides(sim)
-    sim.add_argument("--l", type=float, help="adaptation rate override")
-    sim.add_argument("--case", choices=sorted(PROFILES),
-                     help="wellbeing profile override")
-
-    bif = subs.add_parser("bifurcation", help="equilibria across extraction rates")
-    _add_common(bif, ScanConfig)
-    _add_c_range(bif, ScanConfig)
-
-    sweep = subs.add_parser("sweep", help="utility over a (c, l) grid")
-    _add_common(sweep, SweepConfig)
-    _add_run_flags(sweep)
-    _add_c_range(sweep, SweepConfig)
-    sweep.add_argument("--l", type=float, action="append", dest="l_values",
-                       help="adaptation rate (repeatable)")
-    sweep.add_argument("--seeds", type=int, help="replicates per cell")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="most processes to open: the grid runs as min(WORKERS, usable CPUs, "
-                            "number of c) contiguous groups of c, one process each")
-
-    trans = subs.add_parser("transform", help="specialist-vs-generalist comparison")
-    _add_common(trans, TransformConfig)
-    _add_run_flags(trans)
-    _add_c_range(trans, TransformConfig)
-    trans.add_argument("--l", type=float, help="adaptation rate")
-    trans.add_argument("--seeds", type=int, help="replicates per cell")
-
-    flick = subs.add_parser("flicker", help="basin-transition statistics")
-    _add_common(flick, SimConfig)
-    _add_sim_overrides(flick)
-    flick.add_argument("--seeds", type=int, default=1, help="replicates")
-    flick.add_argument("--min-dwell", type=int, default=analytics.DEFAULT_MIN_DWELL,
-                       help="steps a new basin must persist to count as a switch")
-    flick.add_argument("--separatrix", type=float,
-                       help="basin threshold override (required outside the bistable regime)")
-
+    for name, (help_line, add_args, _) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_args(sub)
     return parser
 
 
@@ -236,20 +249,23 @@ def _cmd_flicker(args):
     return cfg, [json_path], None
 
 
-# each returns (spec, data file paths, extra manifest keys or None)
+# each subcommand's help line, the function adding its arguments, and the one
+# running it, which returns (spec, data file paths, extra manifest keys or None)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "bifurcation": _cmd_bifurcation,
-    "sweep": _cmd_sweep,
-    "transform": _cmd_transform,
-    "flicker": _cmd_flicker,
+    "simulate": ("run one trajectory", _simulate_args, _cmd_simulate),
+    "bifurcation": ("equilibria across extraction rates", _bifurcation_args, _cmd_bifurcation),
+    "sweep": ("utility over a (c, l) grid", _sweep_args, _cmd_sweep),
+    "transform": ("specialist-vs-generalist comparison", _transform_args, _cmd_transform),
+    "flicker": ("basin-transition statistics", _flicker_args, _cmd_flicker),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    _, _, run = _COMMANDS[args.command]
     try:
-        spec, outputs, extra = _COMMANDS[args.command](args)
+        spec, outputs, extra = run(args)
         # a ScanConfig simulates nothing, so it has no seed
         seed = None if isinstance(spec, ScanConfig) else getattr(spec, "base", spec).seed
         manifest = io.build_manifest(args.command, spec, seed, outputs, extra=extra)

@@ -7,10 +7,13 @@ point, so it would read json.dumps's 1e+153 or 1e-05 as a string.  Unknown
 keys are rejected by name.  Floats are written with shortest round-trip
 formatting, so loading a written config or CSV reproduces the exact 64-bit
 values, independent of locale.  Every CSV float is spelled as repr spells
-it: trajectory.csv is written from a run's pieces a block of rows at a
-time, each block's digits from one orjson call (Ryu's shortest round-trip
-output) and each nonzero value outside 1e-3 <= |v| < 1e15 from repr.  A config file's schema is also the record a manifest writes,
-and config_fingerprint hashes that record.
+it, from orjson's digits (Ryu's shortest round-trip output) and, for each
+nonzero value outside 1e-3 <= |v| < 1e15, from repr: trajectory.csv is
+written from a run's pieces a block of rows at a time, one orjson call per
+block, and the results CSVs a block of rows and then a column at a time,
+one orjson call for all the float columns of a block.  A config file's
+schema is also the record a manifest writes, and config_fingerprint
+hashes that record.
 
 All file writes go through a write-temp-then-rename helper, so partially
 written outputs are never observed.
@@ -22,7 +25,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import operator
 import os
 import platform
 import tempfile
@@ -224,8 +226,6 @@ def _fmt(value) -> str:
     doubled, as csv.QUOTE_MINIMAL writes it, so every row parses to the
     header's width.
     """
-    if type(value) is float:  # most cells: tested first
-        return repr(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -267,10 +267,27 @@ def _atomic_write(path: str | os.PathLike, chunks: Iterable[str]) -> Path:
     return path
 
 
-def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+# Rows of a results CSV formatted at a time: the writer holds one block's cells.
+_CSV_ROWS = 256
+
+
+def _csv_blocks(columns: dict[str, list]) -> Iterator[str]:
+    """The CSV text of the header, columns' names, then of their rows a
+    block of _CSV_ROWS at a time, each cell as _fmt spells it.
+
+    columns are equally long.  In a block, the columns of Python floats
+    alone are formatted by one _rows call, as the rows of one array, and
+    every other column cell by cell with _fmt.
+    """
+    yield ",".join(columns) + "\n"
+    columns = list(columns.values())
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        block = [column[start:start + _CSV_ROWS] for column in columns]
+        floats = [j for j, column in enumerate(block) if set(map(type, column)) == {float}]
+        cells = [None if j in floats else list(map(_fmt, column)) for j, column in enumerate(block)]
+        for j, text in zip(floats, _rows(np.array([block[j] for j in floats]))):
+            cells[j] = text.split(",")
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 # Rows of trajectory.csv built and written at a time: the writer holds the
@@ -289,9 +306,10 @@ def _rows(a) -> list[str]:
     from one orjson call.
 
     orjson writes each float's shortest round-trip digits (Ryu); a value
-    outside the band above is formatted again by repr, in its row's text.
+    outside the band above is formatted again by repr, in its row's text,
+    which is split and joined once however many of its cells are.
     """
-    import orjson  # only trajectory.csv needs it
+    import orjson  # only the CSV writers need it, for their float columns
 
     a = np.ascontiguousarray(a, dtype=np.float64)
     if not len(a):
@@ -300,9 +318,12 @@ def _rows(a) -> list[str]:
     mag = np.abs(a)
     ks, js = np.nonzero(((mag < _RYU_MIN) | ~(mag < _RYU_MAX)) & (a != 0))
     # repr of a 17-digit float costs ~1.5 us: only the cells outside the band
+    split: dict[int, list[str]] = {}
     for k, j, v in zip(ks.tolist(), js.tolist(), a[ks, js].tolist()):
-        cells = rows[k].split(",")
-        cells[j] = repr(v)
+        if k not in split:
+            split[k] = rows[k].split(",")
+        split[k][j] = repr(v)
+    for k, cells in split.items():
         rows[k] = ",".join(cells)
     return rows
 
@@ -330,9 +351,9 @@ def write_trajectory_csv(path, t0: int, pieces: Iterable, w: WellbeingParams) ->
     are scored as arrays, its five float columns are stacked into one
     (rows, 5) array formatted by one orjson call (Ryu's shortest round-trip
     digits), and each nonzero value outside 1e-3 <= |v| < 1e15 (nan and
-    inf included) again by repr of the Python float, so the bytes equal a
-    per-cell _csv_text of the same values.  The write holds one piece and
-    one block; an error from pieces removes the temp file.
+    inf included) again by repr of the Python float, so the bytes equal
+    each cell's _fmt.  The write holds one piece and one block; an error
+    from pieces removes the temp file.
     """
     return _atomic_write(path, _trajectory_blocks(t0, pieces, w))
 
@@ -342,16 +363,14 @@ def _record(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _columns(cls) -> tuple[list[str], operator.attrgetter]:
-    """cls's field names in declaration order, and a getter of those fields' values."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    return names, operator.attrgetter(*names)
+def _columns(cls, objs) -> dict[str, list]:
+    """Each field of the dataclass cls by name, in declaration order: its values over objs."""
+    return {f.name: [getattr(obj, f.name) for obj in objs] for f in dataclasses.fields(cls)}
 
 
 def _write_rows(path, rows, cls) -> Path:
     """CSV with one column per field of cls, in declaration order."""
-    names, cells = _columns(cls)
-    return _atomic_write(path, [_csv_text(names, [cells(row) for row in rows])])
+    return _atomic_write(path, _csv_blocks(_columns(cls, rows)))
 
 
 def _write_json(path, doc) -> Path:
@@ -360,9 +379,9 @@ def _write_json(path, doc) -> Path:
 
 def write_bifurcation_csv(path, scan: list[ScanRow]) -> Path:
     """One row per equilibrium: c, then the Equilibrium fields."""
-    names, cells = _columns(Equilibrium)
-    rows = [(row.c, *cells(eq)) for row in scan for eq in row.equilibria]
-    return _atomic_write(path, [_csv_text(["c", *names], rows)])
+    columns = {"c": [row.c for row in scan for _ in row.equilibria],
+               **_columns(Equilibrium, [eq for row in scan for eq in row.equilibria])}
+    return _atomic_write(path, _csv_blocks(columns))
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> Path:

@@ -6,7 +6,7 @@ points by fine-grid root counting in c, trajectories by replaying the
 scalar single-step functions, adapted states by one unchunked loop, time
 averages by summing a whole series span by span or by one mean of the full
 series, and basin dwells by classifying each point or run-length encoding a
-whole series.
+whole series, and CSV text by formatting each row on its own.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from flickersim import (
     step_coupled,
     utility,
 )
+from flickersim.io import _fmt
 from flickersim.simulate import STREAM_SPAN
 
 
@@ -206,3 +207,10 @@ def classify_basin(x: float, separatrix: float) -> Basin:
     if not separatrix > 0:
         raise ValueError(f"separatrix must be > 0, got {separatrix}")
     return Basin.HIGH if x >= separatrix else Basin.LOW
+
+
+def per_row_csv_text(header: list[str], rows) -> str:
+    """CSV text of header and rows formatted row by row, each cell by io._fmt."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"

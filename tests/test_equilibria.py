@@ -181,6 +181,14 @@ class TestFoldPoints:
         with pytest.raises(NoBistabilityError):
             fold_points(P, 2.0, 2.2, tol=1e-4)  # bistable throughout
 
+    @pytest.mark.parametrize("side", ["c_low", "c_high"])
+    def test_band_touching_an_end_is_not_strictly_inside(self, side):
+        # a range ending exactly on a fold holds the band, but not strictly inside
+        fp = fold_points(P, 0.0, 4.0)
+        bounds = (fp.c_low, 4.0) if side == "c_low" else (0.0, fp.c_high)
+        with pytest.raises(NoBistabilityError, match="not strictly inside"):
+            fold_points(P, *bounds)
+
     @pytest.mark.parametrize("args,match", [
         ((2.0, 1.0), r"need 0 <= c_min < c_max"), ((-1.0, 4.0), r"need 0 <= c_min < c_max"),
         ((0.0, 4.0, 0.0), "tol must be > 0"), ((0.0, 4.0, 1e-4, 0), "n_scan must be >= 1"),

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from flickersim import (
     utility,
     utility_sweep,
 )
-from flickersim import cli, simulate
+from flickersim import cli, io, simulate
 from flickersim.analytics import (
     ComparisonRow,
     CrossoverReport,
@@ -50,7 +51,7 @@ from flickersim.io import (
     ValidationError,
     _TRAJECTORY_ROWS,
     _atomic_write,
-    _csv_text,
+    _csv_blocks,
     _numpy_dispatch,
     _rows,
     build_manifest,
@@ -67,6 +68,7 @@ from flickersim.io import (
 from flickersim.presets import ScanConfig, SweepConfig, TransformConfig
 from flickersim.simulate import SCALAR_BLOCK, trajectory_pieces
 from flickersim.wellbeing import PROFILES, CaseProfile, WellbeingParams
+from oracles import per_row_csv_text
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
@@ -515,7 +517,7 @@ def test_trajectory_csv_equals_per_point_scoring(tmp_path, cfg, kept):
         [tr.t0 + k, x, y, i, float(payoff(x, w)), float(utility(x, y, w))]
         for k, (x, y, i) in enumerate(zip(tr.xs, tr.ys, tr.noise))
     ]
-    expected = _csv_text(["t", "x", "y", "i", "payoff", "utility"], rows)
+    expected = per_row_csv_text(["t", "x", "y", "i", "payoff", "utility"], rows)
     path = write_trajectory_csv(tmp_path / "trajectory.csv", tr.t0, [(tr.xs, tr.ys, tr.noise)],
                                 w)
     assert path.read_text() == expected
@@ -554,6 +556,45 @@ def test_column_formatter_is_repr(values, columns):
     expected = [",".join(map(repr, row)) for row in a.tolist()]
     assert _rows(a) == expected
     assert _rows(a[::-2]) == expected[::-2]
+
+
+# cells of a float column: any float, and the edges above with their
+# negations, zeros, the smallest normal and subnormals, 1e16 and 1e-4
+FLOAT_CELLS = st.floats() | st.sampled_from(
+    [float(v) for edge in REPR_EDGES for v in (edge, -edge)]
+    + [0.0, -0.0, 2.2250738585072014e-308, 1e-310, 1e16, -1e16, 1e-4, math.inf, -math.inf,
+       math.nan])
+# cells _csv_blocks leaves to _fmt: bools, None, ints, Regimes, numpy scalars,
+# and text holding the characters that CSV quotes
+OTHER_CELLS = st.one_of(
+    st.booleans(), st.booleans().map(np.bool_), st.none(), st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.sampled_from(list(Regime)),
+    FLOAT_CELLS.map(np.float64), st.text(st.sampled_from('a1.e,"\r\n -')))
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows): columns of floats, of other cells, or of both mixed."""
+    n = draw(st.integers(0, 20))
+    kinds = draw(st.lists(st.sampled_from([FLOAT_CELLS, OTHER_CELLS, FLOAT_CELLS | OTHER_CELLS]),
+                          min_size=1, max_size=6))
+    columns = [draw(st.lists(cells, min_size=n, max_size=n)) for cells in kinds]
+    return [f"h{j}" for j in range(len(kinds))], list(zip(*columns))
+
+
+@example(table=(["c", "x_star", "stable"], []), block=256)
+@example(table=(["c", "regime", "error"], [(1.0, Regime.BISTABLE, 'a, "b"'),
+                                           (1e16, None, "x\r\ny")]), block=1)
+@settings(max_examples=300)
+@given(table=csv_tables(), block=st.integers(1, 8) | st.just(io._CSV_ROWS))
+def test_csv_blocks_equal_per_row_formatting(table, block):
+    """_csv_blocks, which formats a block's float columns through one _rows
+    call, writes the text of the row-by-row _fmt formatting, in blocks of
+    any size, on both sides of every block edge."""
+    header, rows = table
+    columns = {name: [row[j] for row in rows] for j, name in enumerate(header)}
+    with mock.patch.object(io, "_CSV_ROWS", block):
+        assert "".join(_csv_blocks(columns)) == per_row_csv_text(header, rows)
 
 
 def _traced_peak(run) -> int:
@@ -982,6 +1023,28 @@ class TestCli:
             assert choices[name] == [p for p, cfg in PRESETS.items() if isinstance(cfg, kind)]
         assert set().union(*choices.values()) == set(PRESETS)
 
+    @pytest.mark.parametrize("tail", [["--help"], ["--no-such-flag"], ["--preset", "wrong-kind"]],
+                             ids=["help", "unknown-flag", "wrong-kind-preset"])
+    @pytest.mark.parametrize("command", ["simulate", "bifurcation", "sweep", "transform",
+                                         "flicker"])
+    def test_command_parser_exits_as_the_full_parser(self, capsys, command, tail):
+        # main builds the named command's arguments alone; argparse's answer is unchanged
+        if tail[-1] == "wrong-kind":
+            tail = ["--preset", "fig2" if command in ("simulate", "flicker") else "fig4b"]
+        outcomes = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exit_:
+                parse([command, *tail])
+            outcomes.append((exit_.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if tail == ["--help"] else 2)
+
+    @pytest.mark.parametrize("command", ["simulate", "bifurcation", "sweep", "transform",
+                                         "flicker"])
+    def test_command_parser_parses_as_the_full_parser(self, command):
+        assert (cli.build_parser(command).parse_args([command])
+                == cli.build_parser().parse_args([command]))
+
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FLICKERSIM_OUT_DIR", str(tmp_path / "envout"))
         from flickersim.cli import build_parser
@@ -1113,7 +1176,7 @@ def test_cli_import_loads_no_yaml():
 
 
 def test_cli_import_loads_no_orjson():
-    """Only the trajectory.csv writer formats with orjson, so only it imports it."""
+    """Only the CSV writers format with orjson, so only they import it."""
     assert _loaded_by_cli_import("orjson") == "[]"
 
 

@@ -1,6 +1,7 @@
 """Run a fixed command matrix on two source trees and compare what they write.
 
     python tools/compare_outputs.py PARENT_TREE CHANGE_TREE
+    python tools/compare_outputs.py --write-golden [TREE]
 
 Each tree is a checkout of this repository.  Every command of MATRIX runs
 as ``python -m flickersim.cli`` in a fresh process with that tree's ``src``
@@ -17,12 +18,22 @@ under a differing JSON file, each differing key.
 The full matrix takes about 20 s per tree on a 2-CPU host.  run also
 returns each command's wall seconds and peak RSS, which
 tools/time_presets.py reports.
+
+--write-golden regenerates TREE's tests/golden.json (TREE defaults to the
+checkout holding this tool).  Each command the file lists runs twice in
+fresh processes: at numpy's default CPU dispatch, and with the targets
+above X86_V3 switched off by NPY_DISABLE_CPU_FEATURES.  A command whose
+data files have the same sha256 both times gets one set under "any", any
+other one set per dispatch, keyed as each run's manifest names it.  It
+exits 1, leaving the file as it was, if a command fails or if both runs
+report one dispatch, as on a host without the targets above X86_V3.
 """
 
 from __future__ import annotations
 
 import csv
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -90,9 +101,10 @@ class Run(NamedTuple):
     peak_rss_mb: float  # wait4's ru_maxrss for this one child
 
 
-def run(tree: Path, argv: list[str], out: Path) -> Run:
-    """One command on tree in a fresh process, writing into out."""
-    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"),
+def run(tree: Path, argv: list[str], out: Path, env: dict[str, str] | None = None) -> Run:
+    """One command on tree in a fresh process, writing into out, with env
+    over this process's environment."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(tree.resolve() / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     out.mkdir(parents=True)
     start = time.perf_counter()
@@ -187,9 +199,59 @@ def compare(a: Path, b: Path) -> list[tuple[str, bool]]:
     return result
 
 
+# the dispatch targets above X86_V3, switched off for golden.json's second set
+ABOVE_X86_V3 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def _digests(tree: Path, argv: list[str], out: Path, disabled: str) -> tuple[str, dict]:
+    """(numpy dispatch, {data file: sha256}) of one run of argv, in the
+    order the run's manifest lists its outputs."""
+    result = run(tree, argv, out, {"NPY_DISABLE_CPU_FEATURES": disabled})
+    if result.code:
+        raise RuntimeError(f"{' '.join(argv)} exited {result.code}: {result.stderr}")
+    manifest = json.loads((out / "manifest.json").read_text())
+    return (" ".join(manifest["environment"]["numpy_dispatch"]),
+            {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+             for p in manifest["outputs"]})
+
+
+def _golden_text(golden: dict) -> str:
+    """golden.json's text: two-space indents, each argv on one line."""
+    text = json.dumps(golden, indent=2)
+    return re.sub(r'("argv": )(\[[^\]]*\])',
+                  lambda m: m[1] + json.dumps(json.loads(m[2])), text) + "\n"
+
+
+def write_golden(tree: Path) -> int:
+    path = tree / "tests" / "golden.json"
+    golden = json.loads(path.read_text())
+    with tempfile.TemporaryDirectory(prefix="write-golden-") as work:
+        for k, entry in enumerate(golden["commands"]):
+            try:
+                runs = [_digests(tree, entry["argv"], Path(work) / f"{k}-{n}", disabled)
+                        for n, disabled in enumerate(("", ABOVE_X86_V3))]
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+            (default, files), (x86_v3, files_v3) = runs
+            if default == x86_v3:
+                print(f"numpy's dispatch is {default!r} with and without "
+                      f"NPY_DISABLE_CPU_FEATURES={ABOVE_X86_V3!r}: no second set to record",
+                      file=sys.stderr)
+                return 1
+            entry["sha256"] = {"any": files} if files == files_v3 else dict(runs)
+    path.write_text(_golden_text(golden))
+    print(f"wrote {path}: {len(golden['commands'])} commands, dispatches "
+          f"{default!r} and {x86_v3!r}")
+    return 0
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--write-golden"] and len(argv) <= 2:
+        return write_golden(Path(argv[1] if len(argv) == 2 else Path(__file__).parents[1]))
     if len(argv) != 2:
-        print("usage: python tools/compare_outputs.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        print("usage: python tools/compare_outputs.py PARENT_TREE CHANGE_TREE\n"
+              "       python tools/compare_outputs.py --write-golden [TREE]", file=sys.stderr)
         return 2
     parent, change = map(Path, argv)
     differences = 0
