@@ -7,9 +7,10 @@ across all adaptive capacities and both wellbeing profiles: adaptation never
 feeds back on the environment, so comparisons are made on literally shared
 noise.  Both grids run on one path, :func:`_grid`: it solves the equilibria
 once per c ((c, x0, y0) start, regime, row error), streams one model from
-every start as one block of (c, replicate) rows into a ``_CellSums``, and
-turns each whole block of sums, payoffs from the x sums, into every row's
-mean and stderr (``_CellSums.averages``); :func:`_cell_row` makes the rows.
+every start as one block of (c, replicate) rows, feeding each kept piece
+(``simulate._kept_pieces``) to a ``_CellSums``, and turns each whole
+block of sums, payoffs from the x sums, into every row's mean and stderr
+(``_CellSums.averages``); :func:`_cell_row` makes the rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dynamics import AdaptationParams, EcoParams
 from .equilibria import Regime, equilibria
-from .simulate import SimConfig, _CellSums, _consume, _grid_cell, resolve_config
+from .simulate import SimConfig, _CellSums, _grid_cell, _kept_pieces, _single_start_pieces
 from .wellbeing import CaseProfile
 
 DEFAULT_MIN_DWELL = 5
@@ -192,9 +193,9 @@ def flicker_replicates(cfg: SimConfig, n_seeds: int, separatrix: float,
     counted span by span.  Arguments are checked before any span is drawn, and
     an overflowed state raises NonFiniteStateError as run_trajectory does."""
     dwells = _Dwells(n_seeds, separatrix, min_dwell)
-    cfg = resolve_config(cfg)
-    return _consume(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], range(n_seeds), [], dwells,
-                    check=True).stats()
+    for piece in _single_start_pieces(cfg, range(n_seeds), []):
+        dwells.add(*piece)
+    return dwells.stats()
 
 
 def _check_grid(c_grid, increasing: bool) -> list[float]:
@@ -230,8 +231,8 @@ def _grid_group(args) -> list[tuple]:
     starts = [cell.start for cell in cells if isinstance(cell.start, tuple)]
     sums = _CellSums(base.burn_in, len(starts), n_seeds, len(l_values), profiles, x_columns)
     if starts:
-        with np.errstate(over="ignore", invalid="ignore"):  # _cell_row flags overflowed rows
-            _consume(base, starts, range(n_seeds), l_values, sums, check=False)
+        for piece in _kept_pieces(base, starts, range(n_seeds), l_values, check=False):
+            sums.add(*piece)
     cols = [*(sums.averages(sums.x, w)[1:] for w in sums.profiles),
             *(sums.averages(total)[1:] for total in chain(*sums.utility))]
     stats = [([m[j] for m, _ in cols], [e[j] for _, e in cols]) for j in range(len(starts))]

@@ -261,14 +261,13 @@ def fold_points(
     c_min: float,
     c_max: float,
     tol: float = 1e-4,
-    n_scan: int = 400,
 ) -> FoldPoints:
     """Locate the extraction rates where the bistable band begins and ends.
 
     The folds are exact: c(x) = r (1 - x/K) (x^2 + h^2) / x evaluated at the
-    two positive roots of 2x^3/K - x^2 + h^2 = 0.  tol (> 0) and n_scan
-    (>= 1) are validated but no longer change the result; they are kept so
-    existing calls keep working.  Raises NoBistabilityError if
+    two positive roots of 2x^3/K - x^2 + h^2 = 0.  tol (> 0) is validated
+    but no longer changes the result; it is kept so existing calls keep
+    working.  Raises NoBistabilityError if
     the band is absent from [c_min, c_max], or not contained strictly
     inside it, and EquilibriumError if the cubic leaves the float range.
     """
@@ -276,8 +275,6 @@ def fold_points(
         raise ValueError(f"need 0 <= c_min < c_max, got [{c_min}, {c_max}]")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if n_scan < 1:
-        raise ValueError(f"n_scan must be >= 1, got {n_scan}")
     r, K, h2 = p_base.r, p_base.K, p_base.h * p_base.h
     try:
         xs = [x for x in _cubic_roots(-K / 2.0, 0.0, K * h2 / 2.0) if x > 0]

@@ -17,17 +17,19 @@ capacity in one time loop, yielding each block of whole STREAM_SPAN-step
 spans as one piece.  Every c reuses the same substreams;
 Philox is counter-based, so block-by-block draws equal a whole-series draw.
 One loop, :func:`_kept_pieces`, checks each piece for the routes that fail
-at the first non-finite step, drops the burn-in and yields the rest.
-:func:`trajectory_pieces` hands one replicate's pieces to the trajectory.csv
-writer as they come, so ``flickersim simulate`` holds one piece at a time.
-:func:`_consume` feeds them to a consumer's add(X, I, Y), which gives the
-same result wherever the series is cut: :class:`_KeptSeries` keeps it for
-run_trajectory; in memory that does not grow with t_max,
-``analytics._Dwells`` counts basin dwells for flicker and :class:`_CellSums`
-sums each row's x and utilities for run_ensemble (one cell) and the sweep
-and transform grids, span by span on the STREAM_SPAN grid; each utility is
-a profile's payoff, scored once per piece, times a wellbeing.penalty, and
-each replicate's payoff average is the (affine) payoff at its mean x.
+at the first non-finite step, drops the burn-in and yields the rest; the
+routes that run a config's own start resolve it first, in
+:func:`_single_start_pieces`.  :func:`trajectory_pieces` hands one
+replicate's pieces to the trajectory.csv writer as they come, so ``flickersim
+simulate`` holds one piece at a time, and run_trajectory fills one
+preallocated series from the same pieces.  The other consumers take each
+piece in an add(X, I, Y) that gives the same result wherever the series is
+cut, in memory that does not grow with t_max: ``analytics._Dwells`` counts
+basin dwells for flicker and :class:`_CellSums` sums each row's x and
+utilities for run_ensemble (one cell) and the sweep and transform grids,
+span by span on the STREAM_SPAN grid; each utility is a profile's payoff,
+scored once per piece, times a wellbeing.penalty, and each replicate's
+payoff average is the (affine) payoff at its mean x.
 
 stream_spans has two kernels with the same draws and the same output.  A numpy
 step costs about the same ~12-30 us whether it advances 1 row or 64, while a
@@ -79,15 +81,21 @@ SCALAR_ROWS = 32
 # derived from SCALAR_ROWS, so a block stays this small whatever row count
 # routes to the scalar kernel.
 SCALAR_BLOCK = 4096
-# Most bytes that _KeptSeries may allocate for the full post-burn-in X, I and
-# Y series: 1 GiB holds ~44.7 million steps of one run_trajectory.  Above
-# it, a run fails with a named ValueError instead of an unnamed MemoryError.
+# Most bytes that run_trajectory may allocate for its post-burn-in xs, ys and
+# noise: 1 GiB holds ~44.7 million steps.  Above it, a run fails with a named
+# ValueError instead of an unnamed MemoryError.
 # trajectory_pieces keeps no series, so the cap does not bound simulate.
 KEPT_SERIES_MAX_BYTES = 1 << 30
 
 
 class NonFiniteStateError(ValueError):
     """A simulated state overflowed to inf or nan (a huge but finite start)."""
+
+
+def _check_integer(name: str, value) -> None:
+    """ValueError naming name unless value is an int or a numpy integer (a bool is neither)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,8 @@ class SimConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        for name in ("t_max", "burn_in", "seed"):
+            _check_integer(f"sim.{name}", getattr(self, name))
         if not self.burn_in >= 0:
             raise ValueError(f"sim.burn_in must be >= 0, got {self.burn_in}")
         if not self.t_max > self.burn_in:
@@ -178,7 +188,13 @@ def _y0(cfg: SimConfig, x0: float) -> float:
 
 
 def innovation_stream(seed: int, replicate: int = 0) -> np.random.Generator:
-    """Independent counter-based stream for one replicate of a run."""
+    """Independent counter-based stream for one replicate of a run.
+
+    Every route's replicates pass through here, so a bad one is named before any draw.
+    """
+    _check_integer("replicate", replicate)
+    if replicate < 0:
+        raise ValueError(f"replicate must be >= 0, got {replicate}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -369,34 +385,6 @@ def _check_finite(model: SimConfig, starts, X: np.ndarray, t0: int) -> None:
         )
 
 
-class _KeptSeries:
-    """Span consumer that joins the post-burn-in X, I and Y of the spans.
-
-    Shapes are those of the spans over the t_max - burn_in kept steps, filled
-    in place: joining the spans at the end would hold the series twice.
-    Raises ValueError when they would take more than KEPT_SERIES_MAX_BYTES.
-    """
-
-    def __init__(self, model: SimConfig, n_c: int, n_rows: int, n_l: int) -> None:
-        n_kept = model.t_max - model.burn_in
-        # float64 X and every Y over (c, row), and I over rows
-        n_bytes = 8 * n_rows * n_kept * (n_c * (1 + n_l) + 1)
-        if n_bytes > KEPT_SERIES_MAX_BYTES:
-            raise ValueError(
-                f"keeping sim.t_max - sim.burn_in = {n_kept} steps needs {n_bytes} bytes, "
-                f"above KEPT_SERIES_MAX_BYTES = {KEPT_SERIES_MAX_BYTES}; "
-                "lower sim.t_max or raise sim.burn_in")
-        self.X = np.empty((n_c, n_rows, n_kept))
-        self.I = np.empty((n_rows, n_kept))
-        self.Y = np.empty((n_l,) + self.X.shape)
-        self.filled = 0
-
-    def add(self, X: np.ndarray, I: np.ndarray, Y: np.ndarray) -> None:
-        kept = slice(self.filled, self.filled + X.shape[-1])
-        self.X[..., kept], self.I[:, kept], self.Y[..., kept] = X, I, Y
-        self.filled = kept.stop
-
-
 def _spans(A: np.ndarray, cuts) -> list[np.ndarray]:
     """A cut along its last axis at the span edges cuts; [A] itself when none lies inside."""
     if not cuts:
@@ -442,12 +430,13 @@ class _CellSums:
         # utility(X, Yl, w) is payoff(X, w) * penalty(X - Yl, w): each payoff
         # once per piece, each misadaptation once per l (one l at a time: a
         # broadcast over the stacked Y is ~2.5x slower)
-        pays = [payoff(X, w) for w in self.profiles]
-        for Yl, sums in zip(Y, self.utility):
-            d = X - Yl
-            for total, pay, w in zip(sums, pays, self.profiles):
-                _add_span_sums(total, pay * penalty(d, w), cuts)
-        _add_span_sums(self.x, X, cuts)
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow: the row is flagged
+            pays = [payoff(X, w) for w in self.profiles]
+            for Yl, sums in zip(Y, self.utility):
+                d = X - Yl
+                for total, pay, w in zip(sums, pays, self.profiles):
+                    _add_span_sums(total, pay * penalty(d, w), cuts)
+            _add_span_sums(self.x, X, cuts)
         for digest, rows in zip(self.digests, X):  # each span's (n_seeds, steps) bytes
             for span in _spans(rows, cuts):
                 digest.update(np.ascontiguousarray(span))
@@ -483,14 +472,14 @@ def _kept_pieces(model: SimConfig, starts, replicates, l_values, check: bool):
             yield X[..., skip:], I[..., skip:], Y[..., skip:]
 
 
-def _consume(model: SimConfig, starts, replicates, l_values, sink, check: bool):
-    """Feed each :func:`_kept_pieces` piece to sink.add(X, I, Y); returns sink.
+def _single_start_pieces(cfg: SimConfig, replicates, l_values):
+    """:func:`_kept_pieces` of cfg's own (eco.c, x0, y0) start, checked.
 
-    Every sink gives the same result wherever its series is cut.
+    cfg is resolved now, so a config error raises here, before any draw;
+    the run steps as the pieces are taken.
     """
-    for X, I, Y in _kept_pieces(model, starts, replicates, l_values, check):
-        sink.add(X, I, Y)
-    return sink
+    cfg = resolve_config(cfg)
+    return _kept_pieces(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], replicates, l_values, check=True)
 
 
 def trajectory_pieces(cfg: SimConfig, replicate: int = 0):
@@ -505,9 +494,7 @@ def trajectory_pieces(cfg: SimConfig, replicate: int = 0):
     overflows.  It holds no full series, so KEPT_SERIES_MAX_BYTES does not
     apply.
     """
-    cfg = resolve_config(cfg)
-    pieces = _kept_pieces(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], [replicate], [cfg.adapt.l],
-                          check=True)
+    pieces = _single_start_pieces(cfg, [replicate], [cfg.adapt.l])
     return cfg.burn_in, ((X[0, 0], Y[0, 0, 0], I[0]) for X, I, Y in pieces)
 
 
@@ -517,12 +504,25 @@ def run_trajectory(cfg: SimConfig, replicate: int = 0) -> Trajectory:
     Identical (cfg, replicate) gives a bit-identical result.  The first
     retained sample is time step burn_in.  Raises NonFiniteStateError as
     soon as the state overflows (a huge finite x0 or i0), so no nan reaches
-    a results file.
+    a results file, and ValueError, before any draw, when the kept series
+    would take more than KEPT_SERIES_MAX_BYTES.
     """
-    rcfg = resolve_config(cfg)
-    kept = _consume(rcfg, [(rcfg.eco.c, rcfg.x0, rcfg.y0)], [replicate], [rcfg.adapt.l],
-                    _KeptSeries(rcfg, 1, 1, 1), check=True)
-    return Trajectory(kept.X[0, 0], kept.Y[0, 0, 0], kept.I[0], rcfg.burn_in)
+    t0, pieces = trajectory_pieces(cfg, replicate)
+    n_kept = cfg.t_max - t0
+    n_bytes = 24 * n_kept  # float64 xs, ys and noise
+    if n_bytes > KEPT_SERIES_MAX_BYTES:
+        raise ValueError(
+            f"keeping sim.t_max - sim.burn_in = {n_kept} steps needs {n_bytes} bytes, "
+            f"above KEPT_SERIES_MAX_BYTES = {KEPT_SERIES_MAX_BYTES}; "
+            "lower sim.t_max or raise sim.burn_in")
+    # filled in place: joining the pieces at the end would hold the series twice
+    kept, t = np.empty((3, n_kept)), 0
+    for piece in pieces:
+        n = piece[0].size
+        for row, values in zip(kept, piece):
+            row[t:t + n] = values
+        t += n
+    return Trajectory(*kept, t0)
 
 
 def _stderrs(avgs: np.ndarray) -> list[float]:
@@ -546,10 +546,9 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    cfg = resolve_config(cfg)
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow: a non-finite average
-        sums = _consume(cfg, [(cfg.eco.c, cfg.x0, cfg.y0)], range(n_seeds), [cfg.adapt.l],
-                        _CellSums(cfg.burn_in, 1, n_seeds, 1, [cfg.wellbeing], False), check=True)
+    sums = _CellSums(cfg.burn_in, 1, n_seeds, 1, [cfg.wellbeing], False)
+    for piece in _single_start_pieces(cfg, range(n_seeds), [cfg.adapt.l]):
+        sums.add(*piece)
     [pays], [mean_payoff], [stderr_payoff] = sums.averages(sums.x, cfg.wellbeing.params)
     [utils], [mean_utility], [stderr_utility] = sums.averages(sums.utility[0][0])
     return EnsembleSummary(pays, utils, mean_payoff, mean_utility, stderr_payoff, stderr_utility)

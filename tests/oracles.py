@@ -3,7 +3,8 @@
 Everything here recomputes expected values through a different route than
 the library: fixed points by brute-force scanning of the map itself, fold
 points by fine-grid root counting in c, trajectories by replaying the
-scalar single-step functions, adapted states by one unchunked loop, time
+scalar single-step functions, adapted states by one unchunked loop, a
+run's kept series by joining its streamed pieces along time, time
 averages by summing a whole series span by span or by one mean of the full
 series, and basin dwells by classifying each point or run-length encoding a
 whole series, and CSV text by formatting each row on its own.
@@ -30,7 +31,7 @@ from flickersim import (
     utility,
 )
 from flickersim.io import _fmt
-from flickersim.simulate import STREAM_SPAN
+from flickersim.simulate import STREAM_SPAN, _kept_pieces
 
 
 def brute_force_fixed_points(p: EcoParams, step: float = 1e-4) -> list[float]:
@@ -106,6 +107,14 @@ def replay_trajectory(cfg: SimConfig, replicate: int = 0):
         xs[t], is_[t], ys[t] = state.x, state.i, state.y
         state = step_coupled(state, rcfg.eco, rcfg.noise, rcfg.adapt, float(etas[t]))
     return xs, is_, ys
+
+
+def kept_series(model: SimConfig, starts, replicates, l_values, check: bool):
+    """The post-burn-in (X, I, Y) of a run of starts, each the _kept_pieces
+    of stream_spans joined along time: X is (len(starts), len(replicates),
+    t_max - burn_in), I (len(replicates), ...) and Y (len(l_values),) + X.shape."""
+    pieces = list(_kept_pieces(model, starts, replicates, l_values, check))
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*pieces))
 
 
 def adaptation_paths(X: np.ndarray, y0: float, l: float) -> np.ndarray:

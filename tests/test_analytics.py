@@ -138,7 +138,7 @@ def test_dwell_counter_equals_run_length_encoding(case):
     dwells = _Dwells(len(X), 5.0, min_dwell)
     bounds = [0, *cuts, X.shape[1]]
     for lo, hi in zip(bounds, bounds[1:]):
-        if hi > burn_in:  # as simulate._consume feeds spans
+        if hi > burn_in:  # as simulate._kept_pieces yields spans
             dwells.add(X[None, :, max(lo, burn_in):hi], None, None)
     want = [run_length_flicker_stats(row[burn_in:], 5.0, min_dwell) for row in X]
     assert dwells.stats() == want

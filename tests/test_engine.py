@@ -38,9 +38,7 @@ from flickersim.simulate import (
     STREAM_SPAN,
     _block_spans,
     _CellSums,
-    _consume,
     _grid_cell,
-    _KeptSeries,
     _scalar_spans,
     resolve_config,
 )
@@ -52,7 +50,8 @@ from flickersim.wellbeing import (
     payoff,
     utility,
 )
-from oracles import adaptation_paths, replay_trajectory, span_summed_mean, span_x_digest
+from oracles import (adaptation_paths, kept_series, replay_trajectory, span_summed_mean,
+                     span_x_digest)
 
 BASE = SimConfig(t_max=3 * STREAM_SPAN + 7, burn_in=STREAM_SPAN + 3, seed=23)
 C_VALUES = [1.0, 1.95, 3.1]  # high, bistable and collapsed: three default x0
@@ -89,8 +88,7 @@ class TestBlockRows:
         starts = starts_at(base, C_VALUES)
         if base.x0 is None:
             assert len({x0 for _, x0, _ in starts}) == len(C_VALUES)
-        xs = _consume(base, starts, range(3), [], _KeptSeries(base, len(starts), 3, 0),
-                      check=True).X
+        xs = kept_series(base, starts, range(3), [], check=True)[0]
         for j, c in enumerate(C_VALUES):
             for k in range(3):
                 assert np.array_equal(xs[j, k], run_trajectory(at_c(base, c), k).xs)
@@ -371,13 +369,12 @@ class TestGridReplaysExactly:
 def test_grid_payoff_is_the_payoff_at_the_mean_x(c_values, n_seeds, t_max, burn_frac, x0, seed):
     """Every payoff column of a grid row is, bit for bit, the mean over
     replicates of m + n * (each replicate's span-summed mean x, from a
-    _KeptSeries run of the same starts), and its stderr theirs."""
+    kept_series run of the same starts), and its stderr theirs."""
     base = SimConfig(t_max=t_max, burn_in=int(burn_frac * (t_max - 1)), x0=x0, seed=seed)
     cells = [_grid_cell(base, c) for c in sorted(c_values)]
     starts = [cell.start for cell in cells if isinstance(cell.start, tuple)]
     assume(starts)
-    kept = _consume(base, starts, range(n_seeds), [], _KeptSeries(base, len(starts), n_seeds, 0),
-                    check=False)
+    X_kept = kept_series(base, starts, range(n_seeds), [], check=False)[0]
 
     def want(X, w):
         pays = np.array([w.m + w.n * span_summed_mean(x, base.burn_in) for x in X])
@@ -387,7 +384,7 @@ def test_grid_payoff_is_the_payoff_at_the_mean_x(c_values, n_seeds, t_max, burn_
     sweep = {row.c: row for row in utility_sweep(base, c_values, [0.1], n_seeds)}
     pairs = {row.c: row for row in transform_comparison(base, SPECIALIST, GENERALIST,
                                                          sorted(c_values), 0.1, n_seeds).rows}
-    for (c, _, _), X in zip(starts, kept.X):
+    for (c, _, _), X in zip(starts, X_kept):
         for row, tag, w in ((sweep[c], "", SPECIALIST.params),
                             (pairs[c], "_baseline", SPECIALIST.params),
                             (pairs[c], "_transform", GENERALIST.params)):

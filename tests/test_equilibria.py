@@ -191,8 +191,8 @@ class TestFoldPoints:
 
     @pytest.mark.parametrize("args,match", [
         ((2.0, 1.0), r"need 0 <= c_min < c_max"), ((-1.0, 4.0), r"need 0 <= c_min < c_max"),
-        ((0.0, 4.0, 0.0), "tol must be > 0"), ((0.0, 4.0, 1e-4, 0), "n_scan must be >= 1"),
-    ], ids=["reversed", "negative", "tol", "n_scan"])
+        ((0.0, 4.0, 0.0), "tol must be > 0"),
+    ], ids=["reversed", "negative", "tol"])
     def test_bad_arguments_named(self, args, match):
         with pytest.raises(ValueError, match=match):
             fold_points(P, *args)

@@ -1,8 +1,11 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
+import re
 import shlex
 import stat
 import subprocess
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import flickersim
 from flickersim import (
     GENERALIST,
     PRESETS,
@@ -1011,6 +1015,17 @@ class TestCli:
         parser = cli.build_parser()
         for argv in lines:
             assert parser.parse_args(argv[1:]).command == argv[1]
+
+    def test_readme_code_references_resolve(self):
+        # every backticked `module.name` of a flickersim module names something it has
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        modules = {m.name for m in pkgutil.iter_modules(flickersim.__path__)}
+        refs = {ref.groups() for span in re.findall(r"`([^`\n]+)`", readme)
+                if (ref := re.match(r"(\w+)\.(\w+)", span)) and ref[1] in modules}
+        assert len(refs) >= 25
+        missing = [f"{module}.{name}" for module, name in sorted(refs)
+                   if not hasattr(importlib.import_module(f"flickersim.{module}"), name)]
+        assert missing == []
 
     def test_preset_choices_follow_preset_kinds(self):
         kinds = {"simulate": SimConfig, "flicker": SimConfig, "bifurcation": ScanConfig,

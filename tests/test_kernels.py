@@ -45,13 +45,12 @@ from flickersim.simulate import (
     STREAM_SPAN,
     _block_spans,
     _CellSums,
-    _consume,
-    _KeptSeries,
+    _kept_pieces,
     _scalar_spans,
     resolve_config,
     stream_spans,
 )
-from oracles import adaptation_paths, replay_trajectory
+from oracles import adaptation_paths, kept_series, replay_trajectory
 from test_engine import (BASE, C_VALUES, HORIZONS, L_VALUES, at_c, forced, kernel_spans,
                          replayed_mean_utility, span_edges, starts_at)
 from test_simulate import SMALL
@@ -144,8 +143,7 @@ class TestKernelsAgree:
         starts = [*starts_at(replace(BASE, x0=2.0, y0=1.0), C_VALUES), *starts_at(BASE, C_VALUES)]
         replicates = [0, 2, 5]
         X, _, Y = joined(BASE, starts, replicates, Y_L_VALUES)
-        kept = _consume(BASE, starts, replicates, Y_L_VALUES,
-                        _KeptSeries(BASE, len(starts), len(replicates), len(Y_L_VALUES)), True).Y
+        kept = kept_series(BASE, starts, replicates, Y_L_VALUES, True)[2]
         for a, l in enumerate(Y_L_VALUES):
             single = joined(BASE, starts, replicates, [l])[2][0]
             assert np.array_equal(Y[a], single)  # stacked capacities equal one each
@@ -210,23 +208,13 @@ def coupled_replay(cfg: SimConfig, replicate: int) -> np.ndarray:
     return np.array(states).T
 
 
-class _Recorder:
-    """Sink that keeps a copy of every (X, I, Y) it is fed."""
-
-    def __init__(self) -> None:
-        self.spans = []
-
-    def add(self, X, I, Y) -> None:
-        self.spans.append((X.copy(), I.copy(), Y.copy()))
-
-
 @settings(max_examples=60, deadline=None)
 @given(burn_in=st.integers(0, 3 * STREAM_SPAN + 5), kept=st.integers(1, 3 * STREAM_SPAN + 5))
 @example(burn_in=0, kept=2 * STREAM_SPAN + 3)                 # no burn-in
 @example(burn_in=STREAM_SPAN + 3, kept=STREAM_SPAN)           # ends mid-span
 @example(burn_in=STREAM_SPAN, kept=STREAM_SPAN + 1)           # ends on a span boundary
 @example(burn_in=2 * STREAM_SPAN + 5, kept=1)                 # longer than one span
-def test_consume_feeds_sinks_the_post_burn_in_steps(burn_in, kept):
+def test_kept_pieces_feed_sinks_the_post_burn_in_steps(burn_in, kept):
     base = replace(BASE, t_max=burn_in + kept, burn_in=burn_in)
     starts = [*starts_at(base, C_VALUES), *starts_at(replace(base, x0=2.0, y0=1.0), [1.95])]
     replicates = [0, 3]
@@ -234,12 +222,14 @@ def test_consume_feeds_sinks_the_post_burn_in_steps(burn_in, kept):
         whole = [np.concatenate(part, axis=-1)
                  for part in zip(*kernel_spans(kernel, base, starts, replicates, L_VALUES))]
         with forced(kernel):
-            rec = _consume(base, starts, replicates, L_VALUES, _Recorder(), check=True)
-            sums = _consume(base, starts, replicates, L_VALUES,
-                            _CellSums(burn_in, len(starts), len(replicates), len(L_VALUES),
-                                      [SPECIALIST], True), check=False)
-        assert all(span[0].shape[-1] > 0 for span in rec.spans)
-        got = [np.concatenate(part, axis=-1) for part in zip(*rec.spans)]
+            spans = [tuple(A.copy() for A in piece)
+                     for piece in _kept_pieces(base, starts, replicates, L_VALUES, check=True)]
+            sums = _CellSums(burn_in, len(starts), len(replicates), len(L_VALUES), [SPECIALIST],
+                             True)
+            for piece in _kept_pieces(base, starts, replicates, L_VALUES, check=False):
+                sums.add(*piece)
+        assert all(span[0].shape[-1] > 0 for span in spans)
+        got = [np.concatenate(part, axis=-1) for part in zip(*spans)]
         for part, full in zip(got, whole):
             assert part.shape[-1] == kept
             assert np.array_equal(part, full[..., burn_in:])

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,8 @@ from flickersim import (
     utility_sweep,
 )
 from flickersim import simulate
+from flickersim.presets import get_preset
+from flickersim.simulate import SCALAR_BLOCK
 from oracles import adaptation_paths, replay_trajectory, span_summed_mean
 from test_engine import HORIZONS
 
@@ -51,6 +55,18 @@ class TestConfig:
     def test_non_finite_start_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"sim.{field} must be finite"):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("t_max", 100.5), ("t_max", float("inf")), ("burn_in", 10.5), ("burn_in", True),
+        ("seed", 1.5), ("seed", False), ("seed", "3"),
+    ])
+    def test_non_integer_count_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"sim.{field} must be an integer, got {value!r}"):
+            SimConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SimConfig(t_max=np.int32(400), burn_in=np.int64(50), seed=np.uint64(99))
+        assert np.array_equal(run_trajectory(cfg).xs, run_trajectory(SMALL).xs)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="sim.seed must be >= 0, got -1"):
@@ -167,6 +183,37 @@ class TestRunTrajectory:
         tr = run_trajectory(cfg)
         assert np.all(tr.xs >= 0.0)
         assert np.all(tr.ys >= 0.0)
+
+    @pytest.mark.parametrize("replicate,message", [
+        (-1, "replicate must be >= 0, got -1"), (1.5, "replicate must be an integer, got 1.5"),
+        (True, "replicate must be an integer, got True"),
+    ])
+    def test_bad_replicate_named_before_any_draw(self, monkeypatch, replicate, message):
+        def no_draw(*args):
+            raise AssertionError("a draw ran")
+
+        monkeypatch.setattr(simulate, "_draw_innovations", no_draw)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_trajectory(SMALL, replicate)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(simulate.stream_spans(SMALL, [(1.0, 5.0, 5.0)], [0, replicate], []))
+
+    def test_series_held_once(self):
+        """run_trajectory fills one array in place: beyond its 24 bytes per
+        kept step (xs, ys and noise), the run holds one block, not a second
+        copy of the series.  A block's Python lists, arrays and draw took
+        ~186 bytes per row-step of SCALAR_BLOCK at fig4b."""
+        cfg = get_preset("fig4b")
+        for kept in (4 * SCALAR_BLOCK + 5, 16 * SCALAR_BLOCK + 5):
+            run = replace(cfg, t_max=cfg.burn_in + kept)
+            run_trajectory(run)  # warms caches
+            tracemalloc.start()
+            try:
+                run_trajectory(run)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * kept + 256 * SCALAR_BLOCK, (kept, peak)
 
     def test_kept_series_above_the_cap_fail_by_name(self, monkeypatch):
         # SMALL keeps 350 steps of x, i and y: 3 * 8 * 350 bytes
