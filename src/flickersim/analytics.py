@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dynamics import AdaptationParams, EcoParams
+from .dynamics import AdaptationParams, EcoParams, _check_count
 from .equilibria import Regime, equilibria
 from .simulate import SimConfig, _CellSums, _grid_cell, _kept_pieces, _single_start_pieces
 from .wellbeing import CaseProfile
@@ -131,13 +131,10 @@ class _Dwells:
     """
 
     def __init__(self, n_seeds: int, separatrix: float, min_dwell: int) -> None:
-        if n_seeds < 1:
-            raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-        if not separatrix > 0:
-            raise ValueError(f"separatrix must be > 0, got {separatrix}")
-        if min_dwell < 1:
-            raise ValueError(f"min_dwell must be >= 1, got {min_dwell}")
-        self.separatrix, self.min_dwell = separatrix, min_dwell
+        n_seeds = _check_count("n_seeds", n_seeds, 1)
+        if not 0 < separatrix < np.inf:
+            raise ValueError(f"separatrix must be finite and > 0, got {separatrix}")
+        self.separatrix, self.min_dwell = separatrix, _check_count("min_dwell", min_dwell, 1)
         self.dwells = [[0] for _ in range(n_seeds)]
         self.start = [0] * n_seeds
         self.n = 0
@@ -294,10 +291,7 @@ def utility_sweep(
     l_values = [float(l) for l in l_values]
     if not l_values:
         raise ValueError("l_values must be nonempty")
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    n_seeds, workers = _check_count("n_seeds", n_seeds, 1), _check_count("workers", workers, 1)
     rows = []
     for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, l_values, [base.wellbeing],
                                              n_seeds, workers)):
@@ -358,8 +352,7 @@ def transform_comparison(
     out of the crossing search.
     """
     c_grid = _check_grid(c_grid, increasing=True)
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    n_seeds = _check_count("n_seeds", n_seeds, 1)
     base = replace(base, adapt=AdaptationParams(l=float(l)))
     rows = []
     for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, [l], [baseline_case, transform_case],

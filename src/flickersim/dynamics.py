@@ -17,7 +17,27 @@ the noise level i is left unbounded.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def _check_count(name: str, value, least: int | None = None) -> int:
+    """value as an int; ValueError naming name unless an int or numpy integer (no bool) >= least."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
+    if least is not None and count < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return count
+
+
+def _store_floats(obj, names) -> None:
+    """Store obj's named fields as Python floats (None kept): a config hashes as it reloads."""
+    for name in names:
+        if getattr(obj, name) is not None:
+            object.__setattr__(obj, name, float(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -43,13 +63,11 @@ class EcoParams:
             raise ValueError(f"eco.K must be finite and > 0, got {self.K}")
         if not 0 < self.h < math.inf:
             raise ValueError(f"eco.h must be finite and > 0, got {self.h}")
-        if self.h * self.h == 0.0:  # the harvest term would divide 0 by 0 at x = 0
-            raise ValueError(f"eco.h must be large enough that h * h > 0, got {self.h}")
         if not 0 <= self.c < math.inf:
             raise ValueError(f"eco.c must be finite and >= 0, got {self.c}")
-        # Python floats, so numpy scalars take the solver's and the kernels' float paths
-        for name in ("r", "K", "c", "h"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _store_floats(self, ("r", "K", "c", "h"))  # so a numpy h * h cannot warn on overflow
+        if self.h * self.h == 0.0:  # the harvest term would divide 0 by 0 at x = 0
+            raise ValueError(f"eco.h must be large enough that h * h > 0, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,7 @@ class NoiseParams:
             raise ValueError(f"noise.beta must be finite and >= 0, got {self.beta}")
         if not math.isfinite(self.mu):
             raise ValueError(f"noise.mu must be finite, got {self.mu}")
+        _store_floats(self, ("T", "beta", "mu"))
 
     @property
     def memory(self) -> float:
@@ -93,6 +112,7 @@ class AdaptationParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.l <= 1.0:
             raise ValueError(f"adapt.l must be within [0, 1], got {self.l}")
+        _store_floats(self, ("l",))
 
 
 @dataclass(frozen=True)

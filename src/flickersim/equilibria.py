@@ -29,7 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import EcoParams
+from .dynamics import EcoParams, _check_count
 
 # Residual |f(x*) - x*| above which a root is rejected.
 RESIDUAL_TOL = 1e-9
@@ -244,8 +244,7 @@ def bifurcation_scan(
     """
     if not (0 <= c_min < c_max < math.inf):
         raise ValueError(f"need 0 <= c_min < c_max < inf, got [{c_min}, {c_max}]")
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be >= 2, got {n_steps}")
+    n_steps = _check_count("n_steps", n_steps, 2)
     r, K, h = p_base.r, p_base.K, p_base.h
     rows = []
     for c in np.linspace(c_min, c_max, n_steps).tolist():

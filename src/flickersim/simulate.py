@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import AdaptationParams, EcoParams, NoiseParams
+from .dynamics import AdaptationParams, EcoParams, NoiseParams, _check_count, _store_floats
 from .equilibria import Regime, _classify, equilibria
 from .wellbeing import SPECIALIST, CaseProfile, payoff, penalty
 
@@ -92,12 +92,6 @@ class NonFiniteStateError(ValueError):
     """A simulated state overflowed to inf or nan (a huge but finite start)."""
 
 
-def _check_integer(name: str, value) -> None:
-    """ValueError naming name unless value is an int or a numpy integer (a bool is neither)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to reproduce one stochastic run.
@@ -120,10 +114,8 @@ class SimConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        for name in ("t_max", "burn_in", "seed"):
-            _check_integer(f"sim.{name}", getattr(self, name))
-        if not self.burn_in >= 0:
-            raise ValueError(f"sim.burn_in must be >= 0, got {self.burn_in}")
+        for name, least in (("t_max", None), ("burn_in", 0), ("seed", 0)):
+            object.__setattr__(self, name, _check_count(f"sim.{name}", getattr(self, name), least))
         if not self.t_max > self.burn_in:
             raise ValueError(
                 f"sim.t_max must exceed burn_in, got t_max={self.t_max} burn_in={self.burn_in}"
@@ -134,8 +126,7 @@ class SimConfig:
                 raise ValueError(f"sim.{name} must be finite and >= 0, got {value}")
         if not math.isfinite(self.i0):
             raise ValueError(f"sim.i0 must be finite, got {self.i0}")
-        if not self.seed >= 0:
-            raise ValueError(f"sim.seed must be >= 0, got {self.seed}")
+        _store_floats(self, ("x0", "y0", "i0"))
 
 
 @dataclass(frozen=True)
@@ -192,9 +183,7 @@ def innovation_stream(seed: int, replicate: int = 0) -> np.random.Generator:
 
     Every route's replicates pass through here, so a bad one is named before any draw.
     """
-    _check_integer("replicate", replicate)
-    if replicate < 0:
-        raise ValueError(f"replicate must be >= 0, got {replicate}")
+    replicate = _check_count("replicate", replicate, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -544,8 +533,7 @@ def run_ensemble(cfg: SimConfig, n_seeds: int) -> EnsembleSummary:
     NonFiniteStateError as run_trajectory does; a sum that overflows gives
     a non-finite average, with no warning.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    n_seeds = _check_count("n_seeds", n_seeds, 1)
     sums = _CellSums(cfg.burn_in, 1, n_seeds, 1, [cfg.wellbeing], False)
     for piece in _single_start_pieces(cfg, range(n_seeds), [cfg.adapt.l]):
         sums.add(*piece)

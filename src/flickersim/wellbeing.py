@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _store_floats
+
 LN2 = math.log(2.0)
 
 
@@ -32,6 +34,7 @@ class WellbeingParams:
             raise ValueError(f"wellbeing.m must be finite and > 0 (payoff at x=0), got {self.m}")
         if not math.isfinite(self.n):
             raise ValueError(f"wellbeing.n must be finite, got {self.n}")
+        _store_floats(self, ("m", "n", "a"))
 
 
 @dataclass(frozen=True)

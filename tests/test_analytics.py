@@ -111,6 +111,15 @@ class TestFlickerStats:
             flicker_stats([1.0], 1.0, min_dwell=0)
 
 
+@pytest.mark.parametrize("separatrix", [np.inf, np.nan, 0.0])
+def test_separatrix_must_be_finite_and_positive(separatrix):
+    message = f"separatrix must be finite and > 0, got {separatrix}"
+    with pytest.raises(ValueError, match=message):
+        flicker_stats([1.0, 2.0], separatrix)
+    with pytest.raises(ValueError, match=message):
+        flicker_replicates(FAST, 1, separatrix)
+
+
 def test_flicker_replicates_need_a_replicate():
     with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
         flicker_replicates(FAST, 0, 1.0)

@@ -12,10 +12,12 @@ import contextlib
 import io as _io
 import json
 import math
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from flickersim import (
     RegimeError,
     SimConfig,
     analytics,
+    bifurcation_scan,
     io,
     run_ensemble,
     run_trajectory,
@@ -132,6 +135,14 @@ def cli_calls(case: Case, config: Path, out: Path) -> list[list[str]]:
     ]
 
 
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_main(argv: list[str]) -> tuple[int, str]:
     stdout, stderr = _io.StringIO(), _io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -147,6 +158,7 @@ def run_main(argv: list[str]) -> tuple[int, str]:
 @example(case=Case(SimConfig(eco=EcoParams(h=TINIEST_H), t_max=120, burn_in=20)))
 @example(case=Case(SMALL, c_grid=(-2.0, -1.0)))  # no c of the grid resolves
 @example(case=Case(SimConfig(t_max=120, burn_in=20, x0=1e300)))  # a start near overflow
+@example(case=Case(SMALL, separatrix=math.inf))  # would write Infinity into flicker.json
 def test_every_entry_point_returns_or_fails_by_name(case):
     for fn, args in library_calls(case):
         try:
@@ -159,3 +171,36 @@ def test_every_entry_point_returns_or_fails_by_name(case):
         for argv in cli_calls(case, config, Path(tmp) / "out"):
             code, err = run_main(argv)
             assert code == 0 or json.loads(err)["error"] in NAMED_NAMES, (argv, err)
+            if code == 0:  # every JSON file written is strict JSON
+                for path in (Path(tmp) / "out").glob("*.json"):
+                    strict_json(path.read_text())
+
+
+# each count argument of an entry point, its name, a valid value, and a call taking it
+COUNTS = {
+    "run_ensemble": ("n_seeds", 2, lambda n: run_ensemble(SMALL, n)),
+    "utility_sweep": ("n_seeds", 2, lambda n: utility_sweep(SMALL, [1.0], [0.01], n)),
+    "utility_sweep-workers": ("workers", 1,
+                              lambda n: utility_sweep(SMALL, [1.0], [0.01], 1, workers=n)),
+    "transform_comparison": ("n_seeds", 2, lambda n: transform_comparison(
+        SMALL, SPECIALIST, GENERALIST, [1.0, 1.95], 0.01, n)),
+    "flicker_replicates": ("n_seeds", 2, lambda n: analytics.flicker_replicates(SMALL, n, 1.0)),
+    "flicker_replicates-min_dwell": ("min_dwell", 2,
+                                     lambda n: analytics.flicker_replicates(SMALL, 1, 1.0, n)),
+    "flicker_stats": ("min_dwell", 2, lambda n: analytics.flicker_stats([1.0, 2.0, 1.0], 1.5, n)),
+    "bifurcation_scan": ("n_steps", 3, lambda n: bifurcation_scan(EcoParams(), 0.0, 4.0, n)),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, np.bool_(True)], ids=["float", "bool", "np_bool"])
+@pytest.mark.parametrize("entry", COUNTS)
+def test_non_integer_count_named_at_every_entry_point(entry, value):
+    name, _, call = COUNTS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_numpy_integer_count_runs_as_its_int(entry):
+    _, count, call = COUNTS[entry]
+    assert repr(call(np.int64(count))) == repr(call(count))

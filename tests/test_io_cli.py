@@ -87,25 +87,38 @@ FLOAT_PARAMETER_IDS = [f"{section}.{name}" for section, _, name in FLOAT_PARAMET
 NON_FINITE = {".nan": math.nan, ".inf": math.inf, "-.inf": -math.inf}
 
 
+def spellings(floats, least: int = -10**6, most: int = 10**6):
+    """floats, those values as np.float64, or ints in [least, most]: a parameter
+    given any of these is stored as a Python float."""
+    return floats | floats.map(np.float64) | st.integers(least, most)
+
+
+def counts(least: int, most: int):
+    """ints in [least, most], as Python ints or np.int64."""
+    return st.integers(least, most) | st.integers(least, most).map(np.int64)
+
+
 @st.composite
 def sim_configs(draw) -> SimConfig:
-    """Valid SimConfigs: x0/y0 None or a start, built-in or custom wellbeing."""
+    """Valid SimConfigs: x0/y0 None or a start, built-in or custom wellbeing, each
+    number a float, an int or a numpy scalar."""
+    positive, non_negative = spellings(POSITIVE, 1), spellings(NON_NEGATIVE, 0)
     # h * h must not underflow to 0
-    eco = EcoParams(r=draw(POSITIVE), K=draw(POSITIVE), c=draw(NON_NEGATIVE),
-                    h=draw(POSITIVE.filter(lambda h: h * h > 0.0)))
-    noise = NoiseParams(T=draw(st.floats(min_value=1.0, allow_infinity=False)),
-                        beta=draw(NON_NEGATIVE), mu=draw(FINITE))
-    custom = st.builds(CaseProfile, st.text(),
-                       st.builds(WellbeingParams, m=POSITIVE, n=FINITE, a=POSITIVE))
-    burn_in = draw(st.integers(min_value=0, max_value=10**9))
-    start = st.none() | NON_NEGATIVE
+    eco = EcoParams(r=draw(positive), K=draw(positive), c=draw(non_negative),
+                    h=draw(positive.filter(lambda h: float(h) * float(h) > 0.0)))
+    noise = NoiseParams(T=draw(spellings(st.floats(min_value=1.0, allow_infinity=False), 1)),
+                        beta=draw(non_negative), mu=draw(spellings(FINITE)))
+    custom = st.builds(CaseProfile, st.text(), st.builds(
+        WellbeingParams, m=positive, n=spellings(FINITE), a=positive))
+    burn_in = draw(counts(0, 10**9))
+    start = st.none() | non_negative
     return SimConfig(
         eco=eco, noise=noise,
-        adapt=AdaptationParams(l=draw(st.floats(min_value=0.0, max_value=1.0))),
+        adapt=AdaptationParams(l=draw(spellings(st.floats(min_value=0.0, max_value=1.0), 0, 1))),
         wellbeing=draw(st.sampled_from(list(PROFILES.values())) | custom),
-        t_max=draw(st.integers(min_value=burn_in + 1, max_value=burn_in + 10**9)),
-        burn_in=burn_in, x0=draw(start), y0=draw(start), i0=draw(FINITE),
-        seed=draw(st.integers(min_value=0, max_value=2**64)),
+        t_max=draw(counts(burn_in + 1, burn_in + 10**9)),
+        burn_in=burn_in, x0=draw(start), y0=draw(start), i0=draw(spellings(FINITE)),
+        seed=draw(st.integers(min_value=0, max_value=2**64) | counts(0, 2**63 - 1)),
     )
 
 
@@ -239,7 +252,9 @@ class TestConfigFiles:
     def test_config_round_trips(self, tmp_path, cfg):
         assert config_from_dict(config_to_dict(cfg)) == cfg
         write_config(cfg, tmp_path / "run.yaml")
-        assert load_config(tmp_path / "run.yaml") == cfg
+        loaded = load_config(tmp_path / "run.yaml")
+        assert loaded == cfg
+        assert config_fingerprint(loaded) == config_fingerprint(cfg)
 
     @pytest.mark.parametrize("key,value", [("x0", ".inf"), ("y0", ".inf"), ("i0", ".nan"),
                                            ("i0", "-.inf")])
@@ -789,6 +804,7 @@ class TestCli:
     @pytest.mark.parametrize("flag,value,separatrix,min_dwell", [
         ("--min-dwell", "0", None, 0),
         ("--separatrix", "-1", -1.0, 5),
+        ("--separatrix", "inf", math.inf, 5),
     ])
     def test_bad_flicker_args_fail_before_simulating(self, tmp_path, capsys, monkeypatch,
                                                       flag, value, separatrix, min_dwell):
