@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dynamics import AdaptationParams, EcoParams, _check_count
+from .dynamics import AdaptationParams, EcoParams, _check_count, _check_real
 from .equilibria import Regime, equilibria
 from .simulate import SimConfig, _CellSums, _grid_cell, _kept_pieces, _single_start_pieces
 from .wellbeing import CaseProfile
@@ -132,9 +132,8 @@ class _Dwells:
 
     def __init__(self, n_seeds: int, separatrix: float, min_dwell: int) -> None:
         n_seeds = _check_count("n_seeds", n_seeds, 1)
-        if not 0 < separatrix < np.inf:
-            raise ValueError(f"separatrix must be finite and > 0, got {separatrix}")
-        self.separatrix, self.min_dwell = separatrix, _check_count("min_dwell", min_dwell, 1)
+        self.separatrix = _check_real("separatrix", separatrix, "> 0")
+        self.min_dwell = _check_count("min_dwell", min_dwell, 1)
         self.dwells = [[0] for _ in range(n_seeds)]
         self.start = [0] * n_seeds
         self.n = 0
@@ -196,14 +195,14 @@ def flicker_replicates(cfg: SimConfig, n_seeds: int, separatrix: float,
 
 
 def _check_grid(c_grid, increasing: bool) -> list[float]:
-    """c_grid as floats; rejects empty, non-finite and repeated values, and
-    with increasing=True any value not above its predecessor."""
-    c_grid = [float(c) for c in c_grid]
+    """c_grid as floats; rejects empty, non-numeric, non-finite and repeated values,
+    and with increasing=True any value not above its predecessor."""
+    try:
+        c_grid = [_check_real("c_grid value", c) for c in c_grid]
+    except ValueError as exc:
+        raise GridError(str(exc)) from None
     if not c_grid:
         raise GridError("c_grid must be nonempty")
-    bad = [c for c in c_grid if not np.isfinite(c)]
-    if bad:
-        raise GridError(f"c_grid values must be finite, got {bad}")
     if increasing:
         if any(b <= a for a, b in zip(c_grid, c_grid[1:])):
             raise GridError(f"c_grid must be strictly increasing, got {c_grid}")
@@ -288,7 +287,7 @@ def utility_sweep(
     error.
     """
     c_grid = _check_grid(c_grid, increasing=False)
-    l_values = [float(l) for l in l_values]
+    l_values = [AdaptationParams(l).l for l in l_values]
     if not l_values:
         raise ValueError("l_values must be nonempty")
     n_seeds, workers = _check_count("n_seeds", n_seeds, 1), _check_count("workers", workers, 1)
@@ -353,7 +352,7 @@ def transform_comparison(
     """
     c_grid = _check_grid(c_grid, increasing=True)
     n_seeds = _check_count("n_seeds", n_seeds, 1)
-    base = replace(base, adapt=AdaptationParams(l=float(l)))
+    base = replace(base, adapt=AdaptationParams(l=l))
     rows = []
     for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, [l], [baseline_case, transform_case],
                                              n_seeds, x_columns=True)):

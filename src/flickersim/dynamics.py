@@ -33,11 +33,24 @@ def _check_count(name: str, value, least: int | None = None) -> int:
     return count
 
 
-def _store_floats(obj, names) -> None:
-    """Store obj's named fields as Python floats (None kept): a config hashes as it reloads."""
-    for name in names:
-        if getattr(obj, name) is not None:
-            object.__setattr__(obj, name, float(getattr(obj, name)))
+# each bound _check_real takes, as the test a finite float must pass
+_BOUNDS = {"> 0": (0.0).__lt__, ">= 0": (0.0).__le__, ">= 1": (1.0).__le__}
+
+
+def _check_real(name: str, value, bound: str | None = None) -> float:
+    """value as a float; ValueError naming name unless an int, float or numpy integer or
+    floating scalar (no bool) that is finite and meets bound: "> 0", ">= 0" or ">= 1"."""
+    if type(value) is not float and (isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating))):  # a float skips the slow tests
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not (math.isfinite(real) and (bound is None or _BOUNDS[bound](real))):
+        raise ValueError(f"{name} must be finite{'' if bound is None else ' and ' + bound}, "
+                         f"got {value}")
+    return real
 
 
 @dataclass(frozen=True)
@@ -56,16 +69,8 @@ class EcoParams:
     h: float = 1.0
 
     def __post_init__(self) -> None:
-        # chained with < inf, so nan and +-inf fail too
-        if not 0 < self.r < math.inf:
-            raise ValueError(f"eco.r must be finite and > 0, got {self.r}")
-        if not 0 < self.K < math.inf:
-            raise ValueError(f"eco.K must be finite and > 0, got {self.K}")
-        if not 0 < self.h < math.inf:
-            raise ValueError(f"eco.h must be finite and > 0, got {self.h}")
-        if not 0 <= self.c < math.inf:
-            raise ValueError(f"eco.c must be finite and >= 0, got {self.c}")
-        _store_floats(self, ("r", "K", "c", "h"))  # so a numpy h * h cannot warn on overflow
+        for name, bound in (("r", "> 0"), ("K", "> 0"), ("h", "> 0"), ("c", ">= 0")):
+            object.__setattr__(self, name, _check_real(f"eco.{name}", getattr(self, name), bound))
         if self.h * self.h == 0.0:  # the harvest term would divide 0 by 0 at x = 0
             raise ValueError(f"eco.h must be large enough that h * h > 0, got {self.h}")
 
@@ -84,13 +89,8 @@ class NoiseParams:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.T < math.inf:
-            raise ValueError(f"noise.T must be finite and >= 1, got {self.T}")
-        if not 0 <= self.beta < math.inf:
-            raise ValueError(f"noise.beta must be finite and >= 0, got {self.beta}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"noise.mu must be finite, got {self.mu}")
-        _store_floats(self, ("T", "beta", "mu"))
+        for name, bound in (("T", ">= 1"), ("beta", ">= 0"), ("mu", None)):
+            object.__setattr__(self, name, _check_real(f"noise.{name}", getattr(self, name), bound))
 
     @property
     def memory(self) -> float:
@@ -110,9 +110,10 @@ class AdaptationParams:
     l: float = 0.01
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.l <= 1.0:
+        l = _check_real("adapt.l", self.l)
+        if not 0.0 <= l <= 1.0:
             raise ValueError(f"adapt.l must be within [0, 1], got {self.l}")
-        _store_floats(self, ("l",))
+        object.__setattr__(self, "l", l)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import EcoParams, _check_count
+from .dynamics import EcoParams, _check_count, _check_real
 
 # Residual |f(x*) - x*| above which a root is rejected.
 RESIDUAL_TOL = 1e-9
@@ -242,7 +242,8 @@ def bifurcation_scan(
     EcoParams built per rate.  Per-grid-point failures are recorded in the
     row rather than raised, with equilibria's message for that rate.
     """
-    if not (0 <= c_min < c_max < math.inf):
+    c_min, c_max = _check_real("c_min", c_min), _check_real("c_max", c_max)
+    if not 0 <= c_min < c_max:
         raise ValueError(f"need 0 <= c_min < c_max < inf, got [{c_min}, {c_max}]")
     n_steps = _check_count("n_steps", n_steps, 2)
     r, K, h = p_base.r, p_base.K, p_base.h
@@ -270,7 +271,8 @@ def fold_points(
     the band is absent from [c_min, c_max], or not contained strictly
     inside it, and EquilibriumError if the cubic leaves the float range.
     """
-    if not (0 <= c_min < c_max):
+    c_min, c_max = _check_real("c_min", c_min), _check_real("c_max", c_max)
+    if not 0 <= c_min < c_max:
         raise ValueError(f"need 0 <= c_min < c_max, got [{c_min}, {c_max}]")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")

@@ -74,24 +74,17 @@ def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
             raise ValidationError(f"unknown key {section}.{key}")
 
 
-def _num(section: str, key: str, value, cls=float):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{section}.{key} must be a number, got {value!r}")
-    if cls is int and isinstance(value, float) and not value.is_integer():
-        raise ValidationError(f"{section}.{key} must be a whole number, got {value!r}")
-    return cls(value)
-
-
 def _values(section: str, data: dict, fields) -> dict:
-    """data's values converted to the annotated types of the same-named fields.
-
-    int fields take whole numbers only; None stays None where the default is.
-    """
-    by_name = {f.name: f for f in fields}
-    _check_keys(section, data, tuple(by_name))
-    return {key: None if value is None and by_name[key].default is None
-            else _num(section, key, value, int if by_name[key].type in (int, "int") else float)
-            for key, value in data.items()}
+    """data with each whole float of an int field as an int; the dataclass checks the rest."""
+    ints = {f.name for f in fields if f.type in (int, "int")}
+    _check_keys(section, data, tuple(f.name for f in fields))
+    values = dict(data)
+    for key, value in data.items():
+        if key in ints and isinstance(value, float):
+            if not value.is_integer():
+                raise ValidationError(f"{section}.{key} must be a whole number, got {value!r}")
+            values[key] = int(value)
+    return values
 
 
 def _build(cls, **kwargs):

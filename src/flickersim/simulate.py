@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import AdaptationParams, EcoParams, NoiseParams, _check_count, _store_floats
+from .dynamics import AdaptationParams, EcoParams, NoiseParams, _check_count, _check_real
 from .equilibria import Regime, _classify, equilibria
 from .wellbeing import SPECIALIST, CaseProfile, payoff, penalty
 
@@ -120,13 +120,10 @@ class SimConfig:
             raise ValueError(
                 f"sim.t_max must exceed burn_in, got t_max={self.t_max} burn_in={self.burn_in}"
             )
-        for name in ("x0", "y0"):
+        for name, bound in (("x0", ">= 0"), ("y0", ">= 0"), ("i0", None)):
             value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"sim.{name} must be finite and >= 0, got {value}")
-        if not math.isfinite(self.i0):
-            raise ValueError(f"sim.i0 must be finite, got {self.i0}")
-        _store_floats(self, ("x0", "y0", "i0"))
+            if value is not None or name == "i0":  # x0/y0 None: see resolve_config
+                object.__setattr__(self, name, _check_real(f"sim.{name}", value, bound))
 
 
 @dataclass(frozen=True)
@@ -265,7 +262,7 @@ def stream_spans(model: SimConfig, starts, replicates, l_values):
     if not starts or not len(replicates):
         raise ValueError(f"a run needs at least one start and one replicate, "
                          f"got {len(starts)} starts and {len(replicates)} replicates")
-    ls = [AdaptationParams(float(l)).l for l in l_values]  # rejects l outside [0, 1]
+    ls = [AdaptationParams(l).l for l in l_values]  # rejects l outside [0, 1]
     streams = [innovation_stream(model.seed, k) for k in replicates]
     rows = len(starts) * len(streams)
     kernel = _scalar_spans if rows < SCALAR_ROWS else _block_spans

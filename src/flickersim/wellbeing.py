@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _store_floats
+from .dynamics import _check_real
 
 LN2 = math.log(2.0)
 
@@ -28,13 +28,9 @@ class WellbeingParams:
     a: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.a < math.inf:
-            raise ValueError(f"wellbeing.a must be finite and > 0, got {self.a}")
-        if not 0 < self.m < math.inf:
-            raise ValueError(f"wellbeing.m must be finite and > 0 (payoff at x=0), got {self.m}")
-        if not math.isfinite(self.n):
-            raise ValueError(f"wellbeing.n must be finite, got {self.n}")
-        _store_floats(self, ("m", "n", "a"))
+        for name, bound in (("a", "> 0"), ("m", "> 0"), ("n", None)):
+            value = _check_real(f"wellbeing.{name}", getattr(self, name), bound)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ have the same property over every magnitude in tests/test_equilibria.py.
 """
 
 import contextlib
+import dataclasses
 import io as _io
 import json
 import math
@@ -31,14 +32,17 @@ from flickersim import (
     NoiseParams,
     RegimeError,
     SimConfig,
+    WellbeingParams,
     analytics,
     bifurcation_scan,
+    fold_points,
     io,
     run_ensemble,
     run_trajectory,
     transform_comparison,
     utility_sweep,
 )
+from flickersim.analytics import GridError
 from flickersim.cli import main
 
 NAMED = (ValueError, EquilibriumError, RegimeError)
@@ -204,3 +208,76 @@ def test_non_integer_count_named_at_every_entry_point(entry, value):
 def test_numpy_integer_count_runs_as_its_int(entry):
     _, count, call = COUNTS[entry]
     assert repr(call(np.int64(count))) == repr(call(count))
+
+
+# the float fields of each parameter dataclass, by config-file section
+PARAMETERS = {"eco": EcoParams, "noise": NoiseParams, "adapt": AdaptationParams,
+              "wellbeing": WellbeingParams}
+
+
+def build(section: str, name: str, value):
+    """The section's dataclass (a SimConfig for "sim") with field name set to value."""
+    if section == "sim":
+        return SimConfig(**{name: value})
+    base = dataclasses.asdict(SPECIALIST.params) if section == "wellbeing" else {}
+    return PARAMETERS[section](**{**base, name: value})
+
+
+FIELDS = [(section, f.name) for section, cls in PARAMETERS.items()
+          for f in dataclasses.fields(cls)] + [("sim", "x0"), ("sim", "y0"), ("sim", "i0")]
+FIELD_IDS = [f"{section}.{name}" for section, name in FIELDS]
+
+# each real argument of an entry point, its name, and a call taking it
+REALS = {
+    **{key: (key, lambda v, s=section, n=name: build(s, n, v))
+       for key, (section, name) in zip(FIELD_IDS, FIELDS)},
+    "flicker_stats": ("separatrix", lambda v: analytics.flicker_stats([1.0, 2.0, 1.0], v)),
+    "flicker_replicates": ("separatrix", lambda v: analytics.flicker_replicates(SMALL, 1, v)),
+    "utility_sweep-c_grid": ("c_grid value", lambda v: utility_sweep(SMALL, [v], [0.01], 1)),
+    "utility_sweep-l_values": ("adapt.l", lambda v: utility_sweep(SMALL, [1.0], [v], 1)),
+    "transform_comparison-c_grid": ("c_grid value", lambda v: transform_comparison(
+        SMALL, SPECIALIST, GENERALIST, [1.0, v], 0.01, 1)),
+    "transform_comparison-l": ("adapt.l", lambda v: transform_comparison(
+        SMALL, SPECIALIST, GENERALIST, [1.0, 1.95], v, 1)),
+    "bifurcation_scan-c_min": ("c_min", lambda v: bifurcation_scan(EcoParams(), v, 4.0, 3)),
+    "bifurcation_scan-c_max": ("c_max", lambda v: bifurcation_scan(EcoParams(), 0.0, v, 3)),
+    "fold_points-c_min": ("c_min", lambda v: fold_points(EcoParams(), v, 4.0)),
+    "fold_points-c_max": ("c_max", lambda v: fold_points(EcoParams(), 0.0, v)),
+}
+HUGE_INT = 10 ** 400
+NON_REALS = {"str": "1", "bool": True, "np_bool": np.bool_(True), "None": None,
+             "huge_int": HUGE_INT}
+
+
+@pytest.mark.parametrize("entry,value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}") for entry in REALS
+    for kind, value in NON_REALS.items()
+    if not (value is None and entry in ("sim.x0", "sim.y0"))  # None starts at an equilibrium
+])
+def test_non_real_named_at_every_entry_point(entry, value):
+    name, call = REALS[entry]
+    expected = GridError if name == "c_grid value" else ValueError
+    text = "finite" if value is HUGE_INT else f"a number, got {value!r}"
+    with pytest.raises(expected, match=re.escape(f"{name} must be {text}")):
+        call(value)
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64, int])
+@pytest.mark.parametrize("section,name", FIELDS, ids=FIELD_IDS)
+def test_real_parameter_stored_as_a_python_float(section, name, kind):
+    stored = getattr(build(section, name, kind(1)), name)  # 1 is valid for every field
+    assert type(stored) is float and stored == 1.0
+
+
+@pytest.mark.parametrize("section,name", FIELDS, ids=FIELD_IDS)
+def test_huge_int_in_a_config_file_named_by_the_cli(tmp_path, section, name):
+    config = tmp_path / "bigint.yaml"
+    config.write_text(f"{section}:\n  {name}: {HUGE_INT}\n")
+    out = tmp_path / "out"
+    code, err = run_main(["simulate", "--config", str(config), "--out-dir", str(out)])
+    assert code == 1
+    err = json.loads(err)
+    assert err["error"] == "ValidationError"
+    assert err["message"].startswith(f"{section}.{name} must be finite")
+    assert err["message"].endswith(f", got {HUGE_INT}")
+    assert not (out / "trajectory.csv").exists()

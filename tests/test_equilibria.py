@@ -288,7 +288,7 @@ def test_scan_rejects_an_infinite_c_max():
     the grid with nan."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValueError, match=r"need 0 <= c_min < c_max < inf, got \[0\.0, inf\]"):
+        with pytest.raises(ValueError, match=r"c_max must be finite, got inf"):
             bifurcation_scan(P, 0.0, math.inf, 5)
     assert caught == []
 

@@ -60,6 +60,8 @@ CONFIGS = {
     # of trajectory.csv are written
     "late.yaml": ("eco: {r: 0.001, K: 1.0e+308, c: 0, h: 1.0}\nnoise: {beta: 0, mu: 0.003}\n"
                   "sim: {x0: 1, t_max: 20000, burn_in: 0}\n"),
+    # a whole number beyond the float range: exits 1 naming sim.x0
+    "bigint.yaml": f"sim: {{x0: 1{'0' * 400}}}\n",
 }
 
 # (label, arguments after the command): the preset figures, the grids at both
@@ -88,6 +90,7 @@ MATRIX = [
     ("sweep-overflow", ["sweep", "--config", "overflow.yaml"]),
     ("simulate-huge", ["simulate", "--config", "huge.yaml"]),
     ("simulate-overflow-late", ["simulate", "--config", "late.yaml"]),
+    ("simulate-bigint", ["simulate", "--config", "bigint.yaml"]),
     # 4 c x 10 seeds: 40 rows on the block kernel, each flagged
     ("transform-overflow", ["transform", "--config", "overflow.yaml", "--c-min", "1",
                             "--c-max", "2", "--steps", "4", "--seeds", "10"]),
