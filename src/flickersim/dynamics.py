@@ -23,13 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _shown(value) -> str:
+    """str(value), or the size of an int too long for str() (sys.get_int_max_str_digits)."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = int(value.bit_length() * math.log10(2)) + 1
+        return f"{'a negative' if value < 0 else 'an'} int of about {digits} digits"
+
+
 def _check_count(name: str, value, least: int | None = None) -> int:
     """value as an int; ValueError naming name unless an int or numpy integer (no bool) >= least."""
     if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     count = operator.index(value)
     if least is not None and count < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be >= {least}, got {_shown(value)}")
     return count
 
 
@@ -49,7 +58,7 @@ def _check_real(name: str, value, bound: str | None = None) -> float:
         real = math.inf
     if not (math.isfinite(real) and (bound is None or _BOUNDS[bound](real))):
         raise ValueError(f"{name} must be finite{'' if bound is None else ' and ' + bound}, "
-                         f"got {value}")
+                         f"got {_shown(value)}")
     return real
 
 
@@ -132,12 +141,9 @@ class SystemState:
     t: int = 0
 
     def __post_init__(self) -> None:
-        if not self.x >= 0:
-            raise ValueError(f"state.x must be >= 0, got {self.x}")
-        if not self.y >= 0:
-            raise ValueError(f"state.y must be >= 0, got {self.y}")
-        if not self.t >= 0:
-            raise ValueError(f"state.t must be >= 0, got {self.t}")
+        for name, bound in (("x", ">= 0"), ("i", None), ("y", ">= 0")):
+            object.__setattr__(self, name, _check_real(f"state.{name}", getattr(self, name), bound))
+        object.__setattr__(self, "t", _check_count("state.t", self.t, 0))
 
 
 def growth_increment(x: float, p: EcoParams) -> float:

@@ -34,6 +34,10 @@ from .dynamics import EcoParams, _check_count, _check_real
 # Residual |f(x*) - x*| above which a root is rejected.
 RESIDUAL_TOL = 1e-9
 
+# the trigonometric form's offsets 2 pi k / 3 for k = 1, 2
+_THIRD_TURN = 2.0 * math.pi / 3.0
+_TWO_THIRDS_TURN = 2.0 * math.pi * 2 / 3.0
+
 
 class EquilibriumError(RuntimeError):
     """Root finding failed; the parameters are outside the supported regime."""
@@ -55,7 +59,7 @@ class Regime(IntEnum):
     SINGLE_LOW = 3   # only the collapsed state is stable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Equilibrium:
     """A fixed point of the zero-noise environment map.
 
@@ -67,6 +71,11 @@ class Equilibrium:
     stable: bool
     multiplier: float
 
+    def __init__(self, x_star: float, stable: bool, multiplier: float) -> None:
+        # one store per field; the generated init calls object.__setattr__ per field
+        d = self.__dict__
+        d["x_star"], d["stable"], d["multiplier"] = x_star, stable, multiplier
+
 
 @dataclass(frozen=True)
 class FoldPoints:
@@ -76,13 +85,18 @@ class FoldPoints:
     c_high: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScanRow:
     """Equilibria at one extraction rate of a bifurcation scan."""
 
     c: float
     equilibria: tuple[Equilibrium, ...]
     error: str | None = None
+
+    def __init__(self, c: float, equilibria: tuple[Equilibrium, ...],
+                 error: str | None = None) -> None:
+        d = self.__dict__  # as Equilibrium's init
+        d["c"], d["equilibria"], d["error"] = c, equilibria, error
 
 
 def map_multiplier(x: float, p: EcoParams) -> float:
@@ -100,8 +114,8 @@ def map_multiplier(x: float, p: EcoParams) -> float:
             f"{type(exc).__name__} ({exc}) in the map multiplier at x={x!r} for {p}") from None
 
 
-def _cubic_roots(b: float, c: float, d: float) -> list[float]:
-    """Real roots of x^3 + b x^2 + c x + d, ascending.
+def _positive_roots(b: float, c: float, d: float) -> list[float]:
+    """Positive real roots of x^3 + b x^2 + c x + d, ascending.
 
     Substituting x = t - b/3 gives t^3 + p t + q.  Three real roots come from
     the trigonometric form, a single one from Cardano's; each root then takes
@@ -114,10 +128,9 @@ def _cubic_roots(b: float, c: float, d: float) -> list[float]:
     if disc < 0.0:  # implies p < 0
         m = 2.0 * math.sqrt(-p / 3.0)
         theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
-        # m cos(theta - 2 pi k / 3) for k = 0, 1, 2, each offset with the bits
-        # of 2.0 * math.pi * k / 3.0
-        ts = (m * math.cos(theta), m * math.cos(theta - 2.0 * math.pi / 3.0),
-              m * math.cos(theta - 2.0 * math.pi * 2 / 3.0))
+        # m cos(theta - 2 pi k / 3) for k = 0, 1, 2
+        ts = (m * math.cos(theta), m * math.cos(theta - _THIRD_TURN),
+              m * math.cos(theta - _TWO_THIRDS_TURN))
     else:
         # v takes the sign that avoids cancellation; the other cube root is -p/(3v)
         u = abs(q) / 2.0 + math.sqrt(disc)
@@ -132,7 +145,8 @@ def _cubic_roots(b: float, c: float, d: float) -> list[float]:
             polished = x - fx / slope
             if abs(((polished + b) * polished + c) * polished + d) < abs(fx):
                 x = polished
-        roots.append(x)
+        if x > 0:
+            roots.append(x)
     roots.sort()
     return roots
 
@@ -149,17 +163,21 @@ def equilibria(p: EcoParams) -> list[Equilibrium]:
     return _equilibria(p.r, p.K, p.c, p.h)
 
 
-def _equilibria(r: float, K: float, c: float, h: float) -> list[Equilibrium]:
-    """equilibria of EcoParams(r, K, c, h), for fields already validated.
+def _equilibria(r: float, K: float, c: float, h: float,
+                origin: Equilibrium | None = None) -> list[Equilibrium]:
+    """equilibria of EcoParams(r, K, c, h), for fields already validated
+    (Python floats).
 
     The residual and multiplier are growth_increment's and map_multiplier's
     expressions on the bound fields.  An EcoParams is built only to name the
     parameters in an error, at the one raise below, so a caller that varies
-    one field (as bifurcation_scan varies c) builds none per solve.
+    one field (as bifurcation_scan varies c) builds none per solve.  origin,
+    if given, is the x = 0 record, which the caller has from another solve
+    on the same r, K and h whose x = 0 multiplier has the same bits.
     """
     h2 = h * h
     try:
-        roots = [x for x in _cubic_roots(-K, h2 + c * K / r, -K * h2) if x > 0]
+        roots = _positive_roots(-K, h2 + c * K / r, -K * h2)
         if not 1 <= len(roots) <= 3:
             # (text before the parameters, text after them)
             raise EquilibriumError(f"found {len(roots)} positive fixed points for",
@@ -170,10 +188,14 @@ def _equilibria(r: float, K: float, c: float, h: float) -> list[Equilibrium]:
                 raise EquilibriumError(f"root {x!r} has fixed-point residual {residual:.2e} for",
                                        "")
         out = []
-        for x in [0.0] + roots:
+        if origin is None:
+            roots.insert(0, 0.0)
+        else:
+            out.append(origin)
+        for x in roots:
             x2 = x * x
-            mult = float(1.0 + r - 2.0 * r * x / K - c * 2.0 * x * h2 / ((x2 + h2) * (x2 + h2)))
-            out.append(Equilibrium(float(x), abs(mult) < 1.0, mult))
+            mult = 1.0 + r - 2.0 * r * x / K - c * 2.0 * x * h2 / ((x2 + h2) * (x2 + h2))
+            out.append(Equilibrium(x, abs(mult) < 1.0, mult))
         return out
     except EquilibriumError as exc:
         head, tail = exc.args
@@ -241,18 +263,31 @@ def bifurcation_scan(
     valid eco.c; each rate is solved on p_base's r, K and h, with no
     EcoParams built per rate.  Per-grid-point failures are recorded in the
     row rather than raised, with equilibria's message for that rate.
+
+    The x = 0 record is built once: at x = 0 the multiplier's harvest term
+    is c * 2.0 * 0.0 * h^2 / h^4, whose bits do not depend on c while
+    c * 2.0 is finite, so the first solved rate's record serves every later
+    one.  If c * 2.0 overflows anywhere on the grid, each rate builds its
+    own, as it does until a rate solves.
     """
     c_min, c_max = _check_real("c_min", c_min), _check_real("c_max", c_max)
     if not 0 <= c_min < c_max:
         raise ValueError(f"need 0 <= c_min < c_max < inf, got [{c_min}, {c_max}]")
     n_steps = _check_count("n_steps", n_steps, 2)
     r, K, h = p_base.r, p_base.K, p_base.h
+    cs = np.linspace(c_min, c_max, n_steps).tolist()
+    take_origin = max(cs) * 2.0 < math.inf
+    origin = None
     rows = []
-    for c in np.linspace(c_min, c_max, n_steps).tolist():
+    for c in cs:
         try:
-            rows.append(ScanRow(c, tuple(_equilibria(r, K, c, h))))
+            eqs = _equilibria(r, K, c, h, origin)
         except EquilibriumError as exc:
             rows.append(ScanRow(c, (), str(exc)))
+            continue
+        if take_origin:
+            origin, take_origin = eqs[0], False
+        rows.append(ScanRow(c, tuple(eqs)))
     return rows
 
 
@@ -274,11 +309,10 @@ def fold_points(
     c_min, c_max = _check_real("c_min", c_min), _check_real("c_max", c_max)
     if not 0 <= c_min < c_max:
         raise ValueError(f"need 0 <= c_min < c_max, got [{c_min}, {c_max}]")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_real("tol", tol, "> 0")
     r, K, h2 = p_base.r, p_base.K, p_base.h * p_base.h
     try:
-        xs = [x for x in _cubic_roots(-K / 2.0, 0.0, K * h2 / 2.0) if x > 0]
+        xs = _positive_roots(-K / 2.0, 0.0, K * h2 / 2.0)
     except ArithmeticError as exc:
         raise EquilibriumError(f"{type(exc).__name__} ({exc}) in the folds of {p_base}") from None
     folds = sorted(r * (1.0 - x / K) * (x * x + h2) / x for x in xs)

@@ -193,7 +193,7 @@ def load_config(path: str | os.PathLike) -> SimConfig:
 
         try:
             data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int beyond str()'s limit
             raise ParseError(f"cannot parse {path}: {exc}") from None
     return config_from_dict(data if data is not None else {})
 

@@ -32,6 +32,7 @@ from flickersim import (
     NoiseParams,
     RegimeError,
     SimConfig,
+    SystemState,
     WellbeingParams,
     analytics,
     bifurcation_scan,
@@ -280,4 +281,28 @@ def test_huge_int_in_a_config_file_named_by_the_cli(tmp_path, section, name):
     assert err["error"] == "ValidationError"
     assert err["message"].startswith(f"{section}.{name} must be finite")
     assert err["message"].endswith(f", got {HUGE_INT}")
+    assert not (out / "trajectory.csv").exists()
+
+
+# more digits than str() converts (sys.get_int_max_str_digits, 4 300 by default)
+LONG_INT_DIGITS = 5001
+
+
+def test_long_int_named_by_its_size():
+    with pytest.raises(ValueError, match=r"^eco\.K must be finite and > 0, got an int of about "
+                                         rf"{LONG_INT_DIGITS} digits$"):
+        EcoParams(K=10 ** (LONG_INT_DIGITS - 1))
+    with pytest.raises(ValueError, match=r"^state\.t must be >= 0, got a negative int of about "):
+        SystemState(x=1.0, i=0.0, y=0.0, t=-10 ** (LONG_INT_DIGITS - 1))
+
+
+def test_long_int_in_a_config_file_named_by_the_cli(tmp_path):
+    config = tmp_path / "long.yaml"
+    config.write_text(f"eco:\n  K: 1{'0' * (LONG_INT_DIGITS - 1)}\n")
+    out = tmp_path / "out"
+    code, err = run_main(["simulate", "--config", str(config), "--out-dir", str(out)])
+    assert code == 1
+    err = json.loads(err)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith(f"cannot parse {config}: ")
     assert not (out / "trajectory.csv").exists()

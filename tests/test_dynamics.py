@@ -71,6 +71,24 @@ class TestParamValidation:
             SystemState(x=1.0, i=0.0, y=0.0, t=-1)
         SystemState(x=1.0, i=-5.0, y=0.0)  # noise level is unbounded
 
+    @pytest.mark.parametrize("name,value", [
+        ("x", "1"), ("x", math.inf), ("x", math.nan), ("x", True),
+        ("i", "1"), ("i", math.inf), ("i", math.nan), ("i", None),
+        ("y", "1"), ("y", -math.inf), ("y", np.bool_(True)),
+        ("t", "1"), ("t", 1.5), ("t", True),
+    ])
+    def test_state_field_named(self, name, value):
+        """A non-number, a non-finite value or a non-integer t fails naming the
+        field, before it can feed step_coupled."""
+        with pytest.raises(ValueError, match=rf"^state\.{name} must be "):
+            SystemState(**{"x": 1.0, "i": 0.0, "y": 0.0, "t": 0, name: value})
+
+    def test_state_stores_python_numbers(self):
+        state = SystemState(x=np.float64(2.0), i=np.float32(-0.5), y=1, t=np.int64(3))
+        assert [type(v) for v in (state.x, state.i, state.y, state.t)] == [float] * 3 + [int]
+        assert (state.x, state.i, state.y, state.t) == (2.0, -0.5, 1.0, 3)
+        assert math.copysign(1.0, SystemState(x=-0.0, i=0.0, y=0.0).x) == -1.0
+
 
 class TestGrowthIncrement:
     def test_zero_state(self):

@@ -1,11 +1,12 @@
 import math
+import pickle
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -26,7 +27,7 @@ from flickersim import (
     separatrix_for,
     step_environment,
 )
-from flickersim.equilibria import RESIDUAL_TOL, EquilibriumError, ScanRow
+from flickersim.equilibria import RESIDUAL_TOL, Equilibrium, EquilibriumError, ScanRow
 from oracles import brute_force_fixed_points
 
 P = EcoParams(r=1.0, K=10.0, c=1.0, h=1.0)
@@ -191,11 +192,17 @@ class TestFoldPoints:
 
     @pytest.mark.parametrize("args,match", [
         ((2.0, 1.0), r"need 0 <= c_min < c_max"), ((-1.0, 4.0), r"need 0 <= c_min < c_max"),
-        ((0.0, 4.0, 0.0), "tol must be > 0"),
+        ((0.0, 4.0, 0.0), "tol must be finite and > 0"),
     ], ids=["reversed", "negative", "tol"])
     def test_bad_arguments_named(self, args, match):
         with pytest.raises(ValueError, match=match):
             fold_points(P, *args)
+
+    @pytest.mark.parametrize("tol", ["1", True, None, 0.0, math.nan],
+                             ids=["str", "bool", "None", "zero", "nan"])
+    def test_bad_tol_named(self, tol):
+        with pytest.raises(ValueError, match=r"^tol must be "):
+            fold_points(P, 0.0, 4.0, tol)
 
     def test_consistent_with_classify_regime(self):
         fp = fold_points(P, 0.0, 4.0, tol=1e-5)
@@ -252,22 +259,70 @@ def _bits(x) -> bytes:
     return struct.pack("<d", x)
 
 
-@settings(max_examples=200, deadline=None)
-@given(r=st.floats(0.05, 3.0), K=st.floats(0.1, 100.0), h=st.floats(0.01, 10.0),
-       c_max=st.floats(0.01, 10.0), n_steps=st.integers(2, 40), as_numpy=st.booleans())
-@example(r=1.0, K=1e52, h=1.0, c_max=4.0, n_steps=5, as_numpy=False)
-@example(r=1.0, K=1e52, h=1.0, c_max=4.0, n_steps=5, as_numpy=True)
-@example(r=1.0, K=10.0, h=1e-100, c_max=4.0, n_steps=5, as_numpy=False)
-def test_scan_rows_are_the_public_solve(r, K, h, c_max, n_steps, as_numpy):
+@pytest.mark.parametrize("record,changes", [
+    (Equilibrium(x_star=8.5, stable=True, multiplier=-0.25), {"stable": False}),
+    (ScanRow(c=1.0, equilibria=(Equilibrium(0.0, False, 2.0),)), {"error": "failed"}),
+    (ScanRow(1.0, (), "found 0 positive fixed points"), {"c": 2.0}),
+], ids=["equilibrium", "scan_row", "error_row"])
+def test_solver_records_keep_the_frozen_dataclass_contract(record, changes):
+    """Equilibrium and ScanRow write their own __init__, and behave as the
+    generated one would: equality, hash, repr, replace, fields, pickling,
+    keywords and frozen fields."""
+    cls = type(record)
+    names = [f.name for f in fields(cls)]
+    values = [getattr(record, name) for name in names]
+    twin = cls(**dict(zip(names, values)))
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    changed = replace(record, **changes)
+    assert changed != record and type(changed) is cls
+    assert {n: getattr(changed, n) for n in names} == {**dict(zip(names, values)), **changes}
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert vars(record) == dict(zip(names, values))
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, names[0], values[0])
+    with pytest.raises(FrozenInstanceError):
+        delattr(record, names[0])
+
+
+def test_scan_row_error_defaults_to_none():
+    assert [f.default for f in fields(ScanRow)][2] is None
+    assert ScanRow(1.0, ()).error is None
+    assert ScanRow(1.0, ()) == ScanRow(c=1.0, equilibria=(), error=None)
+
+
+magnitudes = st.floats(-160.0, 300.0).map(lambda e: 10.0 ** e)
+# scan ends: 0, moderate rates, and log-uniform ones up to the float range's end
+scan_ends = st.just(0.0) | st.floats(0.0, 10.0) | st.floats(-300.0, 308.25).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=st.floats(0.05, 3.0) | magnitudes, K=st.floats(0.1, 100.0) | magnitudes,
+       h=st.floats(0.01, 10.0) | magnitudes, c_min=scan_ends, c_max=scan_ends,
+       n_steps=st.integers(2, 40), as_numpy=st.booleans())
+@example(r=1.0, K=1e52, h=1.0, c_min=0.0, c_max=4.0, n_steps=5, as_numpy=False)
+@example(r=1.0, K=1e52, h=1.0, c_min=0.0, c_max=4.0, n_steps=5, as_numpy=True)
+@example(r=1.0, K=10.0, h=1e-100, c_min=0.0, c_max=4.0, n_steps=5, as_numpy=False)  # h^4 -> 0
+@example(r=1.0, K=10.0, h=1e100, c_min=0.0, c_max=4.0, n_steps=5, as_numpy=False)  # h^4 -> inf
+@example(r=1.0, K=10.0, h=1.0, c_min=-0.0, c_max=4.0, n_steps=41, as_numpy=False)
+@example(r=1.0, K=10.0, h=1.0, c_min=1.5, c_max=3.0, n_steps=16, as_numpy=False)
+# c * 2.0 overflows at the top rate, whose x = 0 multiplier is nan
+@example(r=6.472638132332732e+304, K=9.774998201067191e-18, h=9.681851030010528e-08,
+         c_min=0.0, c_max=1.7806743041347293e+308, n_steps=2, as_numpy=False)
+def test_scan_rows_are_the_public_solve(r, K, h, c_min, c_max, n_steps, as_numpy):
     """bifurcation_scan solves each rate on the base's bound r, K and h, with no
     EcoParams per rate, and equilibria writes growth_increment and
     map_multiplier out on bound fields: both give the public route's bits,
     also for numpy-typed fields, which EcoParams stores as Python floats.  An
     error row holds the public route's message, naming the parameters (every
-    rate fails at K = 1e52, numpy-typed or not, and at h = 1e-100)."""
+    rate fails at K = 1e52, numpy-typed or not, and at h = 1e-100).  The
+    scan's one x = 0 record has each rate's own bits, over every magnitude
+    EcoParams accepts and every c_min >= 0 (-0.0 included)."""
+    c_min, c_max = sorted((c_min, c_max))
+    assume(c_min < c_max)
     p = EcoParams(*(np.float64(v) if as_numpy else v for v in (r, K, 1.0, h)))
-    rows = bifurcation_scan(p, 0.0, c_max, n_steps)
-    assert [row.c for row in rows] == np.linspace(0.0, c_max, n_steps).tolist()
+    rows = bifurcation_scan(p, c_min, c_max, n_steps)
+    assert [row.c for row in rows] == np.linspace(c_min, c_max, n_steps).tolist()
     for row in rows:
         at_c = replace(p, c=row.c)
         try:
@@ -276,10 +331,14 @@ def test_scan_rows_are_the_public_solve(r, K, h, c_max, n_steps, as_numpy):
             want = ScanRow(row.c, (), str(exc))
             assert str(at_c) in row.error
         assert repr(row) == repr(want)
+        assert [_bits(e.multiplier) for e in row.equilibria] == [
+            _bits(e.multiplier) for e in want.equilibria]
         for e in row.equilibria:
             assert type(e.x_star) is float and type(e.multiplier) is float
             assert _bits(e.multiplier) == _bits(float(map_multiplier(e.x_star, at_c)))
-            if e.x_star > 0:
+            # where r * x overflows the residual is nan, which the solver's
+            # residual check lets pass (r <= 3 and x <= K <= 100 never overflow)
+            if e.x_star > 0 and math.isfinite(at_c.r * e.x_star):
                 assert abs(growth_increment(e.x_star, at_c)) < RESIDUAL_TOL
 
 
@@ -303,9 +362,6 @@ def _returns_or_fails_by_name(fn, *args, documented: str | None = None) -> None:
     except ValueError as exc:
         if documented is None or not str(exc).startswith(documented):
             raise
-
-
-magnitudes = st.floats(-160.0, 300.0).map(lambda e: 10.0 ** e)
 
 
 @settings(max_examples=300, deadline=None)

@@ -62,6 +62,10 @@ CONFIGS = {
                   "sim: {x0: 1, t_max: 20000, burn_in: 0}\n"),
     # a whole number beyond the float range: exits 1 naming sim.x0
     "bigint.yaml": f"sim: {{x0: 1{'0' * 400}}}\n",
+    # h^4 underflows to 0: every scan rate fails with ZeroDivisionError at x = 0
+    "tiny-h.yaml": "eco: {h: 1.0e-90}\n",
+    # the cubic's (q/2)^2 overflows: every scan rate fails with OverflowError
+    "huge-K.yaml": "eco: {K: 1.0e+52}\n",
 }
 
 # (label, arguments after the command): the preset figures, the grids at both
@@ -91,6 +95,9 @@ MATRIX = [
     ("simulate-huge", ["simulate", "--config", "huge.yaml"]),
     ("simulate-overflow-late", ["simulate", "--config", "late.yaml"]),
     ("simulate-bigint", ["simulate", "--config", "bigint.yaml"]),
+    # every row of the scan is an error, recorded in the manifest's scan_errors
+    ("bifurcation-tiny-h", ["bifurcation", "--config", "tiny-h.yaml"]),
+    ("bifurcation-huge-K", ["bifurcation", "--config", "huge-K.yaml"]),
     # 4 c x 10 seeds: 40 rows on the block kernel, each flagged
     ("transform-overflow", ["transform", "--config", "overflow.yaml", "--c-min", "1",
                             "--c-max", "2", "--steps", "4", "--seeds", "10"]),
