@@ -194,21 +194,20 @@ def flicker_replicates(cfg: SimConfig, n_seeds: int, separatrix: float,
     return dwells.stats()
 
 
-def _check_grid(c_grid, increasing: bool) -> list[float]:
-    """c_grid as floats; rejects empty, non-numeric, non-finite and repeated values,
-    and with increasing=True any value not above its predecessor."""
+def _check_grid(grid, increasing: bool, name: str = "c_grid") -> list[float]:
+    """grid as floats; a GridError naming the axis name on empty, non-numeric, non-finite
+    and repeated values, and with increasing=True on any value not above its predecessor."""
     try:
-        c_grid = [_check_real("c_grid value", c) for c in c_grid]
+        grid = [_check_real(f"{name} value", v) for v in grid]
     except ValueError as exc:
         raise GridError(str(exc)) from None
-    if not c_grid:
-        raise GridError("c_grid must be nonempty")
-    if increasing:
-        if any(b <= a for a, b in zip(c_grid, c_grid[1:])):
-            raise GridError(f"c_grid must be strictly increasing, got {c_grid}")
-    elif len(set(c_grid)) != len(c_grid):
-        raise GridError(f"c_grid has repeated values: {c_grid}")
-    return c_grid
+    if not grid:
+        raise GridError(f"{name} must be nonempty")
+    if increasing and any(b <= a for a, b in zip(grid, grid[1:])):
+        raise GridError(f"{name} must be strictly increasing, got {grid}")
+    if len(set(grid)) != len(grid):  # none in a strictly increasing grid
+        raise GridError(f"{name} has repeated values: {grid}")
+    return grid
 
 
 def _flag_nonfinite(row, error: str | None = None):
@@ -281,15 +280,13 @@ def utility_sweep(
     cells are directly comparable.  The grid runs as min(workers, usable
     CPUs, len(c_grid)) contiguous groups of c, one process each (none for
     one group).  The row order and values do not depend on workers, the
-    most processes to open, which must be at least 1.  c values
+    most processes to open, which must be at least 1.  c and l values
     need not be sorted, but must be finite and distinct (GridError); a cell
     whose averages are not finite, or whose regime is undefined, carries an
     error.
     """
     c_grid = _check_grid(c_grid, increasing=False)
-    l_values = [AdaptationParams(l).l for l in l_values]
-    if not l_values:
-        raise ValueError("l_values must be nonempty")
+    l_values = _check_grid([AdaptationParams(l).l for l in l_values], False, "l_values")
     n_seeds, workers = _check_count("n_seeds", n_seeds, 1), _check_count("workers", workers, 1)
     rows = []
     for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, l_values, [base.wellbeing],
@@ -352,7 +349,7 @@ def transform_comparison(
     """
     c_grid = _check_grid(c_grid, increasing=True)
     n_seeds = _check_count("n_seeds", n_seeds, 1)
-    base = replace(base, adapt=AdaptationParams(l=l))
+    l = AdaptationParams(l).l
     rows = []
     for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, [l], [baseline_case, transform_case],
                                              n_seeds, x_columns=True)):

@@ -19,14 +19,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analytics, io
-from .dynamics import AdaptationParams
+from .dynamics import AdaptationParams, _linspace
 from .analytics import separatrix_for
 from .equilibria import NoBistabilityError, bifurcation_scan, fold_points
 from .presets import PRESETS, ScanConfig, SweepConfig, TransformConfig
@@ -155,8 +154,8 @@ def _grid_spec(args, kind: type):
 
     --c-min/--c-max/--steps default to the spec's own range and rebuild it;
     with a preset, any of them is a ConfigError instead of being ignored,
-    as is a non-finite --c-min or --c-max, a grid of fewer than one c, or
-    one c dropping a given --c-max.
+    as is a non-finite --c-min or --c-max, or a pair whose difference is not,
+    a grid of fewer than one c, or one c dropping a given --c-max.
     """
     spec = io.load_run_config(args.preset, args.config) or SimConfig()
     if not isinstance(spec, kind):
@@ -171,10 +170,12 @@ def _grid_spec(args, kind: type):
                if (v := getattr(args, dest, None)) is not None}
     if given:
         for flag in ("--c-min", "--c-max"):
-            if flags[flag] is not None and not np.isfinite(flags[flag]):
+            if flags[flag] is not None and not math.isfinite(flags[flag]):
                 raise io.ConfigError(f"{flag} must be finite, got {flags[flag]}")
         c_min, c_max, steps = (d if v is None else v
                                for v, d in zip(flags.values(), _c_range(spec)))
+        if not math.isfinite(c_max - c_min):
+            raise io.ConfigError(f"--c-max - --c-min must be finite, got {c_max} - {c_min}")
         if kind is ScanConfig:
             updates.update(c_min=c_min, c_max=c_max, n_steps=steps)
         elif steps < 1:
@@ -182,7 +183,7 @@ def _grid_spec(args, kind: type):
         elif steps == 1 and args.c_max is not None and c_max != c_min:
             raise io.ConfigError(f"--steps 1 runs c = {c_min} alone, not --c-max {c_max}")
         else:
-            updates["c_grid"] = tuple(float(c) for c in np.linspace(c_min, c_max, steps))
+            updates["c_grid"] = tuple(_linspace(c_min, c_max, steps))
     if kind is not ScanConfig:
         updates["base"] = dataclasses.replace(spec.base, **_run_overrides(args))
     return dataclasses.replace(spec, **updates)

@@ -62,6 +62,12 @@ def _check_real(name: str, value, bound: str | None = None) -> float:
     return real
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """n evenly spaced values from start to stop, as Python floats with np.linspace's bits."""
+    with np.errstate(over="ignore"):  # stop replaces (n - 1) * step, which may overflow
+        return np.linspace(start, stop, n).tolist()
+
+
 @dataclass(frozen=True)
 class EcoParams:
     """Growth and harvest parameters of the environmental map.

@@ -27,9 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
-from .dynamics import EcoParams, _check_count, _check_real
+from .dynamics import EcoParams, _check_count, _check_real, _linspace
 
 # Residual |f(x*) - x*| above which a root is rejected.
 RESIDUAL_TOL = 1e-9
@@ -184,7 +182,7 @@ def _equilibria(r: float, K: float, c: float, h: float,
                                    "; expected 1-3")
         for x in roots:
             residual = abs(r * x * (1.0 - x / K) - c * x * x / (x * x + h2))
-            if residual >= RESIDUAL_TOL:
+            if not residual < RESIDUAL_TOL:  # a nan residual fails too
                 raise EquilibriumError(f"root {x!r} has fixed-point residual {residual:.2e} for",
                                        "")
         out = []
@@ -275,7 +273,7 @@ def bifurcation_scan(
         raise ValueError(f"need 0 <= c_min < c_max < inf, got [{c_min}, {c_max}]")
     n_steps = _check_count("n_steps", n_steps, 2)
     r, K, h = p_base.r, p_base.K, p_base.h
-    cs = np.linspace(c_min, c_max, n_steps).tolist()
+    cs = _linspace(c_min, c_max, n_steps)
     take_origin = max(cs) * 2.0 < math.inf
     origin = None
     rows = []

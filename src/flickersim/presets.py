@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dynamics import EcoParams
+from .dynamics import EcoParams, _linspace
 from .simulate import SimConfig
 from .wellbeing import GENERALIST, SPECIALIST, CaseProfile
 
 
 # the c grid of fig5 and fig6, and of sweep and transform without a preset
-_SWEEP_GRID = tuple(float(c) for c in np.linspace(0.25, 3.5, 40))
+_SWEEP_GRID = tuple(_linspace(0.25, 3.5, 40))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from flickersim import (
     transform_comparison,
     utility_sweep,
 )
-from flickersim.analytics import _Dwells, flicker_replicates
+from flickersim.analytics import GridError, _Dwells, flicker_replicates
 from flickersim.simulate import SCALAR_ROWS, STREAM_SPAN
 from flickersim.wellbeing import GENERALIST, SPECIALIST
 from oracles import (
@@ -186,8 +186,15 @@ class TestUtilitySweep:
             utility_sweep(FAST, c_grid=[1.0], l_values=[0.1], n_seeds=0)
 
     def test_empty_l_values_rejected(self):
-        with pytest.raises(ValueError, match="l_values must be nonempty"):
+        with pytest.raises(GridError, match="l_values must be nonempty"):
             utility_sweep(FAST, c_grid=[1.0], l_values=[], n_seeds=1)
+
+    @pytest.mark.parametrize("l_values", [[0.1, 0.1], [0.1, np.float64(0.1)], [0, 0.0]],
+                             ids=["float", "numpy", "int"])
+    def test_repeated_l_values_rejected(self, l_values):
+        # each l is compared as the float it runs as, so an l axis is checked as a c axis is
+        with pytest.raises(GridError, match=r"^l_values has repeated values: \["):
+            utility_sweep(FAST, c_grid=[1.0, 2.0], l_values=l_values, n_seeds=1)
 
     @pytest.mark.parametrize("affinity,cpu_count,opened", [
         ({0, 1, 2}, 8, [3]), (None, 2, [2]), (None, None, []),

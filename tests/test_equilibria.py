@@ -291,6 +291,25 @@ def test_scan_row_error_defaults_to_none():
     assert ScanRow(1.0, ()) == ScanRow(c=1.0, equilibria=(), error=None)
 
 
+# r * x overflows at the root x = K, so growth_increment there is nan
+HUGE_R = EcoParams(r=2.4472365336093953e296, K=7.749614461304867e21, c=1.3111154469335629,
+                   h=4.076005691482615)
+
+
+def test_nan_residual_fails_by_name():
+    """A root whose fixed-point residual is nan is rejected as one above
+    RESIDUAL_TOL is, by equilibria and in each row of a scan: no record
+    with a non-finite multiplier comes back."""
+    assert math.isnan(growth_increment(HUGE_R.K, HUGE_R))
+    with pytest.raises(EquilibriumError,
+                       match=r"^root 7\.749614461304867e\+21 has fixed-point residual nan for"):
+        equilibria(HUGE_R)
+    rows = bifurcation_scan(HUGE_R, 1.3, 1.4, 2)
+    assert [row.equilibria for row in rows] == [(), ()]
+    assert all("residual nan" in row.error and str(replace(HUGE_R, c=row.c)) in row.error
+               for row in rows)
+
+
 magnitudes = st.floats(-160.0, 300.0).map(lambda e: 10.0 ** e)
 # scan ends: 0, moderate rates, and log-uniform ones up to the float range's end
 scan_ends = st.just(0.0) | st.floats(0.0, 10.0) | st.floats(-300.0, 308.25).map(lambda e: 10.0 ** e)
@@ -309,6 +328,8 @@ scan_ends = st.just(0.0) | st.floats(0.0, 10.0) | st.floats(-300.0, 308.25).map(
 # c * 2.0 overflows at the top rate, whose x = 0 multiplier is nan
 @example(r=6.472638132332732e+304, K=9.774998201067191e-18, h=9.681851030010528e-08,
          c_min=0.0, c_max=1.7806743041347293e+308, n_steps=2, as_numpy=False)
+# r * x overflows at the root x = K: its residual is nan and every rate fails
+@example(r=HUGE_R.r, K=HUGE_R.K, h=HUGE_R.h, c_min=1.3, c_max=1.4, n_steps=2, as_numpy=False)
 def test_scan_rows_are_the_public_solve(r, K, h, c_min, c_max, n_steps, as_numpy):
     """bifurcation_scan solves each rate on the base's bound r, K and h, with no
     EcoParams per rate, and equilibria writes growth_increment and
@@ -336,9 +357,7 @@ def test_scan_rows_are_the_public_solve(r, K, h, c_min, c_max, n_steps, as_numpy
         for e in row.equilibria:
             assert type(e.x_star) is float and type(e.multiplier) is float
             assert _bits(e.multiplier) == _bits(float(map_multiplier(e.x_star, at_c)))
-            # where r * x overflows the residual is nan, which the solver's
-            # residual check lets pass (r <= 3 and x <= K <= 100 never overflow)
-            if e.x_star > 0 and math.isfinite(at_c.r * e.x_star):
+            if e.x_star > 0:
                 assert abs(growth_increment(e.x_star, at_c)) < RESIDUAL_TOL
 
 

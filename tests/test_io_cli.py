@@ -30,6 +30,7 @@ from flickersim import (
     EcoParams,
     NoiseParams,
     SimConfig,
+    bifurcation_scan,
     config_fingerprint,
     flicker_stats,
     get_preset,
@@ -85,6 +86,32 @@ FLOAT_PARAMETERS = [(section, cls, f.name) for section, cls in
                     for f in fields(cls)]
 FLOAT_PARAMETER_IDS = [f"{section}.{name}" for section, _, name in FLOAT_PARAMETERS]
 NON_FINITE = {".nan": math.nan, ".inf": math.inf, "-.inf": -math.inf}
+
+
+# finite grid ends: moderate, log-uniform of either sign, and within 2x of the float
+# range's end, where two ends of opposite sign overflow their difference
+GRID_ENDS = st.floats(-10.0, 10.0) | st.builds(
+    lambda m, sign: sign * m, st.floats(-310.0, 308.25).map(lambda e: 10.0 ** e)
+    | st.floats(9e307, 1.7976931348623157e308), st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def c_ranges(draw):
+    """(c_min, c_max): two grid ends in either order, or c_max a few ulps from c_min."""
+    c_min = draw(GRID_ENDS)
+    if draw(st.booleans()):
+        return c_min, draw(GRID_ENDS)
+    c_max = c_min
+    for _ in range(draw(st.integers(1, 4))):
+        c_max = math.nextafter(c_max, draw(st.sampled_from([math.inf, -math.inf])))
+    return c_min, c_max
+
+
+def linspace_bytes(start: float, stop: float, n: int) -> bytes:
+    """np.linspace(start, stop, n)'s bytes, ignoring the overflow of its last product
+    (n - 1) * step, which it replaces with stop."""
+    with np.errstate(over="ignore"):
+        return np.linspace(start, stop, n).tobytes()
 
 
 def spellings(floats, least: int = -10**6, most: int = 10**6):
@@ -1002,14 +1029,19 @@ class TestCli:
                        "--steps 1 runs c = 0.5 alone, not --c-max 2.0"}
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,flags,flag,value", [
-        ("bifurcation", ["--c-max", "inf"], "--c-max", "inf"),
-        ("bifurcation", ["--c-min", "nan"], "--c-min", "nan"),
-        ("sweep", ["--c-max", "inf", "--steps", "3"], "--c-max", "inf"),
-        ("transform", ["--c-min=-inf"], "--c-min", "-inf"),
-    ], ids=["bifurcation-inf", "bifurcation-nan", "sweep-inf", "transform-minus-inf"])
-    def test_non_finite_c_range_named(self, tmp_path, capsys, command, flags, flag, value):
-        # rejected before np.linspace, which would warn and fill the grid with nan
+    @pytest.mark.parametrize("command,flags,message", [
+        ("bifurcation", ["--c-max", "inf"], "--c-max must be finite, got inf"),
+        ("bifurcation", ["--c-min", "nan"], "--c-min must be finite, got nan"),
+        ("sweep", ["--c-max", "inf", "--steps", "3"], "--c-max must be finite, got inf"),
+        ("transform", ["--c-min=-inf"], "--c-min must be finite, got -inf"),
+        *((command, ["--c-min=-1e308", "--c-max", "1e308", "--steps", "3"],
+           "--c-max - --c-min must be finite, got 1e+308 - -1e+308")
+          for command in ("sweep", "transform")),
+    ], ids=["bifurcation-inf", "bifurcation-nan", "sweep-inf", "transform-minus-inf",
+            "sweep-huge-span", "transform-huge-span"])
+    def test_non_finite_c_range_named(self, tmp_path, capsys, command, flags, message):
+        # rejected before np.linspace, which would warn and fill the grid with nan,
+        # also where both ends are finite but their difference is not
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1018,8 +1050,53 @@ class TestCli:
         assert caught == []
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": "ConfigError",
-                                        "message": f"{flag} must be finite, got {value}"}
+        assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["sweep", "transform"]), c_range=c_ranges(),
+           steps=st.integers(1, 64))
+    @example(command="sweep", c_range=(-1e308, 1e308), steps=3)  # the span overflows
+    @example(command="sweep", c_range=(0.25, 3.5), steps=40)  # presets._SWEEP_GRID
+    # 12 * step overflows inside np.linspace, which puts stop in its place
+    @example(command="transform", c_range=(0.0, sys.float_info.max), steps=13)
+    @example(command="transform", c_range=(1.0, math.nextafter(1.0, 2.0)), steps=64)
+    @example(command="transform", c_range=(-0.0, 0.0), steps=2)
+    def test_c_grid_has_linspace_bits(self, command, c_range, steps):
+        """The --c-min/--c-max/--steps grid holds np.linspace's bits as Python
+        floats where --c-max - --c-min is finite, with no warning (the suite
+        raises RuntimeWarnings), and is a ConfigError where it is not or where
+        one c would drop --c-max.  Only the spec is built."""
+        c_min, c_max = c_range
+        args = cli.build_parser(command).parse_args(
+            [command, f"--c-min={c_min!r}", f"--c-max={c_max!r}", "--steps", str(steps)])
+        kind = SweepConfig if command == "sweep" else TransformConfig
+        if not math.isfinite(c_max - c_min) or (steps == 1 and c_max != c_min):
+            with pytest.raises(io.ConfigError, match=r"^--"):
+                cli._grid_spec(args, kind)
+            return
+        grid = cli._grid_spec(args, kind).c_grid
+        assert all(type(c) is float for c in grid)
+        assert np.array(grid).tobytes() == linspace_bytes(c_min, c_max, steps)
+
+    def test_every_built_c_grid_has_linspace_bits(self):
+        # the preset grid and a scan's rates come from the same builder as the flags' grid
+        assert np.array(SweepConfig().c_grid).tobytes() == linspace_bytes(0.25, 3.5, 40)
+        assert TransformConfig().c_grid == SweepConfig().c_grid
+        for c_min, c_max, n in ((1.0, 3.5, 400), (-0.0, 4.0, 41), (0.0, 1.7e308, 7),
+                                (0.0, sys.float_info.max, 13)):
+            cs = [row.c for row in bifurcation_scan(EcoParams(), c_min, c_max, n)]
+            assert all(type(c) is float for c in cs)
+            assert np.array(cs).tobytes() == linspace_bytes(c_min, c_max, n)
+
+    def test_repeated_l_fails_before_writing(self, tmp_path, capsys):
+        # a repeated --l is named as a repeated c is, rather than writing each row twice
+        out = tmp_path / "out"
+        code = run_cli("sweep", "--l", "0.1", "--l", "0.1", "--steps", "2", "--seeds", "1",
+                       "--t-max", "50", "--burn-in", "0", "--out-dir", out)
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "GridError", "message": "l_values has repeated values: [0.1, 0.1]"}
         assert not out.exists()
 
     def test_readme_cli_examples_parse(self):

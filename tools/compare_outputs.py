@@ -66,6 +66,9 @@ CONFIGS = {
     "tiny-h.yaml": "eco: {h: 1.0e-90}\n",
     # the cubic's (q/2)^2 overflows: every scan rate fails with OverflowError
     "huge-K.yaml": "eco: {K: 1.0e+52}\n",
+    # r * x overflows at the root x = K, whose residual is nan: every scan rate fails
+    "huge-r.yaml": ("eco: {r: 2.4472365336093953e+296, K: 7.749614461304867e+21, "
+                    "h: 4.076005691482615}\n"),
 }
 
 # (label, arguments after the command): the preset figures, the grids at both
@@ -98,6 +101,12 @@ MATRIX = [
     # every row of the scan is an error, recorded in the manifest's scan_errors
     ("bifurcation-tiny-h", ["bifurcation", "--config", "tiny-h.yaml"]),
     ("bifurcation-huge-K", ["bifurcation", "--config", "huge-K.yaml"]),
+    ("bifurcation-huge-r", ["bifurcation", "--config", "huge-r.yaml", "--c-min", "1.3",
+                            "--c-max", "1.4", "--steps", "2"]),
+    # exit 1 naming the fault, before any file is written
+    ("sweep-repeated-l", ["sweep", "--l", "0.1", "--l", "0.1", "--steps", "2", "--seeds", "1",
+                          "--t-max", "50", "--burn-in", "0"]),
+    ("sweep-huge-span", ["sweep", "--c-min=-1e308", "--c-max", "1e308", "--steps", "3"]),
     # 4 c x 10 seeds: 40 rows on the block kernel, each flagged
     ("transform-overflow", ["transform", "--config", "overflow.yaml", "--c-min", "1",
                             "--c-max", "2", "--steps", "4", "--seeds", "10"]),
