@@ -44,11 +44,13 @@ expressions of step_noise, step_environment and step_adaptation inline, with
 the same operands in the same association; the block kernel evaluates them
 too, so both agree bit for bit with each other and with a step_coupled
 replay, overflowed (nan) states and -0.0 included.  The block kernel holds
-x, i and every y in time-major buffers allocated once per run, steps every
-ufunc into them with out=, so no step allocates, and yields each span
-time-last through one fresh C-contiguous copy per array.  The per-row
-crossover that sets SCALAR_ROWS is tabulated in the README ("How
-simulations stream") and recorded in BENCH_10.json and BENCH_16.json.
+x, i and every y in time-major buffers allocated once per run, with every
+operand at full shape, steps every ufunc into them in place, so no step
+allocates but for the ~10 KB iterator buffer of the y step's x - y
+broadcast, and yields each span time-last through one fresh C-contiguous
+copy per array.  The per-row crossover that sets SCALAR_ROWS is tabulated
+in the README ("How simulations stream") and recorded in BENCH_10.json,
+BENCH_16.json and BENCH_38.json.
 """
 
 from __future__ import annotations
@@ -71,10 +73,11 @@ DEFAULT_SEED = 42
 # values: 12 800 for the 40-value, 10-replicate fig5 grid.
 STREAM_SPAN = 32
 # Runs of fewer (c, replicate) rows than this advance each row in Python
-# floats; larger ones run as one numpy block.  By 32 the block kernel has
-# caught up when every row steps its own noise level (one c, many
-# replicates); grid rows share their noise and cross later, near 36-48.  The
-# crossover tables are in BENCH_16.json.
+# floats; larger ones run as one numpy block.  By 32 the block kernel is the
+# faster for rows that each step their own noise level (one c, many
+# replicates; crossing near 24) and for grid rows, which share their noise
+# and cross later (near 27).  The crossover tables are in BENCH_16.json and
+# BENCH_38.json.
 SCALAR_ROWS = 32
 # Most row-steps the scalar kernel draws, steps and yields at once, in whole
 # spans: 128 spans at 1 row, 16 at 8 rows, 4 at 31 rows.  It is fixed, not
@@ -198,44 +201,56 @@ def _simulate_paths(c: np.ndarray, l: np.ndarray, X: np.ndarray, I: np.ndarray, 
     the (n_c, n_seeds) states, I[t] the (n_seeds,) noise levels, which do
     not depend on c, and Y[t] the (n_l, n_c, n_seeds) adapted states.  Step
     0 holds the span's start; steps 1..n are written, and step n starts the
-    next span.  c is (n_c, n_seeds) and l (n_l, 1, 1).  scratch is what
-    _block_spans allocates once per run beside them, so that no step
-    allocates: r, K, h*h, phi, 1.0 and 0.0 as 0-d arrays (a float operand
-    costs each ufunc call a conversion), three state-shaped arrays, one
-    shaped as Y[0], 1 + I, and the step rows of X, I, Y and 1 + I as lists
-    of views (a view made per step costs ~4 % of the kernel).  Returns the
-    n + 1 steps of X, I and Y.
+    next span.  c is (n_c, n_seeds) and l shaped as Y[0].  scratch is what
+    _block_spans allocates once per run beside them, every operand at the
+    shape of the array it meets (a broadcast operand costs each ufunc call
+    up to ~2.5x): r, K, h*h, 1.0 and 0.0 at the state shape, phi at the
+    noise shape, three state-shaped arrays, one shaped as Y[0], 1.0 and the
+    span's 1 + I at I[1:]'s shape, 1 + I at the state shape per step, and
+    the step rows of X, I, Y and 1 + I as lists of views (a view made per
+    step costs ~4 % of the kernel).  No step allocates but the y step, whose
+    x - y broadcast takes a ~10 KB iterator buffer (x made Y[0]'s shape
+    first costs more).  Returns the n + 1 steps of X, I and Y.
 
     Expressions mirror growth_increment / step_environment / step_noise /
     step_adaptation exactly (np.maximum(0.0, v) clamps as step_environment
-    does, nan included) so that scalar replay is bit-identical.
+    does, nan included) so that scalar replay is bit-identical.  The ufuncs
+    are bound to locals, and in-place operators keep each operand order
+    (a *= b is np.multiply(a, b, out=a)); only l * s runs as s *= l, which
+    has the same bits because l is finite.
     """
     n = etas.shape[1]
-    r, K, hh, phi, one, zero, a, b, d, s, one_i, (Xs, Is, Ys, one_is) = scratch
+    r, K, hh, phi, one, zero, a, b, d, s, one_rows, one_i_rows, one_i, views = scratch
+    Xs, Is, Ys, one_is = views
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    divide, maximum = np.divide, np.maximum
     for i, i1, eta in zip(Is, Is[1:n + 1], etas.T):
-        np.multiply(phi, i, out=i1)
-        np.add(i1, eta, out=i1)
-    np.add(one, I[:n], out=one_i[:n])
+        multiply(phi, i, out=i1)
+        i1 += eta
+    # 1 + i once per span at the noise shape, then copied across c: a
+    # broadcasting add into one_i allocates a ~130 KB iterator buffer
+    add(one_rows[:n], I[:n], out=one_i_rows[:n])
+    np.copyto(one_i[:n], one_i_rows[:n, None])
     # r*x*(1 - x/K) - c*x*x/(x*x + h*h) + (1 + i)*x, clamped at 0
     for x, x1, oi in zip(Xs, Xs[1:n + 1], one_is):
-        np.multiply(r, x, out=a)
-        np.divide(x, K, out=b)
-        np.subtract(one, b, out=b)
-        np.multiply(a, b, out=a)
-        np.multiply(c, x, out=b)
-        np.multiply(b, x, out=b)
-        np.multiply(x, x, out=d)
-        np.add(d, hh, out=d)
-        np.divide(b, d, out=b)
-        np.subtract(a, b, out=a)
-        np.multiply(oi, x, out=b)
-        np.add(a, b, out=a)
-        np.maximum(zero, a, out=x1)  # out by keyword: positional out is deprecated, ~3x slower
+        multiply(r, x, out=a)
+        divide(x, K, out=b)
+        subtract(one, b, out=b)
+        a *= b
+        multiply(c, x, out=b)
+        b *= x
+        multiply(x, x, out=d)
+        d += hh
+        b /= d
+        a -= b
+        multiply(oi, x, out=b)
+        a += b
+        maximum(zero, a, out=x1)  # out by keyword: positional out is deprecated, ~3x slower
     if l.size:  # flicker asks for no capacity: skip empty y steps
         for x, y, y1 in zip(Xs, Ys, Ys[1:n + 1]):
-            np.subtract(x, y, out=s)
-            np.multiply(l, s, out=s)
-            np.add(s, y, out=y1)
+            subtract(x, y, out=s)
+            s *= l
+            add(s, y, out=y1)
     return X[:n + 1], I[:n + 1], Y[:n + 1]
 
 
@@ -281,16 +296,20 @@ def _block_spans(model: SimConfig, starts, n_rows: int, ls: list[float], blocks)
     fresh C-contiguous copy per array, which a sum over its last axis adds up
     as it would a time-last block.
     """
-    # c at the full state shape: an (n_c, 1) column broadcasts ~40% slower
+    # every operand at the shape it meets: an (n_c, 1) column or a 0-d
+    # array broadcasts ~10% to ~2.5x slower per ufunc call
     c, x, y = (np.repeat(np.reshape(v, (-1, 1)), n_rows, axis=1) for v in zip(*starts))
-    l = np.reshape(ls, (-1, 1, 1))
     X = np.empty((STREAM_SPAN + 1,) + x.shape)
     I = np.empty((STREAM_SPAN + 1, n_rows))
     Y = np.empty((STREAM_SPAN + 1, len(ls)) + x.shape)
-    one_i = np.empty_like(I[1:])
-    consts = (model.eco.r, model.eco.K, model.eco.h * model.eco.h, model.noise.memory, 1.0, 0.0)
-    scratch = (*map(np.array, consts), *(np.empty_like(x) for _ in range(3)), np.empty_like(Y[0]),
-               one_i, [list(A) for A in (X, I, Y, one_i)])
+    l = np.empty_like(Y[0])
+    l[...] = np.reshape(ls, (-1, 1, 1))
+    one_i = np.empty_like(X[1:])
+    consts = (model.eco.r, model.eco.K, model.eco.h * model.eco.h)
+    scratch = (*(np.full(x.shape, v) for v in consts), np.full(n_rows, model.noise.memory),
+               np.ones(x.shape), np.zeros(x.shape), *(np.empty_like(x) for _ in range(3)),
+               np.empty_like(Y[0]), np.ones(I[1:].shape), np.empty_like(I[1:]), one_i,
+               [list(A) for A in (X, I, Y, one_i)])
     X[0], I[0], Y[0] = x, model.i0, y
     for etas in blocks:
         n = etas.shape[1]
@@ -414,14 +433,17 @@ class _CellSums:
         # the span edges inside this piece, which starts at step burn_in + n_kept
         cuts = range(-(self.burn_in + self.n_kept) % STREAM_SPAN or STREAM_SPAN, n, STREAM_SPAN)
         # utility(X, Yl, w) is payoff(X, w) * penalty(X - Yl, w): each payoff
-        # once per piece, each misadaptation once per l (one l at a time: a
-        # broadcast over the stacked Y is ~2.5x slower)
+        # once per piece, each misadaptation once per l into one buffer (one l
+        # at a time: a broadcast over the stacked Y is ~2.5x slower), and each
+        # penalty scaled by its payoff in place
         with np.errstate(over="ignore", invalid="ignore"):  # a sum may overflow: the row is flagged
             pays = [payoff(X, w) for w in self.profiles]
+            d = np.empty_like(X)
             for Yl, sums in zip(Y, self.utility):
-                d = X - Yl
+                np.subtract(X, Yl, out=d)
                 for total, pay, w in zip(sums, pays, self.profiles):
-                    _add_span_sums(total, pay * penalty(d, w), cuts)
+                    u = penalty(d, w)
+                    _add_span_sums(total, np.multiply(pay, u, out=u), cuts)
             _add_span_sums(self.x, X, cuts)
         for digest, rows in zip(self.digests, X):  # each span's (n_seeds, steps) bytes
             for span in _spans(rows, cuts):

@@ -53,20 +53,28 @@ PROFILES = {p.label: p for p in (SPECIALIST, GENERALIST)}
 def payoff(x, w: WellbeingParams):
     """Best achievable payoff at environmental state x: m + n*x.
 
-    Accepts scalars or arrays.
+    Accepts scalars or arrays, and returns a new value of x's type and
+    dtype.  It adds m to n*x in place (m is finite, so the bits are those
+    of m + n*x, nan included).
     """
-    return w.m + w.n * x
+    p = w.n * x
+    p += w.m
+    return p
 
 
 def penalty(d, w: WellbeingParams):
     """Gaussian misadaptation factor of utility at d = x - y: exp(-ln(2) * d^2 / a^2).
 
-    1 at d = 0 and 1/2 at |d| = a.  Accepts scalars or arrays.  Where d * d
-    overflows, the factor is exp(-inf) = 0, its limit, with no warning; an
-    invalid operation (d nan or inf) still warns.
+    1 at d = 0 and 1/2 at |d| = a.  Accepts scalars or arrays, and returns
+    a new value of d's type and dtype, built in one array when d is one.
+    Where d * d overflows, d = inf included, the factor is exp(-inf) = 0,
+    its limit; d = nan gives nan.  Neither warns.
     """
     with np.errstate(over="ignore"):
-        return np.exp(-LN2 * d * d / (w.a * w.a))
+        q = -LN2 * d
+        q *= d
+        q /= w.a * w.a
+        return np.exp(q, out=q) if isinstance(q, np.ndarray) else np.exp(q)
 
 
 def utility(x, y, w: WellbeingParams):

@@ -6,8 +6,9 @@ points by fine-grid root counting in c, trajectories by replaying the
 scalar single-step functions, adapted states by one unchunked loop, a
 run's kept series by joining its streamed pieces along time, time
 averages by summing a whole series span by span or by one mean of the full
-series, and basin dwells by classifying each point or run-length encoding a
-whole series, and CSV text by formatting each row on its own.
+series, payoff and penalty by their one-expression forms, basin dwells by
+classifying each point or run-length encoding a whole series, and CSV text
+by formatting each row on its own.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from flickersim import (
     utility,
 )
 from flickersim.io import _fmt
+from flickersim.wellbeing import LN2
 from flickersim.simulate import STREAM_SPAN, _kept_pieces
 
 
@@ -182,6 +184,17 @@ def run_length_flicker_stats(xs, separatrix: float, min_dwell: int) -> FlickerSt
     res_high = tuple(d for b, d in zip(basins, dwells) if b)
     res_low = tuple(d for b, d in zip(basins, dwells) if not b)
     return FlickerStats(len(dwells) - 1, res_high, res_low, sum(res_high) / high.size)
+
+
+def expression_payoff(x, w: WellbeingParams):
+    """payoff as one expression, m + n*x, with no in-place step."""
+    return w.m + w.n * x
+
+
+def expression_penalty(d, w: WellbeingParams):
+    """penalty as one expression, exp(-ln(2) * d * d / (a * a)), with no in-place step."""
+    with np.errstate(over="ignore"):
+        return np.exp(-LN2 * d * d / (w.a * w.a))
 
 
 def average_payoff(xs, w: WellbeingParams) -> float:

@@ -280,10 +280,13 @@ def sums_bits(sums: _CellSums):
 def test_cell_sums_do_not_depend_on_the_cuts(cell):
     """Totals and x digests keep their bits however the kept steps are cut
     into pieces: each piece is summed and hashed span by span, on the
-    STREAM_SPAN grid from step 0, as if the spans were fed one at a time."""
+    STREAM_SPAN grid from step 0, as if the spans were fed one at a time.
+    The pieces are left as they were: no scoring buffer aliases one."""
     model, X, Y, cuts, profiles = cell
+    pieces = X.tobytes(), Y.tobytes()
     want = sums_bits(fed_sums(model, X, Y, profiles, span_edges(model.burn_in, model.t_max)))
     assert sums_bits(fed_sums(model, X, Y, profiles, cuts)) == want
+    assert (X.tobytes(), Y.tobytes()) == pieces
 
 
 HORIZONS = [
@@ -412,6 +415,32 @@ def test_sweep_memory_does_not_grow_with_horizon(run, short):
             tracemalloc.stop()
 
     assert peak(8 * short) < 1.5 * peak(short)
+
+
+def test_block_kernel_span_allocates_only_the_y_broadcast(monkeypatch):
+    """After a warm-up span, one span of the block kernel at fig5's shape
+    (40 c x 10 replicates x 3 capacities) peaks below 16 KiB: the y step's
+    x - y broadcast takes a ~10.5 KB iterator buffer, and nothing else is
+    allocated per step or per span (a broadcasting add into the state-shaped
+    1 + i took ~129 KB)."""
+    sweep = get_preset("fig5")
+    model = replace(sweep.base, t_max=3 * STREAM_SPAN, burn_in=0)
+    peaks, kernel = [], simulate._simulate_paths
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return kernel(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(simulate, "_simulate_paths", traced)
+    spans = simulate.stream_spans(model, starts_at(model, sweep.c_grid), range(sweep.n_seeds),
+                                  sweep.l_values)
+    assert spans.__name__ == "_block_spans"
+    next(spans), next(spans)
+    assert peaks[1] < 16 * 1024
 
 
 def test_flicker_memory_does_not_grow_with_horizon(monkeypatch):

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from flickersim import (
     GENERALIST,
@@ -12,7 +15,7 @@ from flickersim import (
     penalty,
     utility,
 )
-from oracles import average_payoff, average_utility
+from oracles import average_payoff, average_utility, expression_payoff, expression_penalty
 
 W1 = SPECIALIST.params
 W2 = GENERALIST.params
@@ -47,6 +50,50 @@ class TestPayoff:
     def test_vectorized(self):
         xs = np.array([0.0, 10.0])
         assert payoff(xs, W1) == pytest.approx([5.0, 10.0])
+
+
+def specials(width: int):
+    """Signed zeros, nan, the infinities and the largest finite values of a float width."""
+    big = float(np.finfo(np.float32 if width == 32 else np.float64).max)
+    return st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), big, -big])
+
+
+@st.composite
+def scoring_inputs(draw):
+    """A Python float, an np.float64, a 0-d array, or a float32 or float64
+    array, holding ordinary, signed-zero, nan, infinite and huge values."""
+    kind = draw(st.sampled_from(["float", "float64", "0-d", "float32 array", "float64 array"]))
+    if kind.endswith("array"):
+        width = 32 if kind.startswith("float32") else 64
+        return draw(arrays(f"float{width}", array_shapes(max_dims=3, max_side=4),
+                           elements=st.floats(width=width) | specials(width)))
+    value = draw(st.floats() | specials(64))
+    return {"float": value, "float64": np.float64(value), "0-d": np.array(value)}[kind]
+
+
+# shipped profiles, and drawn ones whose m + n*x and d * d / (a * a) can
+# overflow but never multiply 0 by inf
+SCORING_PARAMS = st.sampled_from([W1, W2]) | st.builds(
+    WellbeingParams, m=st.floats(1e-3, 1e6),
+    n=st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3), a=st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=scoring_inputs(), w=SCORING_PARAMS)
+def test_scoring_matches_the_expressions(value, w):
+    """payoff and penalty build their results in place, yet equal m + n*x and
+    exp(-ln(2) * d * d / (a * a)) bit for bit, with the same type and dtype,
+    leave their input as it was and warn on no value."""
+    before = np.array(value, copy=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scored, oracle in ((payoff, expression_payoff), (penalty, expression_penalty)):
+            got, want = scored(value, w), oracle(value, w)
+            assert type(got) is type(want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.array(value).tobytes() == before.tobytes()
 
 
 class TestUtility:
