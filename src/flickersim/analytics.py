@@ -27,6 +27,10 @@ from .simulate import SimConfig, _CellSums, _grid_cell, _kept_pieces, _single_st
 from .wellbeing import CaseProfile
 
 DEFAULT_MIN_DWELL = 5
+# Fewest (c, replicate) rows per process group of a grid: two groups beat one
+# for sweep fig5 and transform fig6 from groups of 240 rows, not at 200, in
+# fresh processes on 2 CPUs (BENCH_40.json).
+MIN_GROUP_ROWS = 240
 
 
 class GridError(ValueError):
@@ -238,23 +242,25 @@ def _grid_group(args) -> list[tuple]:
     return [(cell, next(stats) if isinstance(cell.start, tuple) else None) for cell in cells]
 
 
-def _grid(base, c_grid, l_values, profiles, n_seeds, workers=1, x_columns=False) -> list[tuple]:
+def _grid(base, c_grid, l_values, profiles, n_seeds, x_columns=False) -> list[tuple]:
     """(cell, stats) per rate of c_grid: its _GridCell, and None if it has no start,
     else the means and stderrs of each profile's payoff, then each (l, profile)'s
     utility, and with x_columns its mean x and 16-hex x digest.  Runs as
-    min(workers, usable CPUs, len(c_grid)) contiguous groups of c, one process
-    each (none for one group); the entries do not depend on the grouping."""
+    min(usable CPUs, len(c_grid), rows // MIN_GROUP_ROWS or 1) contiguous groups
+    of c, one process each, but here for one group or in a daemonic process,
+    which may start none; the entries do not depend on the grouping."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_groups = min(workers, cpus or 1, len(c_grid))
-    bounds = [k * len(c_grid) // n_groups for k in range(n_groups + 1)]
-    jobs = [(base, c_grid[lo:hi], l_values, profiles, n_seeds, x_columns)
-            for lo, hi in zip(bounds, bounds[1:])]
-    if n_groups == 1:
-        return _grid_group(jobs[0])
-    from concurrent.futures import ProcessPoolExecutor  # only a split grid pays its import
-
-    with ProcessPoolExecutor(max_workers=n_groups) as pool:
-        return [entry for group in pool.map(_grid_group, jobs) for entry in group]
+    n_groups = min(cpus or 1, len(c_grid), max(1, len(c_grid) * n_seeds // MIN_GROUP_ROWS))
+    if n_groups > 1:  # only a grid big enough to split imports the pool's modules
+        import multiprocessing
+        if not multiprocessing.current_process().daemon:
+            from concurrent.futures import ProcessPoolExecutor
+            bounds = [k * len(c_grid) // n_groups for k in range(n_groups + 1)]
+            jobs = [(base, c_grid[lo:hi], l_values, profiles, n_seeds, x_columns)
+                    for lo, hi in zip(bounds, bounds[1:])]
+            with ProcessPoolExecutor(max_workers=n_groups) as pool:
+                return [entry for group in pool.map(_grid_group, jobs) for entry in group]
+    return _grid_group((base, c_grid, l_values, profiles, n_seeds, x_columns))
 
 
 def _cell_row(row_type, cell, keys: tuple, values):
@@ -271,26 +277,22 @@ def utility_sweep(
     c_grid,
     l_values,
     n_seeds: int,
-    workers: int = 1,
 ) -> list[SweepRow]:
     """Ensemble payoff/utility averages over a (c, l) grid, ordered by (l, c).
 
     All l values at a given c are scored on the same environment paths
     (shared noise), and every c reuses the same replicate substreams, so
-    cells are directly comparable.  The grid runs as min(workers, usable
-    CPUs, len(c_grid)) contiguous groups of c, one process each (none for
-    one group).  The row order and values do not depend on workers, the
-    most processes to open, which must be at least 1.  c and l values
-    need not be sorted, but must be finite and distinct (GridError); a cell
-    whose averages are not finite, or whose regime is undefined, carries an
-    error.
+    cells are directly comparable.  A large grid splits into contiguous
+    groups of c, one process each (_grid); the rows do not depend on the
+    grouping.  c and l values need not be sorted, but must be finite and
+    distinct (GridError); a cell whose averages are not finite, or whose
+    regime is undefined, carries an error.
     """
     c_grid = _check_grid(c_grid, increasing=False)
     l_values = _check_grid([AdaptationParams(l).l for l in l_values], False, "l_values")
-    n_seeds, workers = _check_count("n_seeds", n_seeds, 1), _check_count("workers", workers, 1)
+    n_seeds = _check_count("n_seeds", n_seeds, 1)
     rows = []
-    for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, l_values, [base.wellbeing],
-                                             n_seeds, workers)):
+    for c, (cell, stats) in zip(c_grid, _grid(base, c_grid, l_values, [base.wellbeing], n_seeds)):
         for j, l in enumerate(l_values, start=1):  # utility j follows the one payoff
             values = stats and (stats[0][0], stats[0][j], stats[1][0], stats[1][j])
             rows.append(_cell_row(SweepRow, cell, (c, l), values))

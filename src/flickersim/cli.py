@@ -10,7 +10,7 @@ Subcommands:
 
 Every run also writes manifest.json recording the resolved configuration,
 seed, version, and output paths.  Given the same seed, the data files are
-byte-identical across runs and worker counts.  The default output directory
+byte-identical across runs and process groups.  The default output directory
 comes from $FLICKERSIM_OUT_DIR, falling back to ./flickersim-out.
 """
 
@@ -88,9 +88,6 @@ def _sweep_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--l", type=float, action="append", dest="l_values",
                      help="adaptation rate (repeatable)")
     sub.add_argument("--seeds", type=int, help="replicates per cell")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="most processes to open: the grid runs as min(WORKERS, usable CPUs, "
-                          "number of c) contiguous groups of c, one process each")
 
 
 def _transform_args(sub: argparse.ArgumentParser) -> None:
@@ -225,8 +222,7 @@ def _cmd_bifurcation(args):
 
 def _cmd_sweep(args):
     cfg = _grid_spec(args, SweepConfig)
-    rows = analytics.utility_sweep(cfg.base, cfg.c_grid, cfg.l_values, cfg.n_seeds,
-                                   workers=args.workers)
+    rows = analytics.utility_sweep(cfg.base, cfg.c_grid, cfg.l_values, cfg.n_seeds)
     return cfg, [io.write_sweep_csv(Path(args.out_dir) / "sweep.csv", rows)], None
 
 

@@ -50,7 +50,7 @@ allocates but for the ~10 KB iterator buffer of the y step's x - y
 broadcast, and yields each span time-last through one fresh C-contiguous
 copy per array.  The per-row crossover that sets SCALAR_ROWS is tabulated
 in the README ("How simulations stream") and recorded in BENCH_10.json,
-BENCH_16.json and BENCH_38.json.
+BENCH_16.json, BENCH_38.json and BENCH_40.json.
 """
 
 from __future__ import annotations
@@ -73,14 +73,14 @@ DEFAULT_SEED = 42
 # values: 12 800 for the 40-value, 10-replicate fig5 grid.
 STREAM_SPAN = 32
 # Runs of fewer (c, replicate) rows than this advance each row in Python
-# floats; larger ones run as one numpy block.  By 32 the block kernel is the
-# faster for rows that each step their own noise level (one c, many
-# replicates; crossing near 24) and for grid rows, which share their noise
-# and cross later (near 27).  The crossover tables are in BENCH_16.json and
-# BENCH_38.json.
-SCALAR_ROWS = 32
+# floats; larger ones run as one numpy block.  From 26 rows the block kernel
+# is the faster for rows that each step their own noise level (one c, many
+# replicates; crossing near 24-26), and below it the scalar kernel is the
+# faster for grid rows, which share their noise and cross later (near 28).
+# The crossover tables are in BENCH_16.json, BENCH_38.json and BENCH_40.json.
+SCALAR_ROWS = 26
 # Most row-steps the scalar kernel draws, steps and yields at once, in whole
-# spans: 128 spans at 1 row, 16 at 8 rows, 4 at 31 rows.  It is fixed, not
+# spans: 128 spans at 1 row, 16 at 8 rows, 5 at 25 rows.  It is fixed, not
 # derived from SCALAR_ROWS, so a block stays this small whatever row count
 # routes to the scalar kernel.
 SCALAR_BLOCK = 4096

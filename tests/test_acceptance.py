@@ -5,6 +5,7 @@ annotated with a runtime budget in their docstring are sized to fit it on a
 single core.
 """
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from flickersim import (
     utility,
     utility_sweep,
 )
+from flickersim import analytics
 from flickersim.analytics import flicker_replicates
 from flickersim.cli import main as cli_main
 from oracles import brute_force_fixed_points, fine_grid_fold_points
@@ -307,9 +309,9 @@ def test_criterion_8_literal_perfect_crossover_regime(fig6_report, default_folds
         "noise parameters (T=30, beta=0.07)")
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, monkeypatch):
     """Fixed seed implies byte-identical CSV output, across repeated runs and
-    across worker counts.
+    across the process groups a grid splits into.
 
     Budget: < 1 min.
     """
@@ -321,15 +323,17 @@ def test_criterion_9_determinism(tmp_path):
     bytes_a = (tmp_path / "a/trajectory.csv").read_bytes()
     assert bytes_a == (tmp_path / "b/trajectory.csv").read_bytes()
 
-    # sweep rows independent of the worker count
+    # sweep rows independent of the group count: 15 rows as one group, then
+    # as 3 groups of 5 rows on three usable CPUs
     args = ["sweep", "--c-min", "0.5", "--c-max", "2.5", "--steps", "5",
             "--l", "0.01", "--l", "0.1", "--seeds", "3",
             "--t-max", "2000", "--burn-in", "200"]
-    for workers, sub in ((1, "w1"), (3, "w3")):
-        code = cli_main(args + ["--workers", str(workers), "--out-dir", str(tmp_path / sub)])
-        assert code == 0
-    sweep_w1 = (tmp_path / "w1/sweep.csv").read_bytes()
-    assert sweep_w1 == (tmp_path / "w3/sweep.csv").read_bytes()
+    assert cli_main(args + ["--out-dir", str(tmp_path / "g1")]) == 0
+    monkeypatch.setattr(analytics, "MIN_GROUP_ROWS", 5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli_main(args + ["--out-dir", str(tmp_path / "g3")]) == 0
+    sweep_g1 = (tmp_path / "g1/sweep.csv").read_bytes()
+    assert sweep_g1 == (tmp_path / "g3/sweep.csv").read_bytes()
     record_acceptance(
         "9 determinism", True,
-        f"trajectory csv {len(bytes_a)} bytes identical; sweep identical across workers")
+        f"trajectory csv {len(bytes_a)} bytes identical; sweep identical across group counts")

@@ -1,4 +1,5 @@
 import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from flickersim import (
     transform_comparison,
     utility_sweep,
 )
+from flickersim import analytics
 from flickersim.analytics import GridError, _Dwells, flicker_replicates
 from flickersim.simulate import SCALAR_ROWS, STREAM_SPAN
 from flickersim.wellbeing import GENERALIST, SPECIALIST
@@ -33,6 +35,14 @@ from oracles import (
 )
 
 FAST = SimConfig(t_max=600, burn_in=100, seed=17)
+
+
+def _sweep_split_sized(*args):
+    """utility_sweep(*args) with every row a group of its own and two usable
+    CPUs, so that any grid of two or more c values splits."""
+    analytics.MIN_GROUP_ROWS = 1
+    os.sched_getaffinity = lambda pid: {0, 1}
+    return utility_sweep(*args)
 
 
 class TestClassifyBasin:
@@ -173,10 +183,12 @@ class TestUtilitySweep:
         for r in rows:
             assert r.avg_utility == pytest.approx(r.avg_payoff, rel=1e-12)
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, monkeypatch):
         rows1 = utility_sweep(FAST, c_grid=[0.5, 1.0, 1.5], l_values=[0.01, 0.1], n_seeds=2)
-        rows2 = utility_sweep(FAST, c_grid=[0.5, 1.0, 1.5], l_values=[0.01, 0.1], n_seeds=2,
-                              workers=2)
+        # 6 rows on two usable CPUs: two groups, on two processes
+        monkeypatch.setattr(analytics, "MIN_GROUP_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rows2 = utility_sweep(FAST, c_grid=[0.5, 1.0, 1.5], l_values=[0.01, 0.1], n_seeds=2)
         assert rows1 == rows2
 
     def test_empty_grid_rejected(self):
@@ -200,7 +212,8 @@ class TestUtilitySweep:
         ({0, 1, 2}, 8, [3]), (None, 2, [2]), (None, None, []),
     ], ids=["affinity", "cpu_count", "unknown"])
     def test_pool_capped_at_usable_cpus(self, monkeypatch, affinity, cpu_count, opened):
-        # one group runs in this process and opens no pool
+        # 6 rows of one replicate, each row a group of its own but for the
+        # usable CPUs; one group runs in this process and opens no pool
         pools, mapped = [], []
 
         class InProcessPool:
@@ -221,17 +234,19 @@ class TestUtilitySweep:
                 mapped.append(len(jobs))
                 return map(fn, jobs)
 
+        grid = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
+        in_process = utility_sweep(FAST, c_grid=grid, l_values=[0.1], n_seeds=1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(analytics, "MIN_GROUP_ROWS", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-        grid = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
-        rows = utility_sweep(FAST, c_grid=grid, l_values=[0.1], n_seeds=1, workers=64)
+        rows = utility_sweep(FAST, c_grid=grid, l_values=[0.1], n_seeds=1)
         assert pools == opened
         assert mapped == pools  # one group per process
-        assert rows == utility_sweep(FAST, c_grid=grid, l_values=[0.1], n_seeds=1)
+        assert rows == in_process
 
     def test_cli_import_leaves_the_pool_unloaded(self):
         # only a grid split across processes imports concurrent.futures and
@@ -244,10 +259,52 @@ class TestUtilitySweep:
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            utility_sweep(FAST, c_grid=[1.0], l_values=[0.1], n_seeds=1, workers=workers)
+    # (c values, replicates, usable CPUs): the groups the grid runs as
+    @pytest.mark.parametrize("n_c,n_seeds,cpus,groups", [
+        *((40, 10, cpus, 1) for cpus in (1, 2, 8, 64, None)),  # the fig5/fig6 presets
+        (2, analytics.MIN_GROUP_ROWS - 1, 8, 1),   # one row short of two groups
+        (2, analytics.MIN_GROUP_ROWS, 8, 2),
+        (3, analytics.MIN_GROUP_ROWS, 2, 2),       # capped by the CPUs
+        (3, analytics.MIN_GROUP_ROWS, 8, 3),
+        (2, 10 * analytics.MIN_GROUP_ROWS, 8, 2),  # capped by the c values
+        (40, 20, 2, 2),
+        (40, 20, None, 1),                         # no CPU count known
+    ])
+    def test_group_count_rule(self, monkeypatch, n_c, n_seeds, cpus, groups):
+        # min(usable CPUs, c values, rows // MIN_GROUP_ROWS), at least one; the
+        # groups are recorded, not run, and a pool maps in this process
+        class InProcessPool:
+            def __init__(self, max_workers):
+                assert max_workers == groups
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(analytics, "_grid_group", lambda job: [job[1]])
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        c_grid = [0.25 * (k + 1) for k in range(n_c)]
+        parts = analytics._grid(FAST, c_grid, [0.1], [FAST.wellbeing], n_seeds)
+        assert len(parts) == groups
+        assert [c for part in parts for c in part] == c_grid  # contiguous, in order
+
+    def test_daemonic_caller_runs_one_group(self):
+        # a pool worker may start no process: a grid big enough to split runs
+        # in that worker, as one group, and gives the in-process rows
+        args = (FAST, [0.5, 1.0, 1.5], [0.01, 0.1], 2)
+        with multiprocessing.Pool(1) as pool:
+            rows = pool.apply_async(_sweep_split_sized, args).get(timeout=120)
+        assert rows == utility_sweep(*args)
+
+    def test_workers_argument_is_gone(self):
+        with pytest.raises(TypeError, match="workers"):
+            utility_sweep(FAST, c_grid=[1.0], l_values=[0.1], n_seeds=1, workers=2)
 
     def test_shared_noise_payoff_identical_across_l(self):
         rows = utility_sweep(FAST, c_grid=[1.9], l_values=[0.001, 0.1], n_seeds=3)

@@ -185,8 +185,6 @@ def test_every_entry_point_returns_or_fails_by_name(case):
 COUNTS = {
     "run_ensemble": ("n_seeds", 2, lambda n: run_ensemble(SMALL, n)),
     "utility_sweep": ("n_seeds", 2, lambda n: utility_sweep(SMALL, [1.0], [0.01], n)),
-    "utility_sweep-workers": ("workers", 1,
-                              lambda n: utility_sweep(SMALL, [1.0], [0.01], 1, workers=n)),
     "transform_comparison": ("n_seeds", 2, lambda n: transform_comparison(
         SMALL, SPECIALIST, GENERALIST, [1.0, 1.95], 0.01, n)),
     "flicker_replicates": ("n_seeds", 2, lambda n: analytics.flicker_replicates(SMALL, n, 1.0)),

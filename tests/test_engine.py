@@ -2,6 +2,7 @@
 memory, grid validation and flagged non-finite cells."""
 
 import json
+import os
 import signal
 import sys
 import tracemalloc
@@ -123,10 +124,13 @@ class TestBlockRows:
         assert [row.l for row in sweep] == L_VALUES
         assert report.c_cross_perfect is None and report.c_cross_adaptive is None
 
-    def test_workers_split_rows_without_changing_them(self):
+    def test_workers_split_rows_without_changing_them(self, monkeypatch):
         grid = [0.25, 0.5, 1.0, 1.5, 1.95]
         rows = utility_sweep(BASE, grid, L_VALUES, n_seeds=2)
-        assert utility_sweep(BASE, grid, L_VALUES, n_seeds=2, workers=3) == rows
+        # 10 rows on three usable CPUs: groups of 1, 2 and 2 c, on three processes
+        monkeypatch.setattr(analytics, "MIN_GROUP_ROWS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert utility_sweep(BASE, grid, L_VALUES, n_seeds=2) == rows
 
 
 KERNELS = [_scalar_spans, _block_spans]

@@ -41,7 +41,7 @@ from flickersim import (
     utility,
     utility_sweep,
 )
-from flickersim import cli, io, simulate
+from flickersim import analytics, cli, io, simulate
 from flickersim.analytics import (
     ComparisonRow,
     CrossoverReport,
@@ -791,11 +791,14 @@ class TestCli:
         assert list(folds) == ["error"]
         assert folds["error"].startswith("no bistable extraction interval in [0.0, 0.5]")
 
-    def test_sweep_row_count_and_workers(self, tmp_path):
+    def test_sweep_row_count_and_workers(self, tmp_path, monkeypatch):
         args = ("sweep", "--preset", "fig5", "--seeds", "2", "--t-max", "300",
                 "--burn-in", "50")
-        assert run_cli(*args, "--workers", "1", "--out-dir", tmp_path / "w1") == 0
-        assert run_cli(*args, "--workers", "2", "--out-dir", tmp_path / "w2") == 0
+        assert run_cli(*args, "--out-dir", tmp_path / "w1") == 0
+        # 80 rows in groups of 40 on two usable CPUs: two processes
+        monkeypatch.setattr(analytics, "MIN_GROUP_ROWS", 40)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run_cli(*args, "--out-dir", tmp_path / "w2") == 0
         lines = (tmp_path / "w1/sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 40
         assert (tmp_path / "w1/sweep.csv").read_bytes() == \
@@ -817,15 +820,6 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "n_seeds must be >= 1" in err["message"]
-        assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_sweep_rejects_workers_below_one(self, tmp_path, capsys, workers):
-        code = run_cli("sweep", "--steps", "3", "--seeds", "1", "--t-max", "300",
-                       "--burn-in", "50", "--workers", workers, "--out-dir", tmp_path)
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValueError", "message": f"workers must be >= 1, got {workers}"}
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag,value,separatrix,min_dwell", [
@@ -987,6 +981,13 @@ class TestCli:
             cli.build_parser().parse_args(["bifurcation", "--preset", "fig2", "--seed", "5"])
         assert exit_.value.code == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+    def test_sweep_takes_no_workers(self, capsys):
+        # a grid picks its own process count
+        with pytest.raises(SystemExit) as exit_:
+            cli.build_parser().parse_args(["sweep", "--preset", "fig5", "--workers", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_flicker_takes_no_l(self, capsys):
         # flicker follows no adaptive capacity, so --l would change no data

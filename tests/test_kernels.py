@@ -36,7 +36,7 @@ from flickersim import (
     transform_comparison,
     utility_sweep,
 )
-from flickersim import simulate
+from flickersim import analytics, simulate
 from flickersim.analytics import flicker_replicates, separatrix_for
 from flickersim.cli import main as cli_main
 from flickersim.simulate import (
@@ -56,13 +56,15 @@ from test_engine import (BASE, C_VALUES, HORIZONS, L_VALUES, at_c, forced, kerne
 from test_simulate import SMALL
 
 # Few rows, whose scalar blocks hold several spans (4 096 steps at 1 row,
-# 1 344 at 3, 448 at 9, 128 at 31): the (rates, replicates) of a grid cell
-# at each row count.
-FEW_ROWS = {1: (1, 1), 2: (1, 2), 3: (3, 1), 8: (2, 4), 9: (3, 3), 16: (2, 8), 31: (1, 31)}
+# 1 344 at 3, 448 at 9, 160 at 25; 31 rows, 128 steps a scalar block, ran on
+# the scalar kernel under the earlier threshold 32): the (rates, replicates)
+# of a grid cell at each row count.
+FEW_ROWS = {1: (1, 1), 2: (1, 2), 3: (3, 1), 8: (2, 4), 9: (3, 3), 16: (2, 8), 25: (1, 25),
+            31: (1, 31)}
 # both sides of the threshold, plus fixed counts (around 24 and around the
-# earlier threshold 36) that keep the same cases whatever SCALAR_ROWS is tuned
-# to, and the few rows
-KERNEL_ROWS = sorted({*FEW_ROWS, 23, 24, 25, 35, 36, 37,
+# earlier thresholds 32 and 36) that keep the same cases whatever SCALAR_ROWS
+# is tuned to, and the few rows
+KERNEL_ROWS = sorted({*FEW_ROWS, 23, 24, 25, 31, 32, 33, 35, 36, 37,
                       SCALAR_ROWS - 1, SCALAR_ROWS, SCALAR_ROWS + 1})
 
 
@@ -75,10 +77,11 @@ def block_horizons(block: int) -> list[tuple[int, int]]:
 
 
 # At SCALAR_BLOCK the burn-in ends on a block edge at 3 and 9 rows, or at 1,
-# 2, 8, 16 and 31 rows; then mid-span inside the first block at 1 row
-# (after it from 2 rows), or after the first block at every row count.  The
-# horizons of the earlier 1 024-row-step bound stay: there the burn-in ends
-# inside the first block at 1-3 rows, or on a block edge at 8, 16 and 31.
+# 2, 8, 16 and 31 rows, and inside a block of 160 steps at 25 rows; then
+# mid-span inside the first block at 1 row (after it from 2 rows), or after
+# the first block at every row count.  The horizons of the earlier
+# 1 024-row-step bound stay: there the burn-in ends inside the first block at
+# 1-3 rows, or on a block edge at 8, 16, 25 and 31.
 BLOCK_EDGES = block_horizons(SCALAR_BLOCK)[:2]
 BLOCK_HORIZONS = [*block_horizons(SCALAR_BLOCK), *block_horizons(1024)]
 # a huge finite start overflows x to nan within two steps
@@ -421,8 +424,8 @@ def test_data_files_same_on_both_kernels(command, name, tmp_path, monkeypatch):
 
 
 def test_sweep_csv_same_across_workers_and_kernels(tmp_path, monkeypatch):
-    # 12 c x 3 seeds: one block under --workers 1; groups of 6 and 4 c
-    # (18 and 12 rows) run on the scalar kernel under --workers 2 and 3.
+    # 12 c x 3 seeds: one block as one group; with MIN_GROUP_ROWS 18 and 12,
+    # groups of 6 and 4 c (18 and 12 rows) run on the scalar kernel.
     # Three usable CPUs keep 3 groups, on 3 processes, on any host.
     assert 12 * 3 >= SCALAR_ROWS > 6 * 3
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -430,9 +433,10 @@ def test_sweep_csv_same_across_workers_and_kernels(tmp_path, monkeypatch):
             "--t-max", str(3 * STREAM_SPAN + 7), "--burn-in", str(STREAM_SPAN + 3),
             "--seed", "5"]
     files = []
-    for workers in (1, 2, 3):
-        out = tmp_path / f"w{workers}"
-        assert cli_main([*args, "--workers", str(workers), "--out-dir", str(out)]) == 0
+    for group_rows in (36, 18, 12):
+        monkeypatch.setattr(analytics, "MIN_GROUP_ROWS", group_rows)
+        out = tmp_path / f"g{group_rows}"
+        assert cli_main([*args, "--out-dir", str(out)]) == 0
         files.append((out / "sweep.csv").read_bytes())
     assert files[0] == files[1] == files[2]
     assert len(files[0].splitlines()) == 1 + 3 * 12
@@ -544,7 +548,7 @@ def test_few_row_overflow_names_the_same_step(rows):
 
 class TestDrawsPerBlock:
     """The scalar route draws once per block of whole spans, up to
-    SCALAR_BLOCK row-steps (4 spans at 31 rows); the block kernel once per
+    SCALAR_BLOCK row-steps (5 spans at 25 rows); the block kernel once per
     span."""
 
     @pytest.fixture
@@ -574,9 +578,10 @@ class TestDrawsPerBlock:
         rows = SCALAR_ROWS - 1
         cfg = replace(get_preset("fig4b"), t_max=10 * STREAM_SPAN + 3, burn_in=10)
         run_ensemble(cfg, rows)
-        assert draws == [(rows, 128), (rows, 128), (rows, 67)]  # 4 spans per block
+        assert draws == [(rows, 160), (rows, 160), (rows, 3)]  # 5 spans per block
 
-    @pytest.mark.parametrize("rows", [SCALAR_ROWS])
+    # the threshold, and the earlier threshold 32 as a fixed count
+    @pytest.mark.parametrize("rows", sorted({SCALAR_ROWS, 32}))
     def test_one_draw_per_span_near_the_threshold(self, rows, draws):
         cfg = replace(get_preset("fig4b"), t_max=10 * STREAM_SPAN + 3, burn_in=10)
         run_ensemble(cfg, rows)
@@ -600,7 +605,7 @@ class TestDrawsPerBlock:
     # rows: (rates, steps per block) at the shipped SCALAR_BLOCK
     @pytest.mark.parametrize("rows,n_c,steps", [
         (1, 1, 4096), (2, 1, 2048), (3, 3, 1344), (8, 1, 512), (9, 3, 448), (16, 1, 256),
-        (17, 1, 224), (31, 1, 128),
+        (17, 1, 224), (25, 1, 160),
     ])
     def test_shipped_block_size(self, rows, n_c, steps, draws):
         assert SCALAR_BLOCK == 4096

@@ -71,8 +71,8 @@ CONFIGS = {
                     "h: 4.076005691482615}\n"),
 }
 
-# (label, arguments after the command): the preset figures, the grids at both
-# worker counts, small runs off the presets, and runs from CONFIGS
+# (label, arguments after the command): the preset figures, the grids at 20
+# seeds, small runs off the presets, and runs from CONFIGS
 MATRIX = [
     ("bifurcation-fig2", ["bifurcation", "--preset", "fig2"]),
     ("bifurcation-0-1", ["bifurcation", "--c-min", "0", "--c-max", "1"]),
@@ -84,7 +84,11 @@ MATRIX = [
     ("simulate-fig4b-200k", ["simulate", "--preset", "fig4b", "--t-max", "200000"]),
     ("simulate-fig4b-1m", ["simulate", "--preset", "fig4b", "--t-max", "1000000"]),
     ("flicker-fig4b-8", ["flicker", "--preset", "fig4b", "--seeds", "8"]),
-    *((f"sweep-fig5-w{w}", ["sweep", "--preset", "fig5", "--workers", str(w)]) for w in (1, 2)),
+    ("sweep-fig5", ["sweep", "--preset", "fig5"]),
+    # 800 rows: two process groups on a host with two usable CPUs, so a tree
+    # that runs them as one group checks that the grouping moves no byte
+    ("sweep-fig5-20", ["sweep", "--preset", "fig5", "--seeds", "20", "--t-max", "6000"]),
+    ("transform-fig6-20", ["transform", "--preset", "fig6", "--seeds", "20", "--t-max", "6000"]),
     ("sweep-small", ["sweep", "--c-min=-1", "--c-max", "2", "--steps", "7", "--seeds", "3"]),
     ("transform-fig6", ["transform", "--preset", "fig6"]),
     # 4 c x 3 seeds: 12 rows on the scalar kernel, whose burn-in ends inside

@@ -13,7 +13,7 @@ median wall seconds and the largest peak RSS, and ends with one JSON line
 holding every raw number.  Peak RSS is the ``ru_maxrss`` that ``wait4``
 reports for that one child (the figure that ``RUSAGE_CHILDREN`` takes the
 maximum of over all children).  Exits 1 if any command fails on either
-tree.  One round takes about 40 s on a 2-CPU host.
+tree.  One round takes about 35 s on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from compare_outputs import run
 
 # (label, arguments): the five commands at their presets, simulate at
 # horizons 4 and 60 times its preset's (their peak RSS shows whether
-# simulate's memory grows with t_max), and flicker at the replicate counts
-# of the benchmark and of the roadmap's timings
+# simulate's memory grows with t_max), sweep and transform at 20 seeds (800
+# rows, which split into process groups), and flicker at the replicate
+# counts of the benchmark and of the roadmap's timings
 COMMANDS = [
     ("simulate-fig4b", ["simulate", "--preset", "fig4b"]),
     ("simulate-fig4b-200k", ["simulate", "--preset", "fig4b", "--t-max", "200000"]),
@@ -38,6 +39,8 @@ COMMANDS = [
     ("bifurcation-fig2", ["bifurcation", "--preset", "fig2"]),
     ("sweep-fig5", ["sweep", "--preset", "fig5"]),
     ("transform-fig6", ["transform", "--preset", "fig6"]),
+    ("sweep-fig5-20", ["sweep", "--preset", "fig5", "--seeds", "20"]),
+    ("transform-fig6-20", ["transform", "--preset", "fig6", "--seeds", "20"]),
     ("flicker-fig4b", ["flicker", "--preset", "fig4b"]),
     ("flicker-fig4b-8", ["flicker", "--preset", "fig4b", "--seeds", "8"]),
     ("flicker-fig4b-20", ["flicker", "--preset", "fig4b", "--seeds", "20"]),
